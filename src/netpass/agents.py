@@ -76,9 +76,6 @@ class TrafficAgent:
         """Integral of the steady-state input map, zero at y = v0."""
         return (y - self.v0) ** 2 / (2.0 * self.v1)
 
-    def potential_curvature(self):
-        return 1.0 / self.v1
-
     def conjugate_potential(self, u):
         """Convex conjugate of the potential; input-side cost."""
         if self.v1 < 0.0:
@@ -118,9 +115,6 @@ class IntegratorAgent:
         return (0.0, 0.0, 0.0)
 
     def potential(self, y):
-        return 0.0
-
-    def potential_curvature(self):
         return 0.0
 
     def conjugate_potential(self, u):
@@ -171,9 +165,6 @@ class StaticAffineAgent:
         """Integral of the steady-state input map, zero at y = 0."""
         return (0.5 * y**2 - self.c * y) / self.a
 
-    def potential_curvature(self):
-        return 1.0 / self.a
-
     def conjugate_potential(self, u):
         if self.a < 0.0:
             raise NonConvexDualError(
@@ -199,38 +190,38 @@ class AgentBank:
         if n == 0:
             raise DimensionMismatchError("agent bank cannot be empty")
         self.rho_vector = np.array([a.rho for a in self.agents])
-        self._p = np.array([a.drift_coeffs()[0] for a in self.agents])
-        self._q = np.array([a.drift_coeffs()[1] for a in self.agents])
-        self._g = np.array([a.drift_coeffs()[2] for a in self.agents])
-        self._slope = np.array([a.steady_coeffs()[0] for a in self.agents])
-        self._intercept = np.array([a.steady_coeffs()[1] for a in self.agents])
-        self._const = np.array([a.steady_coeffs()[2] for a in self.agents])
+        # Read-only coefficient arrays: drift p*x + q*u + g, steady-state
+        # input map slope*y + intercept, potential anchored by const.
+        self.p, self.q, self.g = np.array([a.drift_coeffs() for a in self.agents]).T.copy()
+        self.slope, self.intercept, self.const = np.array(
+            [a.steady_coeffs() for a in self.agents]).T.copy()
         self.anchors = np.array([a.anchor() for a in self.agents])
-        self.rho_vector.setflags(write=False)
-        self.anchors.setflags(write=False)
+        for arr in (self.rho_vector, self.p, self.q, self.g, self.slope,
+                    self.intercept, self.const, self.anchors):
+            arr.setflags(write=False)
 
     def __len__(self):
         return len(self.agents)
 
     def drift(self, x, u):
         """Vector field of all agents at states x under inputs u."""
-        return self._p * x + self._q * u + self._g
+        return self.p * x + self.q * u + self.g
 
     def steady_input(self, y):
         """Per-agent steady-state input map, vectorized over outputs."""
-        return self._slope * y + self._intercept
+        return self.slope * y + self.intercept
 
     def curvatures(self):
         """Per-agent derivative of the steady-state input map (constant)."""
-        return self._slope.copy()
+        return self.slope.copy()
 
     def potential_total(self, y):
         """Sum of agent potentials at the output vector y."""
-        return float(np.sum(0.5 * self._slope * y**2 + self._intercept * y + self._const))
+        return float(np.sum(0.5 * self.slope * y**2 + self.intercept * y + self.const))
 
     def potential_batch(self, Y):
         """Summed potentials for a batch of output vectors, shape (P, n) -> (P,)."""
-        return (0.5 * self._slope * Y**2 + self._intercept * Y + self._const).sum(axis=1)
+        return (0.5 * self.slope * Y**2 + self.intercept * Y + self.const).sum(axis=1)
 
     def conjugate_total(self, u):
         """Sum of per-agent conjugate potentials at the input vector u."""

@@ -1,5 +1,8 @@
 """Command-line entry points.
 
+``synthesize``, ``simulate`` and ``optimize`` run a prefix of the ``verify``
+pipeline's stages and print the payloads those stages build.
+
 Exit codes: 0 on success/pass, 1 when the requested design is infeasible,
 2 when a run fails (simulation blowup or non-convergence, solver stall,
 steady-state mismatch), 3 on bad input (unreadable file, invalid JSON,
@@ -7,30 +10,30 @@ schema violation).
 """
 
 import argparse
-import json
 import sys
-
-import numpy as np
+from pathlib import Path
 
 from .errors import (
     ConfigError,
     NetpassError,
     NotPassivizableError,
-    NumericalBlowupError,
 )
 from .harness import (
-    _round_floats,
     build_system_parts,
     config_from_dict,
-    generate_case_study,
-    load_config,
-    synthesize_certified,
-    verify,
     emit_report,
+    generate_case_study,
+    json_text,
+    load_config,
+    optimization_stage,
+    round_floats,
+    simulation_stage,
+    synthesis_stage,
+    verify,
+    write_trajectory_csv,
 )
-from .netopt import SolveStatus, solve
-from .passivation import check_design, passivation_feasible
-from .sim import ClosedLoopSystem, simulate
+from .netopt import SolveStatus
+from .passivation import passivation_feasible
 
 __all__ = ["main"]
 
@@ -41,10 +44,10 @@ EXIT_BAD_INPUT = 3
 
 
 def _print_json(payload, path=None):
-    text = json.dumps(_round_floats(payload), indent=2, sort_keys=True) + "\n"
+    """Print a payload rounded to 12 digits, and write the same text to ``path``."""
+    text = json_text(round_floats(payload))
     if path:
-        with open(path, "w") as fh:
-            fh.write(text)
+        Path(path).write_text(text)
     sys.stdout.write(text)
 
 
@@ -56,30 +59,28 @@ def _load(path):
 
 
 def _apply_overrides(config, args):
-    updates = {}
-    if getattr(args, "hybrid", False):
-        updates["gain_mode"] = "hybrid"
-    if getattr(args, "vsr", None) is not None:
+    if not args.hybrid and args.vsr is None and args.epsilon is None:
+        return config
+    data = config.to_dict()
+    if args.hybrid:
+        data["gain_mode"] = "hybrid"
+    if args.vsr is not None:
         try:
-            vsr = tuple(int(v) for v in args.vsr.split(",") if v != "")
+            data["self_regulating"] = [int(v) for v in args.vsr.split(",") if v != ""]
         except ValueError:
             raise ConfigError(f"--vsr must be a comma-separated list of "
                               f"integers, got {args.vsr!r}")
-        updates["self_regulating"] = vsr
-    if getattr(args, "epsilon", None) is not None:
+    if args.epsilon is not None:
         if args.epsilon <= 0:
             raise ConfigError("--epsilon must be positive")
-        updates["epsilon"] = args.epsilon
-    if not updates:
-        return config
-    data = config.to_dict()
-    if "gain_mode" in updates:
-        data["gain_mode"] = updates["gain_mode"]
-    if "self_regulating" in updates:
-        data["self_regulating"] = list(updates["self_regulating"])
-    if "epsilon" in updates:
-        data["epsilon"] = updates["epsilon"]
+        data["epsilon"] = args.epsilon
     return config_from_dict(data)
+
+
+def _scenario(args):
+    """The overridden config and its parts, for the gain commands."""
+    config = _apply_overrides(_load(args.config), args)
+    return config, build_system_parts(config)
 
 
 def _cmd_check(args):
@@ -87,143 +88,66 @@ def _cmd_check(args):
     graph, agents, _ = build_system_parts(config)
     rho = agents.rho_vector
     components = graph.connected_components()
-    sums = [float(np.sum(rho[list(c)])) for c in components]
+    sums = [float(rho[list(c)].sum()) for c in components]
     feasible = passivation_feasible(rho, graph)
     _print_json({
         "feasible": feasible,
         "rho": rho.tolist(),
         "component_vertices": [list(c) for c in components],
         "component_shortage_sums": sums,
-    }, getattr(args, "out", None))
+    }, args.out)
     return EXIT_OK if feasible else EXIT_INFEASIBLE
 
 
 def _cmd_synthesize(args):
-    config = _apply_overrides(_load(args.config), args)
-    graph, agents, controllers = build_system_parts(config)
-    rho = agents.rho_vector
-    try:
-        design, _, probe, escalations = synthesize_certified(
-            config, graph, agents, controllers)
-    except NotPassivizableError as exc:
-        _print_json({"feasible": False, "reason": str(exc)},
-                    getattr(args, "out", None))
-        return EXIT_INFEASIBLE
-    certificate = check_design(rho, design.alpha, design.beta, graph)
-    _print_json({
-        "feasible": True,
-        "mode": config.gain_mode,
-        "threshold": design.threshold,
-        "epsilon": design.epsilon,
-        "escalations": escalations,
-        "alpha": design.alpha.tolist(),
-        "beta": design.beta.tolist(),
-        "min_eig": certificate.min_eig,
-        "positive_definite": certificate.positive_definite,
-        "convexity_probe": probe,
-    }, getattr(args, "out", None))
-    return EXIT_OK if certificate.positive_definite else EXIT_RUN_FAILED
+    config, parts = _scenario(args)
+    _, _, probe, gain = synthesis_stage(config, *parts)
+    # This command names the certificate min_eig and leaves out its tolerance.
+    payload = dict(gain, feasible=True, min_eig=gain["certificate"],
+                   convexity_probe=probe)
+    del payload["certificate"], payload["certificate_tol"]
+    _print_json(payload, args.out)
+    return EXIT_OK if gain["positive_definite"] else EXIT_RUN_FAILED
 
 
 def _cmd_simulate(args):
-    config = _apply_overrides(_load(args.config), args)
-    graph, agents, controllers = build_system_parts(config)
-    try:
-        design, _, _, _ = synthesize_certified(config, graph, agents,
-                                               controllers)
-    except NotPassivizableError as exc:
-        _print_json({"feasible": False, "reason": str(exc)})
-        return EXIT_INFEASIBLE
-    system = ClosedLoopSystem(graph, agents, controllers, design)
-    try:
-        trajectory = simulate(system, x0=config.x0, dt=config.dt,
-                              t_max=config.t_max,
-                              steady_tol=config.steady_tol, seed=config.seed)
-    except NumericalBlowupError as exc:
-        _print_json({"converged": False, "blowup": True, "reason": str(exc)})
+    config, parts = _scenario(args)
+    design = synthesis_stage(config, *parts)[0]
+    trajectory, sim = simulation_stage(config, *parts, design)
+    if trajectory is None:
+        _print_json({"converged": False, "blowup": True, "reason": sim["error"]},
+                    args.out)
         return EXIT_RUN_FAILED
     if args.out_csv:
-        _write_trajectory(trajectory, args.out_csv)
-    _print_json({
-        "converged": trajectory.converged,
-        "residual": trajectory.residual,
-        "t_end": float(trajectory.times[-1]),
-        "y_ss": None if trajectory.y_ss is None else trajectory.y_ss.tolist(),
-    }, getattr(args, "out", None))
+        write_trajectory_csv(trajectory, args.out_csv)
+    _print_json(sim, args.out)
     return EXIT_OK if trajectory.converged else EXIT_RUN_FAILED
 
 
-def _write_trajectory(trajectory, path):
-    n = trajectory.x_states.shape[0]
-    m = trajectory.eta_states.shape[0]
-    with open(path, "w") as fh:
-        header = ["t"] + [f"x_{i}" for i in range(n)] \
-            + [f"eta_{e}" for e in range(m)]
-        fh.write(",".join(header) + "\n")
-        for col, t in enumerate(trajectory.times):
-            row = [f"{t:.12g}"]
-            row += [f"{v:.12g}" for v in trajectory.x_states[:, col]]
-            row += [f"{v:.12g}" for v in trajectory.eta_states[:, col]]
-            fh.write(",".join(row) + "\n")
-
-
 def _cmd_optimize(args):
-    config = _apply_overrides(_load(args.config), args)
-    graph, agents, controllers = build_system_parts(config)
-    try:
-        _, problem, probe, _ = synthesize_certified(config, graph, agents,
-                                                    controllers)
-    except NotPassivizableError as exc:
-        _print_json({"feasible": False, "reason": str(exc)})
-        return EXIT_INFEASIBLE
-    minimizer = solve(problem, step=config.solver_step,
-                      max_iter=config.solver_max_iter, tol=config.solver_tol)
-    _print_json({
-        "status": minimizer.status.value,
-        "iterations": minimizer.iterations,
-        "objective": minimizer.objective_value,
-        "primal_residual": minimizer.primal_residual,
-        "dual_residual": minimizer.dual_residual,
-        "convexity_probe": probe,
-        "y_star": minimizer.y_star.tolist(),
-        "zeta_star": minimizer.zeta_star.tolist(),
-    }, getattr(args, "out", None))
+    config, parts = _scenario(args)
+    _, problem, probe, _ = synthesis_stage(config, *parts)
+    minimizer, opt = optimization_stage(config, problem)
+    _print_json(dict(opt, convexity_probe=probe), args.out)
     return EXIT_OK if minimizer.status is SolveStatus.OPTIMAL \
         else EXIT_RUN_FAILED
 
 
-def _verify_exit(report):
+def _cmd_verify(args):
+    """``verify`` on a scenario file, or ``casestudy`` on a generated one."""
+    if args.command == "casestudy":
+        config = generate_case_study(args.n, args.seed)
+        if args.config_out:
+            Path(args.config_out).write_text(json_text(config.to_dict()))
+    else:
+        config = _load(args.config)
+    report = verify(config)
+    emit_report(report, json_path=args.out_json,
+                trajectory_csv=args.out_trajectory, pairs_csv=args.out_pairs)
+    sys.stdout.write(json_text(report.to_dict()))
     if report.passed:
         return EXIT_OK
-    if report.verdict == "infeasible":
-        return EXIT_INFEASIBLE
-    return EXIT_RUN_FAILED
-
-
-def _cmd_verify(args):
-    config = _load(args.config)
-    report = verify(config)
-    emit_report(report, json_path=args.out_json,
-                trajectory_csv=args.out_trajectory, pairs_csv=args.out_pairs)
-    _print_json(report.to_dict())
-    return _verify_exit(report)
-
-
-def _cmd_casestudy(args):
-    config = generate_case_study(args.n, args.seed)
-    if args.config_out:
-        _dump_config(config, args.config_out)
-    report = verify(config)
-    emit_report(report, json_path=args.out_json,
-                trajectory_csv=args.out_trajectory, pairs_csv=args.out_pairs)
-    _print_json(report.to_dict())
-    return _verify_exit(report)
-
-
-def _dump_config(config, path):
-    with open(path, "w") as fh:
-        json.dump(config.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    return EXIT_INFEASIBLE if report.verdict == "infeasible" else EXIT_RUN_FAILED
 
 
 def build_parser():
@@ -239,32 +163,28 @@ def build_parser():
     p.add_argument("--out", help="also write the JSON result to this file")
     p.set_defaults(func=_cmd_check)
 
-    p = sub.add_parser("synthesize", help="compute network (and optional "
-                                          "vertex) gains with a certificate")
-    p.add_argument("config")
-    p.add_argument("--hybrid", action="store_true",
-                   help="force hybrid mode regardless of the config")
-    p.add_argument("--vsr", help="comma-separated self-regulating vertices")
-    p.add_argument("--epsilon", type=float, help="override the gain margin")
+    # The scenario and the overrides shared by the gain commands.
+    gain_args = argparse.ArgumentParser(add_help=False)
+    gain_args.add_argument("config")
+    gain_args.add_argument("--hybrid", action="store_true",
+                           help="force hybrid mode regardless of the config")
+    gain_args.add_argument("--vsr", help="comma-separated self-regulating vertices")
+    gain_args.add_argument("--epsilon", type=float, help="override the gain margin")
+
+    p = sub.add_parser("synthesize", parents=[gain_args],
+                       help="compute network (and optional vertex) gains with "
+                            "a certificate")
     p.add_argument("--out", help="also write the JSON result to this file")
     p.set_defaults(func=_cmd_synthesize)
 
-    p = sub.add_parser("simulate", help="integrate the closed loop until it "
-                                        "settles")
-    p.add_argument("config")
-    p.add_argument("--hybrid", action="store_true")
-    p.add_argument("--vsr")
-    p.add_argument("--epsilon", type=float)
+    p = sub.add_parser("simulate", parents=[gain_args],
+                       help="integrate the closed loop until it settles")
     p.add_argument("--out-csv", help="write the trajectory CSV here")
     p.add_argument("--out", help="also write the JSON summary to this file")
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("optimize", help="solve the regularized steady-state "
-                                        "optimization")
-    p.add_argument("config")
-    p.add_argument("--hybrid", action="store_true")
-    p.add_argument("--vsr")
-    p.add_argument("--epsilon", type=float)
+    p = sub.add_parser("optimize", parents=[gain_args],
+                       help="solve the regularized steady-state optimization")
     p.add_argument("--out", help="also write the JSON result to this file")
     p.set_defaults(func=_cmd_optimize)
 
@@ -285,7 +205,7 @@ def build_parser():
     p.add_argument("--out-json")
     p.add_argument("--out-trajectory")
     p.add_argument("--out-pairs")
-    p.set_defaults(func=_cmd_casestudy)
+    p.set_defaults(func=_cmd_verify)
 
     return parser
 
@@ -295,6 +215,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except NotPassivizableError as exc:
+        # Only the gain commands let this through; verify reports it itself.
+        _print_json({"feasible": False, "reason": str(exc)}, args.out)
+        return EXIT_INFEASIBLE
     except ConfigError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_BAD_INPUT

@@ -3,9 +3,12 @@
 A scenario bundles a graph, agent and controller rosters, a gain mode, and
 simulation/solver settings.  ``verify`` runs the whole pipeline: synthesize
 a gain, certify it, simulate the closed loop, solve the matching steady-state
-optimization, and compare the two answers.  It only reports a pass when the
-certificate is positive, the simulation settled, the solver finished clean,
-and the two outputs agree within tolerance.
+optimization, and compare the two answers.  The stage functions
+``synthesis_stage``, ``simulation_stage`` and ``optimization_stage`` each
+return their result and report payload; CLI commands run a prefix of them.
+``verify`` only reports a pass when the certificate is positive, the
+simulation settled, the solver finished clean, and the two outputs agree
+within tolerance.
 
 When the certified gain still leaves the optimization probe negative (the
 certificate is stated in terms of the declared indices, which for some agent
@@ -26,6 +29,7 @@ from .errors import (
     ConfigParseError,
     ConfigSchemaError,
     NetpassError,
+    NotPassivizableError,
     NumericalBlowupError,
 )
 from .graph import NetworkGraph
@@ -33,7 +37,6 @@ from .netopt import SolveStatus, build_problem, solve
 from .passivation import (
     check_design,
     hybrid_gain,
-    passivation_feasible,
     uniform_network_gain,
     zero_design,
 )
@@ -47,12 +50,22 @@ __all__ = [
     "generate_case_study",
     "build_system_parts",
     "synthesize_certified",
+    "synthesis_stage",
+    "simulation_stage",
+    "optimization_stage",
     "verify",
+    "json_text",
+    "round_floats",
+    "write_trajectory_csv",
     "emit_report",
     "cluster_count",
 ]
 
 _GAIN_MODES = ("none", "network_only", "hybrid")
+_AGENT_KINDS = {"traffic": TrafficAgent, "integrator": IntegratorAgent,
+                "static_affine": StaticAffineAgent}
+_CONTROLLER_KINDS = {"tanh_integrator": TanhIntegratorController,
+                     "static_gain": StaticGainController}
 # The escalation loop doubles the synthesis margin until the objective's
 # worst-case curvature clears this floor; a healthy floor also bounds how
 # long the closed loop takes to settle.
@@ -159,26 +172,24 @@ def _validate_agent(spec, path):
     if kind == "traffic":
         _check_keys(spec, {"kind", "kappa", "v0", "v1"}, path)
         kappa = _get_number(spec, "kappa", path, required=True)
-        v0 = _get_number(spec, "v0", path, required=True)
+        _get_number(spec, "v0", path, required=True)
         v1 = _get_number(spec, "v1", path, required=True)
         if v1 == 0.0:
             _fail(f"{path}.v1", "must be nonzero")
         if v1 * kappa <= 0.0:
             _fail(f"{path}.v1", "must have the same sign as kappa")
-        return TrafficAgent(kappa, v0, v1)
-    if kind == "integrator":
+    elif kind == "integrator":
         _check_keys(spec, {"kind"}, path)
-        return IntegratorAgent()
-    if kind == "static_affine":
+    elif kind == "static_affine":
         _check_keys(spec, {"kind", "a", "c", "tau", "rho"}, path)
         a = _get_number(spec, "a", path, required=True)
-        c = _get_number(spec, "c", path, required=True)
-        tau = _get_number(spec, "tau", path, default=1.0, positive=True)
-        rho = _get_number(spec, "rho", path, required=True)
+        _get_number(spec, "c", path, required=True)
+        _get_number(spec, "tau", path, positive=True)
+        _get_number(spec, "rho", path, required=True)
         if a == 0.0:
             _fail(f"{path}.a", "must be nonzero")
-        return StaticAffineAgent(a, c, tau, rho)
-    _fail(f"{path}.kind", f"unknown agent kind {kind!r}")
+    else:
+        _fail(f"{path}.kind", f"unknown agent kind {kind!r}")
 
 
 def _validate_controller(spec, path):
@@ -187,14 +198,13 @@ def _validate_controller(spec, path):
     kind = spec.get("kind")
     if kind == "tanh_integrator":
         _check_keys(spec, {"kind"}, path)
-        return TanhIntegratorController()
-    if kind == "static_gain":
+    elif kind == "static_gain":
         _check_keys(spec, {"kind", "w"}, path)
         w = _get_number(spec, "w", path, required=True)
         if w <= 0.0:
             _fail(f"{path}.w", f"must be positive, got {w}")
-        return StaticGainController(w)
-    _fail(f"{path}.kind", f"unknown controller kind {kind!r}")
+    else:
+        _fail(f"{path}.kind", f"unknown controller kind {kind!r}")
 
 
 def config_from_dict(data):
@@ -319,17 +329,17 @@ def load_config(path):
     return config_from_dict(data)
 
 
+def _model(classes, spec):
+    """The model a validated spec describes, its parameters as floats."""
+    return classes[spec["kind"]](**{k: float(v) for k, v in spec.items() if k != "kind"})
+
+
 def build_system_parts(config: ScenarioConfig):
-    """Materialize (graph, agent bank, controller bank) from a config."""
+    """Materialize (graph, agent bank, controller bank) from a validated config."""
     graph = NetworkGraph.from_dict(config.graph)
-    agents = AgentBank([
-        _validate_agent(spec, f"$.agents[{k}]")
-        for k, spec in enumerate(config.agents)
-    ])
-    controllers = ControllerBank([
-        _validate_controller(spec, f"$.controllers[{k}]")
-        for k, spec in enumerate(config.controllers)
-    ])
+    agents = AgentBank([_model(_AGENT_KINDS, spec) for spec in config.agents])
+    controllers = ControllerBank([_model(_CONTROLLER_KINDS, spec)
+                                  for spec in config.controllers])
     return graph, agents, controllers
 
 
@@ -390,7 +400,7 @@ class VerifyReport:
     trajectory: object = field(default=None, repr=False, compare=False)
 
     def to_dict(self):
-        return _round_floats({
+        return round_floats({
             "config": self.config,
             "feasible": self.feasible,
             "verdict": self.verdict,
@@ -404,14 +414,14 @@ class VerifyReport:
         })
 
 
-def _round_floats(obj, digits=12):
+def round_floats(obj, digits=12):
     """Round every float to the given number of significant digits."""
     if isinstance(obj, float):
         return float(f"{obj:.{digits}g}")
     if isinstance(obj, dict):
-        return {k: _round_floats(v, digits) for k, v in obj.items()}
+        return {k: round_floats(v, digits) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_round_floats(v, digits) for v in obj]
+        return [round_floats(v, digits) for v in obj]
     return obj
 
 
@@ -453,30 +463,16 @@ def synthesize_certified(config, graph, agents, controllers):
     return design, problem, probe, escalations
 
 
-def verify(config: ScenarioConfig):
-    """Run the full pipeline and compare simulated and optimized steady states."""
-    graph, agents, controllers = build_system_parts(config)
-    rho = agents.rho_vector
+def synthesis_stage(config, graph, agents, controllers):
+    """First stage: a certified gain, escalated until the probe clears.
 
-    report = VerifyReport(config=config.to_dict(), feasible=True,
-                          verdict="pass", passed=False)
-
-    if config.gain_mode == "network_only" and not passivation_feasible(rho, graph):
-        report.feasible = False
-        report.verdict = "infeasible"
-        return report
-    if config.gain_mode == "none":
-        design = zero_design(rho, graph)
-        if design.certificate <= 0.0:
-            report.feasible = False
-            report.verdict = "infeasible"
-            return report
-
+    Returns (design, problem, probe value, the report's ``gain`` payload).
+    Raises NotPassivizableError when no network-only gain exists.
+    """
     design, problem, probe, escalations = synthesize_certified(
         config, graph, agents, controllers)
-
-    certificate = check_design(rho, design.alpha, design.beta, graph)
-    report.gain = {
+    certificate = check_design(agents.rho_vector, design.alpha, design.beta, graph)
+    gain = {
         "mode": config.gain_mode,
         "threshold": design.threshold,
         "epsilon": design.epsilon,
@@ -487,8 +483,15 @@ def verify(config: ScenarioConfig):
         "certificate_tol": certificate.tol,
         "positive_definite": certificate.positive_definite,
     }
-    report.convexity_probe = probe
+    return design, problem, probe, gain
 
+
+def simulation_stage(config, graph, agents, controllers, design):
+    """Second stage: the closed-loop run and the report's ``sim`` payload.
+
+    Returns (trajectory, sim payload); after a numerical blowup the
+    trajectory is None and the payload carries the error.
+    """
     system = ClosedLoopSystem(graph, agents, controllers, design)
     try:
         trajectory = simulate(
@@ -500,20 +503,20 @@ def verify(config: ScenarioConfig):
             seed=config.seed,
         )
     except NumericalBlowupError as exc:
-        report.verdict = "blowup"
-        report.sim = {"converged": False, "error": str(exc)}
-        return report
-    report.trajectory = trajectory
-    report.sim = {
+        return None, {"converged": False, "error": str(exc)}
+    return trajectory, {
         "converged": trajectory.converged,
         "residual": trajectory.residual,
         "t_end": float(trajectory.times[-1]),
         "y_ss": None if trajectory.y_ss is None else trajectory.y_ss.tolist(),
     }
 
+
+def optimization_stage(config, problem):
+    """Third stage: the regularized problem's minimizer and the ``opt`` payload."""
     minimizer = solve(problem, step=config.solver_step,
                       max_iter=config.solver_max_iter, tol=config.solver_tol)
-    report.opt = {
+    return minimizer, {
         "status": minimizer.status.value,
         "iterations": minimizer.iterations,
         "objective": minimizer.objective_value,
@@ -523,6 +526,30 @@ def verify(config: ScenarioConfig):
         "zeta_star": minimizer.zeta_star.tolist(),
     }
 
+
+def verify(config: ScenarioConfig):
+    """Run the three stages and compare simulated and optimized steady states."""
+    parts = build_system_parts(config)
+    report = VerifyReport(config=config.to_dict(), feasible=False,
+                          verdict="infeasible", passed=False)
+    try:
+        design, problem, probe, gain = synthesis_stage(config, *parts)
+    except NotPassivizableError:
+        return report
+    if config.gain_mode == "none" and design.certificate <= 0.0:
+        return report
+    report.feasible = True
+    report.gain = gain
+    report.convexity_probe = probe
+
+    trajectory, report.sim = simulation_stage(config, *parts, design)
+    if trajectory is None:
+        report.verdict = "blowup"
+        return report
+    report.trajectory = trajectory
+
+    minimizer, report.opt = optimization_stage(config, problem)
+
     if trajectory.converged:
         report.mismatch = float(
             np.max(np.abs(trajectory.y_ss - minimizer.y_star))
@@ -530,7 +557,7 @@ def verify(config: ScenarioConfig):
         report.clusters = cluster_count(trajectory.y_ss)
 
     report.passed = bool(
-        certificate.positive_definite
+        gain["positive_definite"]
         and trajectory.converged
         and minimizer.status is SolveStatus.OPTIMAL
         and report.mismatch is not None
@@ -538,7 +565,7 @@ def verify(config: ScenarioConfig):
     )
     if report.passed:
         report.verdict = "pass"
-    elif not certificate.positive_definite:
+    elif not gain["positive_definite"]:
         report.verdict = "uncertified"
     elif minimizer.status is SolveStatus.NONCONVEX_DETECTED:
         report.verdict = "nonconvex"
@@ -560,6 +587,25 @@ def _format(value):
     return f"{value:.12g}"
 
 
+def json_text(payload):
+    """The JSON text every payload, report and scenario file is written as."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def write_trajectory_csv(trajectory, path):
+    """Write columns t, x_0.., eta_0.., one row per sample, row by row."""
+    n = trajectory.x_states.shape[0]
+    m = trajectory.eta_states.shape[0]
+    with open(path, "w") as fh:
+        header = ["t"] + [f"x_{i}" for i in range(n)] + [f"eta_{e}" for e in range(m)]
+        fh.write(",".join(header) + "\n")
+        for col, t in enumerate(trajectory.times):
+            row = [_format(t)]
+            row += [_format(v) for v in trajectory.x_states[:, col]]
+            row += [_format(v) for v in trajectory.eta_states[:, col]]
+            fh.write(",".join(row) + "\n")
+
+
 def emit_report(report: VerifyReport, json_path=None, trajectory_csv=None,
                 pairs_csv=None):
     """Write the JSON report and optional CSV companions.
@@ -571,25 +617,14 @@ def emit_report(report: VerifyReport, json_path=None, trajectory_csv=None,
     """
     if json_path is not None:
         with open(json_path, "w") as fh:
-            json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(json_text(report.to_dict()))
     if trajectory_csv is not None and report.trajectory is not None:
-        traj = report.trajectory
-        n = traj.x_states.shape[0]
-        m = traj.eta_states.shape[0]
-        with open(trajectory_csv, "w") as fh:
-            header = ["t"] + [f"x_{i}" for i in range(n)] + [f"eta_{e}" for e in range(m)]
-            fh.write(",".join(header) + "\n")
-            for col, t in enumerate(traj.times):
-                row = [_format(t)]
-                row += [_format(v) for v in traj.x_states[:, col]]
-                row += [_format(v) for v in traj.eta_states[:, col]]
-                fh.write(",".join(row) + "\n")
-    if pairs_csv is not None and report.sim and report.opt:
-        y_ss = report.sim.get("y_ss")
-        y_star = report.opt.get("y_star")
+        write_trajectory_csv(report.trajectory, trajectory_csv)
+    if pairs_csv is not None and report.opt:
+        # An opt payload exists only after a run, so sim holds y_ss.
+        y_ss = report.sim["y_ss"]
         with open(pairs_csv, "w") as fh:
             fh.write("vertex,y_ss,y_star\n")
-            if y_ss is not None and y_star is not None:
-                for i, (a, b) in enumerate(zip(y_ss, y_star)):
+            if y_ss is not None:
+                for i, (a, b) in enumerate(zip(y_ss, report.opt["y_star"])):
                     fh.write(f"{i},{_format(a)},{_format(b)}\n")

@@ -168,7 +168,6 @@ def uniform_network_gain(rho, graph: NetworkGraph, epsilon=None):
                 f"component {comp} has index sum {rho[comp].sum()}; "
                 "edge gains cannot passivate it"
             )
-    beta = np.zeros(graph.n_edges)
     thresholds = []
     per_edge_threshold = np.zeros(graph.n_edges)
     for comp in components:

@@ -22,7 +22,7 @@ from .agents import AgentBank
 from .controllers import ControllerBank
 from .errors import DimensionMismatchError, NumericalBlowupError
 from .graph import NetworkGraph
-from .netopt import RegularizedProblem, stationarity_residual
+from .netopt import build_problem, stationarity_residual
 from .passivation import GainDesign
 
 __all__ = ["ClosedLoopSystem", "Trajectory", "simulate", "steady_state_residual"]
@@ -95,13 +95,12 @@ def _default_steps(system):
     weights), and the cross terms between agent and controller states.
     """
     graph = system.graph
-    coeffs = [a.drift_coeffs() for a in system.agents.agents]
-    p_max = max(abs(c[0]) for c in coeffs)
-    q_max = max(abs(c[1]) for c in coeffs)
+    p_max = float(np.max(np.abs(system.agents.p)))
+    q_max = float(np.max(np.abs(system.agents.q)))
     if graph.n_edges:
         lam_max = float(np.linalg.eigvalsh(graph.laplacian())[-1])
         beta_max = float(np.max(system.gain.beta))
-        slope_max = float(np.max(system.controllers._w))
+        slope_max = float(np.max(system.controllers.w))
     else:
         lam_max = beta_max = slope_max = 0.0
     alpha_max = float(np.max(system.gain.alpha)) if system.gain.alpha.size else 0.0
@@ -245,9 +244,6 @@ def steady_state_residual(system: ClosedLoopSystem, y, zero_tol=1e-6):
     Builds the matching regularized steady-state problem and returns the
     minimal norm of its gradient inclusion over admissible edge efforts.
     """
-    problem = RegularizedProblem(
-        system.graph, system.agents, system.controllers,
-        system.gain.alpha, system.gain.beta,
-    )
+    problem = build_problem(system.graph, system.agents, system.controllers, system.gain)
     residual, _ = stationarity_residual(problem, y, zero_tol)
     return residual

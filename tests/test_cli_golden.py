@@ -17,7 +17,6 @@ review the diff it leaves.
 import contextlib
 import io
 import shutil
-import sys
 from pathlib import Path
 
 import pytest
@@ -120,4 +119,4 @@ def _regenerate():
 
 
 if __name__ == "__main__":
-    sys.exit(_regenerate())
+    _regenerate()

@@ -412,6 +412,23 @@ def test_cli_optimize_reports_minimizer(consensus_file, capsys):
     np.testing.assert_allclose(payload["y_star"], [10.25, 10.25], atol=1e-6)
 
 
+@pytest.mark.parametrize("command,scenario,code", [
+    ("simulate", mixed_pair_dict(), 1),
+    ("optimize", mixed_pair_dict(), 1),
+    ("simulate", mixed_pair_dict(
+        gain_mode="none",
+        agents=[{"kind": "traffic", "kappa": 1.0, "v0": 10.0, "v1": 0.8},
+                {"kind": "traffic", "kappa": -0.5, "v0": 12.0, "v1": -0.4}]), 2),
+], ids=["simulate-infeasible", "optimize-infeasible", "simulate-blowup"])
+def test_cli_out_file_written_on_failure_paths(command, scenario, code,
+                                               tmp_path, capsys):
+    scenario_path = tmp_path / "scenario.json"
+    scenario_path.write_text(json.dumps(scenario))
+    out_path = tmp_path / "out.json"
+    assert main([command, str(scenario_path), "--out", str(out_path)]) == code
+    assert out_path.read_text() == capsys.readouterr().out
+
+
 def test_cli_verify_writes_report(consensus_file, tmp_path, capsys):
     json_path = tmp_path / "report.json"
     assert main(["verify", consensus_file, "--out-json", str(json_path)]) == 0
