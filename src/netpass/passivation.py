@@ -12,8 +12,13 @@ and ``E`` is the oriented incidence matrix.  Because the incidence rows sum
 to zero, ``1^T X 1 = sum(rho + alpha)`` regardless of ``beta``: edge gains
 alone can never rescue a vertex set whose indices sum non-positive, which is
 what makes the positive-sum condition both necessary and sufficient.
+
+The edge-gain threshold is computed in vertex space: the Laplacian
+L = V diag(lam) V^T gives E = V diag(sqrt(lam)) W^T, so the m x m E^T M E and
+the (n-1) x (n-1) U^T M U, U = V[:, 1:] sqrt(lam[1:]), share nonzero eigenvalues.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,27 +114,26 @@ def edge_gain_threshold(rho, graph: NetworkGraph):
     """Uniform edge gain above which the coupling matrix is positive definite.
 
     Valid on connected graphs with a positive index sum.  The bound is
-
-        max(0, lambda_max((n / sum(rho)) E^T R^2 E - E^T R E)
-               / algebraic_connectivity(graph)**2)
-
-    with R = diag(rho); any uniform edge gain strictly above it certifies.
+    max(0, lambda_max(U^T M U)) / lambda_2**2 with M = (n / sum(rho)) R^2 - R,
+    R = diag(rho) and U, lambda_2 from the Laplacian (module docstring).  The
+    exactly rounded sum makes M = 0, and the bound exactly 0, for equal
+    indices.  Any uniform edge gain strictly above the bound certifies.
     """
     rho = _as_vector(rho, graph.n_vertices, "rho")
     if not graph.is_connected():
         raise DisconnectedGraphError("edge gain threshold needs a connected graph")
-    total = rho.sum()
+    total = math.fsum(rho)
     if total <= 0.0:
         raise NotPassivizableError(
             f"index sum {total} is not positive; no edge gain can passivate"
         )
     if graph.n_edges == 0:
         return 0.0
-    E = graph.incidence
-    quad = (graph.n_vertices / total) * (E.T * rho**2) @ E - (E.T * rho) @ E
-    top = float(np.linalg.eigvalsh(quad)[-1])
-    lam2 = graph.algebraic_connectivity()
-    return max(0.0, top / lam2**2)
+    lam, V = np.linalg.eigh(graph.laplacian())
+    U = V[:, 1:] * np.sqrt(lam[1:])
+    M = rho * (graph.n_vertices * rho - total) / total
+    top = float(np.linalg.eigvalsh((U.T * M) @ U)[-1])
+    return max(0.0, top / lam[1] ** 2)
 
 
 def _default_epsilon(threshold):
@@ -168,16 +172,11 @@ def uniform_network_gain(rho, graph: NetworkGraph, epsilon=None):
                 f"component {comp} has index sum {rho[comp].sum()}; "
                 "edge gains cannot passivate it"
             )
-    thresholds = []
     per_edge_threshold = np.zeros(graph.n_edges)
     for comp in components:
         sub, edge_ids = graph.subgraph(comp)
-        if sub.n_edges == 0:
-            continue
-        b = edge_gain_threshold(rho[comp], sub)
-        thresholds.append(b)
-        per_edge_threshold[edge_ids] = b
-    threshold = max(thresholds, default=0.0)
+        per_edge_threshold[edge_ids] = edge_gain_threshold(rho[comp], sub)
+    threshold = float(per_edge_threshold.max(initial=0.0))
     if epsilon is None:
         epsilon = _default_epsilon(threshold)
     beta = per_edge_threshold + epsilon

@@ -164,6 +164,36 @@ def test_convexity_probe_frozen_values():
     assert mixed_sign_problem().convexity_probe() > 0.0
 
 
+@st.composite
+def gained_problems(draw):
+    n = draw(st.integers(min_value=2, max_value=7))
+    chords = [(i, j) for i in range(n) for j in range(i + 2, n)]
+    edges = [(i, i + 1) for i in range(n - 1)]
+    edges += draw(st.lists(st.sampled_from(chords), unique=True)) if chords else []
+    graph = NetworkGraph(n, tuple(edges))
+    agents = []
+    for _ in range(n):
+        sign = draw(st.sampled_from((-1.0, 1.0)))
+        agents.append(TrafficAgent(sign, 20.0, sign * draw(st.floats(0.1, 5.0))))
+    gains = st.floats(min_value=0.0, max_value=1e4)
+    gain = GainDesign(alpha=draw(st.lists(gains, min_size=n, max_size=n)),
+                      beta=draw(st.lists(gains, min_size=len(edges), max_size=len(edges))),
+                      epsilon=0.0, threshold=0.0, certificate=1.0)
+    controllers = ControllerBank([TanhIntegratorController()] * len(edges))
+    return build_problem(graph, AgentBank(agents), controllers, gain)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(gained_problems())
+def test_convexity_probe_bounded_by_mean_curvature_for_any_edge_gain(problem):
+    # Rayleigh quotient on the consensus direction: E^T 1 = 0, so beta drops
+    # out and no edge gain can lift the probe above sum(slope + alpha) / n
+    n = problem.graph.n_vertices
+    bound = (problem.agents.curvatures() + problem.alpha).sum() / n
+    scale = 1.0 + np.linalg.norm(problem.smooth_hessian(), np.inf)
+    assert problem.convexity_probe() <= bound + 1e-12 * scale
+
+
 def test_regularization_never_lowers_objective():
     plain = mixed_sign_problem(beta=0.0)
     gained = mixed_sign_problem(beta=3.0)

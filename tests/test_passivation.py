@@ -9,8 +9,11 @@ Frozen values derived by hand:
   eigendecomposition), lambda_2 = 3, threshold 52/9.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from netpass import (
     DisconnectedGraphError,
@@ -45,6 +48,77 @@ def test_threshold_zero_for_homogeneous_surplus():
 def test_threshold_frozen_hybrid_corrected_indices():
     assert edge_gain_threshold(np.array([3.0, -1.0, -1.0]), K3) == pytest.approx(
         52.0 / 9.0, abs=1e-10)
+
+
+def m_by_m_threshold(rho, graph):
+    """Reference form: lambda_max of the m x m matrix E^T M E, M = (n/sum) R^2 - R."""
+    E = graph.incidence
+    quad = (graph.n_vertices / rho.sum()) * (E.T * rho**2) @ E - (E.T * rho) @ E
+    top = float(np.linalg.eigvalsh(quad)[-1])
+    return max(0.0, top / graph.algebraic_connectivity() ** 2)
+
+
+@st.composite
+def connected_graphs(draw):
+    """Paths, stars, complete graphs and random trees with extra edges."""
+    n = draw(st.integers(min_value=2, max_value=9))
+    kind = draw(st.sampled_from(("path", "star", "complete", "tree_plus")))
+    if kind == "path":
+        edges = [(i, i + 1) for i in range(n - 1)]
+    elif kind == "star":
+        edges = [(0, i) for i in range(1, n)]
+    elif kind == "complete":
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    else:
+        edges = [(draw(st.integers(0, k - 1)), k) for k in range(1, n)]
+        tree = {tuple(sorted(e)) for e in edges}
+        extra = [(i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in tree]
+        edges += draw(st.lists(st.sampled_from(extra), unique=True)) if extra else []
+    flips = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+    return NetworkGraph(n, tuple((t, h) if f else (h, t) for (h, t), f in zip(edges, flips)))
+
+
+@st.composite
+def threshold_cases(draw):
+    graph = draw(connected_graphs())
+    n = graph.n_vertices
+    if draw(st.booleans()):
+        rho = np.full(n, draw(st.floats(min_value=1e-3, max_value=1e3)))
+    else:
+        rho = np.array(draw(st.lists(st.floats(min_value=-5.0, max_value=5.0),
+                                     min_size=n, max_size=n)))
+        if rho.sum() <= 0.1:
+            rho = rho + (0.1 - rho.sum()) / n + draw(st.floats(0.0, 2.0))
+    return graph, rho
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(threshold_cases())
+def test_threshold_matches_m_by_m_form(case):
+    graph, rho = case
+    got = edge_gain_threshold(rho, graph)
+    if np.all(rho == rho[0]):
+        assert got == 0.0
+    # both forms cancel (n / sum) rho^2 against rho, so rounding scales with
+    # the larger of the two, times lambda_max(L) / lambda_2^2
+    terms = np.abs(np.concatenate([(graph.n_vertices / rho.sum()) * rho**2, rho]))
+    lam = np.linalg.eigvalsh(graph.laplacian())
+    scale = terms.max() * lam[-1] / lam[1] ** 2
+    assert got == pytest.approx(m_by_m_threshold(rho, graph), rel=1e-9, abs=1e-12 * scale)
+
+
+def test_threshold_memory_stays_below_one_m_vector_per_vertex():
+    # one m x m matrix at n = 60 is 23.9 MiB; n * m doubles are 0.81 MiB
+    g = NetworkGraph.complete(60)
+    rho = np.where(np.arange(60) % 3 == 0, -1.0, 1.0)
+    edge_gain_threshold(rho, g)
+    tracemalloc.start()
+    try:
+        edge_gain_threshold(rho, g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < g.n_vertices * g.n_edges * 8
 
 
 def test_threshold_requires_connected_and_feasible():
