@@ -105,16 +105,17 @@ class ControllerBank:
 
     def __init__(self, controllers):
         self.controllers = tuple(controllers)
-        self._saturated = np.array(
+        # Read-only per-edge saturated-integrator mask and static gain w (0 if saturated).
+        self.saturated = np.array(
             [isinstance(c, TanhIntegratorController) for c in self.controllers],
             dtype=bool,
         )
-        # Per-edge static gain w, zero on saturated edges; read-only.
         self.w = np.array(
             [c.w if isinstance(c, StaticGainController) else 0.0 for c in self.controllers],
             dtype=float,
         )
-        self.w.setflags(write=False)
+        for arr in (self.saturated, self.w):
+            arr.setflags(write=False)
 
     def __len__(self):
         return len(self.controllers)
@@ -126,24 +127,24 @@ class ControllerBank:
             )
 
     def drift(self, eta, zeta):
-        return np.where(self._saturated, zeta, 0.0)
+        return np.where(self.saturated, zeta, 0.0)
 
     def output(self, eta, zeta):
-        return np.where(self._saturated, np.tanh(eta), self.w * zeta)
+        return np.where(self.saturated, np.tanh(eta), self.w * zeta)
 
     def output_rate(self, eta, zeta, zeta_dot):
         """Time derivative of the controller outputs along a trajectory."""
         sat = 1.0 - np.tanh(eta) ** 2
-        return np.where(self._saturated, sat * zeta, self.w * zeta_dot)
+        return np.where(self.saturated, sat * zeta, self.w * zeta_dot)
 
     def potential_total(self, zeta):
         self._check(zeta, "zeta")
-        vals = np.where(self._saturated, np.abs(zeta), 0.5 * self.w * zeta**2)
+        vals = np.where(self.saturated, np.abs(zeta), 0.5 * self.w * zeta**2)
         return float(vals.sum())
 
     def potential_batch(self, Z):
         """Summed edge potentials for a batch of edge vectors, (P, m) -> (P,)."""
-        vals = np.where(self._saturated, np.abs(Z), 0.5 * self.w * Z**2)
+        vals = np.where(self.saturated, np.abs(Z), 0.5 * self.w * Z**2)
         return vals.sum(axis=1)
 
     def prox(self, beta, v, step):
@@ -152,14 +153,14 @@ class ControllerBank:
         self._check(v, "v")
         if step <= 0.0:
             raise ValueError(f"prox step must be positive, got {step}")
-        if np.any(self._saturated & (np.asarray(beta) < 0.0)):
+        if np.any(self.saturated & (np.asarray(beta) < 0.0)):
             raise NonConvexProxError("negative quadratic weight makes the prox nonconvex")
-        if np.any(~self._saturated & (self.w + np.asarray(beta) < 0.0)):
+        if np.any(~self.saturated & (self.w + np.asarray(beta) < 0.0)):
             raise NonConvexProxError("quadratic weight below -w makes the prox nonconvex")
         shrunk = np.sign(v) * np.maximum(np.abs(v) - step, 0.0)
         saturated_value = shrunk / (1.0 + step * np.asarray(beta))
         static_value = v / (1.0 + step * (self.w + np.asarray(beta)))
-        return np.where(self._saturated, saturated_value, static_value)
+        return np.where(self.saturated, saturated_value, static_value)
 
     def conjugate_total(self, mu):
         self._check(mu, "mu")

@@ -1,20 +1,29 @@
 """Closed-loop simulation of the gain-augmented diffusively-coupled network.
 
 The loop couples vertex agents through edge controllers over the graph's
-incidence matrix and applies the synthesized passivating feedback:
+incidence matrix E and applies the synthesized passivating feedback:
 
     zeta = E^T y,      u = -E mu - E diag(beta) zeta - diag(alpha) y
 
-Integration is classic fixed-step fourth-order Runge-Kutta.  A run counts as
-steady when the agent state rates and the controller output rates stay below
-a tolerance over a sustained window; the integrator controller's internal
-state is allowed to keep ramping (its output saturates, so the loop still
-settles), which is exactly what happens on edges that hold a nonzero
-relative output at steady state.
+Agents are affine (x' = p x + q u + g, y = x) and static edges linear, so with
+K = E diag(beta + w) E^T + diag(alpha) the field is built once, with [A | B]
+held as one matrix acting on [x, tanh(eta_sat)]:
+
+    x' = A x + B tanh(eta_sat) + g,   A = diag(p) - diag(q) K,  B = -diag(q) E_sat,
+    eta_sat' = E_sat^T x,             and a static edge's eta never moves.
+
+``simulate`` integrates the stacked state z = [x, eta] by classic fixed-step
+fourth-order Runge-Kutta into a row-per-sample buffer and returns the state
+histories as read-only transposed views of it.  A run counts as steady when
+the agent state rates and the controller output rates stay below a tolerance
+over a sustained window; the integrator controller's internal state is allowed
+to keep ramping (its output saturates, so the loop still settles), which is
+exactly what happens on edges that hold a nonzero relative output at steady
+state.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,26 +42,37 @@ _STEADY_WINDOW = 100
 
 @dataclass(frozen=True)
 class ClosedLoopSystem:
-    """Agents on vertices, controllers on edges, and a feedback gain design."""
+    """Agents, controllers, a gain design, and the loop's ``[A | B]`` operator."""
 
     graph: NetworkGraph
     agents: AgentBank
     controllers: ControllerBank
     gain: GainDesign
+    operator: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(self.agents) != self.graph.n_vertices:
-            raise DimensionMismatchError(
-                f"{len(self.agents)} agents for {self.graph.n_vertices} vertices"
-            )
+        n = self.graph.n_vertices
+        if len(self.agents) != n:
+            raise DimensionMismatchError(f"{len(self.agents)} agents for {n} vertices")
         if len(self.controllers) != self.graph.n_edges:
             raise DimensionMismatchError(
                 f"{len(self.controllers)} controllers for {self.graph.n_edges} edges"
             )
-        if self.gain.alpha.shape != (self.graph.n_vertices,):
+        if self.gain.alpha.shape != (n,):
             raise DimensionMismatchError(f"alpha has shape {self.gain.alpha.shape}")
         if self.gain.beta.shape != (self.graph.n_edges,):
             raise DimensionMismatchError(f"beta has shape {self.gain.beta.shape}")
+        E, sat, q = self.graph.incidence, self.controllers.saturated, self.agents.q[:, None]
+        K = (E * (self.gain.beta + self.controllers.w)) @ E.T + np.diag(self.gain.alpha)
+        operator = np.column_stack((np.diag(self.agents.p) - q * K, -q * E[:, sat]))
+        operator.setflags(write=False)
+        heads, tails = np.array(self.graph.edges, dtype=np.intp).reshape(-1, 2).T
+        # An all-tanh network reads its edge states as a slice of z, not a gather.
+        cols = slice(n, None) if sat.all() else n + np.flatnonzero(sat)
+        object.__setattr__(self, "operator", operator)
+        object.__setattr__(self, "_sat", (cols, heads[sat], tails[sat]))
+        object.__setattr__(self, "_static", (n + np.flatnonzero(~sat), self.controllers.w[~sat],
+                                             heads[~sat], tails[~sat]))
 
     def control(self, x, eta):
         """Signals around the loop at state (x, eta): (y, zeta, mu, u)."""
@@ -62,15 +82,34 @@ class ClosedLoopSystem:
         u = -self.graph.incidence @ (mu + self.gain.beta * zeta) - self.gain.alpha * y
         return y, zeta, mu, u
 
+    def rate(self, z):
+        """Rate of the stacked state ``z = [x, eta]``, and the ``tanh(eta_sat)`` it used."""
+        cols, heads, tails = self._sat
+        x = z[: self.graph.n_vertices]
+        mu_sat = np.tanh(z[cols])
+        z_dot = np.zeros(z.size)
+        z_dot[: x.size] = self.operator @ np.concatenate((x, mu_sat)) + self.agents.g
+        z_dot[cols] = x[heads] - x[tails]
+        return z_dot, mu_sat
+
+    def steady_rate(self, z_dot, mu_sat):
+        """Worst agent state rate and controller output rate, from ``rate``'s result."""
+        rates = z_dot.copy()  # the saturated edges' entries are their zeta
+        rates[self._sat[0]] *= 1.0 - mu_sat * mu_sat
+        cols, w, heads, tails = self._static
+        if w.size:
+            rates[cols] = w * (z_dot[heads] - z_dot[tails])
+        return float(np.abs(rates).max())
+
     def derivative(self, x, eta):
-        """Closed-loop vector field at state (x, eta)."""
-        y, zeta, mu, u = self.control(x, eta)
-        return self.agents.drift(x, u), self.controllers.drift(eta, zeta)
+        """Closed-loop vector field at state (x, eta): (x_dot, eta_dot)."""
+        z_dot, _ = self.rate(np.concatenate((np.asarray(x, float), np.asarray(eta, float))))
+        return z_dot[: self.graph.n_vertices], z_dot[self.graph.n_vertices:]
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled closed-loop run on a uniform time grid."""
+    """Sampled closed-loop run on a uniform time grid; its state arrays are read-only."""
 
     times: np.ndarray
     x_states: np.ndarray
@@ -113,25 +152,6 @@ def _default_steps(system):
     return dt, 5000.0
 
 
-class _Recorder:
-    """Row buffer that doubles capacity as the run grows."""
-
-    def __init__(self, width, capacity=4096):
-        self._buf = np.empty((capacity, width))
-        self.size = 0
-
-    def append(self, row):
-        if self.size == self._buf.shape[0]:
-            grown = np.empty((2 * self._buf.shape[0], self._buf.shape[1]))
-            grown[: self.size] = self._buf
-            self._buf = grown
-        self._buf[self.size] = row
-        self.size += 1
-
-    def view(self):
-        return self._buf[: self.size]
-
-
 def simulate(system: ClosedLoopSystem, x0=None, eta0=None, dt=None, t_max=None,
              steady_tol=1e-8, window=_STEADY_WINDOW, seed=0):
     """Integrate the closed loop until steady, blown up, or out of time.
@@ -156,8 +176,7 @@ def simulate(system: ClosedLoopSystem, x0=None, eta0=None, dt=None, t_max=None,
     NumericalBlowupError
         If any state magnitude exceeds 1e12.
     """
-    n = system.graph.n_vertices
-    m = system.graph.n_edges
+    n, m = system.graph.n_vertices, system.graph.n_edges
     default_dt, default_t_max = _default_steps(system)
     if dt is None:
         dt = default_dt
@@ -177,21 +196,12 @@ def simulate(system: ClosedLoopSystem, x0=None, eta0=None, dt=None, t_max=None,
     if eta.shape != (m,):
         raise DimensionMismatchError(f"eta0 has shape {eta.shape}, expected ({m},)")
 
-    E = system.graph.incidence
-    states = _Recorder(n + m)
-    metrics = []
-
-    def rate_metric(x_now, eta_now, x_dot):
-        zeta = E.T @ x_now
-        mu_dot = system.controllers.output_rate(eta_now, zeta, E.T @ x_dot)
-        worst = float(np.abs(x_dot).max()) if n else 0.0
-        if m:
-            worst = max(worst, float(np.abs(mu_dot).max()))
-        return worst
-
-    x_dot, eta_dot = system.derivative(x, eta)
-    states.append(np.concatenate([x, eta]))
-    metrics.append(rate_metric(x, eta, x_dot))
+    z = np.concatenate((x, eta))
+    z_dot, mu_sat = system.rate(z)
+    table = np.empty((4096, n + m))  # one row per sample, doubled when full
+    table[0] = z
+    count = 1
+    metrics = [system.steady_rate(z_dot, mu_sat)]
 
     steps_total = int(np.floor(t_max / dt + 1e-9))
     steady_run = 1 if metrics[0] < steady_tol else 0
@@ -201,41 +211,30 @@ def simulate(system: ClosedLoopSystem, x0=None, eta0=None, dt=None, t_max=None,
     for _ in range(steps_total):
         if converged:
             break
-        k1x, k1e = x_dot, eta_dot
-        k2x, k2e = system.derivative(x + half * k1x, eta + half * k1e)
-        k3x, k3e = system.derivative(x + half * k2x, eta + half * k2e)
-        k4x, k4e = system.derivative(x + dt * k3x, eta + dt * k3e)
-        x = x + (dt / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-        eta = eta + (dt / 6.0) * (k1e + 2.0 * k2e + 2.0 * k3e + k4e)
-
-        if (np.abs(x) > _BLOWUP_LIMIT).any() or (m and (np.abs(eta) > _BLOWUP_LIMIT).any()):
-            raise NumericalBlowupError(
-                f"state magnitude exceeded {_BLOWUP_LIMIT:g} at t = {states.size * dt:.6g}"
-            )
-
-        x_dot, eta_dot = system.derivative(x, eta)
-        states.append(np.concatenate([x, eta]))
-        metric = rate_metric(x, eta, x_dot)
-        metrics.append(metric)
-        steady_run = steady_run + 1 if metric < steady_tol else 0
+        k2, _ = system.rate(z + half * z_dot)
+        k3, _ = system.rate(z + half * k2)
+        k4, _ = system.rate(z + dt * k3)
+        z = z + (dt / 6.0) * (z_dot + 2.0 * k2 + 2.0 * k3 + k4)
+        if (np.abs(z) > _BLOWUP_LIMIT).any():
+            raise NumericalBlowupError(f"state magnitude exceeded {_BLOWUP_LIMIT:g} "
+                                       f"at t = {count * dt:.6g}")
+        z_dot, mu_sat = system.rate(z)
+        if count == table.shape[0]:
+            grown = np.empty((2 * count, n + m))
+            grown[:count] = table
+            table = grown
+        table[count] = z
+        count += 1
+        metrics.append(system.steady_rate(z_dot, mu_sat))
+        steady_run = steady_run + 1 if metrics[-1] < steady_tol else 0
         converged = steady_run >= window
 
-    count = states.size
-    table = states.view()
-    times = np.arange(count) * dt
-    x_states = table[:, :n].T.copy()
-    eta_states = table[:, n:].T.copy()
-    tail = np.asarray(metrics[-min(window, count):])
-    residual = float(tail.max())
+    table = table[:count]
+    table.setflags(write=False)
+    x_states, eta_states = table[:, :n].T, table[:, n:].T
+    residual = float(np.max(metrics[-min(window, count):]))
     y_ss = x_states[:, -1].copy() if converged else None
-    return Trajectory(
-        times=times,
-        x_states=x_states,
-        eta_states=eta_states,
-        converged=converged,
-        y_ss=y_ss,
-        residual=residual,
-    )
+    return Trajectory(np.arange(count) * dt, x_states, eta_states, converged, y_ss, residual)
 
 
 def steady_state_residual(system: ClosedLoopSystem, y, zero_tol=1e-6):

@@ -22,6 +22,7 @@ from netpass import (
     ControllerBank,
     NetworkGraph,
     ScenarioConfig,
+    Trajectory,
     cluster_count,
     config_from_dict,
     emit_report,
@@ -30,7 +31,7 @@ from netpass import (
     verify,
 )
 from netpass.cli import main
-from netpass.harness import build_system_parts
+from netpass.harness import build_system_parts, write_trajectory_csv
 
 
 def consensus_dict(**overrides):
@@ -335,6 +336,24 @@ def test_emit_report_csv_shapes(tmp_path):
     pair_lines = pairs_path.read_text().splitlines()
     assert pair_lines[0] == "vertex,y_ss,y_star"
     assert len(pair_lines) == 3
+
+
+def test_trajectory_csv_matches_per_value_format(tmp_path):
+    # More samples than one writer block, with the values whose text is
+    # easiest to get wrong: signed zero, infinities, nan and extreme exponents.
+    specials = [-0.0, np.inf, -np.inf, np.nan, 1e-300, 1e300, 0.1, -123456789.0123]
+    count = 700
+    rng = np.random.default_rng(3)
+    table = rng.choice(specials, size=(count, 4)) * rng.choice([1.0, -1.0], size=(count, 4))
+    trajectory = Trajectory(times=np.arange(count) * 0.05, x_states=table[:, :2].T,
+                            eta_states=table[:, 2:].T, converged=False, y_ss=None,
+                            residual=1.0)
+    path = tmp_path / "trajectory.csv"
+    write_trajectory_csv(trajectory, path)
+    expected = ["t,x_0,x_1,eta_0,eta_1"]
+    for t, row in zip(trajectory.times, table):
+        expected.append(",".join(f"{v:.12g}" for v in (t, *row)))
+    assert path.read_text() == "\n".join(expected) + "\n"
 
 
 def test_emit_report_skips_csvs_without_run_data(tmp_path):

@@ -11,10 +11,16 @@ Frozen values derived by hand:
   0.054, computed below), so the loop must settle on the optimizer.
 """
 
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from netpass import (
     AgentBank,
@@ -22,18 +28,26 @@ from netpass import (
     ControllerBank,
     DimensionMismatchError,
     GainDesign,
+    IntegratorAgent,
     NetworkGraph,
     NumericalBlowupError,
     SolveStatus,
+    StaticAffineAgent,
+    StaticGainController,
     TanhIntegratorController,
     TrafficAgent,
     build_problem,
+    load_config,
     simulate,
     solve,
     steady_state_residual,
     uniform_network_gain,
     zero_design,
 )
+from netpass.harness import build_system_parts, synthesis_stage
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+WINDOW = 100  # the steady window the residual tests pass to simulate
 
 P2 = NetworkGraph.path(2)
 K3 = NetworkGraph.complete(3)
@@ -103,6 +117,61 @@ def test_control_signals_frozen():
     assert mu[0] == pytest.approx(math.tanh(0.5), abs=1e-14)
     assert u[0] == pytest.approx(-(math.tanh(0.5) + 2.0) - 0.1 * 2.0, abs=1e-13)
     assert u[1] == pytest.approx((math.tanh(0.5) + 2.0) - 0.2 * 1.0, abs=1e-13)
+
+
+@st.composite
+def random_loops(draw):
+    """A connected graph on 2..8 vertices with mixed agents, edges and gains."""
+    n = draw(st.integers(2, 8))
+    vertex = st.integers(0, n - 1)
+    pairs = [(draw(st.integers(0, k - 1)), k) for k in range(1, n)]  # spanning tree
+    pairs += draw(st.lists(st.tuples(vertex, vertex), max_size=12))
+    edges, seen = [], set()
+    for h, t in pairs:
+        if h != t and frozenset((h, t)) not in seen:
+            seen.add(frozenset((h, t)))
+            edges.append((t, h) if draw(st.booleans()) else (h, t))
+    agents = []
+    for kind in draw(st.lists(st.sampled_from("tis"), min_size=n, max_size=n)):
+        if kind == "t":
+            kappa = draw(st.sampled_from([-1.5, -1.0, 0.5, 1.0, 2.0]))
+            agents.append(TrafficAgent(kappa, draw(st.floats(-50, 50)),
+                                       math.copysign(draw(st.floats(0.2, 3.0)), kappa)))
+        elif kind == "i":
+            agents.append(IntegratorAgent())
+        else:
+            agents.append(StaticAffineAgent(draw(st.floats(0.2, 3.0)), draw(st.floats(-20, 20)),
+                                            draw(st.floats(0.1, 5.0))))
+    controllers = [StaticGainController(draw(st.floats(0.1, 5.0))) if static
+                   else TanhIntegratorController()
+                   for static in draw(st.lists(st.booleans(), min_size=len(edges),
+                                               max_size=len(edges)))]
+    floats = lambda lo, hi, size: np.array(draw(st.lists(st.floats(lo, hi), min_size=size,
+                                                         max_size=size)))
+    graph = NetworkGraph(n, tuple(edges))
+    gain = GainDesign(alpha=floats(0, 50, n), beta=floats(0, 50, len(edges)),
+                      epsilon=0.0, threshold=0.0, certificate=1.0)
+    system = ClosedLoopSystem(graph, AgentBank(agents), ControllerBank(controllers), gain)
+    return system, floats(-100, 100, n), floats(-30, 30, len(edges))
+
+
+@settings(derandomize=True, deadline=None)
+@given(random_loops())
+def test_fused_field_matches_signal_composition(case):
+    system, x, eta = case
+    E, agents = system.graph.incidence, system.agents
+    _, _, mu, u = system.control(x, eta)
+    x_ref = agents.drift(x, u)
+    eta_ref = system.controllers.drift(eta, E.T @ x)
+    x_dot, eta_dot = system.derivative(x, eta)
+    # Largest term either evaluation order sums: each entry with all its
+    # products taken in absolute value.
+    edge_weight = system.gain.beta + system.controllers.w
+    terms = (np.abs(agents.p * x) + np.abs(agents.g) + np.abs(agents.q) * (
+        np.abs(E) @ (np.abs(mu) + edge_weight * (np.abs(E).T @ np.abs(x)))
+        + system.gain.alpha * np.abs(x)))
+    assert np.abs(x_dot - x_ref).max() <= 1e-12 * terms.max()
+    np.testing.assert_array_equal(eta_dot, eta_ref)
 
 
 def test_system_rejects_mismatched_dimensions():
@@ -182,6 +251,62 @@ def test_simulate_rejects_bad_shapes_and_steps():
         simulate(system, dt=-0.1)
     with pytest.raises(ValueError):
         simulate(system, dt=0.1, t_max=0.0)
+
+
+def mixed4_run():
+    """The mixed4 golden scenario: capped horizon, static and saturated edges."""
+    config = load_config(GOLDEN / "mixed4.json")
+    parts = build_system_parts(config)
+    system = ClosedLoopSystem(*parts, synthesis_stage(config, *parts)[0])
+    return system, simulate(system, x0=config.x0, dt=config.dt, t_max=config.t_max,
+                            steady_tol=config.steady_tol, seed=config.seed, window=WINDOW)
+
+
+@pytest.mark.parametrize("run", ["consensus", "mixed4"])
+def test_residual_is_worst_rate_over_last_window(run):
+    if run == "consensus":
+        system = consensus_system()
+        trajectory = simulate(system, x0=[5.0, 18.0], dt=0.02, window=WINDOW)
+    else:
+        system, trajectory = mixed4_run()
+        assert not trajectory.converged
+    E = system.graph.incidence
+    worst = 0.0
+    for j in range(trajectory.times.size - WINDOW, trajectory.times.size):
+        x, eta = trajectory.x_states[:, j], trajectory.eta_states[:, j]
+        x_dot, _ = system.derivative(x, eta)
+        mu_dot = system.controllers.output_rate(eta, E.T @ x, E.T @ x_dot)
+        worst = max(worst, np.abs(x_dot).max(), np.abs(mu_dot).max())
+    assert trajectory.residual == pytest.approx(worst, rel=1e-9)
+
+
+_MEMORY_PROBE = """
+import json, resource
+from netpass import ClosedLoopSystem, generate_case_study, simulate
+from netpass.harness import build_system_parts, synthesis_stage
+config = generate_case_study(20, 1)
+parts = build_system_parts(config)
+system = ClosedLoopSystem(*parts, synthesis_stage(config, *parts)[0])
+simulate(system, seed=1, t_max=1.0)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB on Linux
+trajectory = simulate(system, seed=1, dt=0.01, t_max=300.0, steady_tol=0.0)
+after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(json.dumps({"samples": trajectory.times.size, "growth": (after - before) * 1024,
+                  "states": trajectory.x_states.nbytes + trajectory.eta_states.nbytes}))
+"""
+
+
+def test_trajectory_memory_stays_near_its_own_size():
+    # A fresh process, so the peak resident size is this run's own.  The
+    # recorder's doubling buffer may overshoot the trajectory; copying the
+    # state histories out of it would double it.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run([sys.executable, "-c", _MEMORY_PROBE], check=True,
+                         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+                         timeout=300)
+    result = json.loads(out.stdout)
+    assert result["samples"] == 30001
+    assert result["growth"] <= 1.6 * result["states"]
 
 
 def test_simulate_certified_short_network_settles_on_optimizer():
