@@ -1,7 +1,7 @@
 """Command-line entry points.
 
-``synthesize``, ``simulate`` and ``optimize`` run a prefix of the ``verify``
-pipeline's stages and print the payloads those stages build.
+``check``, ``synthesize``, ``simulate`` and ``optimize`` run a prefix of the
+``verify`` pipeline's stages and print the payloads those stages build.
 
 Exit codes: 0 on success/pass, 1 when the requested design is infeasible,
 2 when a run fails (simulation blowup or non-convergence, solver stall,
@@ -10,6 +10,7 @@ schema violation).
 """
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -33,7 +34,6 @@ from .harness import (
     write_trajectory_csv,
 )
 from .netopt import SolveStatus
-from .passivation import passivation_feasible
 
 __all__ = ["main"]
 
@@ -85,16 +85,18 @@ def _scenario(args):
 
 def _cmd_check(args):
     config = _load(args.config)
-    graph, agents, _ = build_system_parts(config)
+    graph, agents, _ = parts = build_system_parts(config)
+    try:
+        feasible = synthesis_stage(config, *parts)[3]["positive_definite"]
+    except NotPassivizableError:
+        feasible = False
     rho = agents.rho_vector
     components = graph.connected_components()
-    sums = [float(rho[list(c)].sum()) for c in components]
-    feasible = passivation_feasible(rho, graph)
     _print_json({
         "feasible": feasible,
         "rho": rho.tolist(),
         "component_vertices": [list(c) for c in components],
-        "component_shortage_sums": sums,
+        "component_shortage_sums": [math.fsum(rho[list(c)]) for c in components],
     }, args.out)
     return EXIT_OK if feasible else EXIT_INFEASIBLE
 
@@ -103,11 +105,11 @@ def _cmd_synthesize(args):
     config, parts = _scenario(args)
     _, _, probe, gain = synthesis_stage(config, *parts)
     # This command names the certificate min_eig and leaves out its tolerance.
-    payload = dict(gain, feasible=True, min_eig=gain["certificate"],
-                   convexity_probe=probe)
+    payload = dict(gain, feasible=gain["positive_definite"],
+                   min_eig=gain["certificate"], convexity_probe=probe)
     del payload["certificate"], payload["certificate_tol"]
     _print_json(payload, args.out)
-    return EXIT_OK if gain["positive_definite"] else EXIT_RUN_FAILED
+    return EXIT_OK if gain["positive_definite"] else EXIT_INFEASIBLE
 
 
 def _cmd_simulate(args):

@@ -6,15 +6,17 @@ a gain, certify it, simulate the closed loop, solve the matching steady-state
 optimization, and compare the two answers.  The stage functions
 ``synthesis_stage``, ``simulation_stage`` and ``optimization_stage`` each
 return their result and report payload; CLI commands run a prefix of them.
-``verify`` only reports a pass when the certificate is positive, the
-simulation settled, the solver finished clean, and the two outputs agree
-within tolerance.
+``verify`` only reports a pass when the certificate is positive definite
+(``check`` and ``synthesize`` read the same answer), the simulation settled,
+the solver finished clean, and the two outputs agree within tolerance.
 
-When the certified gain still leaves the optimization probe negative (the
-certificate is stated in terms of the declared indices, which for some agent
-models undershoot the curvature that actually enters the objective), verify
-deterministically escalates the synthesis margin epsilon by doubling until
-the probe clears, and records how many doublings it took.
+When the certified gain still leaves the optimization probe below its floor
+(the certificate is stated in terms of the declared indices, which for some
+agent models undershoot the curvature that actually enters the objective),
+verify deterministically escalates the synthesis margin epsilon by doubling
+until the probe clears, and records how many doublings it took.  No round
+runs when the mean curvature plus vertex gain is at or below the floor: edge
+gains drop out on the consensus direction, so the probe cannot exceed it.
 """
 
 import json
@@ -448,14 +450,15 @@ def synthesize_certified(config, graph, agents, controllers):
 
     Returns (design, problem, probe value, escalation count).  The escalation
     is deterministic: the base margin is whatever the plain synthesis picked,
-    and each retry doubles it, up to a fixed cap.
+    and each retry doubles it, up to a fixed cap.  No round runs when the
+    mean curvature plus vertex gain, which caps the probe, is at or below the floor.
     """
     rho = agents.rho_vector
     design = _synthesize(config, rho, graph, config.epsilon)
     problem = build_problem(graph, agents, controllers, design)
     probe = problem.convexity_probe()
     escalations = 0
-    if config.gain_mode != "none":
+    if config.gain_mode != "none" and np.mean(agents.slope + design.alpha) > _PROBE_MIN:
         base_eps = design.epsilon
         while probe < _PROBE_MIN and escalations < _MAX_ESCALATIONS:
             escalations += 1
@@ -538,7 +541,7 @@ def verify(config: ScenarioConfig):
         design, problem, probe, gain = synthesis_stage(config, *parts)
     except NotPassivizableError:
         return report
-    if config.gain_mode == "none" and design.certificate <= 0.0:
+    if not gain["positive_definite"]:
         return report
     report.feasible = True
     report.gain = gain
@@ -559,16 +562,13 @@ def verify(config: ScenarioConfig):
         report.clusters = cluster_count(trajectory.y_ss)
 
     report.passed = bool(
-        gain["positive_definite"]
-        and trajectory.converged
+        trajectory.converged
         and minimizer.status is SolveStatus.OPTIMAL
         and report.mismatch is not None
         and report.mismatch <= config.mismatch_tol
     )
     if report.passed:
         report.verdict = "pass"
-    elif not gain["positive_definite"]:
-        report.verdict = "uncertified"
     elif minimizer.status is SolveStatus.NONCONVEX_DETECTED:
         report.verdict = "nonconvex"
     elif not trajectory.converged:

@@ -89,12 +89,17 @@ class RegularizedProblem:
         self.graph = graph
         self.agents = agents
         self.controllers = controllers
-        self.alpha = np.asarray(alpha, dtype=float)
-        self.beta = np.asarray(beta, dtype=float)
+        self.alpha = np.array(alpha, dtype=float)
+        self.beta = np.array(beta, dtype=float)
         if self.alpha.shape != (graph.n_vertices,):
             raise DimensionMismatchError(f"alpha has shape {self.alpha.shape}")
         if self.beta.shape != (graph.n_edges,):
             raise DimensionMismatchError(f"beta has shape {self.beta.shape}")
+        E = graph.incidence
+        self._hessian = np.diag(agents.curvatures() + self.alpha) + (E * self.beta) @ E.T
+        self._probe = None
+        for fixed in (self.alpha, self.beta, self._hessian):
+            fixed.setflags(write=False)
 
     # ------------------------------------------------------------------
     # evaluation
@@ -128,16 +133,17 @@ class RegularizedProblem:
 
     def smooth_hessian(self):
         """Hessian of the smooth part; constant for the supported agent models."""
-        E = self.graph.incidence
-        return np.diag(self.agents.curvatures() + self.alpha) + (E * self.beta) @ E.T
+        return self._hessian
 
     def convexity_probe(self):
         """Minimum curvature of the smooth part: its smallest Hessian eigenvalue.
 
         The Hessian is constant for the supported agent models, so one
-        eigensolve gives the minimum over every output vector.
+        eigensolve, on the first call, gives the minimum over every output.
         """
-        return float(np.linalg.eigvalsh(self.smooth_hessian())[0])
+        if self._probe is None:
+            self._probe = float(np.linalg.eigvalsh(self.smooth_hessian())[0])
+        return self._probe
 
 
 def build_problem(graph, agents, controllers, gain: GainDesign = None):
@@ -213,7 +219,6 @@ def solve(problem: RegularizedProblem, step=1.0, max_iter=100000, tol=1e-8):
     nonconvex = problem.convexity_probe() < _CURVATURE_TOL
     E = problem.graph.incidence
     L = problem.graph.laplacian()
-    H = problem.smooth_hessian()
     lin = problem.agents.steady_input(np.zeros(len(problem.agents)))
     beta_zero = np.zeros(problem.graph.n_edges)
 
@@ -232,7 +237,7 @@ def solve(problem: RegularizedProblem, step=1.0, max_iter=100000, tol=1e-8):
     zeta = E.T @ y
     w = np.zeros(problem.graph.n_edges)
 
-    vertex = _VertexSolver(H, L)
+    vertex = _VertexSolver(problem.smooth_hessian(), L)
     t = float(step)
     while not vertex.factor(t):
         t *= 2.0

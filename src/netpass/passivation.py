@@ -11,7 +11,10 @@ is positive definite, where ``rho`` collects the agents' passivity indices
 and ``E`` is the oriented incidence matrix.  Because the incidence rows sum
 to zero, ``1^T X 1 = sum(rho + alpha)`` regardless of ``beta``: edge gains
 alone can never rescue a vertex set whose indices sum non-positive, which is
-what makes the positive-sum condition both necessary and sufficient.
+what makes the positive-sum condition both necessary and sufficient.  Index
+sums are exactly rounded (``math.fsum``), so an exact zero never passes as a
+rounding residue.  The hybrid design lifts one vertex's index until the sum
+is positive and runs the network-only synthesis on the lifted indices.
 
 The edge-gain threshold is computed in vertex space: the Laplacian
 L = V diag(lam) V^T gives E = V diag(sqrt(lam)) W^T, so the m x m E^T M E and
@@ -19,7 +22,7 @@ the (n-1) x (n-1) U^T M U, U = V[:, 1:] sqrt(lam[1:]), share nonzero eigenvalues
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -104,10 +107,18 @@ def coupling_matrix(rho, alpha, beta, graph: NetworkGraph):
     return np.diag(rho + alpha) + (E * beta) @ E.T
 
 
+def _short_component(rho, graph):
+    """(vertices, exact index sum) of the first component whose sum is not positive."""
+    for comp in graph.connected_components():
+        total = math.fsum(rho[comp])
+        if total <= 0.0:
+            return comp, total
+    return None
+
+
 def passivation_feasible(rho, graph: NetworkGraph):
     """True when every connected component has a positive index sum."""
-    rho = _as_vector(rho, graph.n_vertices, "rho")
-    return all(rho[comp].sum() > 0.0 for comp in graph.connected_components())
+    return _short_component(_as_vector(rho, graph.n_vertices, "rho"), graph) is None
 
 
 def edge_gain_threshold(rho, graph: NetworkGraph):
@@ -136,19 +147,6 @@ def edge_gain_threshold(rho, graph: NetworkGraph):
     return max(0.0, top / lam[1] ** 2)
 
 
-def _default_epsilon(threshold):
-    return 0.1 * max(1.0, threshold)
-
-
-def _certified(alpha, beta, epsilon, threshold, rho, graph):
-    certificate = float(np.linalg.eigvalsh(coupling_matrix(rho, alpha, beta, graph))[0])
-    if certificate <= 0.0:
-        raise CertificateError(
-            f"synthesized design is not positive definite (min eig {certificate})"
-        )
-    return GainDesign(alpha, beta, epsilon, threshold, certificate)
-
-
 def uniform_network_gain(rho, graph: NetworkGraph, epsilon=None):
     """Network-only design: zero vertex gains, uniform edge gains per component.
 
@@ -165,23 +163,27 @@ def uniform_network_gain(rho, graph: NetworkGraph, epsilon=None):
     rho = _as_vector(rho, graph.n_vertices, "rho")
     if epsilon is not None and epsilon <= 0.0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    components = graph.connected_components()
-    for comp in components:
-        if rho[comp].sum() <= 0.0:
-            raise NotPassivizableError(
-                f"component {comp} has index sum {rho[comp].sum()}; "
-                "edge gains cannot passivate it"
-            )
+    short = _short_component(rho, graph)
+    if short is not None:
+        raise NotPassivizableError(
+            f"component {short[0]} has index sum {short[1]}; "
+            "edge gains cannot passivate it"
+        )
     per_edge_threshold = np.zeros(graph.n_edges)
-    for comp in components:
+    for comp in graph.connected_components():
         sub, edge_ids = graph.subgraph(comp)
         per_edge_threshold[edge_ids] = edge_gain_threshold(rho[comp], sub)
     threshold = float(per_edge_threshold.max(initial=0.0))
     if epsilon is None:
-        epsilon = _default_epsilon(threshold)
+        epsilon = 0.1 * max(1.0, threshold)
     beta = per_edge_threshold + epsilon
     alpha = np.zeros(graph.n_vertices)
-    return _certified(alpha, beta, float(epsilon), threshold, rho, graph)
+    certificate = check_design(rho, alpha, beta, graph)
+    if not certificate.positive_definite:
+        raise CertificateError(
+            f"synthesized design is not positive definite (min eig {certificate.min_eig})"
+        )
+    return GainDesign(alpha, beta, float(epsilon), threshold, certificate.min_eig)
 
 
 def hybrid_gain(rho, graph: NetworkGraph, self_regulating, epsilon=None):
@@ -190,8 +192,8 @@ def hybrid_gain(rho, graph: NetworkGraph, self_regulating, epsilon=None):
     When the index sum is already positive no vertex gain is needed and the
     design reduces to the network-only one.  Otherwise the lowest-index
     vertex allowed to self-regulate receives ``1 - sum(rho)``, lifting the
-    corrected index sum to exactly 1, after which the edge-gain synthesis
-    applies to the corrected indices.
+    corrected index sum to 1, after which ``uniform_network_gain`` on the
+    corrected indices picks, and certifies, the edge gains.
 
     Raises
     ------
@@ -206,21 +208,14 @@ def hybrid_gain(rho, graph: NetworkGraph, self_regulating, epsilon=None):
         if not 0 <= i < graph.n_vertices:
             raise VertexIndexError(f"self-regulating vertex {i} outside 0..{graph.n_vertices - 1}")
     alpha = np.zeros(graph.n_vertices)
-    total = rho.sum()
-    if total <= 0.0:
+    short = _short_component(rho, graph)
+    if short is not None:
         if not self_regulating:
             raise EmptySelfRegulatingSetError(
                 "index sum is not positive and no vertex may self-regulate"
             )
-        alpha[self_regulating[0]] = 1.0 - total
-    corrected = rho + alpha
-    threshold = edge_gain_threshold(corrected, graph) if graph.n_edges else 0.0
-    if epsilon is None:
-        epsilon = _default_epsilon(threshold)
-    elif epsilon <= 0.0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    beta = np.full(graph.n_edges, threshold + epsilon)
-    return _certified(alpha, beta, float(epsilon), threshold, rho, graph)
+        alpha[self_regulating[0]] = 1.0 - short[1]
+    return replace(uniform_network_gain(rho + alpha, graph, epsilon), alpha=alpha)
 
 
 def check_design(rho, alpha, beta, graph: NetworkGraph):
@@ -233,8 +228,6 @@ def check_design(rho, alpha, beta, graph: NetworkGraph):
 
 def zero_design(rho, graph: NetworkGraph):
     """The do-nothing design (alpha = beta = 0); certifies only if all indices are positive."""
-    rho = _as_vector(rho, graph.n_vertices, "rho")
     alpha = np.zeros(graph.n_vertices)
     beta = np.zeros(graph.n_edges)
-    certificate = float(np.linalg.eigvalsh(coupling_matrix(rho, alpha, beta, graph))[0])
-    return GainDesign(alpha, beta, 0.0, 0.0, certificate)
+    return GainDesign(alpha, beta, 0.0, 0.0, check_design(rho, alpha, beta, graph).min_eig)

@@ -16,6 +16,7 @@ review the diff it leaves.
 
 import contextlib
 import io
+import json
 import shutil
 from pathlib import Path
 
@@ -32,7 +33,7 @@ SCENARIOS = ("consensus", "mixed_pair", "none_blowup", "mixed4")
 EXIT_CODES = {
     "consensus": (0, 0, 0, 0, 0),
     "mixed_pair": (1, 1, 1, 1, 1),
-    "none_blowup": (0, 2, 2, 2, 1),
+    "none_blowup": (1, 1, 2, 2, 1),
     "mixed4": (0, 0, 2, 0, 2),
 }
 
@@ -105,6 +106,17 @@ def test_cli_matches_golden(name, exit_code, argv, tmp_path):
     assert sorted(written) == sorted(golden)
     for file_name, content in golden.items():
         assert written[file_name] == content, file_name
+
+
+@pytest.mark.parametrize("scenario", sorted(GOLDEN.glob("*.json")), ids=lambda p: p.stem)
+def test_check_synthesize_and_verify_agree_on_feasibility(scenario, tmp_path):
+    check_code, check_out = run_case(["check", str(scenario)], tmp_path)
+    synth_code, _ = run_case(["synthesize", str(scenario)], tmp_path)
+    _, verify_out = run_case(["verify", str(scenario)], tmp_path)
+    infeasible = not json.loads(check_out)["feasible"]
+    assert (check_code == 1) == infeasible
+    assert (synth_code == 1) == infeasible
+    assert (json.loads(verify_out)["verdict"] == "infeasible") == infeasible
 
 
 def _regenerate():

@@ -22,16 +22,23 @@ from netpass import (
     ControllerBank,
     NetworkGraph,
     ScenarioConfig,
+    SolveStatus,
     Trajectory,
     cluster_count,
     config_from_dict,
     emit_report,
     generate_case_study,
     load_config,
+    solve,
     verify,
 )
+import netpass.harness as harness
 from netpass.cli import main
-from netpass.harness import build_system_parts, write_trajectory_csv
+from netpass.harness import (
+    build_system_parts,
+    synthesize_certified,
+    write_trajectory_csv,
+)
 
 
 def consensus_dict(**overrides):
@@ -58,6 +65,14 @@ def mixed_pair_dict(**overrides):
     }
     data.update(overrides)
     return data
+
+
+def counted(fn, calls):
+    """``fn``, appending its name to ``calls`` on every call."""
+    def wrapper(*args, **kwargs):
+        calls.append(fn.__name__)
+        return fn(*args, **kwargs)
+    return wrapper
 
 
 def schema_error_path(data):
@@ -300,6 +315,42 @@ def test_verify_escalates_margin_when_probe_is_negative():
     assert report.convexity_probe >= 1e-2
 
 
+def test_synthesis_skips_escalation_that_cannot_reach_the_probe_floor(monkeypatch):
+    # the lift alpha_0 = 4 leaves mean(slope + alpha) = (4 - 8/3 - 1/0.76)/3
+    # = 0.0058; no edge gain lifts the probe above that mean, so the 1e-2
+    # floor is out of reach and the base design is kept
+    config = config_from_dict({
+        "graph": {"n": 3, "edges": [[0, 1], [0, 2], [1, 2]]},
+        "agents": [{"kind": "static_affine", "a": a, "c": 0.0, "rho": -1.0}
+                   for a in (-0.75, -0.75, -0.76)],
+        "controllers": [{"kind": "tanh_integrator"}] * 3,
+        "gain_mode": "hybrid",
+        "self_regulating": [0],
+    })
+    parts = build_system_parts(config)
+    calls = []
+    monkeypatch.setattr(harness, "hybrid_gain", counted(harness.hybrid_gain, calls))
+    design, _, probe, escalations = synthesize_certified(config, *parts)
+    assert escalations == 0 and calls == ["hybrid_gain"]
+    assert design.epsilon == pytest.approx(0.1 * design.threshold)
+    bound = float(np.mean(parts[1].slope + design.alpha))
+    assert 0.0 < bound < 1e-2
+    assert probe <= bound
+
+
+def test_solve_reuses_the_probe_taken_at_synthesis(monkeypatch):
+    config = config_from_dict(consensus_dict())
+    _, problem, probe, _ = synthesize_certified(config, *build_system_parts(config))
+    eigensolves = []
+    for name in ("eigvalsh", "eigh"):
+        monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name), eigensolves))
+    assert solve(problem).status is SolveStatus.OPTIMAL
+    assert problem.convexity_probe() == probe
+    assert eigensolves == []
+    with pytest.raises(ValueError):
+        problem.beta[0] = 0.0
+
+
 def test_verify_is_deterministic():
     one = verify(config_from_dict(consensus_dict()))
     two = verify(config_from_dict(consensus_dict()))
@@ -392,6 +443,27 @@ def test_cli_check_exit_codes(consensus_file, mixed_file, capsys):
     assert payload["component_shortage_sums"] == [2.0]
     assert main(["check", mixed_file]) == 1
     assert json.loads(capsys.readouterr().out)["feasible"] is False
+
+
+def test_cli_check_and_synthesize_use_the_exact_index_sum(tmp_path, capsys):
+    # the indices sum to exactly 0; numpy's pairwise sum gives 2.2e-16
+    rho = [0.4, 0.9, 0.9, -0.9, -1.3]
+    edges = [[i, j] for i in range(5) for j in range(i + 1, 5)]
+    path = tmp_path / "k5.json"
+    path.write_text(json.dumps({
+        "graph": {"n": 5, "edges": edges},
+        "agents": [{"kind": "static_affine", "a": 1.0, "c": 0.0, "rho": r}
+                   for r in rho],
+        "controllers": [{"kind": "tanh_integrator"}] * len(edges),
+    }))
+    assert main(["check", str(path)]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["feasible"] is False
+    assert payload["component_shortage_sums"] == [0.0]
+    assert main(["synthesize", str(path)]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["feasible"] is False
+    assert "index sum 0.0;" in payload["reason"]
 
 
 def test_cli_synthesize_reports_design(consensus_file, capsys):
