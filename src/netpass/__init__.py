@@ -36,6 +36,7 @@ from .passivation import (
     Certificate,
     GainDesign,
     check_design,
+    component_sums,
     coupling_matrix,
     edge_gain_threshold,
     hybrid_gain,
@@ -78,7 +79,7 @@ __all__ = [
     "TanhIntegratorController", "StaticGainController", "ControllerBank",
     "GainDesign", "Certificate", "coupling_matrix", "passivation_feasible",
     "edge_gain_threshold", "uniform_network_gain", "hybrid_gain",
-    "check_design", "zero_design",
+    "check_design", "zero_design", "component_sums",
     "RegularizedProblem", "Minimizer", "SolveStatus", "build_problem",
     "solve", "brute_force", "flow_objective", "stationarity_residual",
     "ClosedLoopSystem", "Trajectory", "simulate", "steady_state_residual",

@@ -10,7 +10,6 @@ schema violation).
 """
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
@@ -34,6 +33,7 @@ from .harness import (
     write_trajectory_csv,
 )
 from .netopt import SolveStatus
+from .passivation import component_sums
 
 __all__ = ["main"]
 
@@ -90,13 +90,12 @@ def _cmd_check(args):
         feasible = synthesis_stage(config, *parts)[3]["positive_definite"]
     except NotPassivizableError:
         feasible = False
-    rho = agents.rho_vector
-    components = graph.connected_components()
+    sums = component_sums(agents.rho_vector, graph)
     _print_json({
         "feasible": feasible,
-        "rho": rho.tolist(),
-        "component_vertices": [list(c) for c in components],
-        "component_shortage_sums": [math.fsum(rho[list(c)]) for c in components],
+        "rho": agents.rho_vector.tolist(),
+        "component_vertices": [list(c) for c, _ in sums],
+        "component_shortage_sums": [total for _, total in sums],
     }, args.out)
     return EXIT_OK if feasible else EXIT_INFEASIBLE
 
@@ -221,12 +220,9 @@ def main(argv=None):
         # Only the gain commands let this through; verify reports it itself.
         _print_json({"feasible": False, "reason": str(exc)}, args.out)
         return EXIT_INFEASIBLE
-    except ConfigError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_BAD_INPUT
     except NetpassError as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return EXIT_RUN_FAILED
+        return EXIT_BAD_INPUT if isinstance(exc, ConfigError) else EXIT_RUN_FAILED
 
 
 if __name__ == "__main__":

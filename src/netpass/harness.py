@@ -14,9 +14,10 @@ When the certified gain still leaves the optimization probe below its floor
 (the certificate is stated in terms of the declared indices, which for some
 agent models undershoot the curvature that actually enters the objective),
 verify deterministically escalates the synthesis margin epsilon by doubling
-until the probe clears, and records how many doublings it took.  No round
-runs when the mean curvature plus vertex gain is at or below the floor: edge
-gains drop out on the consensus direction, so the probe cannot exceed it.
+until the probe clears, and records how many doublings it took.  Edge gains
+drop out on the consensus direction, so the probe never exceeds the mean
+curvature plus vertex gain: when that mean is at or below the floor the
+rounds only make the probe non-negative, and when it is not positive none runs.
 """
 
 import json
@@ -272,6 +273,8 @@ def config_from_dict(data):
             _fail(f"$.self_regulating[{k}]", f"vertex {v} outside 0..{n - 1}")
     if gain_mode == "hybrid" and not vsr_raw:
         _fail("$.self_regulating", "hybrid mode needs at least one vertex")
+    if gain_mode == "hybrid" and not graph.is_connected():
+        _fail("$.gain_mode", "hybrid mode needs a connected graph")
 
     epsilon = _get_number(data, "epsilon", "$", allow_none=True, positive=True)
 
@@ -368,10 +371,8 @@ def generate_case_study(n, seed):
     mix = rng.random(n) < 0.5
     v0 = np.where(mix, 20.0, 120.0) + 15.0 * rng.standard_normal(n)
     graph = NetworkGraph.complete(n)
-    agents = [
-        {"kind": "traffic", "kappa": float(k), "v0": float(v), "v1": float(0.8 * k)}
-        for k, v in zip(kappa, v0)
-    ]
+    agents = [{"kind": "traffic", "kappa": float(k), "v0": float(v), "v1": float(0.8 * k)}
+              for k, v in zip(kappa, v0)]
     controllers = [{"kind": "tanh_integrator"} for _ in range(graph.n_edges)]
     return config_from_dict({
         "graph": graph.to_dict(),
@@ -448,19 +449,20 @@ def _synthesize(config, rho, graph, epsilon):
 def synthesize_certified(config, graph, agents, controllers):
     """Synthesize a gain, doubling the margin until the curvature probe clears.
 
-    Returns (design, problem, probe value, escalation count).  The escalation
-    is deterministic: the base margin is whatever the plain synthesis picked,
-    and each retry doubles it, up to a fixed cap.  No round runs when the
-    mean curvature plus vertex gain, which caps the probe, is at or below the floor.
+    Returns (design, problem, probe value, escalation count).  Each retry
+    doubles the plain synthesis's margin, up to a fixed cap; the floor is 0 when
+    the probe's bound lies under it, and no round runs when the bound is not positive.
     """
     rho = agents.rho_vector
     design = _synthesize(config, rho, graph, config.epsilon)
     problem = build_problem(graph, agents, controllers, design)
     probe = problem.convexity_probe()
     escalations = 0
-    if config.gain_mode != "none" and np.mean(agents.slope + design.alpha) > _PROBE_MIN:
+    bound = np.mean(agents.slope + design.alpha)
+    floor = _PROBE_MIN if bound > _PROBE_MIN else 0.0
+    if config.gain_mode != "none" and bound > 0.0:
         base_eps = design.epsilon
-        while probe < _PROBE_MIN and escalations < _MAX_ESCALATIONS:
+        while probe < floor and escalations < _MAX_ESCALATIONS:
             escalations += 1
             design = _synthesize(config, rho, graph, base_eps * 2.0**escalations)
             problem = build_problem(graph, agents, controllers, design)
@@ -556,9 +558,7 @@ def verify(config: ScenarioConfig):
     minimizer, report.opt = optimization_stage(config, problem)
 
     if trajectory.converged:
-        report.mismatch = float(
-            np.max(np.abs(trajectory.y_ss - minimizer.y_star))
-        )
+        report.mismatch = float(np.max(np.abs(trajectory.y_ss - minimizer.y_star)))
         report.clusters = cluster_count(trajectory.y_ss)
 
     report.passed = bool(

@@ -40,6 +40,7 @@ __all__ = [
     "GainDesign",
     "Certificate",
     "coupling_matrix",
+    "component_sums",
     "passivation_feasible",
     "edge_gain_threshold",
     "uniform_network_gain",
@@ -107,13 +108,15 @@ def coupling_matrix(rho, alpha, beta, graph: NetworkGraph):
     return np.diag(rho + alpha) + (E * beta) @ E.T
 
 
+def component_sums(rho, graph: NetworkGraph):
+    """(vertices, exactly rounded index sum) of each connected component."""
+    rho = _as_vector(rho, graph.n_vertices, "rho")
+    return [(comp, math.fsum(rho[comp])) for comp in graph.connected_components()]
+
+
 def _short_component(rho, graph):
     """(vertices, exact index sum) of the first component whose sum is not positive."""
-    for comp in graph.connected_components():
-        total = math.fsum(rho[comp])
-        if total <= 0.0:
-            return comp, total
-    return None
+    return next(((c, s) for c, s in component_sums(rho, graph) if s <= 0.0), None)
 
 
 def passivation_feasible(rho, graph: NetworkGraph):

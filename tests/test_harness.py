@@ -124,6 +124,12 @@ def test_schema_rejects_hybrid_without_vertices():
         consensus_dict(gain_mode="hybrid")) == "$.self_regulating"
 
 
+def test_schema_rejects_hybrid_on_a_disconnected_graph():
+    assert schema_error_path(consensus_dict(
+        graph={"n": 2, "edges": []}, controllers=[], gain_mode="hybrid",
+        self_regulating=[0])) == "$.gain_mode"
+
+
 def test_schema_rejects_unknown_fields():
     assert schema_error_path(consensus_dict(extra=1)) == "$.extra"
     bad = consensus_dict()
@@ -315,27 +321,45 @@ def test_verify_escalates_margin_when_probe_is_negative():
     assert report.convexity_probe >= 1e-2
 
 
-def test_synthesis_skips_escalation_that_cannot_reach_the_probe_floor(monkeypatch):
-    # the lift alpha_0 = 4 leaves mean(slope + alpha) = (4 - 8/3 - 1/0.76)/3
-    # = 0.0058; no edge gain lifts the probe above that mean, so the 1e-2
-    # floor is out of reach and the base design is kept
-    config = config_from_dict({
+def static_affine_k3_hybrid(a, rho):
+    return config_from_dict({
         "graph": {"n": 3, "edges": [[0, 1], [0, 2], [1, 2]]},
-        "agents": [{"kind": "static_affine", "a": a, "c": 0.0, "rho": -1.0}
-                   for a in (-0.75, -0.75, -0.76)],
+        "agents": [{"kind": "static_affine", "a": ai, "c": 0.0, "rho": ri}
+                   for ai, ri in zip(a, rho)],
         "controllers": [{"kind": "tanh_integrator"}] * 3,
         "gain_mode": "hybrid",
         "self_regulating": [0],
     })
+
+
+def test_synthesis_skips_escalation_that_cannot_reach_the_probe_floor(monkeypatch):
+    # the lift alpha_0 = 2 leaves slope + alpha = 0.005 on every vertex, so
+    # the base probe is already 0.005; no edge gain lifts it above that mean,
+    # the 1e-2 floor is out of reach, and the base design is kept
+    config = static_affine_k3_hybrid((-1.0 / 1.995, 200.0, 200.0), (0.0, -0.5, -0.5))
     parts = build_system_parts(config)
     calls = []
     monkeypatch.setattr(harness, "hybrid_gain", counted(harness.hybrid_gain, calls))
-    design, _, probe, escalations = synthesize_certified(config, *parts)
+    design, problem, probe, escalations = synthesize_certified(config, *parts)
     assert escalations == 0 and calls == ["hybrid_gain"]
     assert design.epsilon == pytest.approx(0.1 * design.threshold)
+    assert probe == pytest.approx(float(np.mean(parts[1].slope + design.alpha)))
+    assert 0.0 < probe < 1e-2
+    assert solve(problem).status is SolveStatus.OPTIMAL
+
+
+def test_synthesis_escalates_to_convexity_when_the_probe_floor_is_out_of_reach():
+    # the lift alpha_0 = 4 leaves mean(slope + alpha) = (4 - 8/3 - 1/0.76)/3
+    # = 0.0058, under the 1e-2 floor; the base probe is negative, so the
+    # margin still doubles until the objective is convex
+    config = static_affine_k3_hybrid((-0.75, -0.75, -0.76), (-1.0, -1.0, -1.0))
+    parts = build_system_parts(config)
+    design, problem, probe, escalations = synthesize_certified(config, *parts)
     bound = float(np.mean(parts[1].slope + design.alpha))
     assert 0.0 < bound < 1e-2
-    assert probe <= bound
+    assert 0 < escalations < 12
+    assert 0.0 <= probe <= bound
+    assert solve(problem).status is SolveStatus.OPTIMAL
 
 
 def test_solve_reuses_the_probe_taken_at_synthesis(monkeypatch):
@@ -464,6 +488,16 @@ def test_cli_check_and_synthesize_use_the_exact_index_sum(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["feasible"] is False
     assert "index sum 0.0;" in payload["reason"]
+
+
+def test_cli_rejects_hybrid_on_a_disconnected_graph_as_bad_input(tmp_path, capsys):
+    path = tmp_path / "split.json"
+    path.write_text(json.dumps(consensus_dict(
+        graph={"n": 2, "edges": []}, controllers=[], gain_mode="hybrid",
+        self_regulating=[0])))
+    for command in ("check", "synthesize", "verify"):
+        assert main([command, str(path)]) == 3
+        assert "hybrid mode needs a connected graph" in capsys.readouterr().err
 
 
 def test_cli_synthesize_reports_design(consensus_file, capsys):

@@ -22,6 +22,7 @@ from netpass import (
     NotPassivizableError,
     VertexIndexError,
     check_design,
+    component_sums,
     coupling_matrix,
     edge_gain_threshold,
     hybrid_gain,
@@ -224,6 +225,14 @@ def test_feasibility_is_per_component_sum():
     g = NetworkGraph(4, ((0, 1), (2, 3)))
     assert not passivation_feasible(np.array([5.0, 5.0, 1.0, -2.0]), g)
     assert passivation_feasible(np.array([1.0, 1.0, 1.0, -0.5]), g)
+
+
+def test_component_sums_are_exactly_rounded():
+    g = NetworkGraph(7, ((0, 1), (1, 2), (2, 3), (3, 4), (5, 6)))
+    rho = np.array([0.4, 0.9, 0.9, -0.9, -1.3, 2.0, -0.5])
+    assert float(np.sum(rho[:5])) != 0.0
+    assert component_sums(rho, g) == [([0, 1, 2, 3, 4], 0.0), ([5, 6], 1.5)]
+    assert not passivation_feasible(rho, g)
 
 
 def test_orientation_invariance():
