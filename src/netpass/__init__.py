@@ -19,7 +19,6 @@ from .errors import (
     EmptySelfRegulatingSetError,
     NetpassError,
     NonConvexDualError,
-    NonConvexProxError,
     NotPassivizableError,
     NumericalBlowupError,
     SelfLoopError,
@@ -72,7 +71,7 @@ __all__ = [
     "NetpassError", "SelfLoopError", "DuplicateEdgeError", "VertexIndexError",
     "DisconnectedGraphError", "DimensionMismatchError", "NotPassivizableError",
     "CertificateError", "EmptySelfRegulatingSetError", "NonConvexDualError",
-    "NonConvexProxError", "DimensionTooLargeError", "NumericalBlowupError",
+    "DimensionTooLargeError", "NumericalBlowupError",
     "ConfigError", "ConfigParseError", "ConfigSchemaError",
     "NetworkGraph",
     "TrafficAgent", "IntegratorAgent", "StaticAffineAgent", "AgentBank",

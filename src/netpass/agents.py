@@ -211,10 +211,6 @@ class AgentBank:
         """Per-agent steady-state input map, vectorized over outputs."""
         return self.slope * y + self.intercept
 
-    def curvatures(self):
-        """Per-agent derivative of the steady-state input map (constant)."""
-        return self.slope.copy()
-
     def potential_total(self, y):
         """Sum of agent potentials at the output vector y."""
         return float(np.sum(0.5 * self.slope * y**2 + self.intercept * y + self.const))

@@ -137,7 +137,10 @@ def _cmd_optimize(args):
 def _cmd_verify(args):
     """``verify`` on a scenario file, or ``casestudy`` on a generated one."""
     if args.command == "casestudy":
-        config = generate_case_study(args.n, args.seed)
+        try:
+            config = generate_case_study(args.n, args.seed)
+        except ValueError as exc:
+            raise ConfigError(f"casestudy: {exc}")
         if args.config_out:
             Path(args.config_out).write_text(json_text(config.to_dict()))
     else:

@@ -5,9 +5,10 @@ edge) to coupling efforts.  Each model is maximal equilibrium-independent
 passive; its steady-state relation is the subdifferential of a convex
 potential.  The proximal map solves, in closed form,
 
-    argmin_z  potential(z) + beta/2 * z**2 + 1/(2*step) * (z - v)**2
+    argmin_z  potential(z) + 1/(2*step) * (z - v)**2
 
-which is the edge-separable inner step of the operator-splitting solver.
+which is the edge-separable inner step of the operator-splitting solver
+(the edge gains' quadratic lives in its vertex step).
 """
 
 import math
@@ -15,17 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NonConvexProxError
+from .errors import DimensionMismatchError
 
 __all__ = ["TanhIntegratorController", "StaticGainController", "ControllerBank"]
 
 # Slack allowed beyond the unit interval when evaluating the saturated
 # controller's conjugate potential (an indicator of [-1, 1]).
 _INDICATOR_TOL = 1e-9
-
-
-def _soft_threshold(v, amount):
-    return math.copysign(max(abs(v) - amount, 0.0), v)
 
 
 @dataclass(frozen=True)
@@ -47,13 +44,11 @@ class TanhIntegratorController:
     def potential(self, zeta):
         return abs(zeta)
 
-    def prox_regularized(self, beta, v, step):
-        """Closed-form prox of ``|.| + beta/2 (.)**2`` with parameter ``step``."""
+    def prox(self, v, step):
+        """Closed-form prox of ``|.|`` with parameter ``step``."""
         if step <= 0.0:
             raise ValueError(f"prox step must be positive, got {step}")
-        if beta < 0.0:
-            raise NonConvexProxError("negative quadratic weight makes the prox nonconvex")
-        return _soft_threshold(v, step) / (1.0 + step * beta)
+        return math.copysign(max(abs(v) - step, 0.0), v)
 
     def conjugate_potential(self, mu):
         return 0.0 if abs(mu) <= 1.0 + _INDICATOR_TOL else math.inf
@@ -85,12 +80,10 @@ class StaticGainController:
     def potential(self, zeta):
         return 0.5 * self.w * zeta**2
 
-    def prox_regularized(self, beta, v, step):
+    def prox(self, v, step):
         if step <= 0.0:
             raise ValueError(f"prox step must be positive, got {step}")
-        if self.w + beta < 0.0:
-            raise NonConvexProxError("quadratic weight below -w makes the prox nonconvex")
-        return v / (1.0 + step * (self.w + beta))
+        return v / (1.0 + step * self.w)
 
     def conjugate_potential(self, mu):
         return mu**2 / (2.0 * self.w)
@@ -147,20 +140,13 @@ class ControllerBank:
         vals = np.where(self.saturated, np.abs(Z), 0.5 * self.w * Z**2)
         return vals.sum(axis=1)
 
-    def prox(self, beta, v, step):
-        """Vectorized regularized prox across all edges."""
-        self._check(beta, "beta")
+    def prox(self, v, step):
+        """Vectorized prox across all edges."""
         self._check(v, "v")
         if step <= 0.0:
             raise ValueError(f"prox step must be positive, got {step}")
-        if np.any(self.saturated & (np.asarray(beta) < 0.0)):
-            raise NonConvexProxError("negative quadratic weight makes the prox nonconvex")
-        if np.any(~self.saturated & (self.w + np.asarray(beta) < 0.0)):
-            raise NonConvexProxError("quadratic weight below -w makes the prox nonconvex")
         shrunk = np.sign(v) * np.maximum(np.abs(v) - step, 0.0)
-        saturated_value = shrunk / (1.0 + step * np.asarray(beta))
-        static_value = v / (1.0 + step * (self.w + np.asarray(beta)))
-        return np.where(self.saturated, saturated_value, static_value)
+        return np.where(self.saturated, shrunk, v / (1.0 + step * self.w))
 
     def conjugate_total(self, mu):
         self._check(mu, "mu")

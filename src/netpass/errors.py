@@ -41,10 +41,6 @@ class NonConvexDualError(NetpassError):
     """The requested dual (input-side) cost is not convex for these parameters."""
 
 
-class NonConvexProxError(NetpassError):
-    """The proximal subproblem is not convex for the given regularization."""
-
-
 class DimensionTooLargeError(NetpassError):
     """Exhaustive search was requested for a dimension it cannot handle."""
 

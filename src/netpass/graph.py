@@ -20,9 +20,6 @@ from .errors import (
 
 __all__ = ["NetworkGraph"]
 
-# Eigenvalues below this count as zero when estimating the Laplacian kernel.
-_KERNEL_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class NetworkGraph:

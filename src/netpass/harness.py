@@ -15,9 +15,10 @@ When the certified gain still leaves the optimization probe below its floor
 agent models undershoot the curvature that actually enters the objective),
 verify deterministically escalates the synthesis margin epsilon by doubling
 until the probe clears, and records how many doublings it took.  Edge gains
-drop out on the consensus direction, so the probe never exceeds the mean
-curvature plus vertex gain: when that mean is at or below the floor the
-rounds only make the probe non-negative, and when it is not positive none runs.
+drop out on each component's indicator vector, so the probe never exceeds
+the smallest component mean of curvature plus vertex gain: when that bound is
+at or below the floor the rounds only make the probe non-negative, and when
+it is not positive none runs.
 """
 
 import json
@@ -37,12 +38,7 @@ from .errors import (
 )
 from .graph import NetworkGraph
 from .netopt import SolveStatus, build_problem, solve
-from .passivation import (
-    check_design,
-    hybrid_gain,
-    uniform_network_gain,
-    zero_design,
-)
+from .passivation import hybrid_gain, uniform_network_gain, zero_design
 from .sim import ClosedLoopSystem, simulate
 
 __all__ = [
@@ -278,7 +274,7 @@ def config_from_dict(data):
 
     epsilon = _get_number(data, "epsilon", "$", allow_none=True, positive=True)
 
-    sim_spec = data.get("sim", {}) or {}
+    sim_spec = {} if data.get("sim") is None else data["sim"]
     if not isinstance(sim_spec, dict):
         _fail("$.sim", "must be an object")
     _check_keys(sim_spec, {"dt", "t_max", "steady_tol", "x0", "seed"}, "$.sim")
@@ -290,12 +286,12 @@ def config_from_dict(data):
     if x0_raw is not None:
         if not isinstance(x0_raw, list) or len(x0_raw) != n or not all(
                 isinstance(v, (int, float)) and not isinstance(v, bool)
-                for v in x0_raw):
-            _fail("$.sim.x0", f"must be a list of {n} numbers")
+                and math.isfinite(v) for v in x0_raw):
+            _fail("$.sim.x0", f"must be a list of {n} finite numbers")
         x0_raw = tuple(float(v) for v in x0_raw)
     seed = _get_int(sim_spec, "seed", "$.sim", default=0)
 
-    solver_spec = data.get("solver", {}) or {}
+    solver_spec = {} if data.get("solver") is None else data["solver"]
     if not isinstance(solver_spec, dict):
         _fail("$.solver", "must be an object")
     _check_keys(solver_spec, {"step", "max_iter", "tol"}, "$.solver")
@@ -329,10 +325,12 @@ def config_from_dict(data):
 def load_config(path):
     """Read and validate a JSON scenario file."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigParseError(f"{path}: invalid JSON ({exc})")
+    except UnicodeDecodeError as exc:
+        raise ConfigParseError(f"{path}: not UTF-8 ({exc})")
     return config_from_dict(data)
 
 
@@ -450,15 +448,17 @@ def synthesize_certified(config, graph, agents, controllers):
     """Synthesize a gain, doubling the margin until the curvature probe clears.
 
     Returns (design, problem, probe value, escalation count).  Each retry
-    doubles the plain synthesis's margin, up to a fixed cap; the floor is 0 when
-    the probe's bound lies under it, and no round runs when the bound is not positive.
+    doubles the plain synthesis's margin, up to a fixed cap.  The probe's bound
+    is the smallest component mean of slope + alpha; the floor is 0 when the
+    bound lies under it, and no round runs when the bound is not positive.
     """
     rho = agents.rho_vector
     design = _synthesize(config, rho, graph, config.epsilon)
     problem = build_problem(graph, agents, controllers, design)
     probe = problem.convexity_probe()
     escalations = 0
-    bound = np.mean(agents.slope + design.alpha)
+    curvature = agents.slope + design.alpha
+    bound = min(np.mean(curvature[comp]) for comp in graph.connected_components())
     floor = _PROBE_MIN if bound > _PROBE_MIN else 0.0
     if config.gain_mode != "none" and bound > 0.0:
         base_eps = design.epsilon
@@ -478,7 +478,7 @@ def synthesis_stage(config, graph, agents, controllers):
     """
     design, problem, probe, escalations = synthesize_certified(
         config, graph, agents, controllers)
-    certificate = check_design(agents.rho_vector, design.alpha, design.beta, graph)
+    certificate = design.certificate
     gain = {
         "mode": config.gain_mode,
         "threshold": design.threshold,

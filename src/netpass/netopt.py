@@ -10,7 +10,9 @@ whose minimizers are exactly the closed-loop steady-state outputs of the
 gain-augmented network.  With alpha = beta = 0 it reduces to the plain
 steady-state coupling problem; the quadratic terms are what the feedback
 gains contribute, and for short agents they are what makes the problem
-convex in the first place.
+convex in the first place.  The smooth part's Hessian is the gain quadratic
+Q(slope) of ``passivation.coupling_matrix``, the certificate's matrix with
+the agents' steady-state slopes in place of their indices.
 
 ``solve`` is an alternating-direction splitting with the vertex block kept
 smooth (all supported agents have quadratic potentials, so that update is a
@@ -28,13 +30,9 @@ from scipy.optimize import lsq_linear
 
 from .agents import AgentBank
 from .controllers import ControllerBank
-from .errors import (
-    DimensionMismatchError,
-    DimensionTooLargeError,
-    NonConvexProxError,
-)
+from .errors import DimensionMismatchError, DimensionTooLargeError
 from .graph import NetworkGraph
-from .passivation import GainDesign
+from .passivation import GainDesign, coupling_matrix
 
 __all__ = [
     "RegularizedProblem",
@@ -91,12 +89,7 @@ class RegularizedProblem:
         self.controllers = controllers
         self.alpha = np.array(alpha, dtype=float)
         self.beta = np.array(beta, dtype=float)
-        if self.alpha.shape != (graph.n_vertices,):
-            raise DimensionMismatchError(f"alpha has shape {self.alpha.shape}")
-        if self.beta.shape != (graph.n_edges,):
-            raise DimensionMismatchError(f"beta has shape {self.beta.shape}")
-        E = graph.incidence
-        self._hessian = np.diag(agents.curvatures() + self.alpha) + (E * self.beta) @ E.T
+        self._hessian = coupling_matrix(agents.slope, self.alpha, self.beta, graph)
         self._probe = None
         for fixed in (self.alpha, self.beta, self._hessian):
             fixed.setflags(write=False)
@@ -220,7 +213,6 @@ def solve(problem: RegularizedProblem, step=1.0, max_iter=100000, tol=1e-8):
     E = problem.graph.incidence
     L = problem.graph.laplacian()
     lin = problem.agents.steady_input(np.zeros(len(problem.agents)))
-    beta_zero = np.zeros(problem.graph.n_edges)
 
     def best_effort(y, zeta, r_p, r_d, iterations, status):
         return Minimizer(
@@ -247,31 +239,28 @@ def solve(problem: RegularizedProblem, step=1.0, max_iter=100000, tol=1e-8):
 
     r_p = r_d = np.inf
     iterations = 0
-    try:
-        for iterations in range(1, max_iter + 1):
-            rhs = t * (E @ (zeta - w)) - lin
-            y = vertex.solve(rhs)
-            Ety = E.T @ y
-            zeta_prev = zeta
-            zeta = problem.controllers.prox(beta_zero, Ety + w, 1.0 / t)
-            w = w + Ety - zeta
-            r_p = float(np.linalg.norm(Ety - zeta))
-            r_d = float(np.linalg.norm(t * (E @ (zeta - zeta_prev))))
-            if r_p < tol and r_d < tol:
-                break
-            if iterations % 50 == 0:
-                if r_p > 10.0 * r_d and t < 1e8:
-                    if vertex.factor(2.0 * t):
-                        t *= 2.0
-                        w = w / 2.0
-                elif r_d > 10.0 * r_p and t > 1e-8:
-                    if vertex.factor(t / 2.0):
-                        t /= 2.0
-                        w = w * 2.0
-                    else:
-                        vertex.factor(t)
-    except NonConvexProxError:
-        return best_effort(y, zeta, r_p, r_d, iterations, SolveStatus.NONCONVEX_DETECTED)
+    for iterations in range(1, max_iter + 1):
+        rhs = t * (E @ (zeta - w)) - lin
+        y = vertex.solve(rhs)
+        Ety = E.T @ y
+        zeta_prev = zeta
+        zeta = problem.controllers.prox(Ety + w, 1.0 / t)
+        w = w + Ety - zeta
+        r_p = float(np.linalg.norm(Ety - zeta))
+        r_d = float(np.linalg.norm(t * (E @ (zeta - zeta_prev))))
+        if r_p < tol and r_d < tol:
+            break
+        if iterations % 50 == 0:
+            if r_p > 10.0 * r_d and t < 1e8:
+                if vertex.factor(2.0 * t):
+                    t *= 2.0
+                    w = w / 2.0
+            elif r_d > 10.0 * r_p and t > 1e-8:
+                if vertex.factor(t / 2.0):
+                    t /= 2.0
+                    w = w * 2.0
+                else:
+                    vertex.factor(t)
 
     if nonconvex:
         status = SolveStatus.NONCONVEX_DETECTED

@@ -2,19 +2,21 @@
 
 The closed loop applies, on top of the diffusive coupling, an edge-wise
 relative-output feedback with gains ``beta`` and an optional vertex-wise
-output feedback with gains ``alpha``.  The interconnection is passivating
-exactly when
+output feedback with gains ``alpha``.  One gain quadratic carries them,
 
-    X = diag(rho + alpha) + E diag(beta) E^T
+    Q(c) = diag(c + alpha) + E diag(beta) E^T,
 
-is positive definite, where ``rho`` collects the agents' passivity indices
-and ``E`` is the oriented incidence matrix.  Because the incidence rows sum
-to zero, ``1^T X 1 = sum(rho + alpha)`` regardless of ``beta``: edge gains
-alone can never rescue a vertex set whose indices sum non-positive, which is
-what makes the positive-sum condition both necessary and sufficient.  Index
-sums are exactly rounded (``math.fsum``), so an exact zero never passes as a
-rounding residue.  The hybrid design lifts one vertex's index until the sum
-is positive and runs the network-only synthesis on the lifted indices.
+with ``E`` the oriented incidence matrix.  On the agents' passivity indices
+``rho`` it is the certificate X = Q(rho): the interconnection is passivating
+exactly when X is positive definite.  On the agents' steady-state slopes it
+is the Hessian of the regularized steady-state problem (``netopt``).  Because
+the incidence rows sum to zero, ``1^T X 1 = sum(rho + alpha)`` regardless of
+``beta``: edge gains alone can never rescue a vertex set whose indices sum
+non-positive, which is what makes the positive-sum condition both necessary
+and sufficient.  Index sums are exactly rounded (``math.fsum``), so an exact
+zero never passes as a rounding residue.  The hybrid design lifts one
+vertex's index until the sum is positive and runs the network-only synthesis
+on the lifted indices.
 
 The edge-gain threshold is computed in vertex space: the Laplacian
 L = V diag(lam) V^T gives E = V diag(sqrt(lam)) W^T, so the m x m E^T M E and
@@ -52,7 +54,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GainDesign:
-    """A synthesized feedback gain with its positive-definiteness margin.
+    """A synthesized feedback gain with its positive-definiteness certificate.
 
     Attributes
     ----------
@@ -64,8 +66,9 @@ class GainDesign:
         Margin added above the synthesis threshold.
     threshold : float
         The threshold the edge gains exceed (max over components).
-    certificate : float
-        Smallest eigenvalue of the coupling matrix X for this design.
+    certificate : Certificate
+        ``check_design``'s verdict on X = Q(rho) for this design, taken
+        once when the design is synthesized.
     """
 
     alpha: np.ndarray
@@ -99,13 +102,17 @@ def _as_vector(values, length, name):
     return arr
 
 
-def coupling_matrix(rho, alpha, beta, graph: NetworkGraph):
-    """Assemble X = diag(rho + alpha) + E diag(beta) E^T."""
-    rho = _as_vector(rho, graph.n_vertices, "rho")
+def coupling_matrix(c, alpha, beta, graph: NetworkGraph):
+    """The gain quadratic Q(c) = diag(c + alpha) + E diag(beta) E^T.
+
+    With ``c = rho`` it is the certificate X; with ``c`` the agents'
+    steady-state slopes it is the regularized problem's Hessian.
+    """
+    c = _as_vector(c, graph.n_vertices, "c")
     alpha = _as_vector(alpha, graph.n_vertices, "alpha")
     beta = _as_vector(beta, graph.n_edges, "beta")
     E = graph.incidence
-    return np.diag(rho + alpha) + (E * beta) @ E.T
+    return np.diag(c + alpha) + (E * beta) @ E.T
 
 
 def component_sums(rho, graph: NetworkGraph):
@@ -186,7 +193,7 @@ def uniform_network_gain(rho, graph: NetworkGraph, epsilon=None):
         raise CertificateError(
             f"synthesized design is not positive definite (min eig {certificate.min_eig})"
         )
-    return GainDesign(alpha, beta, float(epsilon), threshold, certificate.min_eig)
+    return GainDesign(alpha, beta, float(epsilon), threshold, certificate)
 
 
 def hybrid_gain(rho, graph: NetworkGraph, self_regulating, epsilon=None):
@@ -196,7 +203,8 @@ def hybrid_gain(rho, graph: NetworkGraph, self_regulating, epsilon=None):
     design reduces to the network-only one.  Otherwise the lowest-index
     vertex allowed to self-regulate receives ``1 - sum(rho)``, lifting the
     corrected index sum to 1, after which ``uniform_network_gain`` on the
-    corrected indices picks, and certifies, the edge gains.
+    corrected indices picks, and certifies, the edge gains; its certificate
+    is the design's, since diag((rho + alpha) + 0) = diag(rho + alpha).
 
     Raises
     ------
@@ -233,4 +241,4 @@ def zero_design(rho, graph: NetworkGraph):
     """The do-nothing design (alpha = beta = 0); certifies only if all indices are positive."""
     alpha = np.zeros(graph.n_vertices)
     beta = np.zeros(graph.n_edges)
-    return GainDesign(alpha, beta, 0.0, 0.0, check_design(rho, alpha, beta, graph).min_eig)
+    return GainDesign(alpha, beta, 0.0, 0.0, check_design(rho, alpha, beta, graph))

@@ -180,7 +180,7 @@ def test_criterion_01_random_networks_admit_certified_uniform_gain():
             rho = rng.uniform(-2.0, 2.0, n)
         design = uniform_network_gain(rho, graph)
         certificate = check_design(rho, design.alpha, design.beta, graph)
-        if design.certificate > 0.0 and certificate.positive_definite:
+        if design.certificate.min_eig > 0.0 and certificate.positive_definite:
             successes += 1
     elapsed = time.monotonic() - t0
     print(f"criterion 1: {successes}/200 certified designs in {elapsed:.2f}s")

@@ -205,7 +205,7 @@ def test_bank_rho_vector_and_anchors():
     bank = make_bank()
     np.testing.assert_allclose(bank.rho_vector, [1.0, 0.0, 0.25])
     np.testing.assert_allclose(bank.anchors, [10.0, 0.0, 3.0])
-    np.testing.assert_allclose(bank.curvatures(), [1.25, 0.0, 0.5])
+    np.testing.assert_allclose(bank.slope, [1.25, 0.0, 0.5])
 
 
 def test_bank_drift_matches_per_agent():

@@ -1,7 +1,7 @@
 """Edge controller tests: dynamics, potentials, proxes, effort intervals.
 
-The regularized prox closed forms are cross-checked against an independent
-zooming grid minimizer of  potential(z) + beta z^2/2 + (z - v)^2 / (2 step).
+The prox closed forms are cross-checked against an independent zooming
+grid minimizer of  potential(z) + (z - v)^2 / (2 step).
 """
 
 import math
@@ -11,7 +11,6 @@ import pytest
 
 from netpass import (
     ControllerBank,
-    NonConvexProxError,
     StaticGainController,
     TanhIntegratorController,
 )
@@ -21,7 +20,7 @@ PROX_REL_TOL = 1e-5
 CONVEXITY_TOL = 1e-12
 
 
-def grid_prox(potential, beta, v, step, span=None, points=2001, rounds=6):
+def grid_prox(potential, v, step, span=None, points=2001, rounds=6):
     """Independent prox oracle: zooming grid over the scalar objective."""
     if span is None:
         span = max(1.0, 2.0 * abs(v))
@@ -29,8 +28,7 @@ def grid_prox(potential, beta, v, step, span=None, points=2001, rounds=6):
     best = v
     for _ in range(rounds):
         z = np.linspace(lo, hi, points)
-        vals = np.array([potential(zi) for zi in z]) + 0.5 * beta * z**2 \
-            + (z - v) ** 2 / (2.0 * step)
+        vals = np.array([potential(zi) for zi in z]) + (z - v) ** 2 / (2.0 * step)
         best = z[int(np.argmin(vals))]
         h = (hi - lo) / (points - 1)
         lo, hi = best - 2 * h, best + 2 * h
@@ -51,30 +49,29 @@ def test_tanh_dynamics_and_output():
 
 def test_tanh_prox_frozen_values():
     c = TanhIntegratorController()
-    assert c.prox_regularized(0.0, 3.0, 1.0) == pytest.approx(2.0, abs=EXACT_TOL)
-    assert c.prox_regularized(1.0, 3.0, 1.0) == pytest.approx(1.0, abs=EXACT_TOL)
-    assert c.prox_regularized(0.0, 0.5, 1.0) == 0.0
-    assert c.prox_regularized(0.0, -3.0, 1.0) == pytest.approx(-2.0, abs=EXACT_TOL)
+    assert c.prox(3.0, 1.0) == pytest.approx(2.0, abs=EXACT_TOL)
+    assert c.prox(3.0, 2.0) == pytest.approx(1.0, abs=EXACT_TOL)
+    assert c.prox(0.5, 1.0) == 0.0
+    assert c.prox(-3.0, 1.0) == pytest.approx(-2.0, abs=EXACT_TOL)
 
 
 def test_tanh_prox_matches_grid_oracle():
     c = TanhIntegratorController()
     rng = np.random.default_rng(11)
     for _ in range(25):
-        beta = rng.uniform(0.0, 5.0)
         v = rng.uniform(-8.0, 8.0)
         step = rng.uniform(0.05, 3.0)
-        closed = c.prox_regularized(beta, v, step)
-        grid = grid_prox(abs, beta, v, step)
+        closed = c.prox(v, step)
+        grid = grid_prox(abs, v, step)
         assert closed == pytest.approx(grid, abs=PROX_REL_TOL * (1 + abs(grid)))
 
 
 def test_tanh_prox_guards():
     c = TanhIntegratorController()
     with pytest.raises(ValueError):
-        c.prox_regularized(0.0, 1.0, 0.0)
-    with pytest.raises(NonConvexProxError):
-        c.prox_regularized(-0.5, 1.0, 1.0)
+        c.prox(1.0, 0.0)
+    with pytest.raises(ValueError):
+        c.prox(1.0, -0.5)
 
 
 def test_tanh_conjugate_is_box_indicator():
@@ -126,8 +123,8 @@ def test_static_gain_requires_positive_gain():
 
 def test_static_gain_prox_frozen_value():
     c = StaticGainController(2.0)
-    # argmin w z^2/2 + beta z^2/2 + (z-v)^2/(2t) = v / (1 + t (w + beta))
-    assert c.prox_regularized(1.0, 8.0, 1.0) == pytest.approx(2.0, abs=EXACT_TOL)
+    # argmin w z^2/2 + (z-v)^2/(2t) = v / (1 + t w)
+    assert c.prox(6.0, 1.0) == pytest.approx(2.0, abs=EXACT_TOL)
 
 
 def test_static_gain_prox_matches_grid_oracle():
@@ -135,18 +132,19 @@ def test_static_gain_prox_matches_grid_oracle():
     for _ in range(25):
         w = rng.uniform(0.1, 4.0)
         c = StaticGainController(w)
-        beta = rng.uniform(0.0, 5.0)
         v = rng.uniform(-8.0, 8.0)
         step = rng.uniform(0.05, 3.0)
-        closed = c.prox_regularized(beta, v, step)
-        grid = grid_prox(c.potential, beta, v, step)
+        closed = c.prox(v, step)
+        grid = grid_prox(c.potential, v, step)
         assert closed == pytest.approx(grid, abs=PROX_REL_TOL * (1 + abs(grid)))
 
 
 def test_static_gain_prox_guard():
     c = StaticGainController(0.5)
-    with pytest.raises(NonConvexProxError):
-        c.prox_regularized(-0.6, 1.0, 1.0)
+    with pytest.raises(ValueError):
+        c.prox(1.0, 0.0)
+    with pytest.raises(ValueError):
+        c.prox(1.0, -0.6)
 
 
 def test_static_gain_conjugate_fenchel_young():
@@ -212,11 +210,9 @@ def test_bank_potentials():
 
 def test_bank_prox_matches_per_edge():
     bank = make_bank()
-    beta = np.array([0.5, 1.0, 0.0])
     v = np.array([3.0, 8.0, -0.4])
-    expected = [c.prox_regularized(b, vi, 1.0)
-                for c, b, vi in zip(bank.controllers, beta, v)]
-    np.testing.assert_allclose(bank.prox(beta, v, 1.0), expected, atol=EXACT_TOL)
+    expected = [c.prox(vi, 1.0) for c, vi in zip(bank.controllers, v)]
+    np.testing.assert_allclose(bank.prox(v, 1.0), expected, atol=EXACT_TOL)
 
 
 def test_bank_effort_bounds():

@@ -33,6 +33,7 @@ from netpass import (
     verify,
 )
 import netpass.harness as harness
+import netpass.passivation as passivation
 from netpass.cli import main
 from netpass.harness import (
     build_system_parts,
@@ -176,6 +177,13 @@ def test_schema_rejects_bad_numbers_and_types():
         consensus_dict(sim={"seed": 1.5})) == "$.sim.seed"
     assert schema_error_path(
         consensus_dict(sim={"x0": [1.0]})) == "$.sim.x0"
+    for x0 in ([float("nan"), 1.0], [1.0, float("inf")]):
+        assert schema_error_path(consensus_dict(sim={"x0": x0})) == "$.sim.x0"
+    for falsy in (False, 0, [], ""):
+        assert schema_error_path(consensus_dict(sim=falsy)) == "$.sim"
+        assert schema_error_path(consensus_dict(solver=falsy)) == "$.solver"
+    assert config_from_dict(consensus_dict(sim=None, solver=None)) \
+        == config_from_dict(consensus_dict())
     assert schema_error_path(
         consensus_dict(gain_mode="turbo")) == "$.gain_mode"
     assert schema_error_path(
@@ -360,6 +368,46 @@ def test_synthesis_escalates_to_convexity_when_the_probe_floor_is_out_of_reach()
     assert 0 < escalations < 12
     assert 0.0 <= probe <= bound
     assert solve(problem).status is SolveStatus.OPTIMAL
+
+
+def test_synthesis_bounds_the_probe_per_component():
+    # two static-affine triangles: slope 1/200 on the first, 1 on the second;
+    # the global mean 0.5025 clears the 1e-2 floor, but edge gains drop out
+    # on the first triangle's indicator, so its mean 0.005 bounds the probe
+    # and no round can help
+    edges = [[0, 1], [0, 2], [1, 2], [3, 4], [3, 5], [4, 5]]
+    agents = [{"kind": "static_affine", "a": a, "c": c, "rho": 1.0 / a}
+              for a, c in ((200.0, 1.0), (200.0, 2.0), (200.0, 3.0),
+                           (1.0, 0.0), (1.0, 1.0), (1.0, 2.0))]
+    config = config_from_dict({
+        "graph": {"n": 6, "edges": edges},
+        "agents": agents,
+        "controllers": [{"kind": "tanh_integrator"}] * len(edges),
+    })
+    parts = build_system_parts(config)
+    design, problem, probe, escalations = synthesize_certified(config, *parts)
+    assert escalations == 0
+    assert probe == pytest.approx(0.005, rel=1e-9)
+    minimizer = solve(problem)
+    assert minimizer.status is SolveStatus.OPTIMAL
+    report = verify(config)
+    assert report.passed, report.verdict
+    assert report.gain["escalations"] == 0
+
+
+@pytest.mark.parametrize("config", [
+    config_from_dict(consensus_dict()),
+    static_affine_k3_hybrid((-0.75, -0.75, -0.76), (-1.0, -1.0, -1.0)),
+], ids=["network_only", "hybrid_escalated"])
+def test_synthesis_stage_certifies_each_design_once(config, monkeypatch):
+    calls = []
+    check = counted(passivation.check_design, calls)
+    monkeypatch.setattr(passivation, "check_design", check)
+    monkeypatch.setattr(harness, "check_design", check, raising=False)
+    design, _, _, gain = harness.synthesis_stage(config, *build_system_parts(config))
+    assert len(calls) == gain["escalations"] + 1
+    assert gain["certificate"] == design.certificate.min_eig
+    assert gain["positive_definite"] is design.certificate.positive_definite
 
 
 def test_solve_reuses_the_probe_taken_at_synthesis(monkeypatch):
@@ -576,7 +624,13 @@ def test_cli_bad_input_exit_codes(tmp_path, capsys):
     invalid = tmp_path / "invalid.json"
     invalid.write_text(json.dumps(consensus_dict(gain_mode="turbo")))
     assert main(["check", str(invalid)]) == 3
-    capsys.readouterr()
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(json.dumps(consensus_dict()).encode().replace(b"{", b"{\xe9", 1))
+    for command in ("check", "verify"):
+        assert main([command, str(latin1)]) == 3
+        assert "not UTF-8" in capsys.readouterr().err
+    assert main(["casestudy", "--n", "1", "--seed", "0"]) == 3
+    assert "at least 2 agents" in capsys.readouterr().err
 
 
 def test_cli_casestudy_runs_and_emits_config(tmp_path, capsys):

@@ -189,7 +189,7 @@ def test_convexity_probe_bounded_by_mean_curvature_for_any_edge_gain(problem):
     # Rayleigh quotient on the consensus direction: E^T 1 = 0, so beta drops
     # out and no edge gain can lift the probe above sum(slope + alpha) / n
     n = problem.graph.n_vertices
-    bound = (problem.agents.curvatures() + problem.alpha).sum() / n
+    bound = (problem.agents.slope + problem.alpha).sum() / n
     scale = 1.0 + np.linalg.norm(problem.smooth_hessian(), np.inf)
     assert problem.convexity_probe() <= bound + 1e-12 * scale
 

@@ -158,7 +158,7 @@ def test_uniform_gain_frozen_design():
     np.testing.assert_allclose(d.beta, [2.1], atol=EXACT_TOL)
     np.testing.assert_allclose(d.alpha, [0.0, 0.0], atol=EXACT_TOL)
     assert d.threshold == pytest.approx(2.0, abs=EXACT_TOL)
-    assert d.certificate > 0.0
+    assert d.certificate.min_eig > 0.0
 
 
 def test_uniform_gain_default_epsilon():
@@ -176,7 +176,7 @@ def test_uniform_gain_per_component():
     assert d.threshold == pytest.approx(2.25, abs=EXACT_TOL)
     assert d.epsilon == pytest.approx(0.225, abs=EXACT_TOL)
     np.testing.assert_allclose(d.beta, [2.225, 2.475], atol=1e-12)
-    assert d.certificate > 0.0
+    assert d.certificate.min_eig > 0.0
 
 
 def test_uniform_gain_rejects_infeasible_component():
@@ -194,9 +194,9 @@ def test_hybrid_gain_frozen_design():
     d = hybrid_gain(np.array([-1.0, -1.0, -1.0]), K3, [0, 1, 2])
     np.testing.assert_allclose(d.alpha, [4.0, 0.0, 0.0], atol=EXACT_TOL)
     assert d.threshold == pytest.approx(52.0 / 9.0, abs=1e-10)
-    assert d.certificate > 0.0
+    assert d.certificate.min_eig > 0.0
     X = coupling_matrix(np.array([-1.0, -1.0, -1.0]), d.alpha, d.beta, K3)
-    assert np.linalg.eigvalsh(X)[0] == pytest.approx(d.certificate, abs=EIG_TOL)
+    assert np.linalg.eigvalsh(X)[0] == pytest.approx(d.certificate.min_eig, abs=EIG_TOL)
 
 
 def test_hybrid_gain_picks_smallest_allowed_vertex():
@@ -274,7 +274,7 @@ def test_synthesis_sufficiency_randomized():
         if rho.sum() <= 0.5:
             rho = rho + (0.5 - rho.sum()) / n
         d = uniform_network_gain(rho, g)
-        assert d.certificate > 0.0
+        assert d.certificate.min_eig > 0.0
         cert = check_design(rho, d.alpha, d.beta, g)
         assert cert.positive_definite
 
@@ -300,9 +300,9 @@ def test_zero_design():
     d = zero_design(np.array([0.5, 2.0]), P2)
     np.testing.assert_allclose(d.alpha, [0.0, 0.0])
     np.testing.assert_allclose(d.beta, [0.0])
-    assert d.certificate == pytest.approx(0.5, abs=EIG_TOL)
+    assert d.certificate.min_eig == pytest.approx(0.5, abs=EIG_TOL)
     short = zero_design(np.array([-0.5, 2.0]), P2)
-    assert short.certificate == pytest.approx(-0.5, abs=EIG_TOL)
+    assert short.certificate.min_eig == pytest.approx(-0.5, abs=EIG_TOL)
 
 
 def test_design_arrays_are_write_protected():

@@ -66,7 +66,7 @@ def certified_triangle():
     controllers = ControllerBank([TanhIntegratorController()] * 3)
     alpha = np.array([4.0, 0.0, 0.0])
     beta = np.full(3, 40.0)
-    M = np.diag(agents.curvatures() + alpha) + 40.0 * K3.laplacian()
+    M = np.diag(agents.slope + alpha) + 40.0 * K3.laplacian()
     certificate = float(np.linalg.eigvalsh(M)[0])
     assert certificate > 0.0
     gain = GainDesign(alpha=alpha, beta=beta, epsilon=0.0, threshold=0.0,
