@@ -21,6 +21,7 @@ from .errors import (
     NonConvexDualError,
     NotPassivizableError,
     NumericalBlowupError,
+    ParameterError,
     SelfLoopError,
     VertexIndexError,
 )
@@ -71,7 +72,7 @@ __all__ = [
     "NetpassError", "SelfLoopError", "DuplicateEdgeError", "VertexIndexError",
     "DisconnectedGraphError", "DimensionMismatchError", "NotPassivizableError",
     "CertificateError", "EmptySelfRegulatingSetError", "NonConvexDualError",
-    "DimensionTooLargeError", "NumericalBlowupError",
+    "DimensionTooLargeError", "NumericalBlowupError", "ParameterError",
     "ConfigError", "ConfigParseError", "ConfigSchemaError",
     "NetworkGraph",
     "TrafficAgent", "IntegratorAgent", "StaticAffineAgent", "AgentBank",

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NonConvexDualError
+from .errors import DimensionMismatchError, NonConvexDualError, ParameterError
 
 __all__ = ["TrafficAgent", "IntegratorAgent", "StaticAffineAgent", "AgentBank"]
 
@@ -48,11 +48,10 @@ class TrafficAgent:
 
     def __post_init__(self):
         if self.v1 == 0.0:
-            raise ValueError("traffic agent needs v1 != 0")
+            raise ParameterError("v1", "traffic agent needs v1 != 0")
         if self.v1 * self.kappa <= 0.0:
-            raise ValueError(
-                f"traffic agent needs v1 * kappa > 0, got {self.v1 * self.kappa}"
-            )
+            raise ParameterError(
+                "v1", f"traffic agent needs v1 * kappa > 0, got {self.v1 * self.kappa}")
 
     @property
     def rho(self):
@@ -145,9 +144,9 @@ class StaticAffineAgent:
 
     def __post_init__(self):
         if self.a == 0.0:
-            raise ValueError("static affine agent needs a != 0")
+            raise ParameterError("a", "static affine agent needs a != 0")
         if self.tau <= 0.0:
-            raise ValueError("static affine agent needs tau > 0")
+            raise ParameterError("tau", f"static affine agent needs tau > 0, got {self.tau}")
 
     def drift(self, x, u):
         return self.tau * (-x + self.a * u + self.c)

@@ -29,6 +29,7 @@ from .harness import (
     round_floats,
     simulation_stage,
     synthesis_stage,
+    synthesize_gain,
     verify,
     write_trajectory_csv,
 )
@@ -71,8 +72,6 @@ def _apply_overrides(config, args):
             raise ConfigError(f"--vsr must be a comma-separated list of "
                               f"integers, got {args.vsr!r}")
     if args.epsilon is not None:
-        if args.epsilon <= 0:
-            raise ConfigError("--epsilon must be positive")
         data["epsilon"] = args.epsilon
     return config_from_dict(data)
 
@@ -85,9 +84,10 @@ def _scenario(args):
 
 def _cmd_check(args):
     config = _load(args.config)
-    graph, agents, _ = parts = build_system_parts(config)
+    graph, agents, _ = build_system_parts(config)
     try:
-        feasible = synthesis_stage(config, *parts)[3]["positive_definite"]
+        design = synthesize_gain(config, agents.rho_vector, graph, config.epsilon)
+        feasible = design.certificate.positive_definite
     except NotPassivizableError:
         feasible = False
     sums = component_sums(agents.rho_vector, graph)

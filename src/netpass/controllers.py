@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, ParameterError
 
 __all__ = ["TanhIntegratorController", "StaticGainController", "ControllerBank"]
 
@@ -69,7 +69,7 @@ class StaticGainController:
 
     def __post_init__(self):
         if self.w <= 0.0:
-            raise ValueError(f"static gain needs w > 0, got {self.w}")
+            raise ParameterError("w", f"static gain needs w > 0, got {self.w}")
 
     def drift(self, eta, zeta):
         return 0.0

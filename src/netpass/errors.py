@@ -49,6 +49,14 @@ class NumericalBlowupError(NetpassError):
     """A simulated state left the trusted numerical range."""
 
 
+class ParameterError(NetpassError, ValueError):
+    """A model parameter breaks the model's own rule; ``field`` names it."""
+
+    def __init__(self, field, message):
+        self.field = field
+        super().__init__(message)
+
+
 class ConfigError(NetpassError):
     """Base class for scenario-configuration errors."""
 

@@ -1,14 +1,19 @@
 """Scenario configuration, end-to-end verification, and report emission.
 
 A scenario bundles a graph, agent and controller rosters, a gain mode, and
-simulation/solver settings.  ``verify`` runs the whole pipeline: synthesize
-a gain, certify it, simulate the closed loop, solve the matching steady-state
-optimization, and compare the two answers.  The stage functions
-``synthesis_stage``, ``simulation_stage`` and ``optimization_stage`` each
-return their result and report payload; CLI commands run a prefix of them.
-``verify`` only reports a pass when the certificate is positive definite
-(``check`` and ``synthesize`` read the same answer), the simulation settled,
-the solver finished clean, and the two outputs agree within tolerance.
+simulation/solver settings.  The file format is described once: ``_SETTINGS``
+gives each ``ScenarioConfig`` attribute its section, key, default and rule,
+and ``_AGENT_KINDS``/``_CONTROLLER_KINDS`` give each model kind its class and
+parameters; the model classes check their own parameter rules.
+
+``verify`` runs the whole pipeline: synthesize a gain, certify it, simulate
+the closed loop, solve the matching steady-state optimization, and compare
+the two answers.  The stage functions ``synthesis_stage``,
+``simulation_stage`` and ``optimization_stage`` each return their result and
+report payload; CLI commands run a prefix of them.  ``verify`` only reports
+a pass when the certificate is positive definite (``check`` and
+``synthesize`` read the same answer), the simulation settled, the solver
+finished clean, and the two outputs agree within tolerance.
 
 When the certified gain still leaves the optimization probe below its floor
 (the certificate is stated in terms of the declared indices, which for some
@@ -18,12 +23,12 @@ until the probe clears, and records how many doublings it took.  Edge gains
 drop out on each component's indicator vector, so the probe never exceeds
 the smallest component mean of curvature plus vertex gain: when that bound is
 at or below the floor the rounds only make the probe non-negative, and when
-it is not positive none runs.
+it is not positive none runs.  Doubling never decides feasibility.
 """
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -35,6 +40,7 @@ from .errors import (
     NetpassError,
     NotPassivizableError,
     NumericalBlowupError,
+    ParameterError,
 )
 from .graph import NetworkGraph
 from .netopt import SolveStatus, build_problem, solve
@@ -48,6 +54,7 @@ __all__ = [
     "config_from_dict",
     "generate_case_study",
     "build_system_parts",
+    "synthesize_gain",
     "synthesize_certified",
     "synthesis_stage",
     "simulation_stage",
@@ -61,10 +68,6 @@ __all__ = [
 ]
 
 _GAIN_MODES = ("none", "network_only", "hybrid")
-_AGENT_KINDS = {"traffic": TrafficAgent, "integrator": IntegratorAgent,
-                "static_affine": StaticAffineAgent}
-_CONTROLLER_KINDS = {"tanh_integrator": TanhIntegratorController,
-                     "static_gain": StaticGainController}
 # The escalation loop doubles the synthesis margin until the objective's
 # worst-case curvature clears this floor; a healthy floor also bounds how
 # long the closed loop takes to settle.
@@ -82,82 +85,42 @@ _CSV_BLOCK = 256
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Validated scenario description, storable as JSON."""
+    """Validated scenario description, storable as JSON; ``_SETTINGS`` describes it."""
 
     graph: dict
     agents: tuple
     controllers: tuple
-    gain_mode: str = "network_only"
-    self_regulating: tuple = ()
-    epsilon: float = None
-    dt: float = None
-    t_max: float = None
-    steady_tol: float = 1e-8
-    x0: tuple = None
-    seed: int = 0
-    solver_step: float = 1.0
-    solver_max_iter: int = 100000
-    solver_tol: float = 1e-8
-    mismatch_tol: float = 1e-2
+    gain_mode: str
+    self_regulating: tuple
+    epsilon: float
+    dt: float
+    t_max: float
+    steady_tol: float
+    x0: tuple
+    seed: int
+    solver_step: float
+    solver_max_iter: int
+    solver_tol: float
+    mismatch_tol: float
 
     def to_dict(self):
-        return {
-            "graph": {"n": self.graph["n"],
-                      "edges": [list(e) for e in self.graph["edges"]]},
-            "agents": [dict(a) for a in self.agents],
-            "controllers": [dict(c) for c in self.controllers],
-            "gain_mode": self.gain_mode,
-            "self_regulating": list(self.self_regulating),
-            "epsilon": self.epsilon,
-            "sim": {
-                "dt": self.dt,
-                "t_max": self.t_max,
-                "steady_tol": self.steady_tol,
-                "x0": None if self.x0 is None else list(self.x0),
-                "seed": self.seed,
-            },
-            "solver": {
-                "step": self.solver_step,
-                "max_iter": self.solver_max_iter,
-                "tol": self.solver_tol,
-            },
-            "mismatch_tol": self.mismatch_tol,
-        }
+        data = {section: {} for section in _SECTION_KEYS if section is not None}
+        for name, (section, key, _, _) in _SETTINGS.items():
+            (data if section is None else data[section])[key] = _plain(getattr(self, name))
+        return data
+
+
+def _plain(value):
+    """``value`` as fresh JSON containers: tuples become lists, dicts are copied."""
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    return value
 
 
 def _fail(path, message):
     raise ConfigSchemaError(path, message)
-
-
-def _get_number(d, key, path, default=None, required=False, positive=False,
-                allow_none=False):
-    if key not in d or d[key] is None:
-        if required and key not in d:
-            _fail(f"{path}.{key}", "missing required field")
-        if key in d and d[key] is None and not allow_none:
-            _fail(f"{path}.{key}", "must be a number")
-        return default
-    value = d[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        _fail(f"{path}.{key}", f"must be a number, got {type(value).__name__}")
-    if not math.isfinite(value):
-        _fail(f"{path}.{key}", "must be finite")
-    if positive and value <= 0:
-        _fail(f"{path}.{key}", f"must be positive, got {value}")
-    return float(value)
-
-
-def _get_int(d, key, path, default=None, required=False, minimum=None):
-    if key not in d or d[key] is None:
-        if required:
-            _fail(f"{path}.{key}", "missing required field")
-        return default
-    value = d[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        _fail(f"{path}.{key}", f"must be an integer, got {type(value).__name__}")
-    if minimum is not None and value < minimum:
-        _fail(f"{path}.{key}", f"must be at least {minimum}, got {value}")
-    return value
 
 
 def _check_keys(d, allowed, path):
@@ -166,46 +129,159 @@ def _check_keys(d, allowed, path):
             _fail(f"{path}.{key}", "unknown field")
 
 
-def _validate_agent(spec, path):
-    if not isinstance(spec, dict):
-        _fail(path, "must be an object")
-    kind = spec.get("kind")
-    if kind == "traffic":
-        _check_keys(spec, {"kind", "kappa", "v0", "v1"}, path)
-        kappa = _get_number(spec, "kappa", path, required=True)
-        _get_number(spec, "v0", path, required=True)
-        v1 = _get_number(spec, "v1", path, required=True)
-        if v1 == 0.0:
-            _fail(f"{path}.v1", "must be nonzero")
-        if v1 * kappa <= 0.0:
-            _fail(f"{path}.v1", "must have the same sign as kappa")
-    elif kind == "integrator":
-        _check_keys(spec, {"kind"}, path)
-    elif kind == "static_affine":
-        _check_keys(spec, {"kind", "a", "c", "tau", "rho"}, path)
-        a = _get_number(spec, "a", path, required=True)
-        _get_number(spec, "c", path, required=True)
-        _get_number(spec, "tau", path, positive=True)
-        _get_number(spec, "rho", path, required=True)
-        if a == 0.0:
-            _fail(f"{path}.a", "must be nonzero")
-    else:
-        _fail(f"{path}.kind", f"unknown agent kind {kind!r}")
+def _number(value, path):
+    """The one number reader: a finite float; bools and overflowing integers fail."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        _fail(path, f"must be a number, got {type(value).__name__}")
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        _fail(path, "must be finite")
+    return number
 
 
-def _validate_controller(spec, path):
+def _positive(value, path, settings):
+    number = _number(value, path)
+    if number <= 0.0:
+        _fail(path, f"must be positive, got {number}")
+    return number
+
+
+def _integer(value, path, minimum):
+    if isinstance(value, bool) or not isinstance(value, int):
+        _fail(path, f"must be an integer, got {type(value).__name__}")
+    if value < minimum:
+        _fail(path, f"must be at least {minimum}, got {value}")
+    return value
+
+
+def _graph(spec, path, settings):
     if not isinstance(spec, dict):
         _fail(path, "must be an object")
-    kind = spec.get("kind")
-    if kind == "tanh_integrator":
-        _check_keys(spec, {"kind"}, path)
-    elif kind == "static_gain":
-        _check_keys(spec, {"kind", "w"}, path)
-        w = _get_number(spec, "w", path, required=True)
-        if w <= 0.0:
-            _fail(f"{path}.w", f"must be positive, got {w}")
-    else:
-        _fail(f"{path}.kind", f"unknown controller kind {kind!r}")
+    _check_keys(spec, {"n", "edges"}, path)
+    if spec.get("n") is None:
+        _fail(f"{path}.n", "missing required field")
+    n = _integer(spec["n"], f"{path}.n", 1)
+    edges = spec.get("edges")
+    if not isinstance(edges, list):
+        _fail(f"{path}.edges", "must be a list of [head, tail] pairs")
+    for k, e in enumerate(edges):
+        if (not isinstance(e, list)) or len(e) != 2 \
+                or not all(isinstance(v, int) and not isinstance(v, bool) for v in e):
+            _fail(f"{path}.edges[{k}]", "must be a pair of integers")
+    try:
+        NetworkGraph(n, tuple((h, t) for h, t in edges))
+    except NetpassError as exc:
+        _fail(f"{path}.edges", str(exc))
+    return {"n": n, "edges": [list(e) for e in edges]}
+
+
+def _model(kinds, spec, path):
+    """The model a spec describes; a parameter its class rejects fails at ``path``."""
+    params = dict(spec)
+    cls = kinds[params.pop("kind")][0]
+    for key, value in params.items():
+        params[key] = _number(value, f"{path}.{key}")
+    try:
+        return cls(**params)
+    except ParameterError as exc:
+        _fail(f"{path}.{exc.field}", str(exc))
+
+
+def _specs(specs, path, kinds, count):
+    """Model specs with their nulls dropped, each checked by building its model."""
+    if not isinstance(specs, list):
+        _fail(path, "must be a list")
+    if len(specs) != count:
+        _fail(path, f"expected {count} entries, got {len(specs)}")
+    out = []
+    for k, spec in enumerate(specs):
+        spec_path = f"{path}[{k}]"
+        if not isinstance(spec, dict):
+            _fail(spec_path, "must be an object")
+        kind = spec.get("kind")
+        if not isinstance(kind, str) or kind not in kinds:
+            _fail(f"{spec_path}.kind", f"unknown kind {kind!r}")
+        _, required, optional = kinds[kind]
+        _check_keys(spec, ("kind",) + required + optional, spec_path)
+        spec = dict(spec)
+        if None in spec.values():
+            spec = {key: v for key, v in spec.items() if v is not None}
+        for key in required:
+            if key not in spec:
+                _fail(f"{spec_path}.{key}", "missing required field")
+        _model(kinds, spec, spec_path)
+        out.append(spec)
+    return tuple(out)
+
+
+def _gain_mode(value, path, settings):
+    if value not in _GAIN_MODES:
+        _fail(path, f"must be one of {_GAIN_MODES}, got {value!r}")
+    return value
+
+
+def _vertices(value, path, settings):
+    n = settings["graph"]["n"]
+    if not isinstance(value, list) or not all(
+            isinstance(v, int) and not isinstance(v, bool) for v in value):
+        _fail(path, "must be a list of integers")
+    for k, v in enumerate(value):
+        if not 0 <= v < n:
+            _fail(f"{path}[{k}]", f"vertex {v} outside 0..{n - 1}")
+    return tuple(value)
+
+
+def _outputs(value, path, settings):
+    n = settings["graph"]["n"]
+    if not isinstance(value, list) or len(value) != n:
+        _fail(path, f"must be a list of {n} finite numbers")
+    return tuple(_number(v, path) for v in value)
+
+
+# kind -> (model class, required parameters, optional parameters).  The
+# classes check the parameter rules; a static-affine index is required, so a
+# missing one never silently becomes 0.
+_AGENT_KINDS = {
+    "traffic": (TrafficAgent, ("kappa", "v0", "v1"), ()),
+    "integrator": (IntegratorAgent, (), ()),
+    "static_affine": (StaticAffineAgent, ("a", "c", "rho"), ("tau",)),
+}
+_CONTROLLER_KINDS = {
+    "tanh_integrator": (TanhIntegratorController, (), ()),
+    "static_gain": (StaticGainController, ("w",), ()),
+}
+
+# ScenarioConfig attribute -> (file section, None at top level; key; default;
+# rule).  A rule maps (value, path, the settings read so far) to the stored
+# value.  An absent or null key takes the default; a _REQUIRED one fails.
+_REQUIRED = object()
+_SETTINGS = {
+    "graph": (None, "graph", _REQUIRED, _graph),
+    "agents": (None, "agents", _REQUIRED,
+               lambda value, path, s: _specs(value, path, _AGENT_KINDS, s["graph"]["n"])),
+    "controllers": (None, "controllers", _REQUIRED, lambda value, path, s: _specs(
+        value, path, _CONTROLLER_KINDS, len(s["graph"]["edges"]))),
+    "gain_mode": (None, "gain_mode", "network_only", _gain_mode),
+    "self_regulating": (None, "self_regulating", (), _vertices),
+    "epsilon": (None, "epsilon", None, _positive),
+    "dt": ("sim", "dt", None, _positive),
+    "t_max": ("sim", "t_max", None, _positive),
+    "steady_tol": ("sim", "steady_tol", 1e-8, _positive),
+    "x0": ("sim", "x0", None, _outputs),
+    "seed": ("sim", "seed", 0, lambda value, path, _: _integer(value, path, 0)),
+    "solver_step": ("solver", "step", 1.0, _positive),
+    "solver_max_iter": ("solver", "max_iter", 100000,
+                        lambda value, path, _: _integer(value, path, 1)),
+    "solver_tol": ("solver", "tol", 1e-8, _positive),
+    "mismatch_tol": (None, "mismatch_tol", 1e-2, _positive),
+}
+# section -> the keys it may hold; the top level also holds the sections.
+_SECTION_KEYS = {section: {k for s, k, _, _ in _SETTINGS.values() if s == section}
+                 for section, _, _, _ in _SETTINGS.values()}
+_SECTION_KEYS[None] |= _SECTION_KEYS.keys() - {None}
 
 
 def config_from_dict(data):
@@ -216,110 +292,32 @@ def config_from_dict(data):
     """
     if not isinstance(data, dict):
         _fail("$", "top level must be an object")
-    _check_keys(data, {"graph", "agents", "controllers", "gain_mode",
-                       "self_regulating", "epsilon", "sim", "solver",
-                       "mismatch_tol"}, "$")
-
-    graph_spec = data.get("graph")
-    if not isinstance(graph_spec, dict):
-        _fail("$.graph", "missing or not an object")
-    _check_keys(graph_spec, {"n", "edges"}, "$.graph")
-    n = _get_int(graph_spec, "n", "$.graph", required=True, minimum=1)
-    edges_raw = graph_spec.get("edges")
-    if not isinstance(edges_raw, list):
-        _fail("$.graph.edges", "must be a list of [head, tail] pairs")
-    edges = []
-    for k, e in enumerate(edges_raw):
-        if (not isinstance(e, list)) or len(e) != 2 \
-                or not all(isinstance(v, int) and not isinstance(v, bool) for v in e):
-            _fail(f"$.graph.edges[{k}]", "must be a pair of integers")
-        edges.append((e[0], e[1]))
-    try:
-        graph = NetworkGraph(n, tuple(edges))
-    except NetpassError as exc:
-        _fail("$.graph.edges", str(exc))
-
-    agents_raw = data.get("agents")
-    if not isinstance(agents_raw, list):
-        _fail("$.agents", "must be a list")
-    if len(agents_raw) != n:
-        _fail("$.agents", f"expected {n} agents, got {len(agents_raw)}")
-    for k, spec in enumerate(agents_raw):
-        _validate_agent(spec, f"$.agents[{k}]")
-
-    controllers_raw = data.get("controllers")
-    if not isinstance(controllers_raw, list):
-        _fail("$.controllers", "must be a list")
-    if len(controllers_raw) != graph.n_edges:
-        _fail("$.controllers",
-              f"expected {graph.n_edges} controllers, got {len(controllers_raw)}")
-    for k, spec in enumerate(controllers_raw):
-        _validate_controller(spec, f"$.controllers[{k}]")
-
-    gain_mode = data.get("gain_mode", "network_only")
-    if gain_mode not in _GAIN_MODES:
-        _fail("$.gain_mode", f"must be one of {_GAIN_MODES}, got {gain_mode!r}")
-
-    vsr_raw = data.get("self_regulating", [])
-    if not isinstance(vsr_raw, list) or not all(
-            isinstance(v, int) and not isinstance(v, bool) for v in vsr_raw):
-        _fail("$.self_regulating", "must be a list of integers")
-    for k, v in enumerate(vsr_raw):
-        if not 0 <= v < n:
-            _fail(f"$.self_regulating[{k}]", f"vertex {v} outside 0..{n - 1}")
-    if gain_mode == "hybrid" and not vsr_raw:
-        _fail("$.self_regulating", "hybrid mode needs at least one vertex")
-    if gain_mode == "hybrid" and not graph.is_connected():
-        _fail("$.gain_mode", "hybrid mode needs a connected graph")
-
-    epsilon = _get_number(data, "epsilon", "$", allow_none=True, positive=True)
-
-    sim_spec = {} if data.get("sim") is None else data["sim"]
-    if not isinstance(sim_spec, dict):
-        _fail("$.sim", "must be an object")
-    _check_keys(sim_spec, {"dt", "t_max", "steady_tol", "x0", "seed"}, "$.sim")
-    dt = _get_number(sim_spec, "dt", "$.sim", allow_none=True, positive=True)
-    t_max = _get_number(sim_spec, "t_max", "$.sim", allow_none=True, positive=True)
-    steady_tol = _get_number(sim_spec, "steady_tol", "$.sim", default=1e-8,
-                             positive=True)
-    x0_raw = sim_spec.get("x0")
-    if x0_raw is not None:
-        if not isinstance(x0_raw, list) or len(x0_raw) != n or not all(
-                isinstance(v, (int, float)) and not isinstance(v, bool)
-                and math.isfinite(v) for v in x0_raw):
-            _fail("$.sim.x0", f"must be a list of {n} finite numbers")
-        x0_raw = tuple(float(v) for v in x0_raw)
-    seed = _get_int(sim_spec, "seed", "$.sim", default=0)
-
-    solver_spec = {} if data.get("solver") is None else data["solver"]
-    if not isinstance(solver_spec, dict):
-        _fail("$.solver", "must be an object")
-    _check_keys(solver_spec, {"step", "max_iter", "tol"}, "$.solver")
-    step = _get_number(solver_spec, "step", "$.solver", default=1.0, positive=True)
-    max_iter = _get_int(solver_spec, "max_iter", "$.solver", default=100000,
-                        minimum=1)
-    tol = _get_number(solver_spec, "tol", "$.solver", default=1e-8, positive=True)
-
-    mismatch_tol = _get_number(data, "mismatch_tol", "$", default=1e-2,
-                               positive=True)
-
-    return ScenarioConfig(
-        graph={"n": n, "edges": [list(e) for e in edges]},
-        agents=tuple(dict(a) for a in agents_raw),
-        controllers=tuple(dict(c) for c in controllers_raw),
-        gain_mode=gain_mode,
-        self_regulating=tuple(vsr_raw),
-        epsilon=epsilon,
-        dt=dt,
-        t_max=t_max,
-        steady_tol=steady_tol,
-        x0=x0_raw,
-        seed=seed,
-        solver_step=step,
-        solver_max_iter=max_iter,
-        solver_tol=tol,
-        mismatch_tol=mismatch_tol,
-    )
+    sections = {}
+    for section, keys in _SECTION_KEYS.items():
+        path = "$" if section is None else f"$.{section}"
+        spec = data if section is None else data.get(section)
+        spec = {} if spec is None else spec
+        if not isinstance(spec, dict):
+            _fail(path, "must be an object")
+        _check_keys(spec, keys, path)
+        sections[section] = spec
+    settings = {}
+    for name, (section, key, default, rule) in _SETTINGS.items():
+        path = f"$.{key}" if section is None else f"$.{section}.{key}"
+        value = sections[section].get(key)
+        if value is not None:
+            settings[name] = rule(value, path, settings)
+        elif default is _REQUIRED:
+            _fail(path, "missing required field")
+        else:
+            settings[name] = default
+    config = ScenarioConfig(**settings)
+    if config.gain_mode == "hybrid":
+        if not config.self_regulating:
+            _fail("$.self_regulating", "hybrid mode needs at least one vertex")
+        if not NetworkGraph.from_dict(config.graph).is_connected():
+            _fail("$.gain_mode", "hybrid mode needs a connected graph")
+    return config
 
 
 def load_config(path):
@@ -334,17 +332,13 @@ def load_config(path):
     return config_from_dict(data)
 
 
-def _model(classes, spec):
-    """The model a validated spec describes, its parameters as floats."""
-    return classes[spec["kind"]](**{k: float(v) for k, v in spec.items() if k != "kind"})
-
-
 def build_system_parts(config: ScenarioConfig):
     """Materialize (graph, agent bank, controller bank) from a validated config."""
     graph = NetworkGraph.from_dict(config.graph)
-    agents = AgentBank([_model(_AGENT_KINDS, spec) for spec in config.agents])
-    controllers = ControllerBank([_model(_CONTROLLER_KINDS, spec)
-                                  for spec in config.controllers])
+    agents = AgentBank([_model(_AGENT_KINDS, spec, f"$.agents[{k}]")
+                        for k, spec in enumerate(config.agents)])
+    controllers = ControllerBank([_model(_CONTROLLER_KINDS, spec, f"$.controllers[{k}]")
+                                  for k, spec in enumerate(config.controllers)])
     return graph, agents, controllers
 
 
@@ -403,18 +397,9 @@ class VerifyReport:
     trajectory: object = field(default=None, repr=False, compare=False)
 
     def to_dict(self):
-        return round_floats({
-            "config": self.config,
-            "feasible": self.feasible,
-            "verdict": self.verdict,
-            "passed": self.passed,
-            "gain": self.gain,
-            "convexity_probe": self.convexity_probe,
-            "sim": self.sim,
-            "opt": self.opt,
-            "mismatch": self.mismatch,
-            "clusters": self.clusters,
-        })
+        """Every field but the trajectory, floats rounded to 12 digits."""
+        return round_floats({f.name: getattr(self, f.name) for f in fields(self)
+                             if f.name != "trajectory"})
 
 
 def round_floats(obj, digits=12):
@@ -436,7 +421,8 @@ def cluster_count(y, gap=_CLUSTER_GAP):
     return int(1 + np.count_nonzero(np.diff(y) > gap))
 
 
-def _synthesize(config, rho, graph, epsilon):
+def synthesize_gain(config, rho, graph, epsilon):
+    """The scenario's gain-mode design at margin ``epsilon`` (None: the default)."""
     if config.gain_mode == "network_only":
         return uniform_network_gain(rho, graph, epsilon)
     if config.gain_mode == "hybrid":
@@ -453,7 +439,7 @@ def synthesize_certified(config, graph, agents, controllers):
     bound lies under it, and no round runs when the bound is not positive.
     """
     rho = agents.rho_vector
-    design = _synthesize(config, rho, graph, config.epsilon)
+    design = synthesize_gain(config, rho, graph, config.epsilon)
     problem = build_problem(graph, agents, controllers, design)
     probe = problem.convexity_probe()
     escalations = 0
@@ -464,7 +450,7 @@ def synthesize_certified(config, graph, agents, controllers):
         base_eps = design.epsilon
         while probe < floor and escalations < _MAX_ESCALATIONS:
             escalations += 1
-            design = _synthesize(config, rho, graph, base_eps * 2.0**escalations)
+            design = synthesize_gain(config, rho, graph, base_eps * 2.0**escalations)
             problem = build_problem(graph, agents, controllers, design)
             probe = problem.convexity_probe()
     return design, problem, probe, escalations

@@ -6,8 +6,9 @@ incidence matrix E and applies the synthesized passivating feedback:
     zeta = E^T y,      u = -E mu - E diag(beta) zeta - diag(alpha) y
 
 Agents are affine (x' = p x + q u + g, y = x) and static edges linear, so with
-K = E diag(beta + w) E^T + diag(alpha) the field is built once, with [A | B]
-held as one matrix acting on [x, tanh(eta_sat)]:
+K = Q(0) = diag(alpha) + E diag(beta + w) E^T (``passivation.coupling_matrix``)
+the field is built once, with [A | B] held as one matrix acting on
+[x, tanh(eta_sat)]:
 
     x' = A x + B tanh(eta_sat) + g,   A = diag(p) - diag(q) K,  B = -diag(q) E_sat,
     eta_sat' = E_sat^T x,             and a static edge's eta never moves.
@@ -32,7 +33,7 @@ from .controllers import ControllerBank
 from .errors import DimensionMismatchError, NumericalBlowupError
 from .graph import NetworkGraph
 from .netopt import build_problem, stationarity_residual
-from .passivation import GainDesign
+from .passivation import GainDesign, coupling_matrix
 
 __all__ = ["ClosedLoopSystem", "Trajectory", "simulate", "steady_state_residual"]
 
@@ -58,12 +59,13 @@ class ClosedLoopSystem:
             raise DimensionMismatchError(
                 f"{len(self.controllers)} controllers for {self.graph.n_edges} edges"
             )
-        if self.gain.alpha.shape != (n,):
-            raise DimensionMismatchError(f"alpha has shape {self.gain.alpha.shape}")
+        # coupling_matrix checks alpha and the summed edge gains, but beta + w
+        # would broadcast a length-1 beta over every edge.
         if self.gain.beta.shape != (self.graph.n_edges,):
             raise DimensionMismatchError(f"beta has shape {self.gain.beta.shape}")
         E, sat, q = self.graph.incidence, self.controllers.saturated, self.agents.q[:, None]
-        K = (E * (self.gain.beta + self.controllers.w)) @ E.T + np.diag(self.gain.alpha)
+        K = coupling_matrix(np.zeros(n), self.gain.alpha,
+                            self.gain.beta + self.controllers.w, self.graph)
         operator = np.column_stack((np.diag(self.agents.p) - q * K, -q * E[:, sat]))
         operator.setflags(write=False)
         heads, tails = np.array(self.graph.edges, dtype=np.intp).reshape(-1, 2).T

@@ -33,6 +33,7 @@ from netpass import (
     verify,
 )
 import netpass.harness as harness
+import netpass.netopt as netopt
 import netpass.passivation as passivation
 from netpass.cli import main
 from netpass.harness import (
@@ -118,6 +119,57 @@ def test_schema_rejects_zero_and_mismatched_slope():
     bad = consensus_dict()
     bad["agents"][1]["v1"] = -0.8
     assert schema_error_path(bad) == "$.agents[1].v1"
+    for field, value in (("a", 0.0), ("tau", 0.0), ("tau", -1.0)):
+        bad = consensus_dict()
+        bad["agents"][1] = {"kind": "static_affine", "a": 1.0, "c": 0.0, "rho": 1.0,
+                            field: value}
+        assert schema_error_path(bad) == f"$.agents[1].{field}"
+    for w in (0.0, -0.5):
+        bad = consensus_dict(controllers=[{"kind": "static_gain", "w": w}])
+        assert schema_error_path(bad) == "$.controllers[0].w"
+
+
+def test_schema_requires_the_declared_static_affine_index():
+    bad = consensus_dict()
+    bad["agents"][0] = {"kind": "static_affine", "a": 1.0, "c": 0.0}
+    assert schema_error_path(bad) == "$.agents[0].rho"
+
+
+def test_schema_rejects_integers_too_large_for_a_float(tmp_path, capsys):
+    huge = 10**400
+    bad = consensus_dict()
+    bad["agents"][0]["v0"] = huge
+    assert schema_error_path(bad) == "$.agents[0].v0"
+    assert schema_error_path(consensus_dict(sim={"x0": [1.0, huge]})) == "$.sim.x0"
+    for name, data in (("v0", bad), ("x0", consensus_dict(sim={"x0": [huge, 1.0]}))):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(data))
+        assert main(["check", str(path)]) == 3
+        assert "must be finite" in capsys.readouterr().err
+
+
+def test_schema_rejects_a_negative_seed(tmp_path, capsys):
+    data = consensus_dict(sim={"seed": -1})
+    assert schema_error_path(data) == "$.sim.seed"
+    path = tmp_path / "seed.json"
+    path.write_text(json.dumps(data))
+    assert main(["verify", str(path)]) == 3
+    assert "$.sim.seed" in capsys.readouterr().err
+
+
+def test_null_means_the_default_for_every_optional_field():
+    nulls = consensus_dict(gain_mode=None, self_regulating=None, epsilon=None,
+                           mismatch_tol=None,
+                           sim={key: None for key in ("dt", "t_max", "steady_tol",
+                                                      "x0", "seed")},
+                           solver={"step": None, "max_iter": None, "tol": None})
+    assert config_from_dict(nulls) == config_from_dict(consensus_dict())
+    agent = {"kind": "static_affine", "a": 1.0, "c": 0.0, "rho": 1.0}
+    with_null = consensus_dict()
+    with_null["agents"][0] = dict(agent, tau=None)
+    without = consensus_dict()
+    without["agents"][0] = agent
+    assert config_from_dict(with_null) == config_from_dict(without)
 
 
 def test_schema_rejects_hybrid_without_vertices():
@@ -538,6 +590,22 @@ def test_cli_check_and_synthesize_use_the_exact_index_sum(tmp_path, capsys):
     assert "index sum 0.0;" in payload["reason"]
 
 
+def test_cli_check_synthesizes_once(tmp_path, monkeypatch, capsys):
+    # the static-affine K3 hybrid scenario escalates 9 times under verify,
+    # but doubling the margin never changes whether a certified design exists
+    path = tmp_path / "k3.json"
+    path.write_text(json.dumps(static_affine_k3_hybrid(
+        (-0.75, -0.75, -0.76), (-1.0, -1.0, -1.0)).to_dict()))
+    calls = []
+    monkeypatch.setattr(passivation, "check_design",
+                        counted(passivation.check_design, calls))
+    monkeypatch.setattr(netopt.RegularizedProblem, "convexity_probe",
+                        counted(netopt.RegularizedProblem.convexity_probe, calls))
+    assert main(["check", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["feasible"] is True
+    assert calls == ["check_design"]
+
+
 def test_cli_rejects_hybrid_on_a_disconnected_graph_as_bad_input(tmp_path, capsys):
     path = tmp_path / "split.json"
     path.write_text(json.dumps(consensus_dict(
@@ -565,6 +633,12 @@ def test_cli_synthesize_infeasible_and_hybrid_override(mixed_file, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["mode"] == "hybrid"
     assert payload["alpha"][0] > 0.0
+
+
+def test_cli_rejects_a_nonpositive_epsilon_at_its_schema_path(consensus_file, capsys):
+    for value in ("0", "-1"):
+        assert main(["synthesize", consensus_file, "--epsilon", value]) == 3
+        assert "$.epsilon" in capsys.readouterr().err
 
 
 def test_cli_simulate_writes_trajectory(consensus_file, tmp_path, capsys):

@@ -184,6 +184,13 @@ def test_system_rejects_mismatched_dimensions():
                           threshold=0.0, certificate=1.0)
     with pytest.raises(DimensionMismatchError):
         ClosedLoopSystem(P2, two, controllers, bad_gain)
+    # a length-1 beta must not broadcast over the triangle's three edges
+    three = AgentBank([TrafficAgent(1, 10.0, 0.8)] * 3)
+    one_beta = GainDesign(alpha=np.zeros(3), beta=np.ones(1), epsilon=0.0,
+                          threshold=0.0, certificate=1.0)
+    with pytest.raises(DimensionMismatchError):
+        ClosedLoopSystem(K3, three, ControllerBank([TanhIntegratorController()] * 3),
+                         one_beta)
 
 
 # ----------------------------------------------------------------------
