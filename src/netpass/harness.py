@@ -43,9 +43,9 @@ from .errors import (
     ParameterError,
 )
 from .graph import NetworkGraph
-from .netopt import SolveStatus, build_problem, solve
+from .netopt import SOLVER_MAX_ITER, SOLVER_STEP, SOLVER_TOL, SolveStatus, build_problem, solve
 from .passivation import hybrid_gain, uniform_network_gain, zero_design
-from .sim import ClosedLoopSystem, simulate
+from .sim import STEADY_TOL, ClosedLoopSystem, simulate
 
 __all__ = [
     "ScenarioConfig",
@@ -269,13 +269,13 @@ _SETTINGS = {
     "epsilon": (None, "epsilon", None, _positive),
     "dt": ("sim", "dt", None, _positive),
     "t_max": ("sim", "t_max", None, _positive),
-    "steady_tol": ("sim", "steady_tol", 1e-8, _positive),
+    "steady_tol": ("sim", "steady_tol", STEADY_TOL, _positive),
     "x0": ("sim", "x0", None, _outputs),
     "seed": ("sim", "seed", 0, lambda value, path, _: _integer(value, path, 0)),
-    "solver_step": ("solver", "step", 1.0, _positive),
-    "solver_max_iter": ("solver", "max_iter", 100000,
+    "solver_step": ("solver", "step", SOLVER_STEP, _positive),
+    "solver_max_iter": ("solver", "max_iter", SOLVER_MAX_ITER,
                         lambda value, path, _: _integer(value, path, 1)),
-    "solver_tol": ("solver", "tol", 1e-8, _positive),
+    "solver_tol": ("solver", "tol", SOLVER_TOL, _positive),
     "mismatch_tol": (None, "mismatch_tol", 1e-2, _positive),
 }
 # section -> the keys it may hold; the top level also holds the sections.

@@ -48,6 +48,9 @@ __all__ = [
 # Sampled curvature below this is treated as genuine nonconvexity.
 _CURVATURE_TOL = -1e-9
 
+# ``solve``'s defaults: initial penalty, iteration budget, residual tolerance.
+SOLVER_STEP, SOLVER_MAX_ITER, SOLVER_TOL = 1.0, 100000, 1e-8
+
 _BRUTE_FORCE_MAX_N = 4
 _BRUTE_FORCE_POINTS = 33
 
@@ -186,7 +189,8 @@ class _VertexSolver:
         return self._pinv @ rhs
 
 
-def solve(problem: RegularizedProblem, step=1.0, max_iter=100000, tol=1e-8):
+def solve(problem: RegularizedProblem, step=SOLVER_STEP, max_iter=SOLVER_MAX_ITER,
+          tol=SOLVER_TOL):
     """Minimize the regularized problem by alternating-direction splitting.
 
     Parameters

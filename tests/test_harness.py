@@ -7,6 +7,7 @@ full pipeline must report a pass with a tiny mismatch.
 """
 
 import importlib
+import inspect
 import json
 import subprocess
 import sys
@@ -29,6 +30,7 @@ from netpass import (
     emit_report,
     generate_case_study,
     load_config,
+    simulate,
     solve,
     verify,
 )
@@ -100,6 +102,19 @@ def test_minimal_config_fills_defaults():
     assert config.solver_max_iter == 100000
     assert config.solver_tol == 1e-8
     assert config.mismatch_tol == 1e-2
+
+
+def test_scenario_defaults_are_the_simulator_and_solver_defaults():
+    config = config_from_dict(consensus_dict())
+    for function, keywords in (
+        (simulate, {"x0": "x0", "dt": "dt", "t_max": "t_max",
+                    "steady_tol": "steady_tol", "seed": "seed"}),
+        (solve, {"solver_step": "step", "solver_max_iter": "max_iter",
+                 "solver_tol": "tol"}),
+    ):
+        parameters = inspect.signature(function).parameters
+        for name, keyword in keywords.items():
+            assert getattr(config, name) == parameters[keyword].default, name
 
 
 def test_config_round_trips_through_dict():

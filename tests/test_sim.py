@@ -37,6 +37,7 @@ from netpass import (
     TanhIntegratorController,
     TrafficAgent,
     build_problem,
+    generate_case_study,
     load_config,
     simulate,
     solve,
@@ -174,6 +175,47 @@ def test_fused_field_matches_signal_composition(case):
     np.testing.assert_array_equal(eta_dot, eta_ref)
 
 
+def default_step(system):
+    """The step ``simulate`` picks: with any rate counted steady, it stops after one."""
+    trajectory = simulate(system, x0=np.zeros(system.graph.n_vertices),
+                          steady_tol=np.inf, window=2)
+    assert trajectory.times.size == 2
+    return trajectory.times[1]
+
+
+@settings(derandomize=True, deadline=None)
+@given(random_loops(), st.integers(0, 2**32 - 1))
+def test_default_step_keeps_every_saturation_pattern_in_the_rk4_disk(case, seed):
+    system, _, _ = case
+    n, m = system.graph.n_vertices, system.graph.n_edges
+    agents, gain, E = system.agents, system.gain, system.graph.incidence
+    sat = system.controllers.saturated
+    K = np.diag(gain.alpha) + (E * (gain.beta + system.controllers.w)) @ E.T
+    A = np.diag(agents.p) - agents.q[:, None] * K
+    B, cols = -agents.q[:, None] * E[:, sat], n + np.flatnonzero(sat)
+    dt = default_step(system)
+    rng = np.random.default_rng(seed)
+    for D in (np.zeros(sat.sum()), rng.uniform(0.0, 1.0, sat.sum()), np.ones(sat.sum())):
+        # Jacobian of [x, eta]: x' reads tanh(eta_sat), whose slope is D;
+        # eta_sat' = E_sat^T x; a static edge's eta never moves.
+        J = np.zeros((n + m, n + m))
+        J[:n, :n] = A
+        J[:n, cols] = B * D
+        J[cols, :n] = E[:, sat].T
+        assert dt * np.abs(np.linalg.eigvals(J)).max() <= 2.5 * (1.0 + 1e-9)
+    # ||J(1)|| is at least each of ||A||, ||B||, ||E_sat||, so at least half
+    # the bound the step is taken from: below the cap, the step is not wasted.
+    assert dt == 0.25 or dt * np.linalg.norm(J, 2) >= 1.25 * (1.0 - 1e-9)
+
+
+def test_rk4_is_stable_on_the_closed_left_half_disk_of_radius_2_5():
+    radius, angle = np.meshgrid(np.linspace(0.0, 2.5, 251),
+                                np.linspace(np.pi / 2, 3 * np.pi / 2, 721))
+    z = radius * np.exp(1j * angle)
+    amplification = np.abs(1 + z + z**2 / 2 + z**3 / 6 + z**4 / 24)
+    assert amplification.max() <= 1.0 + 1e-12
+
+
 def test_system_rejects_mismatched_dimensions():
     agents = AgentBank([TrafficAgent(1, 10.0, 0.8)])
     controllers = ControllerBank([TanhIntegratorController()])
@@ -212,6 +254,16 @@ def test_simulate_halving_step_leaves_steady_state():
     fine = simulate(system, x0=[5.0, 18.0], dt=0.01)
     assert coarse.converged and fine.converged
     assert np.abs(coarse.y_ss - fine.y_ss).max() <= 1e-6
+
+
+def test_default_step_settles_the_n40_case_study_in_few_steps():
+    config = generate_case_study(40, 7)
+    parts = build_system_parts(config)
+    system = ClosedLoopSystem(*parts, synthesis_stage(config, *parts)[0])
+    trajectory = simulate(system, seed=config.seed)
+    assert trajectory.converged
+    assert trajectory.times.size - 1 < 16000
+    assert steady_state_residual(system, trajectory.y_ss) <= 1e-8
 
 
 def test_simulate_times_uniform_and_outputs_alias_states():
@@ -258,6 +310,8 @@ def test_simulate_rejects_bad_shapes_and_steps():
         simulate(system, dt=-0.1)
     with pytest.raises(ValueError):
         simulate(system, dt=0.1, t_max=0.0)
+    with pytest.raises(ValueError):
+        simulate(system, dt=0.1, window=0)
 
 
 def mixed4_run():
