@@ -16,6 +16,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import deque
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +37,7 @@ from netpass import (
     StaticGainController,
     TanhIntegratorController,
     TrafficAgent,
+    Trajectory,
     build_problem,
     generate_case_study,
     load_config,
@@ -339,6 +341,218 @@ def test_residual_is_worst_rate_over_last_window(run):
         mu_dot = system.controllers.output_rate(eta, E.T @ x, E.T @ x_dot)
         worst = max(worst, np.abs(x_dot).max(), np.abs(mu_dot).max())
     assert trajectory.residual == pytest.approx(worst, rel=1e-9)
+
+
+# ----------------------------------------------------------------------
+# the buffered step against the plain loop
+# ----------------------------------------------------------------------
+
+
+def reference_simulate(system, x0, eta0, dt, t_max, steady_tol=1e-8, window=WINDOW):
+    """The plain RK4 loop that ``simulate`` buffers, kept as a bitwise oracle.
+
+    A fresh array per stage, a blowup check after every step and the steady
+    metric of every sample: ``simulate`` must do the same floating-point
+    operations in the same order and stop at the same sample.
+    """
+    n, m = system.graph.n_vertices, system.graph.n_edges
+    sat = system.controllers.saturated
+    heads, tails = np.array(system.graph.edges, dtype=np.intp).reshape(-1, 2).T
+    cols = slice(n, None) if sat.all() else n + np.flatnonzero(sat)
+    static, w = n + np.flatnonzero(~sat), system.controllers.w[~sat]
+
+    def rate(z):
+        x = z[:n]
+        mu_sat = np.tanh(z[cols])
+        z_dot = np.zeros(z.size)
+        z_dot[:n] = system.operator @ np.concatenate((x, mu_sat)) + system.agents.g
+        z_dot[cols] = x[heads[sat]] - x[tails[sat]]
+        return z_dot, mu_sat
+
+    def steady_rate(z_dot, mu_sat):
+        rates = z_dot.copy()
+        rates[cols] *= 1.0 - mu_sat * mu_sat
+        if w.size:
+            rates[static] = w * (z_dot[heads[~sat]] - z_dot[tails[~sat]])
+        return float(np.abs(rates).max())
+
+    z = np.concatenate((np.array(x0, dtype=float), np.array(eta0, dtype=float)))
+    z_dot, mu_sat = rate(z)
+    table = np.empty((4096, n + m))
+    table[0] = z
+    count = 1
+    metrics = deque([steady_rate(z_dot, mu_sat)], maxlen=window)
+
+    steps_total = int(np.floor(t_max / dt + 1e-9))
+    steady_run = 1 if metrics[0] < steady_tol else 0
+    converged = steady_run >= window
+    half = dt / 2.0
+
+    for _ in range(steps_total):
+        if converged:
+            break
+        k2, _ = rate(z + half * z_dot)
+        k3, _ = rate(z + half * k2)
+        k4, _ = rate(z + dt * k3)
+        z = z + (dt / 6.0) * (z_dot + 2.0 * k2 + 2.0 * k3 + k4)
+        if (np.abs(z) > 1e12).any():
+            raise NumericalBlowupError(f"state magnitude exceeded {1e12:g} "
+                                       f"at t = {count * dt:.6g}")
+        z_dot, mu_sat = rate(z)
+        if count == table.shape[0]:
+            grown = np.empty((2 * count, n + m))
+            grown[:count] = table
+            table = grown
+        table[count] = z
+        count += 1
+        metrics.append(steady_rate(z_dot, mu_sat))
+        steady_run = steady_run + 1 if metrics[-1] < steady_tol else 0
+        converged = steady_run >= window
+
+    table = table[:count]
+    x_states, eta_states = table[:, :n].T, table[:, n:].T
+    residual = float(np.max(metrics))
+    y_ss = x_states[:, -1].copy() if converged else None
+    return Trajectory(np.arange(count) * dt, x_states, eta_states, converged, y_ss, residual)
+
+
+def run_or_message(function, system, **kwargs):
+    try:
+        return function(system, **kwargs)
+    except NumericalBlowupError as exc:
+        return str(exc)
+
+
+def assert_same_run(system, x0, eta0=None, **kwargs):
+    """``simulate`` and the plain loop agree bit for bit; returns the run."""
+    if eta0 is None:
+        eta0 = np.zeros(system.graph.n_edges)
+    expected = run_or_message(reference_simulate, system, x0=x0, eta0=eta0, **kwargs)
+    actual = run_or_message(simulate, system, x0=x0, eta0=eta0, **kwargs)
+    if isinstance(expected, str):
+        assert actual == expected
+        return actual
+    assert not isinstance(actual, str), actual
+    assert actual.converged == expected.converged
+    for name in ("times", "x_states", "eta_states", "y_ss", "residual"):
+        want, got = getattr(expected, name), getattr(actual, name)
+        if want is None:
+            assert got is None, name
+        else:
+            np.testing.assert_array_equal(np.asarray(got, dtype=float).view(np.int64),
+                                          np.asarray(want, dtype=float).view(np.int64),
+                                          err_msg=name)
+    return actual
+
+
+def drawn_start(system, seed):
+    """The initial agent states ``simulate`` draws when ``x0`` is missing."""
+    anchors = system.agents.anchors
+    return np.random.default_rng(seed).uniform(anchors.min() - 10.0, anchors.max() + 10.0,
+                                               system.graph.n_vertices)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_buffered_step_matches_plain_loop_on_the_n10_case_study(seed):
+    config = generate_case_study(10, seed)
+    parts = build_system_parts(config)
+    system = ClosedLoopSystem(*parts, synthesis_stage(config, *parts)[0])
+    run = assert_same_run(system, drawn_start(system, seed), dt=default_step(system),
+                          t_max=5000.0)
+    assert run.converged
+
+
+def test_buffered_step_matches_plain_loop_on_gathered_mixed_columns():
+    system, _ = mixed4_run()
+    sat = system.controllers.saturated
+    assert sat.any() and not sat.all()
+    config = load_config(GOLDEN / "mixed4.json")
+    assert config.dt is None
+    run = assert_same_run(system, drawn_start(system, config.seed), dt=default_step(system),
+                          t_max=config.t_max, steady_tol=config.steady_tol)
+    assert not run.converged
+
+
+def test_buffered_step_matches_plain_loop_on_an_all_static_graph():
+    agents = AgentBank([TrafficAgent(1, 20.0, 0.8), TrafficAgent(1, 30.0, 0.8),
+                        TrafficAgent(-1, 24.0, -0.8)])
+    controllers = ControllerBank([StaticGainController(w) for w in (1.0, 2.0, 0.5)])
+    system = ClosedLoopSystem(K3, agents, controllers, uniform_network_gain(
+        np.array([1.0, 1.0, -1.0]), K3))
+    assert not system.controllers.saturated.any()
+    run = assert_same_run(system, [5.0, 40.0, 12.0], dt=default_step(system), t_max=500.0)
+    assert run.converged
+
+
+def test_buffered_step_converges_at_sample_zero_with_a_one_sample_window():
+    run = assert_same_run(consensus_system(), [10.25, 10.25], [math.atanh(-0.3125)],
+                          dt=0.02, t_max=10.0, window=1)
+    assert run.converged and run.times.size == 1
+
+
+@pytest.mark.parametrize("samples", [32, 33, 34, 4096, 4097])
+def test_buffered_step_stops_where_the_plain_loop_does(samples):
+    # Every rate counts as steady, so the run stops on its window-th sample:
+    # around the end of the first block, and around the first table growth.
+    run = assert_same_run(consensus_system(), [5.0, 18.0], dt=0.02, t_max=1000.0,
+                          steady_tol=np.inf, window=samples)
+    assert run.converged and run.times.size == samples
+
+
+@pytest.mark.parametrize("steps", [31, 32, 33])
+def test_buffered_step_matches_plain_loop_when_cut_by_the_horizon(steps):
+    run = assert_same_run(consensus_system(), [5.0, 18.0], dt=0.01, t_max=steps * 0.01)
+    assert not run.converged and run.times.size == steps + 1
+
+
+def test_buffered_step_reports_the_plain_loop_blowup():
+    config = load_config(GOLDEN / "none_blowup.json")
+    parts = build_system_parts(config)
+    system = ClosedLoopSystem(*parts, synthesis_stage(config, *parts)[0])
+    message = assert_same_run(system, drawn_start(system, config.seed),
+                              dt=default_step(system), t_max=5000.0)
+    assert message.startswith("state magnitude exceeded 1e+12 at t = ")
+    with pytest.raises(NumericalBlowupError, match="exceeded 1e"):
+        simulate(system, seed=config.seed)
+
+
+@pytest.mark.parametrize("offset, t_blowup", [(1e3, "1"), (1e-3, "2")])
+def test_buffered_step_drops_the_steps_past_a_blowup_silently(offset, t_blowup):
+    # dt * p = 1000 multiplies the unstable mode by about 4e10 per step, so
+    # the steps a block takes past the blowup overflow: they must neither
+    # warn nor count, whether the blowup is a block's first row or a later one.
+    agents = AgentBank([TrafficAgent(1, 10.0, 0.8), TrafficAgent(-1000, 10.0, -0.8)])
+    system = ClosedLoopSystem(P2, agents, ControllerBank([TanhIntegratorController()]),
+                              zero_design(np.array([1.0, -1.0]), P2))
+    message = assert_same_run(system, [10.0, 10.0 + offset], dt=1.0, t_max=100.0)
+    assert message == f"state magnitude exceeded 1e+12 at t = {t_blowup}"
+
+
+@settings(derandomize=True, deadline=None)
+@given(random_loops(), st.sampled_from([0.01, 0.05, 0.2]), st.integers(1, 300),
+       st.integers(1, 120), st.sampled_from([1e-8, 1e-3, 1.0]))
+def test_buffered_step_matches_plain_loop_on_random_loops(case, dt, steps, window, tol):
+    system, x, eta = case
+    assert_same_run(system, x, eta, dt=dt, t_max=steps * dt, steady_tol=tol, window=window)
+
+
+def test_simulate_rejects_non_finite_initial_states():
+    system = consensus_system()
+    with pytest.raises(ValueError, match="x0"):
+        simulate(system, x0=[np.nan, 10.0], t_max=200.0)
+    with pytest.raises(ValueError, match="eta0"):
+        simulate(system, x0=[5.0, 18.0], eta0=[np.inf])
+
+
+def test_given_step_skips_the_default_step_norms(monkeypatch):
+    def no_norms(*args, **kwargs):
+        raise AssertionError("the default step was computed")
+
+    system = consensus_system()
+    monkeypatch.setattr(np.linalg, "norm", no_norms)
+    assert simulate(system, x0=[5.0, 18.0], dt=0.02).converged
+    with pytest.raises(AssertionError, match="default step"):
+        simulate(system, x0=[5.0, 18.0])
 
 
 _MEMORY_PROBE = """
