@@ -499,6 +499,7 @@ def simulation_stage(config, graph, agents, controllers, design):
         return None, {"converged": False, "error": str(exc)}
     return trajectory, {
         "converged": trajectory.converged,
+        "affine_samples": trajectory.affine_samples,
         "residual": trajectory.residual,
         "t_end": float(trajectory.times[-1]),
         "y_ss": None if trajectory.y_ss is None else trajectory.y_ss.tolist(),

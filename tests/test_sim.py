@@ -47,7 +47,8 @@ from netpass import (
     uniform_network_gain,
     zero_design,
 )
-from netpass.harness import build_system_parts, synthesis_stage
+from netpass.harness import build_system_parts, config_from_dict, synthesis_stage
+from netpass.sim import _BLOCK, _DEEP
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 WINDOW = 100  # the steady window the residual tests pass to simulate
@@ -344,8 +345,17 @@ def test_residual_is_worst_rate_over_last_window(run):
 
 
 # ----------------------------------------------------------------------
-# the buffered step against the plain loop
+# the buffered step and the exact affine tail against the plain loop
 # ----------------------------------------------------------------------
+
+# Bound on |simulate - plain loop| after the first affine block, relative to
+# the run's largest |x| (for x) and largest |eta| (for eta).  The worst
+# measured on the eight n=10 bench case studies is 7.8e-14 (n10-s2, in x).
+AFFINE_RTOL = 1e-12
+# The steady metric of a row the affine map produced differs from RK4's by
+# rounding, so the first sample of a full steady window may move; on n10-s2
+# it moves by two.
+MAX_STOP_SHIFT = 4
 
 
 def reference_simulate(system, x0, eta0, dt, t_max, steady_tol=1e-8, window=WINDOW):
@@ -416,6 +426,13 @@ def reference_simulate(system, x0, eta0, dt, t_max, steady_tol=1e-8, window=WIND
     return Trajectory(np.arange(count) * dt, x_states, eta_states, converged, y_ss, residual)
 
 
+def first_deep_sample(system, trajectory):
+    """First sample whose tanh edges all have |eta| >= the deep threshold."""
+    sat = system.controllers.saturated
+    deep = (np.abs(trajectory.eta_states[sat]) >= _DEEP).all(axis=0)
+    return int(deep.argmax()) if deep.any() else trajectory.times.size
+
+
 def run_or_message(function, system, **kwargs):
     try:
         return function(system, **kwargs)
@@ -423,8 +440,19 @@ def run_or_message(function, system, **kwargs):
         return str(exc)
 
 
+def assert_bitwise(got, want, name):
+    np.testing.assert_array_equal(np.asarray(got, dtype=float).view(np.int64),
+                                  np.asarray(want, dtype=float).view(np.int64), err_msg=name)
+
+
 def assert_same_run(system, x0, eta0=None, **kwargs):
-    """``simulate`` and the plain loop agree bit for bit; returns the run."""
+    """``simulate`` and the plain loop agree; returns the run.
+
+    Bit for bit when no block took the affine map.  Otherwise bit for bit up
+    to the plain loop's first all-deep sample, which no affine block precedes,
+    and within ``AFFINE_RTOL`` after it, where the stop may move by up to
+    ``MAX_STOP_SHIFT`` samples.
+    """
     if eta0 is None:
         eta0 = np.zeros(system.graph.n_edges)
     expected = run_or_message(reference_simulate, system, x0=x0, eta0=eta0, **kwargs)
@@ -434,14 +462,37 @@ def assert_same_run(system, x0, eta0=None, **kwargs):
         return actual
     assert not isinstance(actual, str), actual
     assert actual.converged == expected.converged
-    for name in ("times", "x_states", "eta_states", "y_ss", "residual"):
+    if not actual.affine_samples:
+        for name in ("times", "x_states", "eta_states", "y_ss", "residual"):
+            want, got = getattr(expected, name), getattr(actual, name)
+            if want is None:
+                assert got is None, name
+            else:
+                assert_bitwise(got, want, name)
+        return actual
+
+    exact = first_deep_sample(system, expected) + 1
+    assert exact <= expected.times.size
+    shift = actual.times.size - expected.times.size
+    assert abs(shift) <= (MAX_STOP_SHIFT if expected.converged else 0)
+    common = min(actual.times.size, expected.times.size)
+    assert_bitwise(actual.times[:common], expected.times[:common], "times")
+    for name in ("x_states", "eta_states"):
         want, got = getattr(expected, name), getattr(actual, name)
-        if want is None:
-            assert got is None, name
-        else:
-            np.testing.assert_array_equal(np.asarray(got, dtype=float).view(np.int64),
-                                          np.asarray(want, dtype=float).view(np.int64),
-                                          err_msg=name)
+        assert_bitwise(got[:, :exact], want[:, :exact], name)
+        scale = np.abs(want).max()
+        assert np.abs(got[:, :common] - want[:, :common]).max() <= AFFINE_RTOL * scale, name
+    if expected.converged:
+        # Every rate of a full steady window is below steady_tol, so each
+        # sample the stop moves by moves y_ss by about dt * steady_tol.
+        drift = abs(shift) * kwargs["dt"] * kwargs.get("steady_tol", 1e-8)
+        bound = AFFINE_RTOL * np.abs(expected.x_states).max() + 2.0 * drift
+        assert np.abs(actual.y_ss - expected.y_ss).max() <= bound
+        assert actual.residual < kwargs.get("steady_tol", 1e-8)
+    else:
+        assert actual.y_ss is None
+        # the bound of test_residual_is_worst_rate_over_last_window
+        assert actual.residual == pytest.approx(expected.residual, rel=1e-9)
     return actual
 
 
@@ -534,6 +585,73 @@ def test_buffered_step_drops_the_steps_past_a_blowup_silently(offset, t_blowup):
 def test_buffered_step_matches_plain_loop_on_random_loops(case, dt, steps, window, tol):
     system, x, eta = case
     assert_same_run(system, x, eta, dt=dt, t_max=steps * dt, steady_tol=tol, window=window)
+
+
+def test_tanh_is_exactly_one_from_the_deep_threshold_on():
+    # The affine map replaces tanh(eta) by sign(eta) from |eta| = _DEEP on.
+    eta = np.array([_DEEP, np.nextafter(_DEEP, np.inf), 25.0, 1e3, 1e300])
+    assert (np.tanh(eta) == 1.0).all()
+    assert (np.tanh(-eta) == -1.0).all()
+
+
+def test_affine_block_falls_back_to_rk4_where_a_wrong_sign_edge_leaves_the_deep_region():
+    # eta starts at -25 against a relative output that turns positive, so the
+    # edge unwinds out of the deep region inside a block: that block must be
+    # discarded and stepped by RK4, and the run still match the plain loop.
+    system = consensus_system()
+    run = assert_same_run(system, [5.0, 18.0], [-25.0], dt=0.02, t_max=1000.0)
+    assert run.converged
+    exit_sample = int(np.argmax(run.eta_states[0] > -_DEEP))
+    assert run.affine_samples % _BLOCK == 0
+    assert run.affine_samples + 1 < exit_sample < run.affine_samples + _BLOCK
+
+
+@pytest.mark.parametrize("case", ["unstable equilibrium", "step outside the rk4 region"])
+def test_affine_map_is_not_used_where_rk4_on_the_deep_loop_is_unstable(case):
+    # RK4 holds an unstable mode at exactly zero here; the affine map would
+    # amplify its own rounding in it.  With no tanh edge every sample is deep,
+    # and this start is an equilibrium in binary-exact numbers, where the map
+    # grows by about 4.6e10 per step: it would report a blowup.  With a tanh
+    # edge at dt = 0.3, x_0 - x_1 stays exactly 2 under RK4, whose step is
+    # outside its stability region for that mode (dt * lambda = -3).
+    if case == "unstable equilibrium":
+        agents = AgentBank([TrafficAgent(1, 10.0, 0.5), TrafficAgent(-1024, 10.0, -0.5)])
+        controllers, gain = ControllerBank([StaticGainController(0.5)]), zero_design(
+            np.array([1.0, -1.0]), P2)
+        x0, eta0, dt = [10.0, 10.0], [0.0], 1.0
+    else:
+        agents = AgentBank([TrafficAgent(2, 3.0, 0.5), TrafficAgent(2, -8.0, 0.5)])
+        controllers = ControllerBank([TanhIntegratorController()])
+        gain = GainDesign(alpha=np.zeros(2), beta=np.array([4.0]), epsilon=0.0, threshold=0.0,
+                          certificate=1.0)
+        x0, eta0, dt = [10.0, 8.0], [20.5], 0.3
+    run = assert_same_run(ClosedLoopSystem(P2, agents, controllers, gain), x0, eta0,
+                          dt=dt, t_max=64 * dt)
+    assert run.affine_samples == 0
+
+
+def test_affine_map_steps_most_of_the_slow_hybrid_case_study():
+    # n=10, seed 2 has a negative rate sum; the benchmark rescues it in hybrid
+    # mode.  Its slow tail is all-deep: 29,189 of its 31,654 samples.
+    data = generate_case_study(10, 2).to_dict()
+    data.update(gain_mode="hybrid", self_regulating=[0])
+    config = config_from_dict(data)
+    parts = build_system_parts(config)
+    system = ClosedLoopSystem(*parts, synthesis_stage(config, *parts)[0])
+    trajectory = simulate(system, seed=config.seed)
+    assert trajectory.converged
+    assert trajectory.affine_samples > 0.9 * trajectory.times.size
+
+
+@settings(derandomize=True, deadline=None)
+@given(random_loops(), st.sampled_from([0.01, 0.05, 0.2]), st.integers(1, 300),
+       st.integers(1, 120), st.sampled_from([1e-8, 1e-3, 1.0]))
+def test_affine_tail_matches_plain_loop_on_random_deep_starts(case, dt, steps, window, tol):
+    # Every tanh edge starts deep, with either sign: wrong-sign edges unwind
+    # out of the deep region, so blocks are both kept and discarded.
+    system, x, eta = case
+    deep = np.where(eta < 0.0, eta - _DEEP, eta + _DEEP)
+    assert_same_run(system, x, deep, dt=dt, t_max=steps * dt, steady_tol=tol, window=window)
 
 
 def test_simulate_rejects_non_finite_initial_states():
