@@ -37,11 +37,16 @@ class NetworkGraph:
     ----------
     incidence : ndarray, shape (n_vertices, n_edges)
         +1 at each edge's head row, -1 at its tail row.
+    heads, tails : ndarray of intp, shape (n_edges,)
+        Each edge's head and tail vertex, so ``y[heads] - y[tails]`` is
+        ``incidence.T @ y`` without the product.
     """
 
     n_vertices: int
     edges: tuple
     incidence: np.ndarray = field(init=False, repr=False, compare=False)
+    heads: np.ndarray = field(init=False, repr=False, compare=False)
+    tails: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.n_vertices
@@ -64,12 +69,14 @@ class NetworkGraph:
                 raise DuplicateEdgeError(f"edge {k} = ({head}, {tail}) repeats {key}")
             seen.add(key)
 
+        heads, tails = np.array(edges, dtype=np.intp).reshape(-1, 2).T.copy()
         inc = np.zeros((n, len(edges)))
-        for k, (head, tail) in enumerate(edges):
-            inc[head, k] = 1.0
-            inc[tail, k] = -1.0
-        inc.setflags(write=False)
-        object.__setattr__(self, "incidence", inc)
+        columns = np.arange(len(edges))
+        inc[heads, columns] = 1.0
+        inc[tails, columns] = -1.0
+        for name, value in (("incidence", inc), ("heads", heads), ("tails", tails)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     # ------------------------------------------------------------------
     # construction helpers

@@ -85,7 +85,11 @@ _CSV_BLOCK = 256
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Validated scenario description, storable as JSON; ``_SETTINGS`` describes it."""
+    """Validated scenario description, storable as JSON; ``_SETTINGS`` describes it.
+
+    ``parts`` holds the (graph, agent bank, controller bank) that validation
+    built; it is not part of the stored description.
+    """
 
     graph: dict
     agents: tuple
@@ -102,6 +106,7 @@ class ScenarioConfig:
     solver_max_iter: int
     solver_tol: float
     mismatch_tol: float
+    parts: tuple = field(repr=False, compare=False)
 
     def to_dict(self):
         data = {section: {} for section in _SECTION_KEYS if section is not None}
@@ -172,10 +177,10 @@ def _graph(spec, path, settings):
                 or not all(isinstance(v, int) and not isinstance(v, bool) for v in e):
             _fail(f"{path}.edges[{k}]", "must be a pair of integers")
     try:
-        NetworkGraph(n, tuple((h, t) for h, t in edges))
+        graph = NetworkGraph(n, tuple((h, t) for h, t in edges))
     except NetpassError as exc:
         _fail(f"{path}.edges", str(exc))
-    return {"n": n, "edges": [list(e) for e in edges]}
+    return {"n": n, "edges": [list(e) for e in edges]}, graph
 
 
 def _model(kinds, spec, path):
@@ -190,13 +195,13 @@ def _model(kinds, spec, path):
         _fail(f"{path}.{exc.field}", str(exc))
 
 
-def _specs(specs, path, kinds, count):
-    """Model specs with their nulls dropped, each checked by building its model."""
+def _specs(specs, path, kinds, count, bank):
+    """Model specs with their nulls dropped, and the ``bank`` of the models they build."""
     if not isinstance(specs, list):
         _fail(path, "must be a list")
     if len(specs) != count:
         _fail(path, f"expected {count} entries, got {len(specs)}")
-    out = []
+    out, models = [], []
     for k, spec in enumerate(specs):
         spec_path = f"{path}[{k}]"
         if not isinstance(spec, dict):
@@ -212,9 +217,9 @@ def _specs(specs, path, kinds, count):
         for key in required:
             if key not in spec:
                 _fail(f"{spec_path}.{key}", "missing required field")
-        _model(kinds, spec, spec_path)
+        models.append(_model(kinds, spec, spec_path))
         out.append(spec)
-    return tuple(out)
+    return tuple(out), bank(models)
 
 
 def _gain_mode(value, path, settings):
@@ -256,14 +261,17 @@ _CONTROLLER_KINDS = {
 
 # ScenarioConfig attribute -> (file section, None at top level; key; default;
 # rule).  A rule maps (value, path, the settings read so far) to the stored
-# value.  An absent or null key takes the default; a _REQUIRED one fails.
+# value; the rules of _BUILT map to (stored value, the graph or bank that
+# checking it built).  An absent or null key takes the default; a _REQUIRED
+# one fails.
 _REQUIRED = object()
+_BUILT = ("graph", "agents", "controllers")
 _SETTINGS = {
     "graph": (None, "graph", _REQUIRED, _graph),
-    "agents": (None, "agents", _REQUIRED,
-               lambda value, path, s: _specs(value, path, _AGENT_KINDS, s["graph"]["n"])),
+    "agents": (None, "agents", _REQUIRED, lambda value, path, s: _specs(
+        value, path, _AGENT_KINDS, s["graph"]["n"], AgentBank)),
     "controllers": (None, "controllers", _REQUIRED, lambda value, path, s: _specs(
-        value, path, _CONTROLLER_KINDS, len(s["graph"]["edges"]))),
+        value, path, _CONTROLLER_KINDS, len(s["graph"]["edges"]), ControllerBank)),
     "gain_mode": (None, "gain_mode", "network_only", _gain_mode),
     "self_regulating": (None, "self_regulating", (), _vertices),
     "epsilon": (None, "epsilon", None, _positive),
@@ -288,7 +296,7 @@ def config_from_dict(data):
     """Validate a raw dictionary into a ScenarioConfig.
 
     Raises ConfigSchemaError carrying the dotted path of the first offending
-    field.
+    field.  The graph and every model are built once, here.
     """
     if not isinstance(data, dict):
         _fail("$", "top level must be an object")
@@ -301,23 +309,26 @@ def config_from_dict(data):
             _fail(path, "must be an object")
         _check_keys(spec, keys, path)
         sections[section] = spec
-    settings = {}
+    settings, built = {}, {}
     for name, (section, key, default, rule) in _SETTINGS.items():
         path = f"$.{key}" if section is None else f"$.{section}.{key}"
         value = sections[section].get(key)
         if value is not None:
-            settings[name] = rule(value, path, settings)
+            value = rule(value, path, settings)
+            if name in _BUILT:
+                value, built[name] = value
+            settings[name] = value
         elif default is _REQUIRED:
             _fail(path, "missing required field")
         else:
             settings[name] = default
-    config = ScenarioConfig(**settings)
-    if config.gain_mode == "hybrid":
-        if not config.self_regulating:
+    graph = built["graph"]
+    if settings["gain_mode"] == "hybrid":
+        if not settings["self_regulating"]:
             _fail("$.self_regulating", "hybrid mode needs at least one vertex")
-        if not NetworkGraph.from_dict(config.graph).is_connected():
+        if not graph.is_connected():
             _fail("$.gain_mode", "hybrid mode needs a connected graph")
-    return config
+    return ScenarioConfig(**settings, parts=(graph, built["agents"], built["controllers"]))
 
 
 def load_config(path):
@@ -333,13 +344,8 @@ def load_config(path):
 
 
 def build_system_parts(config: ScenarioConfig):
-    """Materialize (graph, agent bank, controller bank) from a validated config."""
-    graph = NetworkGraph.from_dict(config.graph)
-    agents = AgentBank([_model(_AGENT_KINDS, spec, f"$.agents[{k}]")
-                        for k, spec in enumerate(config.agents)])
-    controllers = ControllerBank([_model(_CONTROLLER_KINDS, spec, f"$.controllers[{k}]")
-                                  for k, spec in enumerate(config.controllers)])
-    return graph, agents, controllers
+    """The (graph, agent bank, controller bank) that validating the config built."""
+    return config.parts
 
 
 # ----------------------------------------------------------------------
@@ -362,12 +368,13 @@ def generate_case_study(n, seed):
     kappa = np.where(rng.random(n) < 1.0 / 3.0, -1.0, 1.0)
     mix = rng.random(n) < 0.5
     v0 = np.where(mix, 20.0, 120.0) + 15.0 * rng.standard_normal(n)
-    graph = NetworkGraph.complete(n)
+    # The complete graph's edges, oriented low index -> high as in NetworkGraph.complete.
+    edges = [[i, j] for i in range(n) for j in range(i + 1, n)]
     agents = [{"kind": "traffic", "kappa": float(k), "v0": float(v), "v1": float(0.8 * k)}
               for k, v in zip(kappa, v0)]
-    controllers = [{"kind": "tanh_integrator"} for _ in range(graph.n_edges)]
+    controllers = [{"kind": "tanh_integrator"} for _ in edges]
     return config_from_dict({
-        "graph": graph.to_dict(),
+        "graph": {"n": n, "edges": edges},
         "agents": agents,
         "controllers": controllers,
         "gain_mode": "network_only",

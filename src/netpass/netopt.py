@@ -17,16 +17,18 @@ the agents' steady-state slopes in place of their indices.
 ``solve`` is an alternating-direction splitting with the vertex block kept
 smooth (all supported agents have quadratic potentials, so that update is a
 linear solve) and the edge block handled by the controllers' closed-form
-proximal maps.  ``brute_force`` is a deliberately independent grid oracle
-used to cross-check the splitting solver on small instances.
+proximal maps.  The vertex system H + t L changes only when the penalty t
+does, so it is inverted once per penalty, from its Cholesky factor (or as a
+pseudoinverse when it is only semidefinite), and each iteration's vertex
+update is one matrix-vector product; ``E^T y`` is the gather
+``y[heads] - y[tails]``.  ``brute_force`` is a deliberately independent grid
+oracle used to cross-check the splitting solver on small instances.
 """
 
 import enum
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
-from scipy.optimize import lsq_linear
 
 from .agents import AgentBank
 from .controllers import ControllerBank
@@ -47,6 +49,11 @@ __all__ = [
 
 # Sampled curvature below this is treated as genuine nonconvexity.
 _CURVATURE_TOL = -1e-9
+# A Cholesky pivot whose square is at most this share of the largest diagonal
+# entry marks the vertex system as singular.  Exactly singular Laplacians
+# (complete and path graphs, n <= 100, t in 1e-8..1e8) leave pivots up to
+# 1.8e-14; the definite systems of the bench scenarios keep 8.5e-11 at t = 1e8.
+_PIVOT_TOL = 1e-12
 
 # ``solve``'s defaults: initial penalty, iteration budget, residual tolerance.
 SOLVER_STEP, SOLVER_MAX_ITER, SOLVER_TOL = 1.0, 100000, 1e-8
@@ -158,35 +165,36 @@ def build_problem(graph, agents, controllers, gain: GainDesign = None):
 
 
 class _VertexSolver:
-    """Solves (H + t * L) y = rhs, tolerating a consensus null space."""
+    """Solves (H + t * L) y = rhs by one product, tolerating a consensus null space."""
 
     def __init__(self, hessian, laplacian):
         self._H = hessian
         self._L = laplacian
-        self._cho = None
-        self._pinv = None
+        self._inverse = None
 
     def factor(self, t):
+        """Cache the inverse of H + t * L; False (the cache kept) if it is indefinite."""
         A = self._H + t * self._L
         try:
-            self._cho = cho_factor(A)
-            self._pinv = None
-            return True
+            C = np.linalg.cholesky(A)
         except np.linalg.LinAlgError:
-            pass
+            C = None
+        if C is not None and np.min(np.diag(C))**2 > _PIVOT_TOL * np.max(np.diag(A)):
+            Ci = np.linalg.inv(C)
+            self._inverse = Ci.T @ Ci
+            return True
         # Semidefinite but consistent systems (e.g. all-integrator networks)
         # fall back to the pseudoinverse, picking the minimum-norm solution.
+        # So does a factor with a rounding-level pivot: inverting it would
+        # lose the solution's range part to its huge null-space part.
         eigenvalues = np.linalg.eigvalsh(A)
         if eigenvalues[0] < -1e-10 * max(1.0, abs(eigenvalues[-1])):
             return False
-        self._cho = None
-        self._pinv = np.linalg.pinv(A, hermitian=True)
+        self._inverse = np.linalg.pinv(A, hermitian=True)
         return True
 
     def solve(self, rhs):
-        if self._cho is not None:
-            return cho_solve(self._cho, rhs)
-        return self._pinv @ rhs
+        return self._inverse @ rhs
 
 
 def solve(problem: RegularizedProblem, step=SOLVER_STEP, max_iter=SOLVER_MAX_ITER,
@@ -214,7 +222,7 @@ def solve(problem: RegularizedProblem, step=SOLVER_STEP, max_iter=SOLVER_MAX_ITE
     controller prox.
     """
     nonconvex = problem.convexity_probe() < _CURVATURE_TOL
-    E = problem.graph.incidence
+    E, heads, tails = problem.graph.incidence, problem.graph.heads, problem.graph.tails
     L = problem.graph.laplacian()
     lin = problem.agents.steady_input(np.zeros(len(problem.agents)))
 
@@ -230,7 +238,7 @@ def solve(problem: RegularizedProblem, step=SOLVER_STEP, max_iter=SOLVER_MAX_ITE
         )
 
     y = problem.agents.anchors.astype(float).copy()
-    zeta = E.T @ y
+    zeta = y[heads] - y[tails]
     w = np.zeros(problem.graph.n_edges)
 
     vertex = _VertexSolver(problem.smooth_hessian(), L)
@@ -246,7 +254,7 @@ def solve(problem: RegularizedProblem, step=SOLVER_STEP, max_iter=SOLVER_MAX_ITE
     for iterations in range(1, max_iter + 1):
         rhs = t * (E @ (zeta - w)) - lin
         y = vertex.solve(rhs)
-        Ety = E.T @ y
+        Ety = y[heads] - y[tails]
         zeta_prev = zeta
         zeta = problem.controllers.prox(Ety + w, 1.0 / t)
         w = w + Ety - zeta
@@ -359,6 +367,10 @@ def stationarity_residual(problem: RegularizedProblem, y, zero_tol=1e-6):
     free = ~fixed
     if not np.any(free):
         return float(np.linalg.norm(residual_base)), selection
+    # Imported here, not at module level: no CLI command reaches this fit,
+    # so the CLI starts without loading scipy.
+    from scipy.optimize import lsq_linear
+
     result = lsq_linear(
         E[:, free], -residual_base, bounds=(lower[free], upper[free]), method="bvls"
     )

@@ -93,7 +93,7 @@ class ClosedLoopSystem:
                             self.gain.beta + self.controllers.w, self.graph)
         operator = np.column_stack((np.diag(self.agents.p) - q * K, -q * E[:, sat]))
         operator.setflags(write=False)
-        heads, tails = np.array(self.graph.edges, dtype=np.intp).reshape(-1, 2).T
+        heads, tails = self.graph.heads, self.graph.tails
         cols = _tanh_columns(n, sat)
         object.__setattr__(self, "operator", operator)
         object.__setattr__(self, "_sat", (n, cols, heads[sat], tails[sat], self.agents.g))

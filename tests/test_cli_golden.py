@@ -17,11 +17,15 @@ review the diff it leaves.
 import contextlib
 import io
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import netpass
 from netpass.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -117,6 +121,47 @@ def test_check_synthesize_and_verify_agree_on_feasibility(scenario, tmp_path):
     assert (check_code == 1) == infeasible
     assert (synth_code == 1) == infeasible
     assert (json.loads(verify_out)["verdict"] == "infeasible") == infeasible
+
+
+# Runs every golden case in an interpreter where importing scipy fails, and
+# prints the name of each case whose exit code, stdout or files differ.
+_WITHOUT_SCIPY = """
+import sys
+sys.modules["scipy"] = None  # every import of scipy now raises ImportError
+import tempfile
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+from test_cli_golden import CASES, EXPECTED, _files, run_case
+
+for name, exit_code, argv in CASES:
+    with tempfile.TemporaryDirectory() as out:
+        code, stdout = run_case(argv, Path(out))
+        written = _files(Path(out))
+    golden = _files(EXPECTED / name)
+    if code != exit_code or stdout.encode() != golden.pop("stdout") or written != golden:
+        print(name)
+"""
+
+
+def _python(*args):
+    """Run a fresh interpreter that imports this netpass; return its stdout."""
+    src = str(Path(netpass.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_every_command_matches_its_golden_without_scipy():
+    assert _python("-c", _WITHOUT_SCIPY, str(Path(__file__).resolve().parent)) == ""
+
+
+def test_importing_netpass_loads_no_scipy():
+    loaded = _python("-c", "import sys, netpass, netpass.cli; "
+                           "print(*sorted(m for m in sys.modules if m.startswith('scipy')))")
+    assert loaded.split() == []
 
 
 def _regenerate():

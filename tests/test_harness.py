@@ -279,6 +279,27 @@ def test_build_system_parts_materializes_banks():
     np.testing.assert_allclose(agents.anchors, [10.0, 10.5])
 
 
+def test_config_builds_its_graph_and_each_model_once(monkeypatch):
+    graphs, models = [], []
+
+    class CountedGraph(NetworkGraph):
+        def __post_init__(self):
+            graphs.append(self)
+            super().__post_init__()
+
+    monkeypatch.setattr(harness, "NetworkGraph", CountedGraph)
+    for kinds in (harness._AGENT_KINDS, harness._CONTROLLER_KINDS):
+        for kind, (cls, *params) in list(kinds.items()):
+            monkeypatch.setitem(kinds, kind, (counted(cls, models), *params))
+    # hybrid mode also checks that the graph is connected
+    config = config_from_dict(mixed_pair_dict(gain_mode="hybrid", self_regulating=[0]))
+    graph, agents, controllers = build_system_parts(config)
+    assert graphs == [graph]
+    assert len(models) == len(agents) + len(controllers) == 3
+    assert build_system_parts(config) == (graph, agents, controllers)
+    assert len(graphs) == 1 and len(models) == 3
+
+
 # ----------------------------------------------------------------------
 # case-study generation
 # ----------------------------------------------------------------------
