@@ -109,6 +109,7 @@ class ControllerBank:
         )
         for arr in (self.saturated, self.w):
             arr.setflags(write=False)
+        self._no_static = bool(self.saturated.all())
 
     def __len__(self):
         return len(self.controllers)
@@ -146,6 +147,8 @@ class ControllerBank:
         if step <= 0.0:
             raise ValueError(f"prox step must be positive, got {step}")
         shrunk = np.sign(v) * np.maximum(np.abs(v) - step, 0.0)
+        if self._no_static:
+            return shrunk
         return np.where(self.saturated, shrunk, v / (1.0 + step * self.w))
 
     def conjugate_total(self, mu):

@@ -26,6 +26,7 @@ oracle used to cross-check the splitting solver on small instances.
 """
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -225,6 +226,7 @@ def solve(problem: RegularizedProblem, step=SOLVER_STEP, max_iter=SOLVER_MAX_ITE
     E, heads, tails = problem.graph.incidence, problem.graph.heads, problem.graph.tails
     L = problem.graph.laplacian()
     lin = problem.agents.steady_input(np.zeros(len(problem.agents)))
+    prox = problem.controllers.prox
 
     def best_effort(y, zeta, r_p, r_d, iterations, status):
         return Minimizer(
@@ -256,13 +258,18 @@ def solve(problem: RegularizedProblem, step=SOLVER_STEP, max_iter=SOLVER_MAX_ITE
         y = vertex.solve(rhs)
         Ety = y[heads] - y[tails]
         zeta_prev = zeta
-        zeta = problem.controllers.prox(Ety + w, 1.0 / t)
+        zeta = prox(Ety + w, 1.0 / t)
         w = w + Ety - zeta
-        r_p = float(np.linalg.norm(Ety - zeta))
-        r_d = float(np.linalg.norm(t * (E @ (zeta - zeta_prev))))
-        if r_p < tol and r_d < tol:
-            break
-        if iterations % 50 == 0:
+        r = Ety - zeta
+        r_p = math.sqrt(r @ r)
+        balance = iterations % 50 == 0
+        # Only the stop test, the balancing and the last iterate read r_d.
+        if r_p < tol or balance or iterations == max_iter:
+            d = t * (E @ (zeta - zeta_prev))
+            r_d = math.sqrt(d @ d)
+            if r_p < tol and r_d < tol:
+                break
+        if balance:
             if r_p > 10.0 * r_d and t < 1e8:
                 if vertex.factor(2.0 * t):
                     t *= 2.0
@@ -271,8 +278,6 @@ def solve(problem: RegularizedProblem, step=SOLVER_STEP, max_iter=SOLVER_MAX_ITE
                 if vertex.factor(t / 2.0):
                     t /= 2.0
                     w = w * 2.0
-                else:
-                    vertex.factor(t)
 
     if nonconvex:
         status = SolveStatus.NONCONVEX_DETECTED

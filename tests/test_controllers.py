@@ -215,6 +215,27 @@ def test_bank_prox_matches_per_edge():
     np.testing.assert_allclose(bank.prox(v, 1.0), expected, atol=EXACT_TOL)
 
 
+@pytest.mark.parametrize("kinds", ["tanh", "static", "mixed"])
+@pytest.mark.parametrize("step", [1e-8, 0.3, 1.0, 1e4])
+def test_bank_prox_equals_the_scalar_prox_element_by_element(kinds, step):
+    # v at 0, at and just inside +-step, and far from both; 13 values, so the
+    # repeat puts each of them on a tanh and on a static edge of the mixed bank.
+    factors = [0.0, 1.0, -1.0, 0.5, -0.5, 1.5, -1.5, 1e6, -1e6]
+    v = np.array([f * step for f in factors] + [7.25, -7.25, 1e9, -1e9])
+    v = np.concatenate([v, v])
+    makers = {
+        "tanh": lambda k: TanhIntegratorController(),
+        "static": lambda k: StaticGainController(0.5 + k % 3),
+        "mixed": lambda k: (TanhIntegratorController() if k % 2
+                            else StaticGainController(0.5 + k % 3)),
+    }
+    bank = ControllerBank([makers[kinds](k) for k in range(len(v))])
+    got = bank.prox(v, step)
+    expected = np.array([c.prox(vi, step) for c, vi in zip(bank.controllers, v)])
+    np.testing.assert_array_equal(got, expected)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(expected))
+
+
 def test_bank_effort_bounds():
     bank = make_bank()
     zeta = np.array([0.0, 1.5, -2.0])

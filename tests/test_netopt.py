@@ -15,7 +15,7 @@ Frozen values derived by hand:
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from netpass import (
     AgentBank,
@@ -356,6 +356,145 @@ def test_vertex_solve_on_an_integrator_network_is_the_minimum_norm_solution(n, t
     x, errors = _backward_errors(problem.smooth_hessian(), L, t, rhs)
     assert errors.max() <= VERTEX_BACKWARD_TOL
     np.testing.assert_allclose(x.sum(axis=0), 0.0, atol=1e-12 * np.abs(x).max())
+
+
+# ----------------------------------------------------------------------
+# plain-loop ADMM oracle
+# ----------------------------------------------------------------------
+
+
+def plain_admm(problem, step=1.0, max_iter=100000, tol=1e-8):
+    """The plain splitting loop that ``solve`` trims, kept as a reference.
+
+    Both incidence products are dense, both residuals are formed on every
+    iteration, the prox evaluates both controller branches, and a failed
+    halving re-forms the current vertex inverse.  ``solve`` must take the
+    same iterations to the same status; its sums run in another order, so
+    the values agree to rounding only.
+    """
+    nonconvex = problem.convexity_probe() < -1e-9
+    E = problem.graph.incidence
+    sat, gain = problem.controllers.saturated, problem.controllers.w
+    lin = problem.agents.steady_input(np.zeros(len(problem.agents)))
+
+    def prox(v, s):
+        shrunk = np.sign(v) * np.maximum(np.abs(v) - s, 0.0)
+        return np.where(sat, shrunk, v / (1.0 + s * gain))
+
+    y = problem.agents.anchors.astype(float).copy()
+    zeta = E.T @ y
+    w = np.zeros(problem.graph.n_edges)
+    vertex = _VertexSolver(problem.smooth_hessian(), problem.graph.laplacian())
+    t = float(step)
+    while not vertex.factor(t):
+        t *= 2.0
+        if t > 1e12:
+            status = SolveStatus.NONCONVEX_DETECTED if nonconvex else SolveStatus.MAX_ITER
+            return y, zeta, np.inf, np.inf, 0, status
+    r_p = r_d = np.inf
+    iterations = 0
+    for iterations in range(1, max_iter + 1):
+        y = vertex.solve(t * (E @ (zeta - w)) - lin)
+        Ety = E.T @ y
+        zeta_prev = zeta
+        zeta = prox(Ety + w, 1.0 / t)
+        w = w + Ety - zeta
+        r_p = float(np.linalg.norm(Ety - zeta))
+        r_d = float(np.linalg.norm(t * (E @ (zeta - zeta_prev))))
+        if r_p < tol and r_d < tol:
+            break
+        if iterations % 50 == 0:
+            if r_p > 10.0 * r_d and t < 1e8:
+                if vertex.factor(2.0 * t):
+                    t *= 2.0
+                    w = w / 2.0
+            elif r_d > 10.0 * r_p and t > 1e-8:
+                if vertex.factor(t / 2.0):
+                    t /= 2.0
+                    w = w * 2.0
+                else:
+                    vertex.factor(t)
+    if nonconvex:
+        status = SolveStatus.NONCONVEX_DETECTED
+    elif r_p < tol and r_d < tol:
+        status = SolveStatus.OPTIMAL
+    else:
+        status = SolveStatus.MAX_ITER
+    return y, zeta, r_p, r_d, iterations, status
+
+
+# y* and zeta* agree with the oracle's within this share of max |y*|, and
+# each residual within this share of the oracle's.
+ORACLE_POINT_TOL = 1e-12
+ORACLE_RESIDUAL_TOL = 1e-9
+
+
+def assert_matches_plain_admm(problem, max_iter):
+    kwargs = {} if max_iter is None else {"max_iter": max_iter}
+    got = solve(problem, **kwargs)
+    y, zeta, r_p, r_d, iterations, status = plain_admm(problem, **kwargs)
+    assert (got.iterations, got.status) == (iterations, status)
+    scale = max(np.abs(y).max(), 1e-300)
+    assert np.abs(got.y_star - y).max() <= ORACLE_POINT_TOL * scale
+    assert np.abs(got.zeta_star - zeta).max(initial=0.0) <= ORACLE_POINT_TOL * scale
+    for value, expected in ((got.primal_residual, r_p), (got.dual_residual, r_d)):
+        assert value == pytest.approx(expected, rel=ORACLE_RESIDUAL_TOL, abs=0.0)
+    return got
+
+
+@st.composite
+def admm_problems(draw):
+    """Small random graphs with tanh, static or mixed banks and any agent signs."""
+    n = draw(st.integers(min_value=2, max_value=6))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
+    edges = tuple((j, i) if draw(st.booleans()) else (i, j) for i, j in chosen)
+    bank = draw(st.sampled_from(("tanh", "static", "mixed")))
+    controllers = []
+    for _ in edges:
+        if bank == "tanh" or (bank == "mixed" and draw(st.booleans())):
+            controllers.append(TanhIntegratorController())
+        else:
+            controllers.append(StaticGainController(draw(st.floats(0.1, 3.0))))
+    agents = []
+    for _ in range(n):
+        sign = draw(st.sampled_from((-1.0, 1.0, 1.0, 1.0)))
+        agents.append(TrafficAgent(sign, draw(st.floats(0.0, 40.0)),
+                                   sign * draw(st.floats(0.2, 5.0))))
+    gains = st.floats(min_value=0.0, max_value=10.0)
+    gain = GainDesign(alpha=draw(st.lists(gains, min_size=n, max_size=n)),
+                      beta=draw(st.lists(gains, min_size=len(edges), max_size=len(edges))),
+                      epsilon=0.0, threshold=0.0, certificate=1.0)
+    problem = build_problem(NetworkGraph(n, edges), AgentBank(agents),
+                            ControllerBank(controllers), gain)
+    # Iterates on a nonconvex problem can grow until their norms overflow.
+    assume(problem.convexity_probe() > 0.0)
+    return problem
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(admm_problems(), st.sampled_from((1, 3, 49, 50, 51, 200, None)))
+def test_solve_matches_the_plain_admm_loop(problem, max_iter):
+    assert_matches_plain_admm(problem, max_iter)
+
+
+def test_solve_matches_the_plain_admm_loop_on_every_exit_path():
+    config = generate_case_study(5, 1)  # 156 iterations, balanced at 50, 100, 150
+    problem = synthesis_stage(config, *build_system_parts(config))[1]
+    # the tolerance exit
+    got = assert_matches_plain_admm(problem, None)
+    assert (got.iterations, got.status) == (156, SolveStatus.OPTIMAL)
+    # a max_iter exit on and off a multiple of 50, before and after balancing
+    for max_iter in (1, 3, 49, 50, 51, 100, 137):
+        got = assert_matches_plain_admm(problem, max_iter)
+        assert (got.iterations, got.status) == (max_iter, SolveStatus.MAX_ITER)
+    # a factor that fails at the start: a lone negative-curvature vertex, so
+    # H + t L = H is negative at every penalty
+    problem = build_problem(NetworkGraph(1, ()),
+                            AgentBank([TrafficAgent(-1, 25.0, -0.5)]), ControllerBank([]))
+    got = assert_matches_plain_admm(problem, None)
+    assert got.iterations == 0 and got.status is SolveStatus.NONCONVEX_DETECTED
+    assert got.primal_residual == got.dual_residual == np.inf
 
 
 # ----------------------------------------------------------------------
