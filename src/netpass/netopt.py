@@ -19,10 +19,14 @@ smooth (all supported agents have quadratic potentials, so that update is a
 linear solve) and the edge block handled by the controllers' closed-form
 proximal maps.  The vertex system H + t L changes only when the penalty t
 does, so it is inverted once per penalty, from its Cholesky factor (or as a
-pseudoinverse when it is only semidefinite), and each iteration's vertex
-update is one matrix-vector product; ``E^T y`` is the gather
-``y[heads] - y[tails]``.  ``brute_force`` is a deliberately independent grid
-oracle used to cross-check the splitting solver on small instances.
+pseudoinverse when it is only semidefinite).  An iteration is then one
+scatter ``E v`` (``bincount`` over the edges' heads minus their tails), one
+n x n product, one gather ``E^T y = y[heads] - y[tails]`` and the prox, all
+O(m) but the product; the dense incidence is never read.  The dual residual
+costs a second scatter, so it is formed only where it is read: once the
+primal residual meets the tolerance, at each balancing iteration and at the
+last one.  ``brute_force`` is a deliberately independent grid oracle used to
+cross-check the splitting solver on small instances.
 """
 
 import enum
@@ -213,6 +217,13 @@ def solve(problem: RegularizedProblem, step=SOLVER_STEP, max_iter=SOLVER_MAX_ITE
     tol : float
         Convergence threshold on both primal and dual residual norms.
 
+    Each iteration costs one scatter ``E (zeta - w)``, one product with the
+    cached n x n inverse, one gather ``E^T y`` and the controllers' prox.
+    The dual residual ``t |E (zeta - zeta_prev)|`` is formed, by a second
+    scatter, only when the primal residual is below ``tol``, on every 50th
+    iteration (where the penalty is balanced) and on the last; the returned
+    residuals are always those of the returned iterate.
+
     A failed convexity probe downgrades the status to ``NONCONVEX_DETECTED``
     and the returned point is best-effort only.
 
@@ -223,10 +234,15 @@ def solve(problem: RegularizedProblem, step=SOLVER_STEP, max_iter=SOLVER_MAX_ITE
     controller prox.
     """
     nonconvex = problem.convexity_probe() < _CURVATURE_TOL
-    E, heads, tails = problem.graph.incidence, problem.graph.heads, problem.graph.tails
+    heads, tails = problem.graph.heads, problem.graph.tails
+    n = problem.graph.n_vertices
     L = problem.graph.laplacian()
     lin = problem.agents.steady_input(np.zeros(len(problem.agents)))
     prox = problem.controllers.prox
+
+    def scatter(v):
+        """``E @ v`` without the product: v added at each edge's head, taken at its tail."""
+        return np.bincount(heads, v, n) - np.bincount(tails, v, n)
 
     def best_effort(y, zeta, r_p, r_d, iterations, status):
         return Minimizer(
@@ -254,7 +270,7 @@ def solve(problem: RegularizedProblem, step=SOLVER_STEP, max_iter=SOLVER_MAX_ITE
     r_p = r_d = np.inf
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        rhs = t * (E @ (zeta - w)) - lin
+        rhs = t * scatter(zeta - w) - lin
         y = vertex.solve(rhs)
         Ety = y[heads] - y[tails]
         zeta_prev = zeta
@@ -265,7 +281,7 @@ def solve(problem: RegularizedProblem, step=SOLVER_STEP, max_iter=SOLVER_MAX_ITE
         balance = iterations % 50 == 0
         # Only the stop test, the balancing and the last iterate read r_d.
         if r_p < tol or balance or iterations == max_iter:
-            d = t * (E @ (zeta - zeta_prev))
+            d = t * scatter(zeta - zeta_prev)
             r_d = math.sqrt(d @ d)
             if r_p < tol and r_d < tol:
                 break

@@ -390,7 +390,7 @@ def plain_admm(problem, step=1.0, max_iter=100000, tol=1e-8):
         t *= 2.0
         if t > 1e12:
             status = SolveStatus.NONCONVEX_DETECTED if nonconvex else SolveStatus.MAX_ITER
-            return y, zeta, np.inf, np.inf, 0, status
+            return y, zeta, np.inf, np.inf, 0, status, t
     r_p = r_d = np.inf
     iterations = 0
     for iterations in range(1, max_iter + 1):
@@ -420,11 +420,14 @@ def plain_admm(problem, step=1.0, max_iter=100000, tol=1e-8):
         status = SolveStatus.OPTIMAL
     else:
         status = SolveStatus.MAX_ITER
-    return y, zeta, r_p, r_d, iterations, status
+    return y, zeta, r_p, r_d, iterations, status, t
 
 
-# y* and zeta* agree with the oracle's within this share of max |y*|, and
-# each residual within this share of the oracle's.
+# y* and zeta* agree with the oracle's within this share of max |y*|.  Each
+# residual agrees within this share of the oracle's, plus what moving the
+# iterates by the point tolerance can change it by: near the stop test a
+# residual is a difference of nearly equal iterates, which rounding alone
+# moves in its sixth digit.
 ORACLE_POINT_TOL = 1e-12
 ORACLE_RESIDUAL_TOL = 1e-9
 
@@ -432,19 +435,25 @@ ORACLE_RESIDUAL_TOL = 1e-9
 def assert_matches_plain_admm(problem, max_iter):
     kwargs = {} if max_iter is None else {"max_iter": max_iter}
     got = solve(problem, **kwargs)
-    y, zeta, r_p, r_d, iterations, status = plain_admm(problem, **kwargs)
+    y, zeta, r_p, r_d, iterations, status, t = plain_admm(problem, **kwargs)
     assert (got.iterations, got.status) == (iterations, status)
-    scale = max(np.abs(y).max(), 1e-300)
-    assert np.abs(got.y_star - y).max() <= ORACLE_POINT_TOL * scale
-    assert np.abs(got.zeta_star - zeta).max(initial=0.0) <= ORACLE_POINT_TOL * scale
-    for value, expected in ((got.primal_residual, r_p), (got.dual_residual, r_d)):
-        assert value == pytest.approx(expected, rel=ORACLE_RESIDUAL_TOL, abs=0.0)
+    point = ORACLE_POINT_TOL * max(np.abs(y).max(), 1e-300)
+    assert np.abs(got.y_star - y).max() <= point
+    assert np.abs(got.zeta_star - zeta).max(initial=0.0) <= point
+    # r_p = |E^T y - zeta| and r_d = t |E (zeta - zeta_prev)|, with |E| <= sqrt(2 n)
+    n, m = problem.graph.n_vertices, problem.graph.n_edges
+    norm_E = np.sqrt(2.0 * n)
+    slack_p = (norm_E * np.sqrt(n) + np.sqrt(m)) * point
+    slack_d = t * norm_E * 2.0 * np.sqrt(m) * point
+    for value, expected, slack in ((got.primal_residual, r_p, slack_p),
+                                   (got.dual_residual, r_d, slack_d)):
+        assert value == pytest.approx(expected, rel=ORACLE_RESIDUAL_TOL, abs=slack)
     return got
 
 
 @st.composite
 def admm_problems(draw):
-    """Small random graphs with tanh, static or mixed banks and any agent signs."""
+    """Convex problems on small random graphs with tanh, static or mixed banks."""
     n = draw(st.integers(min_value=2, max_value=6))
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     chosen = draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
