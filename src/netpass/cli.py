@@ -24,8 +24,8 @@ from .harness import (
     emit_report,
     generate_case_study,
     json_text,
-    load_config,
     optimization_stage,
+    read_scenario,
     round_floats,
     simulation_stage,
     synthesis_stage,
@@ -52,33 +52,37 @@ def _print_json(payload, path=None):
     sys.stdout.write(text)
 
 
-def _load(path):
+def _read(path):
     try:
-        return load_config(path)
+        return read_scenario(path)
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}")
 
 
-def _apply_overrides(config, args):
-    if not args.hybrid and args.vsr is None and args.epsilon is None:
-        return config
-    data = config.to_dict()
-    if args.hybrid:
-        data["gain_mode"] = "hybrid"
-    if args.vsr is not None:
-        try:
-            data["self_regulating"] = [int(v) for v in args.vsr.split(",") if v != ""]
-        except ValueError:
-            raise ConfigError(f"--vsr must be a comma-separated list of "
-                              f"integers, got {args.vsr!r}")
-    if args.epsilon is not None:
-        data["epsilon"] = args.epsilon
-    return config_from_dict(data)
+def _load(path):
+    return config_from_dict(_read(path))
 
 
 def _scenario(args):
-    """The overridden config and its parts, for the gain commands."""
-    config = _apply_overrides(_load(args.config), args)
+    """The overridden config and its parts, for the gain commands.
+
+    The overrides replace the file's raw fields, so the scenario is
+    validated, and its graph and models built, once.
+    """
+    data = _read(args.config)
+    if isinstance(data, dict):
+        data = dict(data)
+        if args.hybrid:
+            data["gain_mode"] = "hybrid"
+        if args.vsr is not None:
+            try:
+                data["self_regulating"] = [int(v) for v in args.vsr.split(",") if v != ""]
+            except ValueError:
+                raise ConfigError(f"--vsr must be a comma-separated list of "
+                                  f"integers, got {args.vsr!r}")
+        if args.epsilon is not None:
+            data["epsilon"] = args.epsilon
+    config = config_from_dict(data)
     return config, build_system_parts(config)
 
 

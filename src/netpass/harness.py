@@ -50,6 +50,7 @@ from .sim import STEADY_TOL, ClosedLoopSystem, simulate
 __all__ = [
     "ScenarioConfig",
     "VerifyReport",
+    "read_scenario",
     "load_config",
     "config_from_dict",
     "generate_case_study",
@@ -331,16 +332,20 @@ def config_from_dict(data):
     return ScenarioConfig(**settings, parts=(graph, built["agents"], built["controllers"]))
 
 
-def load_config(path):
-    """Read and validate a JSON scenario file."""
+def read_scenario(path):
+    """The raw JSON value of a scenario file, before validation."""
     try:
         with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigParseError(f"{path}: invalid JSON ({exc})")
     except UnicodeDecodeError as exc:
         raise ConfigParseError(f"{path}: not UTF-8 ({exc})")
-    return config_from_dict(data)
+
+
+def load_config(path):
+    """Read and validate a JSON scenario file."""
+    return config_from_dict(read_scenario(path))
 
 
 def build_system_parts(config: ScenarioConfig):

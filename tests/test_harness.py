@@ -671,6 +671,31 @@ def test_cli_synthesize_infeasible_and_hybrid_override(mixed_file, capsys):
     assert payload["alpha"][0] > 0.0
 
 
+def test_cli_validates_an_overridden_scenario_once(monkeypatch, capsys):
+    graphs = []
+
+    class CountedGraph(NetworkGraph):
+        def __post_init__(self):
+            graphs.append(self)
+            super().__post_init__()
+
+    monkeypatch.setattr(harness, "NetworkGraph", CountedGraph)
+    scenario = Path(__file__).resolve().parent / "golden" / "mixed_pair.json"
+    argv = ["synthesize", str(scenario), "--hybrid", "--vsr", "1", "--epsilon", "0.5"]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["mode"] == "hybrid"
+    assert len(graphs) == 1
+
+
+def test_cli_rejects_an_unparsable_vsr_as_bad_input(mixed_file, capsys):
+    for command in ("synthesize", "simulate", "optimize"):
+        assert main([command, mixed_file, "--hybrid", "--vsr", "0,a"]) == 3
+        assert "--vsr must be a comma-separated list of integers, got '0,a'" \
+            in capsys.readouterr().err
+    assert main(["synthesize", mixed_file, "--hybrid", "--vsr", "2"]) == 3
+    assert "$.self_regulating[0]" in capsys.readouterr().err
+
+
 def test_cli_rejects_a_nonpositive_epsilon_at_its_schema_path(consensus_file, capsys):
     for value in ("0", "-1"):
         assert main(["synthesize", consensus_file, "--epsilon", value]) == 3
