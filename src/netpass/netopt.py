@@ -20,13 +20,10 @@ linear solve) and the edge block handled by the controllers' closed-form
 proximal maps.  The vertex system H + t L changes only when the penalty t
 does, so it is inverted once per penalty, from its Cholesky factor (or as a
 pseudoinverse when it is only semidefinite).  An iteration is then one
-scatter ``E v`` (``bincount`` over the edges' heads minus their tails), one
-n x n product, one gather ``E^T y = y[heads] - y[tails]`` and the prox, all
-O(m) but the product; the dense incidence is never read.  The dual residual
-costs a second scatter, so it is formed only where it is read: once the
-primal residual meets the tolerance, at each balancing iteration and at the
-last one.  ``brute_force`` is a deliberately independent grid oracle used to
-cross-check the splitting solver on small instances.
+scatter ``E v``, one n x n product, one gather ``E^T y`` and the prox, all
+O(m) but the product, and the dual residual is formed only where it is read
+(see ``solve``).  ``brute_force`` is a deliberately independent grid oracle
+used to cross-check the splitting solver on small instances.
 """
 
 import enum
@@ -217,12 +214,14 @@ def solve(problem: RegularizedProblem, step=SOLVER_STEP, max_iter=SOLVER_MAX_ITE
     tol : float
         Convergence threshold on both primal and dual residual norms.
 
-    Each iteration costs one scatter ``E (zeta - w)``, one product with the
-    cached n x n inverse, one gather ``E^T y`` and the controllers' prox.
-    The dual residual ``t |E (zeta - zeta_prev)|`` is formed, by a second
-    scatter, only when the primal residual is below ``tol``, on every 50th
-    iteration (where the penalty is balanced) and on the last; the returned
-    residuals are always those of the returned iterate.
+    Each iteration costs one scatter ``E (zeta - w)`` (``bincount`` over the
+    edges' heads minus their tails), one product with the cached n x n
+    inverse, one gather ``E^T y = y[heads] - y[tails]`` and the controllers'
+    prox; the dense incidence is never read.  The dual residual
+    ``t |E (zeta - zeta_prev)|`` costs a second scatter, so it is formed only
+    when the primal residual is below ``tol``, on every 50th iteration
+    (where the penalty is balanced) and on the last; the returned residuals
+    are always those of the returned iterate.
 
     A failed convexity probe downgrades the status to ``NONCONVEX_DETECTED``
     and the returned point is best-effort only.
@@ -238,7 +237,6 @@ def solve(problem: RegularizedProblem, step=SOLVER_STEP, max_iter=SOLVER_MAX_ITE
     n = problem.graph.n_vertices
     L = problem.graph.laplacian()
     lin = problem.agents.steady_input(np.zeros(len(problem.agents)))
-    prox = problem.controllers.prox
 
     def scatter(v):
         """``E @ v`` without the product: v added at each edge's head, taken at its tail."""
@@ -274,7 +272,7 @@ def solve(problem: RegularizedProblem, step=SOLVER_STEP, max_iter=SOLVER_MAX_ITE
         y = vertex.solve(rhs)
         Ety = y[heads] - y[tails]
         zeta_prev = zeta
-        zeta = prox(Ety + w, 1.0 / t)
+        zeta = problem.controllers.prox(Ety + w, 1.0 / t)
         w = w + Ety - zeta
         r = Ety - zeta
         r_p = math.sqrt(r @ r)
