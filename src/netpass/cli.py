@@ -6,7 +6,7 @@
 Exit codes: 0 on success/pass, 1 when the requested design is infeasible,
 2 when a run fails (simulation blowup or non-convergence, solver stall,
 steady-state mismatch), 3 on bad input (unreadable file, invalid JSON,
-schema violation).
+schema violation) or an output file that cannot be written.
 """
 
 import argparse
@@ -24,6 +24,7 @@ from .harness import (
     emit_report,
     generate_case_study,
     json_text,
+    load_config,
     optimization_stage,
     read_scenario,
     round_floats,
@@ -52,24 +53,13 @@ def _print_json(payload, path=None):
     sys.stdout.write(text)
 
 
-def _read(path):
-    try:
-        return read_scenario(path)
-    except OSError as exc:
-        raise ConfigError(f"cannot read {path}: {exc}")
-
-
-def _load(path):
-    return config_from_dict(_read(path))
-
-
 def _scenario(args):
     """The overridden config and its parts, for the gain commands.
 
     The overrides replace the file's raw fields, so the scenario is
     validated, and its graph and models built, once.
     """
-    data = _read(args.config)
+    data = read_scenario(args.config)
     if isinstance(data, dict):
         data = dict(data)
         if args.hybrid:
@@ -87,7 +77,7 @@ def _scenario(args):
 
 
 def _cmd_check(args):
-    config = _load(args.config)
+    config = load_config(args.config)
     graph, agents, _ = build_system_parts(config)
     try:
         design = synthesize_gain(config, agents.rho_vector, graph, config.epsilon)
@@ -148,7 +138,7 @@ def _cmd_verify(args):
         if args.config_out:
             Path(args.config_out).write_text(json_text(config.to_dict()))
     else:
-        config = _load(args.config)
+        config = load_config(args.config)
     report = verify(config)
     emit_report(report, json_path=args.out_json,
                 trajectory_csv=args.out_trajectory, pairs_csv=args.out_pairs)
@@ -196,37 +186,40 @@ def build_parser():
     p.add_argument("--out", help="also write the JSON result to this file")
     p.set_defaults(func=_cmd_optimize)
 
-    p = sub.add_parser("verify", help="synthesize, simulate, optimize, and "
-                                      "compare steady states")
+    report_args = argparse.ArgumentParser(add_help=False)
+    report_args.add_argument("--out-json", help="write the JSON report here")
+    report_args.add_argument("--out-trajectory", help="write the trajectory CSV here")
+    report_args.add_argument("--out-pairs", help="write the per-vertex pair CSV here")
+
+    p = sub.add_parser("verify", parents=[report_args],
+                       help="synthesize, simulate, optimize, and compare steady states")
     p.add_argument("config")
-    p.add_argument("--out-json", help="write the JSON report here")
-    p.add_argument("--out-trajectory", help="write the trajectory CSV here")
-    p.add_argument("--out-pairs", help="write the per-vertex pair CSV here")
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("casestudy", help="generate the randomized traffic "
-                                         "scenario and verify it")
+    p = sub.add_parser("casestudy", parents=[report_args],
+                       help="generate the randomized traffic scenario and verify it")
     p.add_argument("--n", type=int, required=True,
                    help="number of vehicles (complete graph)")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--config-out", help="write the generated scenario here")
-    p.add_argument("--out-json")
-    p.add_argument("--out-trajectory")
-    p.add_argument("--out-pairs")
     p.set_defaults(func=_cmd_verify)
 
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except NotPassivizableError as exc:
-        # Only the gain commands let this through; verify reports it itself.
-        _print_json({"feasible": False, "reason": str(exc)}, args.out)
-        return EXIT_INFEASIBLE
+        try:
+            return args.func(args)
+        except NotPassivizableError as exc:
+            # Only the gain commands let this through; verify reports it itself.
+            _print_json({"feasible": False, "reason": str(exc)}, args.out)
+            return EXIT_INFEASIBLE
+    except OSError as exc:
+        # read_scenario maps its own OSError, so this one is an output write.
+        sys.stderr.write(f"error: cannot write {exc.filename}: {exc}\n")
+        return EXIT_BAD_INPUT
     except NetpassError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_BAD_INPUT if isinstance(exc, ConfigError) else EXIT_RUN_FAILED

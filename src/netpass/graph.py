@@ -4,7 +4,8 @@ Vertices are numbered 0..n-1.  Every edge carries an arbitrary but fixed
 orientation, recorded as a (head, tail) pair; the incidence matrix has +1 at
 the head and -1 at the tail of each edge column.  All symmetric quantities
 derived here (Laplacian, algebraic connectivity, component structure) are
-independent of the chosen orientation.
+independent of the chosen orientation.  A graph stores its components and
+Laplacian once built, after the incidence, so an impossible graph fails fast.
 """
 
 from dataclasses import dataclass, field
@@ -47,6 +48,8 @@ class NetworkGraph:
     incidence: np.ndarray = field(init=False, repr=False, compare=False)
     heads: np.ndarray = field(init=False, repr=False, compare=False)
     tails: np.ndarray = field(init=False, repr=False, compare=False)
+    _components: tuple = field(init=False, repr=False, compare=False)
+    _laplacian: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.n_vertices
@@ -74,9 +77,15 @@ class NetworkGraph:
         columns = np.arange(len(edges))
         inc[heads, columns] = 1.0
         inc[tails, columns] = -1.0
-        for name, value in (("incidence", inc), ("heads", heads), ("tails", tails)):
+        # The Laplacian E E^T: degrees on the diagonal, -1 for each (unrepeated) edge.
+        lap = np.zeros((n, n))
+        lap[heads, tails] = lap[tails, heads] = -1.0
+        lap[np.diag_indices(n)] = np.bincount(np.concatenate((heads, tails)), minlength=n)
+        for name, value in (("incidence", inc), ("heads", heads), ("tails", tails),
+                            ("_laplacian", lap)):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
+        object.__setattr__(self, "_components", _components(n, edges))
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -92,13 +101,6 @@ class NetworkGraph:
         """Path graph 0-1-...-(n-1)."""
         return cls(n, tuple((i, i + 1) for i in range(n - 1)))
 
-    @classmethod
-    def from_dict(cls, d):
-        return cls(d["n"], tuple((e[0], e[1]) for e in d["edges"]))
-
-    def to_dict(self):
-        return {"n": self.n_vertices, "edges": [list(e) for e in self.edges]}
-
     # ------------------------------------------------------------------
     # derived quantities
     # ------------------------------------------------------------------
@@ -108,36 +110,15 @@ class NetworkGraph:
         return len(self.edges)
 
     def laplacian(self):
-        """Graph Laplacian, the Gram matrix of the incidence rows."""
-        return self.incidence @ self.incidence.T
+        """Graph Laplacian, the Gram matrix of the incidence rows (read-only)."""
+        return self._laplacian
 
     def connected_components(self):
         """Partition of the vertex set, each component sorted, ordered by minimum."""
-        n = self.n_vertices
-        adjacency = [[] for _ in range(n)]
-        for head, tail in self.edges:
-            adjacency[head].append(tail)
-            adjacency[tail].append(head)
-        seen = [False] * n
-        components = []
-        for start in range(n):
-            if seen[start]:
-                continue
-            stack = [start]
-            seen[start] = True
-            comp = []
-            while stack:
-                v = stack.pop()
-                comp.append(v)
-                for w in adjacency[v]:
-                    if not seen[w]:
-                        seen[w] = True
-                        stack.append(w)
-            components.append(sorted(comp))
-        return components
+        return [list(comp) for comp in self._components]
 
     def is_connected(self):
-        return len(self.connected_components()) == 1
+        return len(self._components) == 1
 
     def algebraic_connectivity(self):
         """Second-smallest Laplacian eigenvalue; positive exactly on connected graphs.
@@ -148,9 +129,7 @@ class NetworkGraph:
             If the graph has more than one connected component.
         """
         if not self.is_connected():
-            raise DisconnectedGraphError(
-                f"graph has {len(self.connected_components())} components"
-            )
+            raise DisconnectedGraphError(f"graph has {len(self._components)} components")
         if self.n_vertices == 1:
             raise DisconnectedGraphError("single vertex has no spectral gap")
         eigenvalues = np.linalg.eigvalsh(self.laplacian())
@@ -158,6 +137,8 @@ class NetworkGraph:
 
     def subgraph(self, vertices):
         """Induced subgraph on ``vertices`` (reindexed 0..k-1) plus the kept edge ids."""
+        if list(vertices) == list(range(self.n_vertices)):
+            return self, list(range(self.n_edges))
         index = {v: i for i, v in enumerate(vertices)}
         kept_edges = []
         kept_ids = []
@@ -166,3 +147,23 @@ class NetworkGraph:
                 kept_edges.append((index[head], index[tail]))
                 kept_ids.append(k)
         return NetworkGraph(len(vertices), tuple(kept_edges)), kept_ids
+
+
+def _components(n, edges):
+    """Connected components of a graph on 0..n-1, each a sorted tuple, ordered by minimum."""
+    adjacency = [[] for _ in range(n)]
+    for head, tail in edges:
+        adjacency[head].append(tail)
+        adjacency[tail].append(head)
+    seen, components = set(), []
+    for start in range(n):
+        if start not in seen:
+            seen.add(start)
+            comp = [start]
+            for v in comp:  # breadth-first: comp grows while it is scanned
+                for w in adjacency[v]:
+                    if w not in seen:
+                        seen.add(w)
+                        comp.append(w)
+            components.append(tuple(sorted(comp)))
+    return tuple(components)

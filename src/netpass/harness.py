@@ -35,6 +35,7 @@ import numpy as np
 from .agents import AgentBank, IntegratorAgent, StaticAffineAgent, TrafficAgent
 from .controllers import ControllerBank, StaticGainController, TanhIntegratorController
 from .errors import (
+    ConfigError,
     ConfigParseError,
     ConfigSchemaError,
     NetpassError,
@@ -177,11 +178,7 @@ def _graph(spec, path, settings):
         if (not isinstance(e, list)) or len(e) != 2 \
                 or not all(isinstance(v, int) and not isinstance(v, bool) for v in e):
             _fail(f"{path}.edges[{k}]", "must be a pair of integers")
-    try:
-        graph = NetworkGraph(n, tuple((h, t) for h, t in edges))
-    except NetpassError as exc:
-        _fail(f"{path}.edges", str(exc))
-    return {"n": n, "edges": [list(e) for e in edges]}, graph
+    return {"n": n, "edges": [list(e) for e in edges]}
 
 
 def _model(kinds, spec, path):
@@ -196,12 +193,16 @@ def _model(kinds, spec, path):
         _fail(f"{path}.{exc.field}", str(exc))
 
 
-def _specs(specs, path, kinds, count, bank):
-    """Model specs with their nulls dropped, and the ``bank`` of the models they build."""
+def _count(specs, path, count):
     if not isinstance(specs, list):
         _fail(path, "must be a list")
     if len(specs) != count:
         _fail(path, f"expected {count} entries, got {len(specs)}")
+    return specs
+
+
+def _specs(specs, path, kinds, bank):
+    """Model specs with their nulls dropped, and the ``bank`` of the models they build."""
     out, models = [], []
     for k, spec in enumerate(specs):
         spec_path = f"{path}[{k}]"
@@ -212,15 +213,25 @@ def _specs(specs, path, kinds, count, bank):
             _fail(f"{spec_path}.kind", f"unknown kind {kind!r}")
         _, required, optional = kinds[kind]
         _check_keys(spec, ("kind",) + required + optional, spec_path)
-        spec = dict(spec)
-        if None in spec.values():
-            spec = {key: v for key, v in spec.items() if v is not None}
+        spec = {key: v for key, v in spec.items() if v is not None}
         for key in required:
             if key not in spec:
                 _fail(f"{spec_path}.{key}", "missing required field")
         models.append(_model(kinds, spec, spec_path))
         out.append(spec)
     return tuple(out), bank(models)
+
+
+def _build(settings):
+    """The (graph, agent bank, controller bank) of the counted sections; stores null-free specs."""
+    try:
+        graph = NetworkGraph(settings["graph"]["n"], settings["graph"]["edges"])
+    except NetpassError as exc:
+        _fail("$.graph.edges", str(exc))
+    settings["agents"], agents = _specs(settings["agents"], "$.agents", _AGENT_KINDS, AgentBank)
+    settings["controllers"], controllers = _specs(
+        settings["controllers"], "$.controllers", _CONTROLLER_KINDS, ControllerBank)
+    return graph, agents, controllers
 
 
 def _gain_mode(value, path, settings):
@@ -262,17 +273,16 @@ _CONTROLLER_KINDS = {
 
 # ScenarioConfig attribute -> (file section, None at top level; key; default;
 # rule).  A rule maps (value, path, the settings read so far) to the stored
-# value; the rules of _BUILT map to (stored value, the graph or bank that
-# checking it built).  An absent or null key takes the default; a _REQUIRED
-# one fails.
+# value.  An absent or null key takes the default; a _REQUIRED one fails.
+# The graph and model rules check only shape and counts: ``_build`` then builds
+# the graph and models, so a wrong count fails before anything n-sized exists.
 _REQUIRED = object()
-_BUILT = ("graph", "agents", "controllers")
 _SETTINGS = {
     "graph": (None, "graph", _REQUIRED, _graph),
-    "agents": (None, "agents", _REQUIRED, lambda value, path, s: _specs(
-        value, path, _AGENT_KINDS, s["graph"]["n"], AgentBank)),
-    "controllers": (None, "controllers", _REQUIRED, lambda value, path, s: _specs(
-        value, path, _CONTROLLER_KINDS, len(s["graph"]["edges"]), ControllerBank)),
+    "agents": (None, "agents", _REQUIRED,
+               lambda value, path, s: _count(value, path, s["graph"]["n"])),
+    "controllers": (None, "controllers", _REQUIRED,
+                    lambda value, path, s: _count(value, path, len(s["graph"]["edges"]))),
     "gain_mode": (None, "gain_mode", "network_only", _gain_mode),
     "self_regulating": (None, "self_regulating", (), _vertices),
     "epsilon": (None, "epsilon", None, _positive),
@@ -310,26 +320,24 @@ def config_from_dict(data):
             _fail(path, "must be an object")
         _check_keys(spec, keys, path)
         sections[section] = spec
-    settings, built = {}, {}
+    settings = {}
     for name, (section, key, default, rule) in _SETTINGS.items():
         path = f"$.{key}" if section is None else f"$.{section}.{key}"
         value = sections[section].get(key)
         if value is not None:
-            value = rule(value, path, settings)
-            if name in _BUILT:
-                value, built[name] = value
-            settings[name] = value
+            settings[name] = rule(value, path, settings)
         elif default is _REQUIRED:
             _fail(path, "missing required field")
         else:
             settings[name] = default
-    graph = built["graph"]
+        if name == "controllers":
+            parts = _build(settings)
     if settings["gain_mode"] == "hybrid":
         if not settings["self_regulating"]:
             _fail("$.self_regulating", "hybrid mode needs at least one vertex")
-        if not graph.is_connected():
+        if not parts[0].is_connected():
             _fail("$.gain_mode", "hybrid mode needs a connected graph")
-    return ScenarioConfig(**settings, parts=(graph, built["agents"], built["controllers"]))
+    return ScenarioConfig(**settings, parts=parts)
 
 
 def read_scenario(path):
@@ -337,6 +345,8 @@ def read_scenario(path):
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise ConfigParseError(f"{path}: invalid JSON ({exc})")
     except UnicodeDecodeError as exc:
@@ -415,9 +425,9 @@ class VerifyReport:
 
 
 def round_floats(obj, digits=12):
-    """Round every float to the given number of significant digits."""
+    """Round every float to the given number of significant digits; a non-finite one is None."""
     if isinstance(obj, float):
-        return float(f"{obj:.{digits}g}")
+        return float(f"{obj:.{digits}g}") if math.isfinite(obj) else None
     if isinstance(obj, dict):
         return {k: round_floats(v, digits) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -585,8 +595,8 @@ def verify(config: ScenarioConfig):
 
 
 def json_text(payload):
-    """The JSON text every payload, report and scenario file is written as."""
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """The JSON text every payload, report and scenario file is written as; strict JSON."""
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def write_trajectory_csv(trajectory, path):

@@ -75,7 +75,7 @@ class GainDesign:
     beta: np.ndarray
     epsilon: float
     threshold: float
-    certificate: float
+    certificate: "Certificate"
 
     def __post_init__(self):
         for name in ("alpha", "beta"):

@@ -154,11 +154,6 @@ class Trajectory:
     residual: float
     affine_samples: int = 0  # samples that came from the exact all-deep RK4 map
 
-    @property
-    def y_outputs(self):
-        # every supported agent outputs its state directly
-        return self.x_states
-
 
 def _default_step(system):
     """Default step inside RK4's stability region at every saturation pattern.

@@ -156,18 +156,33 @@ def test_complete_graph_edge_order():
     assert g.edges == ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
-def test_dict_round_trip():
-    g = NetworkGraph(4, ((0, 2), (1, 3)))
-    assert NetworkGraph.from_dict(g.to_dict()) == g
-    assert g.to_dict() == {"n": 4, "edges": [[0, 2], [1, 3]]}
-
-
 def test_subgraph_reindexes_and_reports_kept_edges():
     g = NetworkGraph(5, ((0, 1), (1, 4), (2, 3), (1, 2)))
     sub, kept = g.subgraph([1, 2, 3])
     assert sub.n_vertices == 3
     assert sub.edges == ((1, 2), (0, 1))
     assert kept == [2, 3]
+
+
+def test_subgraph_on_every_vertex_in_order_is_the_graph_itself():
+    g = NetworkGraph(3, ((0, 1), (2, 1)))
+    sub, kept = g.subgraph([0, 1, 2])
+    assert sub is g and kept == [0, 1]
+    # the same vertices in another order still reindex
+    sub, kept = g.subgraph([2, 1, 0])
+    assert sub is not g
+    assert sub.edges == ((2, 1), (0, 1)) and kept == [0, 1]
+
+
+def test_components_and_laplacian_are_stored_read_only():
+    g = NetworkGraph(4, ((0, 1), (2, 3)))
+    assert g.laplacian() is g.laplacian()
+    with pytest.raises(ValueError):
+        g.laplacian()[0, 0] = 7.0
+    components = g.connected_components()
+    components[0].append(3)
+    components.pop()
+    assert g.connected_components() == [[0, 1], [2, 3]]
 
 
 @st.composite
@@ -182,6 +197,9 @@ def random_graphs(draw):
 @given(random_graphs())
 def test_random_graph_laplacian_properties(g):
     L = g.laplacian()
+    # stored from the edge list, it is the incidence product bit for bit
+    np.testing.assert_array_equal(L, g.incidence @ g.incidence.T)
+    np.testing.assert_array_equal(np.signbit(L), np.signbit(g.incidence @ g.incidence.T))
     np.testing.assert_allclose(L, L.T)
     np.testing.assert_allclose(L.sum(axis=1), np.zeros(g.n_vertices), atol=1e-12)
     assert np.linalg.eigvalsh(L)[0] >= -1e-9

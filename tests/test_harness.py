@@ -9,6 +9,7 @@ full pipeline must report a pass with a tiny mismatch.
 import importlib
 import inspect
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -34,15 +35,20 @@ from netpass import (
     solve,
     verify,
 )
+import netpass.graph as graph_module
 import netpass.harness as harness
 import netpass.netopt as netopt
 import netpass.passivation as passivation
 from netpass.cli import main
 from netpass.harness import (
     build_system_parts,
+    optimization_stage,
+    synthesis_stage,
     synthesize_certified,
     write_trajectory_csv,
 )
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def consensus_dict(**overrides):
@@ -233,6 +239,43 @@ def test_schema_rejects_bad_graph():
     assert schema_error_path(consensus_dict(graph=None)) == "$.graph"
 
 
+def test_schema_counts_the_models_before_building_the_graph(tmp_path, capsys):
+    # 10**12 vertices would need terabytes of incidence: the count fails first
+    data = consensus_dict(graph={"n": 10**12, "edges": [[0, 1]]})
+    with pytest.raises(ConfigSchemaError) as excinfo:
+        config_from_dict(data)
+    message = "$.agents: expected 1000000000000 entries, got 2"
+    assert str(excinfo.value) == message
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(data))
+    assert main(["check", str(path)]) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+    # a bad edge is named after a bad count, and before a bad model spec
+    assert schema_error_path(consensus_dict(
+        graph={"n": 2, "edges": [[0, 0]]}, controllers=[])) == "$.controllers"
+    bad = consensus_dict(graph={"n": 2, "edges": [[0, 0]]})
+    bad["agents"][0]["kind"] = "hovercraft"
+    assert schema_error_path(bad) == "$.graph.edges"
+
+
+@pytest.mark.parametrize("overrides,path", [
+    ({"graph": [2, [[0, 1]]]}, "$.graph"),
+    ({"graph": {"edges": [[0, 1]]}}, "$.graph.n"),
+    ({"graph": {"n": 2, "edges": 5}}, "$.graph.edges"),
+    ({"agents": {"kind": "integrator"}}, "$.agents"),
+    ({"agents": [1, {"kind": "integrator"}]}, "$.agents[0]"),
+    ({"self_regulating": [0.5]}, "$.self_regulating"),
+], ids=["graph-not-object", "graph-n-missing", "edges-not-list", "agents-not-list",
+        "agent-not-object", "vertices-not-integers"])
+def test_schema_error_exits_3_naming_its_path(overrides, path, tmp_path, capsys):
+    data = consensus_dict(**overrides)
+    assert schema_error_path(data) == path
+    scenario = tmp_path / "bad.json"
+    scenario.write_text(json.dumps(data))
+    assert main(["verify", str(scenario)]) == 3
+    assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+
 def test_schema_rejects_bad_numbers_and_types():
     bad = consensus_dict()
     bad["agents"][0]["kappa"] = True
@@ -399,6 +442,23 @@ def test_verify_reports_not_converged_on_short_horizon():
     assert not report.passed
     assert report.verdict == "not_converged"
     assert report.sim["y_ss"] is None
+
+
+@pytest.mark.parametrize("data,verdict", [
+    (consensus_dict(sim={"dt": 50.0}), "blowup"),
+    (consensus_dict(solver={"max_iter": 1}), "solver_stalled"),
+    (consensus_dict(
+        agents=[{"kind": "static_affine", "a": -1.0, "c": 0.0, "rho": 1.0}] * 2),
+     "nonconvex"),
+], ids=["blowup", "solver_stalled", "nonconvex"])
+def test_verify_names_each_run_failure(data, verdict, tmp_path, capsys):
+    report = verify(config_from_dict(data))
+    assert report.feasible and not report.passed
+    assert report.verdict == verdict
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data))
+    assert main(["verify", str(path)]) == 2
+    assert json.loads(capsys.readouterr().out)["verdict"] == verdict
 
 
 def test_verify_escalates_margin_when_probe_is_negative():
@@ -673,18 +733,35 @@ def test_cli_synthesize_infeasible_and_hybrid_override(mixed_file, capsys):
 
 def test_cli_validates_an_overridden_scenario_once(monkeypatch, capsys):
     graphs = []
-
-    class CountedGraph(NetworkGraph):
-        def __post_init__(self):
-            graphs.append(self)
-            super().__post_init__()
-
-    monkeypatch.setattr(harness, "NetworkGraph", CountedGraph)
-    scenario = Path(__file__).resolve().parent / "golden" / "mixed_pair.json"
-    argv = ["synthesize", str(scenario), "--hybrid", "--vsr", "1", "--epsilon", "0.5"]
+    monkeypatch.setattr(NetworkGraph, "__post_init__",
+                        counted(NetworkGraph.__post_init__, graphs))
+    argv = ["synthesize", str(GOLDEN / "mixed_pair.json"), "--hybrid", "--vsr", "1",
+            "--epsilon", "0.5"]
     assert main(argv) == 0
     assert json.loads(capsys.readouterr().out)["mode"] == "hybrid"
+    # one graph from validation; synthesis does not copy its one component
     assert len(graphs) == 1
+
+
+def test_synthesis_and_solve_derive_the_graph_structure_once(monkeypatch):
+    # a connected graph's components are searched, and its Laplacian formed,
+    # once, when it is built
+    searches, laplacians = [], []
+    monkeypatch.setattr(graph_module, "_components",
+                        counted(graph_module._components, searches))
+    laplacian = NetworkGraph.laplacian
+
+    def recorded_laplacian(self):
+        laplacians.append(laplacian(self))
+        return laplacians[-1]
+
+    monkeypatch.setattr(NetworkGraph, "laplacian", recorded_laplacian)
+    config = generate_case_study(10, 1)
+    parts = build_system_parts(config)
+    _, problem, _, _ = synthesis_stage(config, *parts)
+    optimization_stage(config, problem)
+    assert len(searches) == 1
+    assert laplacians and all(L is laplacian(parts[0]) for L in laplacians)
 
 
 def test_cli_rejects_an_unparsable_vsr_as_bad_input(mixed_file, capsys):
@@ -735,6 +812,49 @@ def test_cli_out_file_written_on_failure_paths(command, scenario, code,
     out_path = tmp_path / "out.json"
     assert main([command, str(scenario_path), "--out", str(out_path)]) == code
     assert out_path.read_text() == capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "{consensus}", "--out", "{bad}"],
+    ["synthesize", "{consensus}", "--out", "{bad}"],
+    ["synthesize", "{mixed}", "--out", "{bad}"],
+    ["simulate", "{consensus}", "--out", "{bad}"],
+    ["simulate", "{consensus}", "--out-csv", "{bad}"],
+    ["optimize", "{consensus}", "--out", "{bad}"],
+    ["verify", "{consensus}", "--out-json", "{bad}"],
+    ["verify", "{consensus}", "--out-trajectory", "{bad}"],
+    ["verify", "{consensus}", "--out-pairs", "{bad}"],
+    ["casestudy", "--n", "4", "--seed", "6", "--config-out", "{bad}"],
+], ids=["check-out", "synthesize-out", "synthesize-infeasible-out", "simulate-out",
+        "simulate-out-csv", "optimize-out", "verify-out-json", "verify-out-trajectory",
+        "verify-out-pairs", "casestudy-config-out"])
+def test_cli_unwritable_output_exits_3(argv, consensus_file, mixed_file, tmp_path,
+                                       capsys):
+    bad = str(tmp_path / "missing" / "out")
+    argv = [a.format(consensus=consensus_file, mixed=mixed_file, bad=bad) for a in argv]
+    assert main(argv) == 3
+    assert capsys.readouterr().err.startswith(f"error: cannot write {bad}: ")
+
+
+def test_cli_prints_strict_json(tmp_path, capsys):
+    # an edgeless, nonconvex scenario: the solver stops before any residual is finite
+    path = tmp_path / "alone.json"
+    path.write_text(json.dumps({
+        "graph": {"n": 1, "edges": []},
+        "agents": [{"kind": "traffic", "kappa": -1.0, "v0": 10.0, "v1": -0.8}],
+        "controllers": [],
+        "gain_mode": "none",
+    }))
+    assert main(["optimize", str(path)]) == 2
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    payload = json.loads(capsys.readouterr().out, parse_constant=reject)
+    assert payload["primal_residual"] is None and payload["dual_residual"] is None
+    assert harness.round_floats([math.inf, -math.inf, math.nan, 0.5]) == [None, None, None, 0.5]
+    with pytest.raises(ValueError):
+        harness.json_text({"x": math.inf})
 
 
 def test_cli_verify_writes_report(consensus_file, tmp_path, capsys):

@@ -269,11 +269,10 @@ def test_default_step_settles_the_n40_case_study_in_few_steps():
     assert steady_state_residual(system, trajectory.y_ss) <= 1e-8
 
 
-def test_simulate_times_uniform_and_outputs_alias_states():
+def test_simulate_times_uniform_and_state_shapes():
     trajectory = simulate(consensus_system(), x0=[5.0, 18.0], dt=0.02)
     steps = np.diff(trajectory.times)
     np.testing.assert_allclose(steps, 0.02, atol=1e-12)
-    np.testing.assert_allclose(trajectory.y_outputs, trajectory.x_states)
     assert trajectory.x_states.shape[0] == 2
     assert trajectory.eta_states.shape[0] == 1
     assert trajectory.x_states.shape[1] == trajectory.times.size
