@@ -13,7 +13,6 @@ from .errors import (
     ConfigParseError,
     ConfigSchemaError,
     DimensionMismatchError,
-    DimensionTooLargeError,
     DisconnectedGraphError,
     DuplicateEdgeError,
     EmptySelfRegulatingSetError,
@@ -40,7 +39,6 @@ from .passivation import (
     coupling_matrix,
     edge_gain_threshold,
     hybrid_gain,
-    passivation_feasible,
     uniform_network_gain,
     zero_design,
 )
@@ -48,7 +46,6 @@ from .netopt import (
     Minimizer,
     RegularizedProblem,
     SolveStatus,
-    brute_force,
     build_problem,
     flow_objective,
     solve,
@@ -72,16 +69,16 @@ __all__ = [
     "NetpassError", "SelfLoopError", "DuplicateEdgeError", "VertexIndexError",
     "DisconnectedGraphError", "DimensionMismatchError", "NotPassivizableError",
     "CertificateError", "EmptySelfRegulatingSetError", "NonConvexDualError",
-    "DimensionTooLargeError", "NumericalBlowupError", "ParameterError",
+    "NumericalBlowupError", "ParameterError",
     "ConfigError", "ConfigParseError", "ConfigSchemaError",
     "NetworkGraph",
     "TrafficAgent", "IntegratorAgent", "StaticAffineAgent", "AgentBank",
     "TanhIntegratorController", "StaticGainController", "ControllerBank",
-    "GainDesign", "Certificate", "coupling_matrix", "passivation_feasible",
+    "GainDesign", "Certificate", "coupling_matrix",
     "edge_gain_threshold", "uniform_network_gain", "hybrid_gain",
     "check_design", "zero_design", "component_sums",
     "RegularizedProblem", "Minimizer", "SolveStatus", "build_problem",
-    "solve", "brute_force", "flow_objective", "stationarity_residual",
+    "solve", "flow_objective", "stationarity_residual",
     "ClosedLoopSystem", "Trajectory", "simulate", "steady_state_residual",
     "ScenarioConfig", "VerifyReport", "load_config", "config_from_dict",
     "generate_case_study", "verify", "emit_report", "cluster_count",

@@ -6,14 +6,17 @@ or surplus: along any trajectory there is a storage function S with
     dS/dt <= (u - u_ss) * (y - y_ss) - rho * (y - y_ss)**2
 
 for every constant steady-state pair (u_ss, y_ss).  A negative ``rho`` means
-the agent is passivity-short and needs network help.  Each model exposes its
-steady-state input map (output -> the unique input holding it there), the
-scalar potential obtained by integrating that map, and the convex conjugate
-of the potential for input-side (flow) problems.
+the agent is passivity-short and needs network help.
 
-All supported models have affine dynamics and affine steady-state maps, which
-downstream code exploits: drift is ``p*x + q*u + g`` and the steady-state
-input map is ``slope*y + intercept``.
+All supported models have affine dynamics and affine steady-state maps, so a
+model is a parameter record that reports its coefficients: drift
+``p*x + q*u + g`` (``drift_coeffs``), steady-state input map
+``slope*y + intercept`` whose integral, the agent's potential, is anchored by
+a constant (``steady_coeffs``), the output where that potential is stationary
+(``anchor``), and the passivity index ``rho``.  Each model also gives the
+convex conjugate of its potential for input-side (flow) problems.
+``AgentBank`` holds the coefficients as arrays and evaluates the steady-state
+map and the potentials vectorized over all agents.
 """
 
 import math
@@ -57,23 +60,12 @@ class TrafficAgent:
     def rho(self):
         return self.kappa
 
-    def drift(self, x, u):
-        return self.kappa * (-x + self.v0 + self.v1 * u)
-
     def drift_coeffs(self):
         return (-self.kappa, self.kappa * self.v1, self.kappa * self.v0)
 
-    def steady_input(self, y):
-        """Input that holds output y at rest."""
-        return (y - self.v0) / self.v1
-
     def steady_coeffs(self):
-        """(slope, intercept, constant): steady map and potential anchor."""
+        """(slope, intercept, constant): the potential is (y - v0)**2 / (2 v1)."""
         return (1.0 / self.v1, -self.v0 / self.v1, self.v0**2 / (2.0 * self.v1))
-
-    def potential(self, y):
-        """Integral of the steady-state input map, zero at y = v0."""
-        return (y - self.v0) ** 2 / (2.0 * self.v1)
 
     def conjugate_potential(self, u):
         """Convex conjugate of the potential; input-side cost."""
@@ -87,10 +79,6 @@ class TrafficAgent:
         """Output at which the potential is stationary."""
         return self.v0
 
-    def storage(self, x, y_ss):
-        """Quadratic storage certifying the passivity index, zero at y_ss."""
-        return (x - y_ss) ** 2 / (2.0 * self.v1 * self.kappa)
-
 
 @dataclass(frozen=True)
 class IntegratorAgent:
@@ -100,21 +88,12 @@ class IntegratorAgent:
     def rho(self):
         return 0.0
 
-    def drift(self, x, u):
-        return u
-
     def drift_coeffs(self):
         return (0.0, 1.0, 0.0)
 
-    def steady_input(self, y):
-        # Any output is an equilibrium under zero input.
-        return 0.0
-
     def steady_coeffs(self):
+        # Any output is an equilibrium under zero input.
         return (0.0, 0.0, 0.0)
-
-    def potential(self, y):
-        return 0.0
 
     def conjugate_potential(self, u):
         """Indicator of {0}: only zero input admits a steady state."""
@@ -122,9 +101,6 @@ class IntegratorAgent:
 
     def anchor(self):
         return 0.0
-
-    def storage(self, x, y_ss):
-        return 0.5 * (x - y_ss) ** 2
 
 
 @dataclass(frozen=True)
@@ -148,21 +124,12 @@ class StaticAffineAgent:
         if self.tau <= 0.0:
             raise ParameterError("tau", f"static affine agent needs tau > 0, got {self.tau}")
 
-    def drift(self, x, u):
-        return self.tau * (-x + self.a * u + self.c)
-
     def drift_coeffs(self):
         return (-self.tau, self.tau * self.a, self.tau * self.c)
 
-    def steady_input(self, y):
-        return (y - self.c) / self.a
-
     def steady_coeffs(self):
+        """The potential is (y**2 / 2 - c y) / a, zero at y = 0."""
         return (1.0 / self.a, -self.c / self.a, 0.0)
-
-    def potential(self, y):
-        """Integral of the steady-state input map, zero at y = 0."""
-        return (0.5 * y**2 - self.c * y) / self.a
 
     def conjugate_potential(self, u):
         if self.a < 0.0:
@@ -174,14 +141,9 @@ class StaticAffineAgent:
     def anchor(self):
         return self.c
 
-    def storage(self, x, y_ss):
-        if self.a * self.tau <= 0.0:
-            raise ValueError("no positive-definite quadratic storage for a * tau <= 0")
-        return (x - y_ss) ** 2 / (2.0 * self.a * self.tau)
-
 
 class AgentBank:
-    """Ordered collection of agents with vectorized dynamics and potentials."""
+    """Ordered collection of agents with their coefficients as arrays."""
 
     def __init__(self, agents):
         self.agents = tuple(agents)
@@ -202,9 +164,11 @@ class AgentBank:
     def __len__(self):
         return len(self.agents)
 
-    def drift(self, x, u):
-        """Vector field of all agents at states x under inputs u."""
-        return self.p * x + self.q * u + self.g
+    def _check(self, vec, name):
+        if np.shape(vec) != (len(self.agents),):
+            raise DimensionMismatchError(
+                f"{name} has shape {np.shape(vec)}, expected ({len(self.agents)},)"
+            )
 
     def steady_input(self, y):
         """Per-agent steady-state input map, vectorized over outputs."""
@@ -212,12 +176,10 @@ class AgentBank:
 
     def potential_total(self, y):
         """Sum of agent potentials at the output vector y."""
+        self._check(y, "y")
         return float(np.sum(0.5 * self.slope * y**2 + self.intercept * y + self.const))
-
-    def potential_batch(self, Y):
-        """Summed potentials for a batch of output vectors, shape (P, n) -> (P,)."""
-        return (0.5 * self.slope * Y**2 + self.intercept * Y + self.const).sum(axis=1)
 
     def conjugate_total(self, u):
         """Sum of per-agent conjugate potentials at the input vector u."""
+        self._check(u, "u")
         return float(sum(a.conjugate_potential(ui) for a, ui in zip(self.agents, u)))

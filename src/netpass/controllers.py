@@ -1,14 +1,22 @@
-"""Edge controllers: dynamics, flow potentials, and proximal maps.
+"""Edge controllers: parameter records and their vectorized bank.
 
 Controllers live on edges and map relative outputs (differences across an
 edge) to coupling efforts.  Each model is maximal equilibrium-independent
 passive; its steady-state relation is the subdifferential of a convex
-potential.  The proximal map solves, in closed form,
+potential.  A model is a parameter record: the saturated integrator
+(d(eta)/dt = zeta, mu = tanh(eta), potential |zeta|) has none, the static
+gain (mu = w * zeta, potential w zeta**2 / 2) has its gain ``w``.  Each also
+gives the convex conjugate of its potential for input-side (flow) problems.
+
+``ControllerBank`` holds the saturated-edge mask and the static gains as
+arrays and evaluates, over all edges at once, the summed potential, the
+steady-state effort bounds, and the proximal map
 
     argmin_z  potential(z) + 1/(2*step) * (z - v)**2
 
-which is the edge-separable inner step of the operator-splitting solver
-(the edge gains' quadratic lives in its vertex step).
+in closed form, which is the edge-separable inner step of the
+operator-splitting solver (the edge gains' quadratic lives in its vertex
+step).
 """
 
 import math
@@ -35,30 +43,8 @@ class TanhIntegratorController:
     the unit interval.
     """
 
-    def drift(self, eta, zeta):
-        return zeta
-
-    def output(self, eta, zeta):
-        return math.tanh(eta)
-
-    def potential(self, zeta):
-        return abs(zeta)
-
-    def prox(self, v, step):
-        """Closed-form prox of ``|.|`` with parameter ``step``."""
-        if step <= 0.0:
-            raise ValueError(f"prox step must be positive, got {step}")
-        return math.copysign(max(abs(v) - step, 0.0), v)
-
     def conjugate_potential(self, mu):
         return 0.0 if abs(mu) <= 1.0 + _INDICATOR_TOL else math.inf
-
-    def effort_interval(self, zeta, zero_tol):
-        """Steady-state effort selections compatible with relative output zeta."""
-        if abs(zeta) <= zero_tol:
-            return (-1.0, 1.0)
-        s = math.copysign(1.0, zeta)
-        return (s, s)
 
 
 @dataclass(frozen=True)
@@ -71,26 +57,8 @@ class StaticGainController:
         if self.w <= 0.0:
             raise ParameterError("w", f"static gain needs w > 0, got {self.w}")
 
-    def drift(self, eta, zeta):
-        return 0.0
-
-    def output(self, eta, zeta):
-        return self.w * zeta
-
-    def potential(self, zeta):
-        return 0.5 * self.w * zeta**2
-
-    def prox(self, v, step):
-        if step <= 0.0:
-            raise ValueError(f"prox step must be positive, got {step}")
-        return v / (1.0 + step * self.w)
-
     def conjugate_potential(self, mu):
         return mu**2 / (2.0 * self.w)
-
-    def effort_interval(self, zeta, zero_tol):
-        mu = self.w * zeta
-        return (mu, mu)
 
 
 class ControllerBank:
@@ -120,26 +88,10 @@ class ControllerBank:
                 f"{name} has shape {np.shape(vec)}, expected ({len(self.controllers)},)"
             )
 
-    def drift(self, eta, zeta):
-        return np.where(self.saturated, zeta, 0.0)
-
-    def output(self, eta, zeta):
-        return np.where(self.saturated, np.tanh(eta), self.w * zeta)
-
-    def output_rate(self, eta, zeta, zeta_dot):
-        """Time derivative of the controller outputs along a trajectory."""
-        sat = 1.0 - np.tanh(eta) ** 2
-        return np.where(self.saturated, sat * zeta, self.w * zeta_dot)
-
     def potential_total(self, zeta):
         self._check(zeta, "zeta")
         vals = np.where(self.saturated, np.abs(zeta), 0.5 * self.w * zeta**2)
         return float(vals.sum())
-
-    def potential_batch(self, Z):
-        """Summed edge potentials for a batch of edge vectors, (P, m) -> (P,)."""
-        vals = np.where(self.saturated, np.abs(Z), 0.5 * self.w * Z**2)
-        return vals.sum(axis=1)
 
     def prox(self, v, step):
         """Vectorized prox across all edges."""
@@ -156,10 +108,16 @@ class ControllerBank:
         return float(sum(c.conjugate_potential(m) for c, m in zip(self.controllers, mu)))
 
     def effort_bounds(self, zeta, zero_tol=1e-6):
-        """Per-edge bounds on steady-state effort selections at ``zeta``."""
+        """Per-edge bounds on steady-state effort selections at ``zeta``.
+
+        A saturated edge admits any effort in [-1, 1] where |zeta| <= zero_tol
+        and sign(zeta) elsewhere; a static edge admits only w * zeta.
+        """
         self._check(zeta, "zeta")
-        lower = np.empty(len(self.controllers))
-        upper = np.empty(len(self.controllers))
-        for k, c in enumerate(self.controllers):
-            lower[k], upper[k] = c.effort_interval(zeta[k], zero_tol)
+        zeta = np.asarray(zeta, dtype=float)
+        free = np.abs(zeta) <= zero_tol
+        sign = np.copysign(1.0, zeta)
+        mu = self.w * zeta
+        lower = np.where(self.saturated, np.where(free, -1.0, sign), mu)
+        upper = np.where(self.saturated, np.where(free, 1.0, sign), mu)
         return lower, upper

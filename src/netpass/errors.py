@@ -41,10 +41,6 @@ class NonConvexDualError(NetpassError):
     """The requested dual (input-side) cost is not convex for these parameters."""
 
 
-class DimensionTooLargeError(NetpassError):
-    """Exhaustive search was requested for a dimension it cannot handle."""
-
-
 class NumericalBlowupError(NetpassError):
     """A simulated state left the trusted numerical range."""
 

@@ -1,10 +1,10 @@
-"""Undirected graphs with an oriented incidence matrix and Laplacian spectrum.
+"""Undirected graphs with an oriented incidence matrix, Laplacian and components.
 
 Vertices are numbered 0..n-1.  Every edge carries an arbitrary but fixed
 orientation, recorded as a (head, tail) pair; the incidence matrix has +1 at
-the head and -1 at the tail of each edge column.  All symmetric quantities
-derived here (Laplacian, algebraic connectivity, component structure) are
-independent of the chosen orientation.  A graph stores its components and
+the head and -1 at the tail of each edge column.  The quantities derived
+here (the Laplacian and the component structure) are independent of the
+chosen orientation.  A graph stores its components and
 Laplacian once built, after the incidence, so an impossible graph fails fast.
 """
 
@@ -12,12 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DisconnectedGraphError,
-    DuplicateEdgeError,
-    SelfLoopError,
-    VertexIndexError,
-)
+from .errors import DuplicateEdgeError, SelfLoopError, VertexIndexError
 
 __all__ = ["NetworkGraph"]
 
@@ -119,21 +114,6 @@ class NetworkGraph:
 
     def is_connected(self):
         return len(self._components) == 1
-
-    def algebraic_connectivity(self):
-        """Second-smallest Laplacian eigenvalue; positive exactly on connected graphs.
-
-        Raises
-        ------
-        DisconnectedGraphError
-            If the graph has more than one connected component.
-        """
-        if not self.is_connected():
-            raise DisconnectedGraphError(f"graph has {len(self._components)} components")
-        if self.n_vertices == 1:
-            raise DisconnectedGraphError("single vertex has no spectral gap")
-        eigenvalues = np.linalg.eigvalsh(self.laplacian())
-        return float(eigenvalues[1])
 
     def subgraph(self, vertices):
         """Induced subgraph on ``vertices`` (reindexed 0..k-1) plus the kept edge ids."""

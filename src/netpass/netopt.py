@@ -22,8 +22,9 @@ does, so it is inverted once per penalty, from its Cholesky factor (or as a
 pseudoinverse when it is only semidefinite).  An iteration is then one
 scatter ``E v``, one n x n product, one gather ``E^T y`` and the prox, all
 O(m) but the product, and the dual residual is formed only where it is read
-(see ``solve``).  ``brute_force`` is a deliberately independent grid oracle
-used to cross-check the splitting solver on small instances.
+(see ``solve``).  ``stationarity_residual`` measures how far a point is from
+the first-order conditions, and ``flow_objective`` evaluates the input-side
+(dual) objective.
 """
 
 import enum
@@ -34,7 +35,7 @@ import numpy as np
 
 from .agents import AgentBank
 from .controllers import ControllerBank
-from .errors import DimensionMismatchError, DimensionTooLargeError
+from .errors import DimensionMismatchError
 from .graph import NetworkGraph
 from .passivation import GainDesign, coupling_matrix
 
@@ -44,7 +45,6 @@ __all__ = [
     "SolveStatus",
     "build_problem",
     "solve",
-    "brute_force",
     "flow_objective",
     "stationarity_residual",
 ]
@@ -59,9 +59,6 @@ _PIVOT_TOL = 1e-12
 
 # ``solve``'s defaults: initial penalty, iteration budget, residual tolerance.
 SOLVER_STEP, SOLVER_MAX_ITER, SOLVER_TOL = 1.0, 100000, 1e-8
-
-_BRUTE_FORCE_MAX_N = 4
-_BRUTE_FORCE_POINTS = 33
 
 
 class SolveStatus(enum.Enum):
@@ -119,16 +116,6 @@ class RegularizedProblem:
         value += 0.5 * float(self.beta @ zeta**2)
         value += 0.5 * float(self.alpha @ y**2)
         return value
-
-    def objective_batch(self, Y):
-        """Objective for each row of Y, shape (P, n) -> (P,)."""
-        Y = np.asarray(Y, dtype=float)
-        Z = Y @ self.graph.incidence
-        vals = self.agents.potential_batch(Y)
-        vals = vals + self.controllers.potential_batch(Z)
-        vals = vals + 0.5 * (Z**2 @ self.beta)
-        vals = vals + 0.5 * (Y**2 @ self.alpha)
-        return vals
 
     def smooth_gradient(self, y):
         """Gradient of the smooth part (everything except the edge potentials)."""
@@ -300,55 +287,6 @@ def solve(problem: RegularizedProblem, step=SOLVER_STEP, max_iter=SOLVER_MAX_ITE
     else:
         status = SolveStatus.MAX_ITER
     return best_effort(y, zeta, r_p, r_d, iterations, status)
-
-
-# ----------------------------------------------------------------------
-# independent grid oracle
-# ----------------------------------------------------------------------
-
-
-def brute_force(problem: RegularizedProblem, box=None, spacing=1e-3):
-    """Zooming exhaustive grid minimization, independent of the splitting solver.
-
-    Evaluates the objective on a uniform grid over ``box`` (a (lo, hi) pair
-    applied to every coordinate), then repeatedly re-grids around the best
-    point until the grid spacing drops below ``spacing``.  Only intended for
-    cross-checking on instances with at most 4 vertices.
-    """
-    n = problem.graph.n_vertices
-    if n > _BRUTE_FORCE_MAX_N:
-        raise DimensionTooLargeError(f"grid search supports n <= {_BRUTE_FORCE_MAX_N}, got {n}")
-    if box is None:
-        anchors = problem.agents.anchors
-        box = (float(anchors.min()) - 5.0, float(anchors.max()) + 5.0)
-    lo = np.full(n, float(box[0]))
-    hi = np.full(n, float(box[1]))
-    npts = _BRUTE_FORCE_POINTS
-    levels = 0
-    while True:
-        axes = [np.linspace(lo[i], hi[i], npts) for i in range(n)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        Y = np.stack([m.ravel() for m in mesh], axis=1)
-        values = problem.objective_batch(Y)
-        best = int(np.argmin(values))
-        y_best = Y[best]
-        value_best = float(values[best])
-        h = float(np.max((hi - lo) / (npts - 1)))
-        levels += 1
-        if h <= spacing:
-            break
-        lo = y_best - 2.0 * h
-        hi = y_best + 2.0 * h
-    zeta = problem.graph.incidence.T @ y_best
-    return Minimizer(
-        y_star=y_best,
-        zeta_star=zeta,
-        objective_value=value_best,
-        primal_residual=0.0,
-        dual_residual=0.0,
-        iterations=levels,
-        status=SolveStatus.OPTIMAL,
-    )
 
 
 # ----------------------------------------------------------------------

@@ -43,7 +43,6 @@ __all__ = [
     "Certificate",
     "coupling_matrix",
     "component_sums",
-    "passivation_feasible",
     "edge_gain_threshold",
     "uniform_network_gain",
     "hybrid_gain",
@@ -124,11 +123,6 @@ def component_sums(rho, graph: NetworkGraph):
 def _short_component(rho, graph):
     """(vertices, exact index sum) of the first component whose sum is not positive."""
     return next(((c, s) for c, s in component_sums(rho, graph) if s <= 0.0), None)
-
-
-def passivation_feasible(rho, graph: NetworkGraph):
-    """True when every connected component has a positive index sum."""
-    return _short_component(_as_vector(rho, graph.n_vertices, "rho"), graph) is None
 
 
 def edge_gain_threshold(rho, graph: NetworkGraph):

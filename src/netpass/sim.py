@@ -100,14 +100,6 @@ class ClosedLoopSystem:
         object.__setattr__(self, "_static", (n + np.flatnonzero(~sat), self.controllers.w[~sat],
                                              heads[~sat], tails[~sat]))
 
-    def control(self, x, eta):
-        """Signals around the loop at state (x, eta): (y, zeta, mu, u)."""
-        y = np.asarray(x, dtype=float)
-        zeta = self.graph.incidence.T @ y
-        mu = self.controllers.output(eta, zeta)
-        u = -self.graph.incidence @ (mu + self.gain.beta * zeta) - self.gain.alpha * y
-        return y, zeta, mu, u
-
     def rate(self, z, z_dot, xmu):
         """Write the rate of ``z = [x, eta]`` into ``z_dot``, ``[x, tanh(eta_sat)]`` into ``xmu``.
 
@@ -133,13 +125,6 @@ class ClosedLoopSystem:
         if w.size:
             rates[:, cols] = w * (z_dots[:, heads] - z_dots[:, tails])
         return np.abs(rates).max(axis=1)
-
-    def derivative(self, x, eta):
-        """Closed-loop vector field at state (x, eta): (x_dot, eta_dot)."""
-        z = np.concatenate((np.asarray(x, float), np.asarray(eta, float)))
-        z_dot = np.zeros(z.size)
-        self.rate(z, z_dot, np.empty(self.operator.shape[1]))
-        return z_dot[: self.graph.n_vertices], z_dot[self.graph.n_vertices:]
 
 
 @dataclass(frozen=True)
@@ -296,7 +281,8 @@ def simulate(system: ClosedLoopSystem, x0=None, eta0=None, dt=None, t_max=None,
     Raises
     ------
     NumericalBlowupError
-        If any state magnitude after the initial one exceeds 1e12.
+        If any state after the initial one exceeds 1e12 in magnitude or is
+        not finite.
     """
     n, m = system.graph.n_vertices, system.graph.n_edges
     dt = _default_step(system) if dt is None else dt
@@ -361,7 +347,8 @@ def simulate(system: ClosedLoopSystem, x0=None, eta0=None, dt=None, t_max=None,
                     np.multiply(sixth, np.add(total, k4, total), total)
                     z, k1 = np.add(z, total, table[count - 1 + j]), rates[j]
                     rate(z, k1, xmus[j])
-            blown = (np.abs(table[count: count + block]) > _BLOWUP_LIMIT).any(axis=1)
+            # Written so that a NaN, which fails every comparison, counts as blown up.
+            blown = ~(np.abs(table[count: count + block]) <= _BLOWUP_LIMIT).all(axis=1)
             steady = system.steady_rate(rates[1: block + 1], xmus[1: block + 1])
         bad = int(blown.argmax()) if blown.any() else block
         start = count

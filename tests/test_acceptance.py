@@ -51,7 +51,6 @@ from netpass import (
     StaticGainController,
     TanhIntegratorController,
     TrafficAgent,
-    brute_force,
     build_problem,
     check_design,
     coupling_matrix,
@@ -67,6 +66,7 @@ from netpass.harness import (
     generate_case_study,
     verify,
 )
+from oracles import agent_drift, agent_storage, brute_force
 
 
 # ----------------------------------------------------------------------
@@ -412,14 +412,14 @@ def test_criterion_10_certified_runs_never_violate_dissipation():
         outer_input = -E @ efforts
         agent_input = outer_input - regularizer @ X
         x_rate = np.vstack([
-            agent.drift(X[i], agent_input[i])
+            agent_drift(agent, X[i], agent_input[i])
             for i, agent in enumerate(agents.agents)
         ])
 
         gradients = np.empty_like(X)
         for i, agent in enumerate(agents.agents):
-            gradients[i] = (agent.storage(X[i] + h, y_ss[i])
-                            - agent.storage(X[i] - h, y_ss[i])) / (2.0 * h)
+            gradients[i] = (agent_storage(agent, X[i] + h, y_ss[i])
+                            - agent_storage(agent, X[i] - h, y_ss[i])) / (2.0 * h)
         storage_rate = np.sum(gradients * x_rate, axis=0)
         supply = np.sum((outer_input - v_ss[:, None]) * (X - y_ss[:, None]),
                         axis=0)

@@ -1,18 +1,34 @@
 """Edge controller tests: dynamics, potentials, proxes, effort intervals.
 
-The prox closed forms are cross-checked against an independent zooming
-grid minimizer of  potential(z) + (z - v)^2 / (2 step).
+The scalar models' dynamics, potentials, proxes and effort intervals are the
+reference evaluations of ``oracles``; the bank's vectorized prox, potential
+and effort bounds are checked against them edge by edge.  The prox closed
+forms are cross-checked against an independent zooming grid minimizer of
+potential(z) + (z - v)^2 / (2 step).
 """
 
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from netpass import (
     ControllerBank,
     StaticGainController,
     TanhIntegratorController,
+)
+from oracles import (
+    controller_bank_drift,
+    controller_bank_output,
+    controller_bank_output_rate,
+    controller_bank_potential_batch,
+    controller_drift,
+    controller_output,
+    controller_potential,
+    controller_prox,
+    effort_interval,
 )
 
 EXACT_TOL = 1e-9
@@ -42,17 +58,17 @@ def grid_prox(potential, v, step, span=None, points=2001, rounds=6):
 
 def test_tanh_dynamics_and_output():
     c = TanhIntegratorController()
-    assert c.drift(0.3, 1.7) == 1.7
-    assert c.output(0.5, 99.0) == pytest.approx(math.tanh(0.5), abs=EXACT_TOL)
-    assert c.potential(-2.5) == 2.5
+    assert controller_drift(c, 0.3, 1.7) == 1.7
+    assert controller_output(c, 0.5, 99.0) == pytest.approx(math.tanh(0.5), abs=EXACT_TOL)
+    assert controller_potential(c, -2.5) == 2.5
 
 
 def test_tanh_prox_frozen_values():
     c = TanhIntegratorController()
-    assert c.prox(3.0, 1.0) == pytest.approx(2.0, abs=EXACT_TOL)
-    assert c.prox(3.0, 2.0) == pytest.approx(1.0, abs=EXACT_TOL)
-    assert c.prox(0.5, 1.0) == 0.0
-    assert c.prox(-3.0, 1.0) == pytest.approx(-2.0, abs=EXACT_TOL)
+    assert controller_prox(c, 3.0, 1.0) == pytest.approx(2.0, abs=EXACT_TOL)
+    assert controller_prox(c, 3.0, 2.0) == pytest.approx(1.0, abs=EXACT_TOL)
+    assert controller_prox(c, 0.5, 1.0) == 0.0
+    assert controller_prox(c, -3.0, 1.0) == pytest.approx(-2.0, abs=EXACT_TOL)
 
 
 def test_tanh_prox_matches_grid_oracle():
@@ -61,7 +77,7 @@ def test_tanh_prox_matches_grid_oracle():
     for _ in range(25):
         v = rng.uniform(-8.0, 8.0)
         step = rng.uniform(0.05, 3.0)
-        closed = c.prox(v, step)
+        closed = controller_prox(c, v, step)
         grid = grid_prox(abs, v, step)
         assert closed == pytest.approx(grid, abs=PROX_REL_TOL * (1 + abs(grid)))
 
@@ -69,9 +85,9 @@ def test_tanh_prox_matches_grid_oracle():
 def test_tanh_prox_guards():
     c = TanhIntegratorController()
     with pytest.raises(ValueError):
-        c.prox(1.0, 0.0)
+        controller_prox(c, 1.0, 0.0)
     with pytest.raises(ValueError):
-        c.prox(1.0, -0.5)
+        controller_prox(c, 1.0, -0.5)
 
 
 def test_tanh_conjugate_is_box_indicator():
@@ -86,10 +102,10 @@ def test_tanh_conjugate_is_box_indicator():
 
 def test_tanh_effort_interval():
     c = TanhIntegratorController()
-    assert c.effort_interval(0.0, 1e-6) == (-1.0, 1.0)
-    assert c.effort_interval(5e-7, 1e-6) == (-1.0, 1.0)
-    assert c.effort_interval(0.2, 1e-6) == (1.0, 1.0)
-    assert c.effort_interval(-3.0, 1e-6) == (-1.0, -1.0)
+    assert effort_interval(c, 0.0, 1e-6) == (-1.0, 1.0)
+    assert effort_interval(c, 5e-7, 1e-6) == (-1.0, 1.0)
+    assert effort_interval(c, 0.2, 1e-6) == (1.0, 1.0)
+    assert effort_interval(c, -3.0, 1e-6) == (-1.0, -1.0)
 
 
 def test_tanh_potential_is_convex_on_midpoints():
@@ -97,8 +113,9 @@ def test_tanh_potential_is_convex_on_midpoints():
     rng = np.random.default_rng(12)
     for _ in range(50):
         a, b = rng.uniform(-10, 10, 2)
-        mid = c.potential(0.5 * (a + b))
-        assert mid <= 0.5 * (c.potential(a) + c.potential(b)) + CONVEXITY_TOL
+        mid = controller_potential(c, 0.5 * (a + b))
+        ends = 0.5 * (controller_potential(c, a) + controller_potential(c, b))
+        assert mid <= ends + CONVEXITY_TOL
 
 
 # ----------------------------------------------------------------------
@@ -108,9 +125,9 @@ def test_tanh_potential_is_convex_on_midpoints():
 
 def test_static_gain_dynamics_and_output():
     c = StaticGainController(2.0)
-    assert c.drift(0.3, 1.7) == 0.0
-    assert c.output(99.0, 1.5) == 3.0
-    assert c.potential(3.0) == 9.0
+    assert controller_drift(c, 0.3, 1.7) == 0.0
+    assert controller_output(c, 99.0, 1.5) == 3.0
+    assert controller_potential(c, 3.0) == 9.0
     assert c.conjugate_potential(4.0) == pytest.approx(4.0, abs=EXACT_TOL)
 
 
@@ -124,7 +141,7 @@ def test_static_gain_requires_positive_gain():
 def test_static_gain_prox_frozen_value():
     c = StaticGainController(2.0)
     # argmin w z^2/2 + (z-v)^2/(2t) = v / (1 + t w)
-    assert c.prox(6.0, 1.0) == pytest.approx(2.0, abs=EXACT_TOL)
+    assert controller_prox(c, 6.0, 1.0) == pytest.approx(2.0, abs=EXACT_TOL)
 
 
 def test_static_gain_prox_matches_grid_oracle():
@@ -134,31 +151,31 @@ def test_static_gain_prox_matches_grid_oracle():
         c = StaticGainController(w)
         v = rng.uniform(-8.0, 8.0)
         step = rng.uniform(0.05, 3.0)
-        closed = c.prox(v, step)
-        grid = grid_prox(c.potential, v, step)
+        closed = controller_prox(c, v, step)
+        grid = grid_prox(functools.partial(controller_potential, c), v, step)
         assert closed == pytest.approx(grid, abs=PROX_REL_TOL * (1 + abs(grid)))
 
 
 def test_static_gain_prox_guard():
     c = StaticGainController(0.5)
     with pytest.raises(ValueError):
-        c.prox(1.0, 0.0)
+        controller_prox(c, 1.0, 0.0)
     with pytest.raises(ValueError):
-        c.prox(1.0, -0.6)
+        controller_prox(c, 1.0, -0.6)
 
 
 def test_static_gain_conjugate_fenchel_young():
     c = StaticGainController(1.7)
     for zeta in (-2.0, 0.0, 0.5, 3.0):
-        mu = c.output(0.0, zeta)
-        assert c.potential(zeta) + c.conjugate_potential(mu) == pytest.approx(
+        mu = controller_output(c, 0.0, zeta)
+        assert controller_potential(c, zeta) + c.conjugate_potential(mu) == pytest.approx(
             mu * zeta, abs=EXACT_TOL)
 
 
 def test_static_gain_effort_interval_is_a_point():
     c = StaticGainController(2.0)
-    assert c.effort_interval(1.5, 1e-6) == (3.0, 3.0)
-    assert c.effort_interval(0.0, 1e-6) == (0.0, 0.0)
+    assert effort_interval(c, 1.5, 1e-6) == (3.0, 3.0)
+    assert effort_interval(c, 0.0, 1e-6) == (0.0, 0.0)
 
 
 # ----------------------------------------------------------------------
@@ -178,9 +195,9 @@ def test_bank_drift_and_output():
     bank = make_bank()
     eta = np.array([0.5, 7.0, -0.2])
     zeta = np.array([1.0, 1.5, -2.0])
-    np.testing.assert_allclose(bank.drift(eta, zeta), [1.0, 0.0, -2.0])
+    np.testing.assert_allclose(controller_bank_drift(bank, eta, zeta), [1.0, 0.0, -2.0])
     np.testing.assert_allclose(
-        bank.output(eta, zeta),
+        controller_bank_output(bank, eta, zeta),
         [math.tanh(0.5), 3.0, math.tanh(-0.2)],
         atol=EXACT_TOL,
     )
@@ -193,11 +210,12 @@ def test_bank_output_rate_matches_finite_difference():
     zeta = rng.uniform(-2, 2, 3)
     zeta_dot = rng.uniform(-2, 2, 3)
     h = 1e-6
-    eta_next = eta + h * bank.drift(eta, zeta)
-    mu_now = bank.output(eta, zeta)
-    mu_next = bank.output(eta_next, zeta + h * zeta_dot)
+    eta_next = eta + h * controller_bank_drift(bank, eta, zeta)
+    mu_now = controller_bank_output(bank, eta, zeta)
+    mu_next = controller_bank_output(bank, eta_next, zeta + h * zeta_dot)
     fd = (mu_next - mu_now) / h
-    np.testing.assert_allclose(bank.output_rate(eta, zeta, zeta_dot), fd, atol=1e-4)
+    np.testing.assert_allclose(controller_bank_output_rate(bank, eta, zeta, zeta_dot), fd,
+                               atol=1e-4)
 
 
 def test_bank_potentials():
@@ -205,13 +223,14 @@ def test_bank_potentials():
     zeta = np.array([1.0, 1.5, -2.0])
     assert bank.potential_total(zeta) == pytest.approx(1.0 + 2.25 + 2.0, abs=EXACT_TOL)
     Z = np.array([[1.0, 1.5, -2.0], [0.0, 0.0, 0.0]])
-    np.testing.assert_allclose(bank.potential_batch(Z), [5.25, 0.0], atol=EXACT_TOL)
+    np.testing.assert_allclose(controller_bank_potential_batch(bank, Z), [5.25, 0.0],
+                               atol=EXACT_TOL)
 
 
 def test_bank_prox_matches_per_edge():
     bank = make_bank()
     v = np.array([3.0, 8.0, -0.4])
-    expected = [c.prox(vi, 1.0) for c, vi in zip(bank.controllers, v)]
+    expected = [controller_prox(c, vi, 1.0) for c, vi in zip(bank.controllers, v)]
     np.testing.assert_allclose(bank.prox(v, 1.0), expected, atol=EXACT_TOL)
 
 
@@ -231,7 +250,7 @@ def test_bank_prox_equals_the_scalar_prox_element_by_element(kinds, step):
     }
     bank = ControllerBank([makers[kinds](k) for k in range(len(v))])
     got = bank.prox(v, step)
-    expected = np.array([c.prox(vi, step) for c, vi in zip(bank.controllers, v)])
+    expected = np.array([controller_prox(c, vi, step) for c, vi in zip(bank.controllers, v)])
     np.testing.assert_array_equal(got, expected)
     np.testing.assert_array_equal(np.signbit(got), np.signbit(expected))
 
@@ -242,6 +261,33 @@ def test_bank_effort_bounds():
     lower, upper = bank.effort_bounds(zeta)
     np.testing.assert_allclose(lower, [-1.0, 3.0, -1.0])
     np.testing.assert_allclose(upper, [1.0, 3.0, -1.0])
+
+
+@st.composite
+def banks_with_relative_outputs(draw):
+    """A mixed bank, a zero tolerance, and relative outputs on and around it."""
+    zero_tol = draw(st.sampled_from([0.0, 1e-6, 0.5]))
+    zeta = st.one_of(
+        st.sampled_from([0.0, -0.0, zero_tol, -zero_tol,
+                         np.nextafter(zero_tol, 1.0), -np.nextafter(zero_tol, 1.0)]),
+        st.floats(-1e3, 1e3))
+    edges = draw(st.lists(st.tuples(st.one_of(st.none(), st.floats(0.1, 5.0)), zeta),
+                          min_size=1, max_size=12))
+    bank = ControllerBank([TanhIntegratorController() if w is None else StaticGainController(w)
+                           for w, _ in edges])
+    return bank, np.array([z for _, z in edges]), zero_tol
+
+
+@settings(max_examples=200, deadline=None)
+@given(banks_with_relative_outputs())
+def test_bank_effort_bounds_equal_the_per_edge_intervals(case):
+    bank, zeta, zero_tol = case
+    lower, upper = bank.effort_bounds(zeta, zero_tol)
+    expected = np.array([effort_interval(c, z, zero_tol)
+                         for c, z in zip(bank.controllers, zeta)]).reshape(-1, 2)
+    for got, want in ((lower, expected[:, 0]), (upper, expected[:, 1])):
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_bank_conjugate_total():

@@ -446,11 +446,13 @@ def test_verify_reports_not_converged_on_short_horizon():
 
 @pytest.mark.parametrize("data,verdict", [
     (consensus_dict(sim={"dt": 50.0}), "blowup"),
+    # the first step's state is NaN, which no magnitude bound catches
+    (consensus_dict(sim={"dt": 1e200, "t_max": 1e203}), "blowup"),
     (consensus_dict(solver={"max_iter": 1}), "solver_stalled"),
     (consensus_dict(
         agents=[{"kind": "static_affine", "a": -1.0, "c": 0.0, "rho": 1.0}] * 2),
      "nonconvex"),
-], ids=["blowup", "solver_stalled", "nonconvex"])
+], ids=["blowup", "blowup-nan", "solver_stalled", "nonconvex"])
 def test_verify_names_each_run_failure(data, verdict, tmp_path, capsys):
     report = verify(config_from_dict(data))
     assert report.feasible and not report.passed

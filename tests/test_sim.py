@@ -49,6 +49,13 @@ from netpass import (
 )
 from netpass.harness import build_system_parts, config_from_dict, synthesis_stage
 from netpass.sim import _BLOCK, _DEEP
+from oracles import (
+    agent_bank_drift,
+    control,
+    controller_bank_drift,
+    controller_bank_output_rate,
+    derivative,
+)
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 WINDOW = 100  # the steady window the residual tests pass to simulate
@@ -88,7 +95,7 @@ def test_derivative_zero_at_uniform_anchor_consensus():
     controllers = ControllerBank([TanhIntegratorController()] * 3)
     system = ClosedLoopSystem(K3, agents, controllers,
                               zero_design(np.ones(3), K3))
-    x_dot, eta_dot = system.derivative(np.full(3, 20.0), np.zeros(3))
+    x_dot, eta_dot = derivative(system, np.full(3, 20.0), np.zeros(3))
     np.testing.assert_allclose(x_dot, 0.0, atol=1e-14)
     np.testing.assert_allclose(eta_dot, 0.0, atol=1e-14)
 
@@ -97,14 +104,14 @@ def test_derivative_zero_at_lifted_minimizer():
     system = consensus_system()
     x = np.array([10.25, 10.25])
     eta = np.array([math.atanh(-0.3125)])
-    x_dot, eta_dot = system.derivative(x, eta)
+    x_dot, eta_dot = derivative(system, x, eta)
     np.testing.assert_allclose(x_dot, 0.0, atol=1e-12)
     np.testing.assert_allclose(eta_dot, 0.0, atol=1e-12)
 
 
 def test_disagreement_drives_edge_toward_agreement():
     system = consensus_system()
-    _, eta_dot = system.derivative(np.array([12.0, 9.0]), np.zeros(1))
+    _, eta_dot = derivative(system, np.array([12.0, 9.0]), np.zeros(1))
     # relative output is positive, so the integrating edge state rises
     assert eta_dot[0] == pytest.approx(3.0, abs=1e-12)
 
@@ -115,7 +122,7 @@ def test_control_signals_frozen():
     gain = GainDesign(alpha=np.array([0.1, 0.2]), beta=np.array([2.0]),
                       epsilon=0.0, threshold=0.0, certificate=1.0)
     system = ClosedLoopSystem(P2, agents, controllers, gain)
-    y, zeta, mu, u = system.control(np.array([2.0, 1.0]), np.array([0.5]))
+    y, zeta, mu, u = control(system, np.array([2.0, 1.0]), np.array([0.5]))
     np.testing.assert_allclose(y, [2.0, 1.0])
     assert zeta[0] == pytest.approx(1.0, abs=1e-14)
     assert mu[0] == pytest.approx(math.tanh(0.5), abs=1e-14)
@@ -164,10 +171,10 @@ def random_loops(draw):
 def test_fused_field_matches_signal_composition(case):
     system, x, eta = case
     E, agents = system.graph.incidence, system.agents
-    _, _, mu, u = system.control(x, eta)
-    x_ref = agents.drift(x, u)
-    eta_ref = system.controllers.drift(eta, E.T @ x)
-    x_dot, eta_dot = system.derivative(x, eta)
+    _, _, mu, u = control(system, x, eta)
+    x_ref = agent_bank_drift(agents, x, u)
+    eta_ref = controller_bank_drift(system.controllers, eta, E.T @ x)
+    x_dot, eta_dot = derivative(system, x, eta)
     # Largest term either evaluation order sums: each entry with all its
     # products taken in absolute value.
     edge_weight = system.gain.beta + system.controllers.w
@@ -337,8 +344,8 @@ def test_residual_is_worst_rate_over_last_window(run):
     worst = 0.0
     for j in range(trajectory.times.size - WINDOW, trajectory.times.size):
         x, eta = trajectory.x_states[:, j], trajectory.eta_states[:, j]
-        x_dot, _ = system.derivative(x, eta)
-        mu_dot = system.controllers.output_rate(eta, E.T @ x, E.T @ x_dot)
+        x_dot, _ = derivative(system, x, eta)
+        mu_dot = controller_bank_output_rate(system.controllers, eta, E.T @ x, E.T @ x_dot)
         worst = max(worst, np.abs(x_dot).max(), np.abs(mu_dot).max())
     assert trajectory.residual == pytest.approx(worst, rel=1e-9)
 
@@ -404,7 +411,7 @@ def reference_simulate(system, x0, eta0, dt, t_max, steady_tol=1e-8, window=WIND
         k3, _ = rate(z + half * k2)
         k4, _ = rate(z + dt * k3)
         z = z + (dt / 6.0) * (z_dot + 2.0 * k2 + 2.0 * k3 + k4)
-        if (np.abs(z) > 1e12).any():
+        if not (np.abs(z) <= 1e12).all():
             raise NumericalBlowupError(f"state magnitude exceeded {1e12:g} "
                                        f"at t = {count * dt:.6g}")
         z_dot, mu_sat = rate(z)
@@ -578,6 +585,14 @@ def test_buffered_step_drops_the_steps_past_a_blowup_silently(offset, t_blowup):
     assert message == f"state magnitude exceeded 1e+12 at t = {t_blowup}"
 
 
+def test_a_non_finite_state_is_a_blowup():
+    # With dt = 1e200 the first step's state is NaN; it fails every magnitude
+    # comparison, so only a bound written to fail on NaN stops the run there.
+    with np.errstate(all="ignore"):
+        message = assert_same_run(consensus_system(), [5.0, 18.0], dt=1e200, t_max=1e203)
+    assert message == "state magnitude exceeded 1e+12 at t = 1e+200"
+
+
 @settings(derandomize=True, deadline=None)
 @given(random_loops(), st.sampled_from([0.01, 0.05, 0.2]), st.integers(1, 300),
        st.integers(1, 120), st.sampled_from([1e-8, 1e-3, 1.0]))
@@ -640,6 +655,14 @@ def test_affine_map_steps_most_of_the_slow_hybrid_case_study():
     trajectory = simulate(system, seed=config.seed)
     assert trajectory.converged
     assert trajectory.affine_samples > 0.9 * trajectory.times.size
+
+
+def test_a_non_finite_state_is_a_blowup():
+    # With dt = 1e200 the first step's state is NaN; it fails every magnitude
+    # comparison, so only a bound written to fail on NaN stops the run there.
+    with np.errstate(all="ignore"):
+        message = assert_same_run(consensus_system(), [5.0, 18.0], dt=1e200, t_max=1e203)
+    assert message == "state magnitude exceeded 1e+12 at t = 1e+200"
 
 
 @settings(derandomize=True, deadline=None)
@@ -740,8 +763,8 @@ def test_declared_index_dissipation_along_surplus_run():
     for j in range(trajectory.times.size):
         x = trajectory.x_states[:, j]
         eta = trajectory.eta_states[:, j]
-        y, _, _, u = system.control(x, eta)
-        x_dot = agents.drift(x, u)
+        y, _, _, u = control(system, x, eta)
+        x_dot = agent_bank_drift(agents, x, u)
         storage_rate = float(np.sum((x - y_ss) / 0.8 * x_dot))
         bound = float((u - u_ss) @ (y - y_ss) - rho @ (y - y_ss) ** 2)
         worst = max(worst, storage_rate - bound)
