@@ -17,7 +17,6 @@ from .errors import (
     DuplicateEdgeError,
     EmptySelfRegulatingSetError,
     NetpassError,
-    NonConvexDualError,
     NotPassivizableError,
     NumericalBlowupError,
     ParameterError,
@@ -47,7 +46,6 @@ from .netopt import (
     RegularizedProblem,
     SolveStatus,
     build_problem,
-    flow_objective,
     solve,
     stationarity_residual,
 )
@@ -68,7 +66,7 @@ __version__ = "0.1.0"
 __all__ = [
     "NetpassError", "SelfLoopError", "DuplicateEdgeError", "VertexIndexError",
     "DisconnectedGraphError", "DimensionMismatchError", "NotPassivizableError",
-    "CertificateError", "EmptySelfRegulatingSetError", "NonConvexDualError",
+    "CertificateError", "EmptySelfRegulatingSetError",
     "NumericalBlowupError", "ParameterError",
     "ConfigError", "ConfigParseError", "ConfigSchemaError",
     "NetworkGraph",
@@ -78,7 +76,7 @@ __all__ = [
     "edge_gain_threshold", "uniform_network_gain", "hybrid_gain",
     "check_design", "zero_design", "component_sums",
     "RegularizedProblem", "Minimizer", "SolveStatus", "build_problem",
-    "solve", "flow_objective", "stationarity_residual",
+    "solve", "stationarity_residual",
     "ClosedLoopSystem", "Trajectory", "simulate", "steady_state_residual",
     "ScenarioConfig", "VerifyReport", "load_config", "config_from_dict",
     "generate_case_study", "verify", "emit_report", "cluster_count",

@@ -13,24 +13,18 @@ model is a parameter record that reports its coefficients: drift
 ``p*x + q*u + g`` (``drift_coeffs``), steady-state input map
 ``slope*y + intercept`` whose integral, the agent's potential, is anchored by
 a constant (``steady_coeffs``), the output where that potential is stationary
-(``anchor``), and the passivity index ``rho``.  Each model also gives the
-convex conjugate of its potential for input-side (flow) problems.
-``AgentBank`` holds the coefficients as arrays and evaluates the steady-state
-map and the potentials vectorized over all agents.
+(``anchor``), and the passivity index ``rho``.  ``AgentBank`` holds the
+coefficients as arrays and evaluates the steady-state map and the potentials
+vectorized over all agents.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NonConvexDualError, ParameterError
+from .errors import DimensionMismatchError, ParameterError
 
 __all__ = ["TrafficAgent", "IntegratorAgent", "StaticAffineAgent", "AgentBank"]
-
-# Width of the numerical spike treated as "input is exactly zero" when
-# evaluating the integrator's conjugate potential (an indicator of {0}).
-_INDICATOR_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -67,14 +61,6 @@ class TrafficAgent:
         """(slope, intercept, constant): the potential is (y - v0)**2 / (2 v1)."""
         return (1.0 / self.v1, -self.v0 / self.v1, self.v0**2 / (2.0 * self.v1))
 
-    def conjugate_potential(self, u):
-        """Convex conjugate of the potential; input-side cost."""
-        if self.v1 < 0.0:
-            raise NonConvexDualError(
-                "input-side cost undefined for v1 < 0 (potential is concave)"
-            )
-        return self.v0 * u + 0.5 * self.v1 * u**2
-
     def anchor(self):
         """Output at which the potential is stationary."""
         return self.v0
@@ -94,10 +80,6 @@ class IntegratorAgent:
     def steady_coeffs(self):
         # Any output is an equilibrium under zero input.
         return (0.0, 0.0, 0.0)
-
-    def conjugate_potential(self, u):
-        """Indicator of {0}: only zero input admits a steady state."""
-        return 0.0 if abs(u) <= _INDICATOR_TOL else math.inf
 
     def anchor(self):
         return 0.0
@@ -130,13 +112,6 @@ class StaticAffineAgent:
     def steady_coeffs(self):
         """The potential is (y**2 / 2 - c y) / a, zero at y = 0."""
         return (1.0 / self.a, -self.c / self.a, 0.0)
-
-    def conjugate_potential(self, u):
-        if self.a < 0.0:
-            raise NonConvexDualError(
-                "input-side cost undefined for a < 0 (potential is concave)"
-            )
-        return self.c * u + 0.5 * self.a * u**2 + self.c**2 / (2.0 * self.a)
 
     def anchor(self):
         return self.c
@@ -172,14 +147,10 @@ class AgentBank:
 
     def steady_input(self, y):
         """Per-agent steady-state input map, vectorized over outputs."""
+        self._check(y, "y")
         return self.slope * y + self.intercept
 
     def potential_total(self, y):
         """Sum of agent potentials at the output vector y."""
         self._check(y, "y")
         return float(np.sum(0.5 * self.slope * y**2 + self.intercept * y + self.const))
-
-    def conjugate_total(self, u):
-        """Sum of per-agent conjugate potentials at the input vector u."""
-        self._check(u, "u")
-        return float(sum(a.conjugate_potential(ui) for a, ui in zip(self.agents, u)))

@@ -5,8 +5,7 @@ edge) to coupling efforts.  Each model is maximal equilibrium-independent
 passive; its steady-state relation is the subdifferential of a convex
 potential.  A model is a parameter record: the saturated integrator
 (d(eta)/dt = zeta, mu = tanh(eta), potential |zeta|) has none, the static
-gain (mu = w * zeta, potential w zeta**2 / 2) has its gain ``w``.  Each also
-gives the convex conjugate of its potential for input-side (flow) problems.
+gain (mu = w * zeta, potential w zeta**2 / 2) has its gain ``w``.
 
 ``ControllerBank`` holds the saturated-edge mask and the static gains as
 arrays and evaluates, over all edges at once, the summed potential, the
@@ -19,7 +18,6 @@ operator-splitting solver (the edge gains' quadratic lives in its vertex
 step).
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,10 +26,6 @@ from .errors import DimensionMismatchError, ParameterError
 
 __all__ = ["TanhIntegratorController", "StaticGainController", "ControllerBank"]
 
-# Slack allowed beyond the unit interval when evaluating the saturated
-# controller's conjugate potential (an indicator of [-1, 1]).
-_INDICATOR_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class TanhIntegratorController:
@@ -39,12 +33,8 @@ class TanhIntegratorController:
 
     Its steady-state relation is the sign relation (any effort in [-1, 1]
     at zero relative output, else the saturation value), so the associated
-    potential is the absolute value and its conjugate is the indicator of
-    the unit interval.
+    potential is the absolute value.
     """
-
-    def conjugate_potential(self, mu):
-        return 0.0 if abs(mu) <= 1.0 + _INDICATOR_TOL else math.inf
 
 
 @dataclass(frozen=True)
@@ -56,9 +46,6 @@ class StaticGainController:
     def __post_init__(self):
         if self.w <= 0.0:
             raise ParameterError("w", f"static gain needs w > 0, got {self.w}")
-
-    def conjugate_potential(self, mu):
-        return mu**2 / (2.0 * self.w)
 
 
 class ControllerBank:
@@ -102,10 +89,6 @@ class ControllerBank:
         if self._no_static:
             return shrunk
         return np.where(self.saturated, shrunk, v / (1.0 + step * self.w))
-
-    def conjugate_total(self, mu):
-        self._check(mu, "mu")
-        return float(sum(c.conjugate_potential(m) for c, m in zip(self.controllers, mu)))
 
     def effort_bounds(self, zeta, zero_tol=1e-6):
         """Per-edge bounds on steady-state effort selections at ``zeta``.

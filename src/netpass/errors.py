@@ -37,10 +37,6 @@ class EmptySelfRegulatingSetError(NetpassError):
     """Hybrid synthesis needs at least one vertex allowed to self-regulate."""
 
 
-class NonConvexDualError(NetpassError):
-    """The requested dual (input-side) cost is not convex for these parameters."""
-
-
 class NumericalBlowupError(NetpassError):
     """A simulated state left the trusted numerical range."""
 

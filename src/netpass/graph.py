@@ -4,8 +4,11 @@ Vertices are numbered 0..n-1.  Every edge carries an arbitrary but fixed
 orientation, recorded as a (head, tail) pair; the incidence matrix has +1 at
 the head and -1 at the tail of each edge column.  The quantities derived
 here (the Laplacian and the component structure) are independent of the
-chosen orientation.  A graph stores its components and
-Laplacian once built, after the incidence, so an impossible graph fails fast.
+chosen orientation.  A graph stores its components and Laplacian once
+built, after the incidence, so an impossible graph fails fast.  The
+incidence is applied from the edge list: ``E^T y`` is ``y[heads] - y[tails]``,
+``E v`` is ``scatter`` and ``E diag(w) E^T`` is ``weighted_laplacian``; the
+dense ``incidence`` only builds dense operators.
 """
 
 from dataclasses import dataclass, field
@@ -68,16 +71,15 @@ class NetworkGraph:
             seen.add(key)
 
         heads, tails = np.array(edges, dtype=np.intp).reshape(-1, 2).T.copy()
+        for name, value in (("heads", heads), ("tails", tails)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
         inc = np.zeros((n, len(edges)))
         columns = np.arange(len(edges))
         inc[heads, columns] = 1.0
         inc[tails, columns] = -1.0
-        # The Laplacian E E^T: degrees on the diagonal, -1 for each (unrepeated) edge.
-        lap = np.zeros((n, n))
-        lap[heads, tails] = lap[tails, heads] = -1.0
-        lap[np.diag_indices(n)] = np.bincount(np.concatenate((heads, tails)), minlength=n)
-        for name, value in (("incidence", inc), ("heads", heads), ("tails", tails),
-                            ("_laplacian", lap)):
+        lap = self.weighted_laplacian(np.ones(len(edges)))
+        for name, value in (("incidence", inc), ("_laplacian", lap)):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
         object.__setattr__(self, "_components", _components(n, edges))
@@ -107,6 +109,19 @@ class NetworkGraph:
     def laplacian(self):
         """Graph Laplacian, the Gram matrix of the incidence rows (read-only)."""
         return self._laplacian
+
+    def weighted_laplacian(self, w):
+        """E diag(w) E^T as a new array: -w_e off the diagonal, each vertex's weight sum on it."""
+        n = self.n_vertices
+        Q = np.zeros((n, n))
+        Q[self.heads, self.tails] = Q[self.tails, self.heads] = -w
+        Q[np.diag_indices(n)] = np.bincount(self.heads, w, n) + np.bincount(self.tails, w, n)
+        return Q
+
+    def scatter(self, v):
+        """E v without the product: v_e added at edge e's head and taken at its tail."""
+        n = self.n_vertices
+        return np.bincount(self.heads, v, n) - np.bincount(self.tails, v, n)
 
     def connected_components(self):
         """Partition of the vertex set, each component sorted, ordered by minimum."""

@@ -424,14 +424,14 @@ class VerifyReport:
                              if f.name != "trajectory"})
 
 
-def round_floats(obj, digits=12):
-    """Round every float to the given number of significant digits; a non-finite one is None."""
+def round_floats(obj):
+    """Round every float to 12 significant digits, as ``%.12g``; a non-finite one is None."""
     if isinstance(obj, float):
-        return float(f"{obj:.{digits}g}") if math.isfinite(obj) else None
+        return float("%.12g" % obj) if math.isfinite(obj) else None
     if isinstance(obj, dict):
-        return {k: round_floats(v, digits) for k, v in obj.items()}
+        return {k: round_floats(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [round_floats(v, digits) for v in obj]
+        return [round_floats(v) for v in obj]
     return obj
 
 

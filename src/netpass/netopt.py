@@ -23,8 +23,7 @@ pseudoinverse when it is only semidefinite).  An iteration is then one
 scatter ``E v``, one n x n product, one gather ``E^T y`` and the prox, all
 O(m) but the product, and the dual residual is formed only where it is read
 (see ``solve``).  ``stationarity_residual`` measures how far a point is from
-the first-order conditions, and ``flow_objective`` evaluates the input-side
-(dual) objective.
+the first-order conditions; its fit is the one reader of the dense incidence.
 """
 
 import enum
@@ -45,7 +44,6 @@ __all__ = [
     "SolveStatus",
     "build_problem",
     "solve",
-    "flow_objective",
     "stationarity_residual",
 ]
 
@@ -59,6 +57,7 @@ _PIVOT_TOL = 1e-12
 
 # ``solve``'s defaults: initial penalty, iteration budget, residual tolerance.
 SOLVER_STEP, SOLVER_MAX_ITER, SOLVER_TOL = 1.0, 100000, 1e-8
+_ZERO_TOL = 1e-6  # |zeta| up to which ``stationarity_residual`` frees a saturated edge
 
 
 class SolveStatus(enum.Enum):
@@ -109,8 +108,8 @@ class RegularizedProblem:
 
     def objective(self, y):
         """Full (nonsmooth) objective at the output vector y."""
-        y = np.asarray(y, dtype=float)
-        zeta = self.graph.incidence.T @ y
+        y = _outputs(y, self.graph)
+        zeta = y[self.graph.heads] - y[self.graph.tails]
         value = self.agents.potential_total(y)
         value += self.controllers.potential_total(zeta)
         value += 0.5 * float(self.beta @ zeta**2)
@@ -118,10 +117,8 @@ class RegularizedProblem:
         return value
 
     def smooth_gradient(self, y):
-        """Gradient of the smooth part (everything except the edge potentials)."""
-        y = np.asarray(y, dtype=float)
-        E = self.graph.incidence
-        return self.agents.steady_input(y) + self.alpha * y + E @ (self.beta * (E.T @ y))
+        """Gradient of the smooth part (everything except the edge potentials): H y + intercept."""
+        return self._hessian @ _outputs(y, self.graph) + self.agents.intercept
 
     def smooth_hessian(self):
         """Hessian of the smooth part; constant for the supported agent models."""
@@ -136,6 +133,14 @@ class RegularizedProblem:
         if self._probe is None:
             self._probe = float(np.linalg.eigvalsh(self.smooth_hessian())[0])
         return self._probe
+
+
+def _outputs(y, graph):
+    """y as a float vector, refused unless it has one entry per vertex."""
+    y = np.asarray(y, dtype=float)
+    if y.shape != (graph.n_vertices,):
+        raise DimensionMismatchError(f"y has shape {y.shape}, expected ({graph.n_vertices},)")
+    return y
 
 
 def build_problem(graph, agents, controllers, gain: GainDesign = None):
@@ -220,14 +225,9 @@ def solve(problem: RegularizedProblem, step=SOLVER_STEP, max_iter=SOLVER_MAX_ITE
     controller prox.
     """
     nonconvex = problem.convexity_probe() < _CURVATURE_TOL
-    heads, tails = problem.graph.heads, problem.graph.tails
-    n = problem.graph.n_vertices
-    L = problem.graph.laplacian()
+    graph = problem.graph
+    heads, tails, scatter = graph.heads, graph.tails, graph.scatter
     lin = problem.agents.steady_input(np.zeros(len(problem.agents)))
-
-    def scatter(v):
-        """``E @ v`` without the product: v added at each edge's head, taken at its tail."""
-        return np.bincount(heads, v, n) - np.bincount(tails, v, n)
 
     def best_effort(y, zeta, r_p, r_d, iterations, status):
         return Minimizer(
@@ -242,9 +242,9 @@ def solve(problem: RegularizedProblem, step=SOLVER_STEP, max_iter=SOLVER_MAX_ITE
 
     y = problem.agents.anchors.astype(float).copy()
     zeta = y[heads] - y[tails]
-    w = np.zeros(problem.graph.n_edges)
+    w = np.zeros(graph.n_edges)
 
-    vertex = _VertexSolver(problem.smooth_hessian(), L)
+    vertex = _VertexSolver(problem.smooth_hessian(), graph.laplacian())
     t = float(step)
     while not vertex.factor(t):
         t *= 2.0
@@ -290,22 +290,11 @@ def solve(problem: RegularizedProblem, step=SOLVER_STEP, max_iter=SOLVER_MAX_ITE
 
 
 # ----------------------------------------------------------------------
-# input-side (flow) objective and stationarity residual
+# stationarity residual
 # ----------------------------------------------------------------------
 
 
-def flow_objective(agents: AgentBank, controllers: ControllerBank, u, mu):
-    """Input-side dual objective: conjugate agent costs plus conjugate edge costs.
-
-    Evaluates to ``+inf`` whenever an effort leaves its controller's dual
-    domain or an input is infeasible for its agent.
-    """
-    u = np.asarray(u, dtype=float)
-    mu = np.asarray(mu, dtype=float)
-    return agents.conjugate_total(u) + controllers.conjugate_total(mu)
-
-
-def stationarity_residual(problem: RegularizedProblem, y, zero_tol=1e-6):
+def stationarity_residual(problem: RegularizedProblem, y):
     """Distance of y from satisfying the problem's first-order conditions.
 
     Minimizes ``|| smooth_gradient(y) + E s ||`` over per-edge effort
@@ -313,24 +302,20 @@ def stationarity_residual(problem: RegularizedProblem, y, zero_tol=1e-6):
     ``zeta = E^T y`` (an interval for saturated controllers at zero relative
     output, a point otherwise).  Returns the minimal norm and the selection.
     """
-    y = np.asarray(y, dtype=float)
-    E = problem.graph.incidence
-    zeta = E.T @ y
+    graph = problem.graph
     gradient = problem.smooth_gradient(y)
-    lower, upper = problem.controllers.effort_bounds(zeta, zero_tol)
+    y = np.asarray(y, dtype=float)
+    zeta = y[graph.heads] - y[graph.tails]
+    lower, upper = problem.controllers.effort_bounds(zeta, _ZERO_TOL)
     selection = 0.5 * (lower + upper)
-    fixed = upper - lower <= 1e-15
-    residual_base = gradient + E[:, fixed] @ selection[fixed]
-    free = ~fixed
-    if not np.any(free):
-        return float(np.linalg.norm(residual_base)), selection
-    # Imported here, not at module level: no CLI command reaches this fit,
-    # so the CLI starts without loading scipy.
-    from scipy.optimize import lsq_linear
+    free = upper - lower > 1e-15
+    if np.any(free):
+        # Imported here, not at module level: no CLI command reaches this fit,
+        # so the CLI starts without loading scipy.
+        from scipy.optimize import lsq_linear
 
-    result = lsq_linear(
-        E[:, free], -residual_base, bounds=(lower[free], upper[free]), method="bvls"
-    )
-    selection[free] = result.x
-    residual = residual_base + E[:, free] @ result.x
-    return float(np.linalg.norm(residual)), selection
+        fixed_part = gradient + graph.scatter(selection)  # a free edge's selection is 0 so far
+        result = lsq_linear(graph.incidence[:, free], -fixed_part,
+                            bounds=(lower[free], upper[free]), method="bvls")
+        selection[free] = result.x
+    return float(np.linalg.norm(gradient + graph.scatter(selection))), selection

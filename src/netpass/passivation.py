@@ -110,8 +110,9 @@ def coupling_matrix(c, alpha, beta, graph: NetworkGraph):
     c = _as_vector(c, graph.n_vertices, "c")
     alpha = _as_vector(alpha, graph.n_vertices, "alpha")
     beta = _as_vector(beta, graph.n_edges, "beta")
-    E = graph.incidence
-    return np.diag(c + alpha) + (E * beta) @ E.T
+    Q = graph.weighted_laplacian(beta)
+    Q[np.diag_indices(graph.n_vertices)] += c + alpha  # onto the finished edge sums
+    return Q
 
 
 def component_sums(rho, graph: NetworkGraph):

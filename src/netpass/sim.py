@@ -181,7 +181,8 @@ class _DeepMap:
         sat = system.controllers.saturated
         self.n, self.cols = n, _tanh_columns(n, sat)
         self.A_T, self.B, self.g = system.operator[:, :n].T, system.operator[:, n:], system.agents.g
-        self.E_sat = system.graph.incidence[:, sat]
+        self.heads, self.tails = system.graph.heads[sat], system.graph.tails[sat]
+        E_sat = system.graph.incidence[:, sat]
         eye, hA, h = np.eye(n), dt * system.operator[:, :n], dt
         tail = eye / 6 + hA / 24
         C = h * h * (eye / 2 + hA @ tail)
@@ -203,8 +204,8 @@ class _DeepMap:
         # Column block 0 maps x (and b) to a step's eta increment, 1..3 to those offsets.
         x_maps = (self.N, h / 2 * eye, h / 2 * (eye + hA / 2), h * (eye + hA / 2 + hA @ hA / 4))
         b_maps = (C, np.zeros((n, n)), h * h / 4 * eye, h * h / 2 * (eye + hA / 2))
-        self.eta_x = np.hstack([L.T @ self.E_sat for L in x_maps])
-        self.eta_b = np.hstack([L.T @ self.E_sat for L in b_maps])
+        self.eta_x = np.hstack([L.T @ E_sat for L in x_maps])
+        self.eta_b = np.hstack([L.T @ E_sat for L in b_maps])
         self.patterns = {}
 
     def offsets(self, s):
@@ -244,7 +245,7 @@ class _DeepMap:
         if not ((s * eta >= _DEEP).all() and (s * stages >= _DEEP).all()):
             return False
         np.add(np.dot(X, self.A_T), b, rates[1: block + 1, :n])
-        rates[1: block + 1, cols] = np.dot(X, self.E_sat)
+        rates[1: block + 1, cols] = X[:, self.heads] - X[:, self.tails]
         xmus[1: block + 1, :n] = X
         xmus[1: block + 1, n:] = s
         return True
@@ -376,12 +377,12 @@ def simulate(system: ClosedLoopSystem, x0=None, eta0=None, dt=None, t_max=None,
                       affine_samples)
 
 
-def steady_state_residual(system: ClosedLoopSystem, y, zero_tol=1e-6):
+def steady_state_residual(system: ClosedLoopSystem, y):
     """First-order mismatch of y as a steady output of the regularized loop.
 
     Builds the matching regularized steady-state problem and returns the
     minimal norm of its gradient inclusion over admissible edge efforts.
     """
     problem = build_problem(system.graph, system.agents, system.controllers, system.gain)
-    residual, _ = stationarity_residual(problem, y, zero_tol)
+    residual, _ = stationarity_residual(problem, y)
     return residual

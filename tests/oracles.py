@@ -11,6 +11,9 @@ two:
 - controllers: scalar drift, output, potential, prox and steady-state effort
   interval of each model, and the controller bank's drift, output, output
   rate and batched potential;
+- the input-side (flow) dual: each model's conjugate potential, the banks'
+  conjugate totals and ``flow_objective``, which the package does not
+  evaluate at all;
 - the regularized problem's batched objective and ``brute_force``, a zooming
   exhaustive grid search for its minimizer on at most 4 vertices;
 - the closed loop's signals ``control`` and vector field ``derivative``.
@@ -37,9 +40,20 @@ from netpass import (
 BRUTE_FORCE_MAX_N = 4
 BRUTE_FORCE_POINTS = 33
 
+# Width of the numerical spike treated as "input is exactly zero" when
+# evaluating the integrator's conjugate potential (an indicator of {0}).
+_ZERO_INPUT_TOL = 1e-9
+# Slack allowed beyond the unit interval when evaluating the saturated
+# controller's conjugate potential (an indicator of [-1, 1]).
+_UNIT_BOX_TOL = 1e-9
+
 
 class DimensionTooLargeError(NetpassError):
     """Exhaustive search was requested for a dimension it cannot handle."""
+
+
+class NonConvexDualError(NetpassError):
+    """The requested dual (input-side) cost is not convex for these parameters."""
 
 
 def _unsupported(model):
@@ -180,6 +194,57 @@ def controller_bank_output_rate(bank, eta, zeta, zeta_dot):
 def controller_bank_potential_batch(bank, Z):
     """Summed edge potentials for a batch of edge vectors, (P, m) -> (P,)."""
     return np.where(bank.saturated, np.abs(Z), 0.5 * bank.w * Z**2).sum(axis=1)
+
+
+# ----------------------------------------------------------------------
+# the input-side (flow) dual
+# ----------------------------------------------------------------------
+
+
+def agent_conjugate_potential(agent, u):
+    """Convex conjugate of the agent's potential: its input-side cost."""
+    if isinstance(agent, TrafficAgent):
+        if agent.v1 < 0.0:
+            raise NonConvexDualError("input-side cost undefined for v1 < 0 (potential is concave)")
+        return agent.v0 * u + 0.5 * agent.v1 * u**2
+    if isinstance(agent, IntegratorAgent):
+        # Indicator of {0}: only zero input admits a steady state.
+        return 0.0 if abs(u) <= _ZERO_INPUT_TOL else math.inf
+    if isinstance(agent, StaticAffineAgent):
+        if agent.a < 0.0:
+            raise NonConvexDualError("input-side cost undefined for a < 0 (potential is concave)")
+        return agent.c * u + 0.5 * agent.a * u**2 + agent.c**2 / (2.0 * agent.a)
+    raise _unsupported(agent)
+
+
+def controller_conjugate_potential(controller, mu):
+    """Convex conjugate of the edge potential: the indicator of [-1, 1] or mu^2 / (2 w)."""
+    if isinstance(controller, TanhIntegratorController):
+        return 0.0 if abs(mu) <= 1.0 + _UNIT_BOX_TOL else math.inf
+    if isinstance(controller, StaticGainController):
+        return mu**2 / (2.0 * controller.w)
+    raise _unsupported(controller)
+
+
+def agent_bank_conjugate_total(bank, u):
+    """Sum of the agents' conjugate potentials at the input vector u."""
+    return float(sum(agent_conjugate_potential(a, ui)
+                     for a, ui in zip(bank.agents, u, strict=True)))
+
+
+def controller_bank_conjugate_total(bank, mu):
+    """Sum of the edges' conjugate potentials at the effort vector mu."""
+    return float(sum(controller_conjugate_potential(c, m)
+                     for c, m in zip(bank.controllers, mu, strict=True)))
+
+
+def flow_objective(agents, controllers, u, mu):
+    """Input-side dual objective: conjugate agent costs plus conjugate edge costs.
+
+    Evaluates to ``+inf`` whenever an effort leaves its controller's dual
+    domain or an input is infeasible for its agent.
+    """
+    return agent_bank_conjugate_total(agents, u) + controller_bank_conjugate_total(controllers, mu)
 
 
 # ----------------------------------------------------------------------

@@ -55,7 +55,6 @@ from netpass import (
     check_design,
     coupling_matrix,
     edge_gain_threshold,
-    flow_objective,
     solve,
     stationarity_residual,
     uniform_network_gain,
@@ -66,7 +65,7 @@ from netpass.harness import (
     generate_case_study,
     verify,
 )
-from oracles import agent_drift, agent_storage, brute_force
+from oracles import agent_drift, agent_storage, brute_force, flow_objective
 
 
 # ----------------------------------------------------------------------

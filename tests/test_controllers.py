@@ -1,7 +1,7 @@
 """Edge controller tests: dynamics, potentials, proxes, effort intervals.
 
-The scalar models' dynamics, potentials, proxes and effort intervals are the
-reference evaluations of ``oracles``; the bank's vectorized prox, potential
+The scalar models' dynamics, potentials, conjugate potentials, proxes and
+effort intervals are the reference evaluations of ``oracles``; the bank's vectorized prox, potential
 and effort bounds are checked against them edge by edge.  The prox closed
 forms are cross-checked against an independent zooming grid minimizer of
 potential(z) + (z - v)^2 / (2 step).
@@ -20,10 +20,12 @@ from netpass import (
     TanhIntegratorController,
 )
 from oracles import (
+    controller_bank_conjugate_total,
     controller_bank_drift,
     controller_bank_output,
     controller_bank_output_rate,
     controller_bank_potential_batch,
+    controller_conjugate_potential,
     controller_drift,
     controller_output,
     controller_potential,
@@ -92,12 +94,12 @@ def test_tanh_prox_guards():
 
 def test_tanh_conjugate_is_box_indicator():
     c = TanhIntegratorController()
-    assert c.conjugate_potential(0.0) == 0.0
-    assert c.conjugate_potential(1.0) == 0.0
-    assert c.conjugate_potential(-1.0) == 0.0
-    assert c.conjugate_potential(1.0 + 5e-10) == 0.0
-    assert c.conjugate_potential(1.2) == math.inf
-    assert c.conjugate_potential(-1.01) == math.inf
+    assert controller_conjugate_potential(c, 0.0) == 0.0
+    assert controller_conjugate_potential(c, 1.0) == 0.0
+    assert controller_conjugate_potential(c, -1.0) == 0.0
+    assert controller_conjugate_potential(c, 1.0 + 5e-10) == 0.0
+    assert controller_conjugate_potential(c, 1.2) == math.inf
+    assert controller_conjugate_potential(c, -1.01) == math.inf
 
 
 def test_tanh_effort_interval():
@@ -128,7 +130,7 @@ def test_static_gain_dynamics_and_output():
     assert controller_drift(c, 0.3, 1.7) == 0.0
     assert controller_output(c, 99.0, 1.5) == 3.0
     assert controller_potential(c, 3.0) == 9.0
-    assert c.conjugate_potential(4.0) == pytest.approx(4.0, abs=EXACT_TOL)
+    assert controller_conjugate_potential(c, 4.0) == pytest.approx(4.0, abs=EXACT_TOL)
 
 
 def test_static_gain_requires_positive_gain():
@@ -168,8 +170,8 @@ def test_static_gain_conjugate_fenchel_young():
     c = StaticGainController(1.7)
     for zeta in (-2.0, 0.0, 0.5, 3.0):
         mu = controller_output(c, 0.0, zeta)
-        assert controller_potential(c, zeta) + c.conjugate_potential(mu) == pytest.approx(
-            mu * zeta, abs=EXACT_TOL)
+        fenchel_young = controller_potential(c, zeta) + controller_conjugate_potential(c, mu)
+        assert fenchel_young == pytest.approx(mu * zeta, abs=EXACT_TOL)
 
 
 def test_static_gain_effort_interval_is_a_point():
@@ -292,6 +294,6 @@ def test_bank_effort_bounds_equal_the_per_edge_intervals(case):
 
 def test_bank_conjugate_total():
     bank = make_bank()
-    assert bank.conjugate_total(np.array([0.5, 4.0, -1.0])) == pytest.approx(
+    assert controller_bank_conjugate_total(bank, np.array([0.5, 4.0, -1.0])) == pytest.approx(
         4.0, abs=EXACT_TOL)
-    assert bank.conjugate_total(np.array([1.5, 0.0, 0.0])) == math.inf
+    assert controller_bank_conjugate_total(bank, np.array([1.5, 0.0, 0.0])) == math.inf

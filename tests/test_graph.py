@@ -212,3 +212,69 @@ def test_random_graph_component_partition(g):
     comps = g.connected_components()
     flat = sorted(v for c in comps for v in c)
     assert flat == list(range(g.n_vertices))
+
+
+# ----------------------------------------------------------------------
+# edge-list kernels
+# ----------------------------------------------------------------------
+
+
+@st.composite
+def oriented_graphs(draw):
+    """A random graph whose edges each point either way."""
+    g = draw(random_graphs())
+    flips = draw(st.lists(st.booleans(), min_size=g.n_edges, max_size=g.n_edges))
+    return NetworkGraph(g.n_vertices, tuple((t, h) if flip else (h, t)
+                                            for (h, t), flip in zip(g.edges, flips)))
+
+
+def edge_vectors(g):
+    return st.lists(st.floats(min_value=-1e3, max_value=1e3), min_size=g.n_edges,
+                    max_size=g.n_edges).map(np.array)
+
+
+def previous_laplacian(g):
+    """The Laplacian as it was stored before ``weighted_laplacian``: degrees and -1s."""
+    lap = np.zeros((g.n_vertices, g.n_vertices))
+    lap[g.heads, g.tails] = lap[g.tails, g.heads] = -1.0
+    lap[np.diag_indices(g.n_vertices)] = np.bincount(np.concatenate((g.heads, g.tails)),
+                                                     minlength=g.n_vertices)
+    return lap
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_weighted_laplacian_is_the_weighted_incidence_product(data):
+    g = data.draw(oriented_graphs())
+    w = data.draw(edge_vectors(g))
+    Q = g.weighted_laplacian(w)
+    E = g.incidence
+    np.testing.assert_allclose(Q, (E * w) @ E.T, rtol=1e-12, atol=1e-10)
+    np.testing.assert_array_equal(Q, Q.T)
+
+
+@settings(max_examples=60, deadline=None)
+@given(oriented_graphs())
+def test_unit_weighted_laplacian_is_the_stored_laplacian_bit_for_bit(g):
+    Q = g.weighted_laplacian(np.ones(g.n_edges))
+    for L in (previous_laplacian(g), g.laplacian()):
+        np.testing.assert_array_equal(Q, L)
+        np.testing.assert_array_equal(np.signbit(Q), np.signbit(L))
+
+
+def test_weighted_laplacian_returns_a_new_array():
+    g = NetworkGraph.complete(3)
+    # edges (0, 1), (0, 2), (1, 2) with weights 1, 2, 3
+    Q = g.weighted_laplacian(np.array([1.0, 2.0, 3.0]))
+    np.testing.assert_array_equal(Q, [[3, -1, -2], [-1, 4, -3], [-2, -3, 5]])
+    unit = g.weighted_laplacian(np.ones(3))
+    unit[0, 0] = 7.0  # a fresh, writable array: the stored Laplacian is untouched
+    np.testing.assert_array_equal(g.laplacian(), previous_laplacian(g))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_scatter_is_the_incidence_product(data):
+    g = data.draw(oriented_graphs())
+    v = data.draw(edge_vectors(g))
+    np.testing.assert_allclose(g.scatter(v), g.incidence @ v, rtol=1e-12, atol=1e-10)

@@ -19,6 +19,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from netpass import (
     AgentBank,
+    ClosedLoopSystem,
     ControllerBank,
     DimensionMismatchError,
     GainDesign,
@@ -31,13 +32,13 @@ from netpass import (
     TrafficAgent,
     build_problem,
     edge_gain_threshold,
-    flow_objective,
     solve,
     stationarity_residual,
+    steady_state_residual,
 )
 from netpass.harness import build_system_parts, generate_case_study, synthesis_stage
 from netpass.netopt import _VertexSolver
-from oracles import DimensionTooLargeError, brute_force, objective_batch
+from oracles import DimensionTooLargeError, brute_force, flow_objective, objective_batch
 
 P2 = NetworkGraph.path(2)
 K3 = NetworkGraph.complete(3)
@@ -193,6 +194,34 @@ def test_convexity_probe_bounded_by_mean_curvature_for_any_edge_gain(problem):
     bound = (problem.agents.slope + problem.alpha).sum() / n
     scale = 1.0 + np.linalg.norm(problem.smooth_hessian(), np.inf)
     assert problem.convexity_probe() <= bound + 1e-12 * scale
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(gained_problems(), st.data())
+def test_objective_gathers_the_incidence_product_bit_for_bit(problem, data):
+    n = problem.graph.n_vertices
+    y = np.array(data.draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n)))
+    zeta = problem.graph.incidence.T @ y
+    np.testing.assert_array_equal(y[problem.graph.heads] - y[problem.graph.tails], zeta)
+    # the objective's own sum, in its order, on the product's zeta
+    expected = problem.agents.potential_total(y) + problem.controllers.potential_total(zeta)
+    expected += 0.5 * float(problem.beta @ zeta**2)
+    expected += 0.5 * float(problem.alpha @ y**2)
+    assert problem.objective(y) == expected
+
+
+@pytest.mark.parametrize("length", [1, 4])
+def test_outputs_of_the_wrong_length_are_refused(length):
+    # three agents: a length-1 y would broadcast over all of them, a longer one be cut
+    problem = mixed_sign_problem()
+    gain = GainDesign(problem.alpha, problem.beta, 0.0, 0.0, 1.0)
+    system = ClosedLoopSystem(problem.graph, problem.agents, problem.controllers, gain)
+    y = np.full(length, 20.0)
+    for evaluate in (problem.objective, problem.smooth_gradient, problem.agents.steady_input,
+                     lambda v: stationarity_residual(problem, v),
+                     lambda v: steady_state_residual(system, v)):
+        with pytest.raises(DimensionMismatchError):
+            evaluate(y)
 
 
 def test_regularization_never_lowers_objective():
