@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, ParameterError
+from .errors import DimensionMismatchError, ParameterError, as_vector
 
 __all__ = ["TrafficAgent", "IntegratorAgent", "StaticAffineAgent", "AgentBank"]
 
@@ -139,18 +139,12 @@ class AgentBank:
     def __len__(self):
         return len(self.agents)
 
-    def _check(self, vec, name):
-        if np.shape(vec) != (len(self.agents),):
-            raise DimensionMismatchError(
-                f"{name} has shape {np.shape(vec)}, expected ({len(self.agents)},)"
-            )
-
     def steady_input(self, y):
         """Per-agent steady-state input map, vectorized over outputs."""
-        self._check(y, "y")
+        y = as_vector(y, len(self), "y")
         return self.slope * y + self.intercept
 
     def potential_total(self, y):
         """Sum of agent potentials at the output vector y."""
-        self._check(y, "y")
+        y = as_vector(y, len(self), "y")
         return float(np.sum(0.5 * self.slope * y**2 + self.intercept * y + self.const))

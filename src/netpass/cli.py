@@ -140,9 +140,8 @@ def _cmd_verify(args):
     else:
         config = load_config(args.config)
     report = verify(config)
-    emit_report(report, json_path=args.out_json,
-                trajectory_csv=args.out_trajectory, pairs_csv=args.out_pairs)
-    sys.stdout.write(json_text(report.to_dict()))
+    sys.stdout.write(emit_report(report, json_path=args.out_json,
+                                 trajectory_csv=args.out_trajectory, pairs_csv=args.out_pairs))
     if report.passed:
         return EXIT_OK
     return EXIT_INFEASIBLE if report.verdict == "infeasible" else EXIT_RUN_FAILED

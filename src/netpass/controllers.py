@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, ParameterError
+from .errors import ParameterError, as_vector
 
 __all__ = ["TanhIntegratorController", "StaticGainController", "ControllerBank"]
 
@@ -69,20 +69,14 @@ class ControllerBank:
     def __len__(self):
         return len(self.controllers)
 
-    def _check(self, vec, name):
-        if np.shape(vec) != (len(self.controllers),):
-            raise DimensionMismatchError(
-                f"{name} has shape {np.shape(vec)}, expected ({len(self.controllers)},)"
-            )
-
     def potential_total(self, zeta):
-        self._check(zeta, "zeta")
+        zeta = as_vector(zeta, len(self), "zeta")
         vals = np.where(self.saturated, np.abs(zeta), 0.5 * self.w * zeta**2)
         return float(vals.sum())
 
     def prox(self, v, step):
         """Vectorized prox across all edges."""
-        self._check(v, "v")
+        v = as_vector(v, len(self), "v")
         if step <= 0.0:
             raise ValueError(f"prox step must be positive, got {step}")
         shrunk = np.sign(v) * np.maximum(np.abs(v) - step, 0.0)
@@ -96,8 +90,7 @@ class ControllerBank:
         A saturated edge admits any effort in [-1, 1] where |zeta| <= zero_tol
         and sign(zeta) elsewhere; a static edge admits only w * zeta.
         """
-        self._check(zeta, "zeta")
-        zeta = np.asarray(zeta, dtype=float)
+        zeta = as_vector(zeta, len(self), "zeta")
         free = np.abs(zeta) <= zero_tol
         sign = np.copysign(1.0, zeta)
         mu = self.w * zeta

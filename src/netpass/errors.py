@@ -1,4 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its two dimension rules.
+
+Every entry point checks a per-vertex or per-edge vector with ``as_vector``,
+so a length-1 one cannot broadcast, and its banks' counts with ``check_counts``.
+"""
+
+import numpy as np
 
 
 class NetpassError(Exception):
@@ -23,6 +29,22 @@ class DisconnectedGraphError(NetpassError):
 
 class DimensionMismatchError(NetpassError):
     """Vector or component counts do not agree with the graph."""
+
+
+def as_vector(values, length, name):
+    """``values`` as a float vector, refused unless it has ``length`` entries."""
+    arr = np.asarray(values, dtype=float)
+    if arr.shape != (length,):
+        raise DimensionMismatchError(f"{name} has shape {arr.shape}, expected ({length},)")
+    return arr
+
+
+def check_counts(graph, agents, controllers):
+    """Refuse banks without one agent per vertex and one controller per edge."""
+    if len(agents) != graph.n_vertices:
+        raise DimensionMismatchError(f"{len(agents)} agents for {graph.n_vertices} vertices")
+    if len(controllers) != graph.n_edges:
+        raise DimensionMismatchError(f"{len(controllers)} controllers for {graph.n_edges} edges")
 
 
 class NotPassivizableError(NetpassError):

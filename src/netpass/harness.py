@@ -616,16 +616,17 @@ def write_trajectory_csv(trajectory, path):
 
 def emit_report(report: VerifyReport, json_path=None, trajectory_csv=None,
                 pairs_csv=None):
-    """Write the JSON report and optional CSV companions.
+    """Write the JSON report and optional CSV companions; return the report's JSON text.
 
     The trajectory CSV has columns t, x_0.., eta_0..; the pairs CSV lists
     per-vertex simulated and optimized steady outputs.  All floats are
     written with 12 significant digits so identical runs produce identical
     bytes.
     """
+    text = json_text(report.to_dict())
     if json_path is not None:
         with open(json_path, "w") as fh:
-            fh.write(json_text(report.to_dict()))
+            fh.write(text)
     if trajectory_csv is not None and report.trajectory is not None:
         write_trajectory_csv(report.trajectory, trajectory_csv)
     if pairs_csv is not None and report.opt:
@@ -636,3 +637,4 @@ def emit_report(report: VerifyReport, json_path=None, trajectory_csv=None,
             if y_ss is not None:
                 for i, (a, b) in enumerate(zip(y_ss, report.opt["y_star"])):
                     fh.write("%d,%.12g,%.12g\n" % (i, a, b))
+    return text

@@ -23,7 +23,8 @@ pseudoinverse when it is only semidefinite).  An iteration is then one
 scatter ``E v``, one n x n product, one gather ``E^T y`` and the prox, all
 O(m) but the product, and the dual residual is formed only where it is read
 (see ``solve``).  ``stationarity_residual`` measures how far a point is from
-the first-order conditions; its fit is the one reader of the dense incidence.
+the first-order conditions, freeing a tanh edge within ``effort_bounds``'
+default tolerance; its fit and ``sim.ClosedLoopSystem`` read the dense incidence.
 """
 
 import enum
@@ -34,7 +35,7 @@ import numpy as np
 
 from .agents import AgentBank
 from .controllers import ControllerBank
-from .errors import DimensionMismatchError
+from .errors import as_vector, check_counts
 from .graph import NetworkGraph
 from .passivation import GainDesign, coupling_matrix
 
@@ -57,7 +58,6 @@ _PIVOT_TOL = 1e-12
 
 # ``solve``'s defaults: initial penalty, iteration budget, residual tolerance.
 SOLVER_STEP, SOLVER_MAX_ITER, SOLVER_TOL = 1.0, 100000, 1e-8
-_ZERO_TOL = 1e-6  # |zeta| up to which ``stationarity_residual`` frees a saturated edge
 
 
 class SolveStatus(enum.Enum):
@@ -84,14 +84,7 @@ class RegularizedProblem:
 
     def __init__(self, graph: NetworkGraph, agents: AgentBank,
                  controllers: ControllerBank, alpha, beta):
-        if len(agents) != graph.n_vertices:
-            raise DimensionMismatchError(
-                f"{len(agents)} agents for {graph.n_vertices} vertices"
-            )
-        if len(controllers) != graph.n_edges:
-            raise DimensionMismatchError(
-                f"{len(controllers)} controllers for {graph.n_edges} edges"
-            )
+        check_counts(graph, agents, controllers)
         self.graph = graph
         self.agents = agents
         self.controllers = controllers
@@ -108,7 +101,7 @@ class RegularizedProblem:
 
     def objective(self, y):
         """Full (nonsmooth) objective at the output vector y."""
-        y = _outputs(y, self.graph)
+        y = as_vector(y, self.graph.n_vertices, "y")
         zeta = y[self.graph.heads] - y[self.graph.tails]
         value = self.agents.potential_total(y)
         value += self.controllers.potential_total(zeta)
@@ -118,7 +111,7 @@ class RegularizedProblem:
 
     def smooth_gradient(self, y):
         """Gradient of the smooth part (everything except the edge potentials): H y + intercept."""
-        return self._hessian @ _outputs(y, self.graph) + self.agents.intercept
+        return self._hessian @ as_vector(y, self.graph.n_vertices, "y") + self.agents.intercept
 
     def smooth_hessian(self):
         """Hessian of the smooth part; constant for the supported agent models."""
@@ -133,14 +126,6 @@ class RegularizedProblem:
         if self._probe is None:
             self._probe = float(np.linalg.eigvalsh(self.smooth_hessian())[0])
         return self._probe
-
-
-def _outputs(y, graph):
-    """y as a float vector, refused unless it has one entry per vertex."""
-    y = np.asarray(y, dtype=float)
-    if y.shape != (graph.n_vertices,):
-        raise DimensionMismatchError(f"y has shape {y.shape}, expected ({graph.n_vertices},)")
-    return y
 
 
 def build_problem(graph, agents, controllers, gain: GainDesign = None):
@@ -227,7 +212,7 @@ def solve(problem: RegularizedProblem, step=SOLVER_STEP, max_iter=SOLVER_MAX_ITE
     nonconvex = problem.convexity_probe() < _CURVATURE_TOL
     graph = problem.graph
     heads, tails, scatter = graph.heads, graph.tails, graph.scatter
-    lin = problem.agents.steady_input(np.zeros(len(problem.agents)))
+    lin = problem.agents.intercept
 
     def best_effort(y, zeta, r_p, r_d, iterations, status):
         return Minimizer(
@@ -303,10 +288,10 @@ def stationarity_residual(problem: RegularizedProblem, y):
     output, a point otherwise).  Returns the minimal norm and the selection.
     """
     graph = problem.graph
+    y = as_vector(y, graph.n_vertices, "y")
     gradient = problem.smooth_gradient(y)
-    y = np.asarray(y, dtype=float)
     zeta = y[graph.heads] - y[graph.tails]
-    lower, upper = problem.controllers.effort_bounds(zeta, _ZERO_TOL)
+    lower, upper = problem.controllers.effort_bounds(zeta)
     selection = 0.5 * (lower + upper)
     free = upper - lower > 1e-15
     if np.any(free):

@@ -30,11 +30,11 @@ import numpy as np
 
 from .errors import (
     CertificateError,
-    DimensionMismatchError,
     DisconnectedGraphError,
     EmptySelfRegulatingSetError,
     NotPassivizableError,
     VertexIndexError,
+    as_vector,
 )
 from .graph import NetworkGraph
 
@@ -92,24 +92,15 @@ class Certificate:
     positive_definite: bool
 
 
-def _as_vector(values, length, name):
-    arr = np.asarray(values, dtype=float)
-    if arr.shape != (length,):
-        raise DimensionMismatchError(
-            f"{name} has shape {arr.shape}, expected ({length},)"
-        )
-    return arr
-
-
 def coupling_matrix(c, alpha, beta, graph: NetworkGraph):
     """The gain quadratic Q(c) = diag(c + alpha) + E diag(beta) E^T.
 
     With ``c = rho`` it is the certificate X; with ``c`` the agents'
     steady-state slopes it is the regularized problem's Hessian.
     """
-    c = _as_vector(c, graph.n_vertices, "c")
-    alpha = _as_vector(alpha, graph.n_vertices, "alpha")
-    beta = _as_vector(beta, graph.n_edges, "beta")
+    c = as_vector(c, graph.n_vertices, "c")
+    alpha = as_vector(alpha, graph.n_vertices, "alpha")
+    beta = as_vector(beta, graph.n_edges, "beta")
     Q = graph.weighted_laplacian(beta)
     Q[np.diag_indices(graph.n_vertices)] += c + alpha  # onto the finished edge sums
     return Q
@@ -117,7 +108,7 @@ def coupling_matrix(c, alpha, beta, graph: NetworkGraph):
 
 def component_sums(rho, graph: NetworkGraph):
     """(vertices, exactly rounded index sum) of each connected component."""
-    rho = _as_vector(rho, graph.n_vertices, "rho")
+    rho = as_vector(rho, graph.n_vertices, "rho")
     return [(comp, math.fsum(rho[comp])) for comp in graph.connected_components()]
 
 
@@ -135,7 +126,7 @@ def edge_gain_threshold(rho, graph: NetworkGraph):
     exactly rounded sum makes M = 0, and the bound exactly 0, for equal
     indices.  Any uniform edge gain strictly above the bound certifies.
     """
-    rho = _as_vector(rho, graph.n_vertices, "rho")
+    rho = as_vector(rho, graph.n_vertices, "rho")
     if not graph.is_connected():
         raise DisconnectedGraphError("edge gain threshold needs a connected graph")
     total = math.fsum(rho)
@@ -165,7 +156,7 @@ def uniform_network_gain(rho, graph: NetworkGraph, epsilon=None):
     CertificateError
         If the synthesized design unexpectedly fails its own check.
     """
-    rho = _as_vector(rho, graph.n_vertices, "rho")
+    rho = as_vector(rho, graph.n_vertices, "rho")
     if epsilon is not None and epsilon <= 0.0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     short = _short_component(rho, graph)
@@ -206,7 +197,7 @@ def hybrid_gain(rho, graph: NetworkGraph, self_regulating, epsilon=None):
     EmptySelfRegulatingSetError
         If the index sum is not positive and no vertex may self-regulate.
     """
-    rho = _as_vector(rho, graph.n_vertices, "rho")
+    rho = as_vector(rho, graph.n_vertices, "rho")
     if not graph.is_connected():
         raise DisconnectedGraphError("hybrid synthesis needs a connected graph")
     self_regulating = sorted(int(i) for i in self_regulating)

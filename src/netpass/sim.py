@@ -7,8 +7,9 @@ incidence matrix E and applies the synthesized passivating feedback:
 
 Agents are affine (x' = p x + q u + g, y = x) and static edges linear, so with
 K = Q(0) = diag(alpha) + E diag(beta + w) E^T (``passivation.coupling_matrix``)
-the field is built once, with [A | B] held as one matrix acting on
-[x, tanh(eta_sat)]:
+``ClosedLoopSystem`` builds the field once, [A | B] held as one matrix acting
+on [x, tanh(eta_sat)], and keeps E_sat, the tanh edges' columns of z = [x, eta]
+and their end vertices beside it for the default step, the deep map and ``simulate``:
 
     x' = A x + B tanh(eta_sat) + g,   A = diag(p) - diag(q) K,  B = -diag(q) E_sat,
     eta_sat' = E_sat^T x,             and a static edge's eta never moves.
@@ -38,16 +39,13 @@ state.  Where RK4 on the deep loop is unstable the map is not used.
 """
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .agents import AgentBank
-from .controllers import ControllerBank
-from .errors import DimensionMismatchError, NumericalBlowupError
-from .graph import NetworkGraph
+from .errors import NumericalBlowupError, as_vector, check_counts
 from .netopt import build_problem, stationarity_residual
-from .passivation import GainDesign, coupling_matrix
+from .passivation import coupling_matrix
 
 __all__ = ["ClosedLoopSystem", "Trajectory", "simulate", "steady_state_residual"]
 
@@ -58,54 +56,41 @@ _DEEP = 20.0  # |eta| from which np.tanh(eta) is exactly +-1 in float64 (it is f
 STEADY_TOL = 1e-8  # default threshold on the worst state/output rate
 
 
-def _tanh_columns(n, saturated):
-    """Columns of z = [x, eta] that hold the tanh edges' states.
-
-    An all-tanh network reads them as a slice of z, not a gather.
-    """
-    return slice(n, None) if saturated.all() else n + np.flatnonzero(saturated)
-
-
-@dataclass(frozen=True)
 class ClosedLoopSystem:
-    """Agents, controllers, a gain design, and the loop's ``[A | B]`` operator."""
+    """An ``AgentBank``, ``ControllerBank`` and ``GainDesign`` on a graph, and the loop's pieces.
 
-    graph: NetworkGraph
-    agents: AgentBank
-    controllers: ControllerBank
-    gain: GainDesign
-    operator: np.ndarray = field(init=False, repr=False, compare=False)
+    Derived once and read-only: ``operator``, the ``[A | B]`` acting on
+    ``[x, tanh(eta_sat)]``; ``E_sat``, the incidence columns of the tanh
+    edges; ``tanh_cols``, the columns of ``z = [x, eta]`` holding their states
+    (a slice on an all-tanh network, so reading them is not a gather); and
+    ``heads_sat``, ``tails_sat``, their end vertices.
+    """
 
-    def __post_init__(self):
-        n = self.graph.n_vertices
-        if len(self.agents) != n:
-            raise DimensionMismatchError(f"{len(self.agents)} agents for {n} vertices")
-        if len(self.controllers) != self.graph.n_edges:
-            raise DimensionMismatchError(
-                f"{len(self.controllers)} controllers for {self.graph.n_edges} edges"
-            )
+    def __init__(self, graph, agents, controllers, gain):
+        check_counts(graph, agents, controllers)
         # coupling_matrix checks alpha and the summed edge gains, but beta + w
         # would broadcast a length-1 beta over every edge.
-        if self.gain.beta.shape != (self.graph.n_edges,):
-            raise DimensionMismatchError(f"beta has shape {self.gain.beta.shape}")
-        E, sat, q = self.graph.incidence, self.controllers.saturated, self.agents.q[:, None]
-        K = coupling_matrix(np.zeros(n), self.gain.alpha,
-                            self.gain.beta + self.controllers.w, self.graph)
-        operator = np.column_stack((np.diag(self.agents.p) - q * K, -q * E[:, sat]))
-        operator.setflags(write=False)
-        heads, tails = self.graph.heads, self.graph.tails
-        cols = _tanh_columns(n, sat)
-        object.__setattr__(self, "operator", operator)
-        object.__setattr__(self, "_sat", (n, cols, heads[sat], tails[sat], self.agents.g))
-        object.__setattr__(self, "_static", (n + np.flatnonzero(~sat), self.controllers.w[~sat],
-                                             heads[~sat], tails[~sat]))
+        as_vector(gain.beta, graph.n_edges, "beta")
+        self.graph, self.agents, self.controllers, self.gain = graph, agents, controllers, gain
+        n, sat, q = graph.n_vertices, controllers.saturated, agents.q[:, None]
+        K = coupling_matrix(np.zeros(n), gain.alpha, gain.beta + controllers.w, graph)
+        self.E_sat = graph.incidence[:, sat]
+        self.operator = np.column_stack((np.diag(agents.p) - q * K, -q * self.E_sat))
+        self.tanh_cols = slice(n, None) if sat.all() else n + np.flatnonzero(sat)
+        self.heads_sat, self.tails_sat = graph.heads[sat], graph.tails[sat]
+        for arr in (self.E_sat, self.operator, self.heads_sat, self.tails_sat, self.tanh_cols):
+            if isinstance(arr, np.ndarray):
+                arr.setflags(write=False)
+        self._rate = (n, self.tanh_cols, self.heads_sat, self.tails_sat, agents.g)
+        self._static = (n + np.flatnonzero(~sat), controllers.w[~sat],
+                        graph.heads[~sat], graph.tails[~sat])
 
     def rate(self, z, z_dot, xmu):
         """Write the rate of ``z = [x, eta]`` into ``z_dot``, ``[x, tanh(eta_sat)]`` into ``xmu``.
 
         A static edge's entries of ``z_dot`` are never written; a zeroed buffer keeps them zero.
         """
-        n, cols, heads, tails, g = self._sat
+        n, cols, heads, tails, g = self._rate
         xmu[:n] = z[:n]
         np.tanh(z[cols], xmu[n:])
         x_dot = np.dot(self.operator, xmu, z_dot[:n])
@@ -116,11 +101,10 @@ class ClosedLoopSystem:
             z_dot[cols] = z[heads] - z[tails]
 
     def steady_rate(self, z_dots, xmus):
-        """Worst agent state rate and controller output rate of each row of ``rate``'s results."""
-        n, cols = self._sat[:2]
+        """Worst state and output rate of each row of ``rate``'s results; reads xmus' mu columns."""
         rates = z_dots.copy()  # the saturated edges' entries are their zeta
-        mu_sat = xmus[:, n:]
-        rates[:, cols] *= 1.0 - mu_sat * mu_sat
+        mu_sat = xmus[:, self.graph.n_vertices:]
+        rates[:, self.tanh_cols] *= 1.0 - mu_sat * mu_sat
         cols, w, heads, tails = self._static
         if w.size:
             rates[:, cols] = w * (z_dots[:, heads] - z_dots[:, tails])
@@ -152,9 +136,8 @@ def _default_step(system):
     accuracy.  The cap covers r = 0 (edgeless integrators).
     """
     n = system.graph.n_vertices
-    E_sat = system.graph.incidence[:, system.controllers.saturated]
     r = np.linalg.norm(system.operator[:, :n], 2) + max(
-        np.linalg.norm(system.operator[:, n:], 2), np.linalg.norm(E_sat, 2))
+        np.linalg.norm(system.operator[:, n:], 2), np.linalg.norm(system.E_sat, 2))
     return min(0.25, max(1e-4, 2.5 / max(r, 1e-12)))
 
 
@@ -177,12 +160,10 @@ class _DeepMap:
     """
 
     def __init__(self, system, dt):
-        n = system.graph.n_vertices
-        sat = system.controllers.saturated
-        self.n, self.cols = n, _tanh_columns(n, sat)
+        n, E_sat = system.graph.n_vertices, system.E_sat
+        self.n, self.cols = n, system.tanh_cols
         self.A_T, self.B, self.g = system.operator[:, :n].T, system.operator[:, n:], system.agents.g
-        self.heads, self.tails = system.graph.heads[sat], system.graph.tails[sat]
-        E_sat = system.graph.incidence[:, sat]
+        self.heads, self.tails = system.heads_sat, system.tails_sat
         eye, hA, h = np.eye(n), dt * system.operator[:, :n], dt
         tail = eye / 6 + hA / 24
         C = h * h * (eye / 2 + hA @ tail)
@@ -221,7 +202,7 @@ class _DeepMap:
         return self.patterns[key]
 
     def step(self, table, rates, xmus, start, block):
-        """Write rows start+1..start+block of ``table`` and rows 1..block of ``rates`` and ``xmus``.
+        """Write rows start+1..start+block of ``table``, 1..block of ``rates`` and of ``xmus``' mu.
 
         Row ``start`` must be deep.  Returns False, with ``rates`` and ``xmus``
         untouched, when RK4 on the deep loop is unstable, or a row or a stage
@@ -246,7 +227,6 @@ class _DeepMap:
             return False
         np.add(np.dot(X, self.A_T), b, rates[1: block + 1, :n])
         rates[1: block + 1, cols] = X[:, self.heads] - X[:, self.tails]
-        xmus[1: block + 1, :n] = X
         xmus[1: block + 1, n:] = s
         return True
 
@@ -291,22 +271,15 @@ def simulate(system: ClosedLoopSystem, x0=None, eta0=None, dt=None, t_max=None,
     if dt <= 0.0 or t_max <= 0.0 or window < 1:
         raise ValueError("dt, t_max and window must be positive")
     if x0 is None:
-        rng = np.random.default_rng(seed)
         anchors = system.agents.anchors
-        x = rng.uniform(anchors.min() - 10.0, anchors.max() + 10.0, n)
-    else:
-        x = np.array(x0, dtype=float)
-        if x.shape != (n,):
-            raise DimensionMismatchError(f"x0 has shape {x.shape}, expected ({n},)")
-    eta = np.zeros(m) if eta0 is None else np.array(eta0, dtype=float)
-    if eta.shape != (m,):
-        raise DimensionMismatchError(f"eta0 has shape {eta.shape}, expected ({m},)")
+        x0 = np.random.default_rng(seed).uniform(anchors.min() - 10.0, anchors.max() + 10.0, n)
+    x = as_vector(x0, n, "x0")
+    eta = as_vector(np.zeros(m) if eta0 is None else eta0, m, "eta0")
     for name, value in (("x0", x), ("eta0", eta)):
         if not np.isfinite(value).all():
             raise ValueError(f"{name} must be finite")
 
-    rate, deep_map = system.rate, None
-    tanh_cols = _tanh_columns(n, system.controllers.saturated)
+    rate, deep_map, tanh_cols = system.rate, None, system.tanh_cols
     table = np.empty((4096, n + m))  # one row per sample, doubled when full
     table[0, :n], table[0, n:] = x, eta
     # Row 0: the last kept sample's rate; rows 1..: each new sample's rate.

@@ -271,6 +271,11 @@ def test_bank_rejects_empty():
 def test_bank_totals_reject_a_wrong_length(length):
     # a length-1 vector would broadcast over every agent; it is refused
     bank = make_bank()
-    vec = np.full(length, 5.0)
-    with pytest.raises(DimensionMismatchError):
-        bank.potential_total(vec)
+    for call in (bank.potential_total, bank.steady_input):
+        for vec in (np.full(length, 5.0), [5.0] * length):
+            with pytest.raises(DimensionMismatchError):
+                call(vec)
+    # a plain list of the right length is read like the array
+    y = [11.0, 4.0, 7.0]
+    assert bank.potential_total(y) == bank.potential_total(np.array(y))
+    np.testing.assert_array_equal(bank.steady_input(y), bank.steady_input(np.array(y)))

@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from netpass import (
     ControllerBank,
+    DimensionMismatchError,
     StaticGainController,
     TanhIntegratorController,
 )
@@ -263,6 +264,21 @@ def test_bank_effort_bounds():
     lower, upper = bank.effort_bounds(zeta)
     np.testing.assert_allclose(lower, [-1.0, 3.0, -1.0])
     np.testing.assert_allclose(upper, [1.0, 3.0, -1.0])
+
+
+@pytest.mark.parametrize("length", [1, 4])
+def test_bank_totals_reject_a_wrong_length(length):
+    # a length-1 vector would broadcast over every edge; it is refused
+    bank = make_bank()
+    calls = (bank.potential_total, lambda v: bank.prox(v, 1.0), bank.effort_bounds)
+    for call in calls:
+        for vec in (np.full(length, 0.5), [0.5] * length):
+            with pytest.raises(DimensionMismatchError):
+                call(vec)
+    # a plain list of the right length is read like the array
+    zeta = [0.5, -0.5, 0.0]
+    for call in calls:
+        np.testing.assert_array_equal(call(zeta), call(np.array(zeta)))
 
 
 @st.composite

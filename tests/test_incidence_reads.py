@@ -2,9 +2,10 @@
 
 ``NetworkGraph`` writes E^T y as ``y[heads] - y[tails]``, E v as ``scatter``
 and E diag(w) E^T as ``weighted_laplacian``.  Its dense ``incidence`` is
-read elsewhere only by the functions that build a dense operator from it:
-the closed loop's ``[A | B]``, the default step's norm, the all-deep RK4
-map and the stationarity fit's least-squares matrix.  This guard parses
+read elsewhere only by the two functions that build a dense operator from
+it: the closed loop's constructor, which builds ``[A | B]`` and keeps the
+tanh edges' columns ``E_sat`` for the default step's norm and the all-deep
+RK4 map, and the stationarity fit's least-squares matrix.  This guard parses
 every module under ``src/netpass`` but ``graph.py`` and fails on any other
 read of ``.incidence``.
 """
@@ -15,9 +16,7 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "netpass"
 
 DENSE_OPERATOR_BUILDERS = {
-    ("sim.py", "ClosedLoopSystem.__post_init__"),
-    ("sim.py", "_default_step"),
-    ("sim.py", "_DeepMap.__init__"),
+    ("sim.py", "ClosedLoopSystem.__init__"),
     ("netopt.py", "stationarity_residual"),
 }
 
