@@ -108,7 +108,7 @@ def _cmd_synthesize(args):
 def _cmd_simulate(args):
     config, parts = _scenario(args)
     design = synthesis_stage(config, *parts)[0]
-    trajectory, sim = simulation_stage(config, *parts, design)
+    trajectory, sim = simulation_stage(config, *parts, design, record=bool(args.out_csv))
     if trajectory is None:
         _print_json({"converged": False, "blowup": True, "reason": sim["error"]},
                     args.out)
@@ -139,7 +139,7 @@ def _cmd_verify(args):
             Path(args.config_out).write_text(json_text(config.to_dict()))
     else:
         config = load_config(args.config)
-    report = verify(config)
+    report = verify(config, record=args.out_trajectory is not None)
     sys.stdout.write(emit_report(report, json_path=args.out_json,
                                  trajectory_csv=args.out_trajectory, pairs_csv=args.out_pairs))
     if report.passed:

@@ -501,11 +501,13 @@ def synthesis_stage(config, graph, agents, controllers):
     return design, problem, probe, gain
 
 
-def simulation_stage(config, graph, agents, controllers, design):
+def simulation_stage(config, graph, agents, controllers, design, record=False):
     """Second stage: the closed-loop run and the report's ``sim`` payload.
 
     Returns (trajectory, sim payload); after a numerical blowup the
-    trajectory is None and the payload carries the error.
+    trajectory is None and the payload carries the error.  The trajectory
+    keeps every sample only with ``record`` (see ``simulate``); the payload
+    is the same either way.
     """
     system = ClosedLoopSystem(graph, agents, controllers, design)
     try:
@@ -516,6 +518,7 @@ def simulation_stage(config, graph, agents, controllers, design):
             t_max=config.t_max,
             steady_tol=config.steady_tol,
             seed=config.seed,
+            record=record,
         )
     except NumericalBlowupError as exc:
         return None, {"converged": False, "error": str(exc)}
@@ -543,8 +546,12 @@ def optimization_stage(config, problem):
     }
 
 
-def verify(config: ScenarioConfig):
-    """Run the three stages and compare simulated and optimized steady states."""
+def verify(config: ScenarioConfig, record=False):
+    """Run the three stages and compare simulated and optimized steady states.
+
+    ``report.trajectory`` keeps every sample only with ``record``, which a
+    trajectory CSV needs; the report's payloads do not depend on it.
+    """
     parts = build_system_parts(config)
     report = VerifyReport(config=config.to_dict(), feasible=False,
                           verdict="infeasible", passed=False)
@@ -558,7 +565,7 @@ def verify(config: ScenarioConfig):
     report.gain = gain
     report.convexity_probe = probe
 
-    trajectory, report.sim = simulation_stage(config, *parts, design)
+    trajectory, report.sim = simulation_stage(config, *parts, design, record)
     if trajectory is None:
         report.verdict = "blowup"
         return report
@@ -600,7 +607,13 @@ def json_text(payload):
 
 
 def write_trajectory_csv(trajectory, path):
-    """Write columns t, x_0.., eta_0.., one row per sample, each value as ``%.12g``."""
+    """Write columns t, x_0.., eta_0.., one row per sample, each value as ``%.12g``.
+
+    Raises ValueError, before opening ``path``, on a trajectory that does not
+    start at t = 0: a run simulated without ``record`` holds its final sample alone.
+    """
+    if trajectory.times[0] != 0.0:
+        raise ValueError("the trajectory holds only its final sample; simulate with record=True")
     n = trajectory.x_states.shape[0]
     m = trajectory.eta_states.shape[0]
     line = ",".join(["%.12g"] * (1 + n + m)) + "\n"
@@ -618,7 +631,8 @@ def emit_report(report: VerifyReport, json_path=None, trajectory_csv=None,
                 pairs_csv=None):
     """Write the JSON report and optional CSV companions; return the report's JSON text.
 
-    The trajectory CSV has columns t, x_0.., eta_0..; the pairs CSV lists
+    The trajectory CSV has columns t, x_0.., eta_0.., and needs a report
+    verified with ``record=True`` (``write_trajectory_csv``); the pairs CSV lists
     per-vertex simulated and optimized steady outputs.  All floats are
     written with 12 significant digits so identical runs produce identical
     bytes.

@@ -16,8 +16,11 @@ and their end vertices beside it for the default step, the deep map and ``simula
 
 ``simulate`` integrates the stacked state z = [x, eta] by classic fixed-step
 fourth-order Runge-Kutta on preallocated stage buffers, writing each new
-state straight into the next row of a row-per-sample table, and returns the
-state histories as read-only transposed views of it.  Blowup and steadiness
+state straight into the next row of a row-per-sample table.  With
+``record=True`` the table keeps every sample and the state histories are
+read-only transposed views of it; with ``record=False`` it is a fixed buffer
+of ``2 * _BLOCK + 1`` rows whose last kept row moves to row 0 when it fills,
+and the run returns its final sample alone.  Blowup and steadiness
 are checked once per block of samples, and the run ends where a per-step
 check would.  The default step keeps every stable mode inside RK4's
 stability region (``_default_step``).  A run counts as steady
@@ -53,6 +56,7 @@ _BLOWUP_LIMIT = 1e12
 _STEADY_WINDOW = 100
 _BLOCK = 32  # samples stepped between two steadiness and blowup checks
 _DEEP = 20.0  # |eta| from which np.tanh(eta) is exactly +-1 in float64 (it is from 18.99 on)
+_ALIGN = 64  # bytes; the rate's matvec measured 13% slower 16 or 48 bytes past this boundary
 STEADY_TOL = 1e-8  # default threshold on the worst state/output rate
 
 
@@ -60,10 +64,11 @@ class ClosedLoopSystem:
     """An ``AgentBank``, ``ControllerBank`` and ``GainDesign`` on a graph, and the loop's pieces.
 
     Derived once and read-only: ``operator``, the ``[A | B]`` acting on
-    ``[x, tanh(eta_sat)]``; ``E_sat``, the incidence columns of the tanh
-    edges; ``tanh_cols``, the columns of ``z = [x, eta]`` holding their states
-    (a slice on an all-tanh network, so reading them is not a gather); and
-    ``heads_sat``, ``tails_sat``, their end vertices.
+    ``[x, tanh(eta_sat)]``, on an ``_ALIGN``-byte boundary; ``E_sat``, the
+    incidence columns of the tanh edges; ``tanh_cols``, the columns of
+    ``z = [x, eta]`` holding their states (a slice on an all-tanh network, so
+    reading them is not a gather); and ``heads_sat``, ``tails_sat``, their end
+    vertices.
     """
 
     def __init__(self, graph, agents, controllers, gain):
@@ -75,7 +80,8 @@ class ClosedLoopSystem:
         n, sat, q = graph.n_vertices, controllers.saturated, agents.q[:, None]
         K = coupling_matrix(np.zeros(n), gain.alpha, gain.beta + controllers.w, graph)
         self.E_sat = graph.incidence[:, sat]
-        self.operator = np.column_stack((np.diag(agents.p) - q * K, -q * self.E_sat))
+        self.operator = _aligned_empty((n, n + self.E_sat.shape[1]))
+        self.operator[:, :n], self.operator[:, n:] = np.diag(agents.p) - q * K, -q * self.E_sat
         self.tanh_cols = slice(n, None) if sat.all() else n + np.flatnonzero(sat)
         self.heads_sat, self.tails_sat = graph.heads[sat], graph.tails[sat]
         for arr in (self.E_sat, self.operator, self.heads_sat, self.tails_sat, self.tanh_cols):
@@ -111,9 +117,21 @@ class ClosedLoopSystem:
         return np.abs(rates).max(axis=1)
 
 
+def _aligned_empty(shape):
+    """An uninitialised float64 array whose data starts on an ``_ALIGN``-byte boundary."""
+    size = 8 * int(np.prod(shape))
+    raw = np.empty(size + _ALIGN, dtype=np.uint8)
+    start = -raw.ctypes.data % _ALIGN
+    return raw[start: start + size].view(np.float64).reshape(shape)
+
+
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled closed-loop run on a uniform time grid; its state arrays are read-only."""
+    """Sampled closed-loop run on a uniform time grid; its state arrays are read-only.
+
+    A run without a recorder holds its final sample alone: ``times`` is
+    ``[t_end]`` and the state arrays have one column.
+    """
 
     times: np.ndarray
     x_states: np.ndarray
@@ -232,7 +250,7 @@ class _DeepMap:
 
 
 def simulate(system: ClosedLoopSystem, x0=None, eta0=None, dt=None, t_max=None,
-             steady_tol=STEADY_TOL, window=_STEADY_WINDOW, seed=0):
+             steady_tol=STEADY_TOL, window=_STEADY_WINDOW, seed=0, record=True):
     """Integrate the closed loop until steady, blown up, or out of time.
 
     RK4 steps on preallocated buffers; every ``_BLOCK`` samples one pass over
@@ -243,6 +261,14 @@ def simulate(system: ClosedLoopSystem, x0=None, eta0=None, dt=None, t_max=None,
     inputs stay deep with the starting signs, and only where RK4 on that
     linear loop is stable; otherwise RK4 steps it.  ``Trajectory.affine_samples``
     counts the kept samples the map produced.
+
+    A recorded run keeps every sample in a table that doubles from 4096
+    rows when full.  An unrecorded one steps through a buffer of
+    ``2 * _BLOCK + 1`` rows and copies its last kept row to row 0 when the
+    next block would not fit.  Both cut their blocks at the recorded table's
+    sizes, so they do the same arithmetic: the final sample, ``converged``,
+    ``y_ss``, ``residual`` and ``affine_samples`` are bitwise the same, and a
+    blowup raises the same message.
 
     Parameters
     ----------
@@ -258,6 +284,9 @@ def simulate(system: ClosedLoopSystem, x0=None, eta0=None, dt=None, t_max=None,
         Threshold on the worst state/output rate for steadiness.
     window : int
         Number of consecutive steady samples required before stopping.
+    record : bool
+        Keep every sample.  Without it the ``Trajectory`` holds the final
+        sample alone: ``times == [t_end]`` and one state column each.
 
     Raises
     ------
@@ -280,7 +309,10 @@ def simulate(system: ClosedLoopSystem, x0=None, eta0=None, dt=None, t_max=None,
             raise ValueError(f"{name} must be finite")
 
     rate, deep_map, tanh_cols = system.rate, None, system.tanh_cols
-    table = np.empty((4096, n + m))  # one row per sample, doubled when full
+    # One row per sample.  Blocks end where a recorded table of `capacity`
+    # rows would fill; row i of `table` holds sample base + i.
+    capacity, base = 4096, 0
+    table = np.empty((capacity if record else 2 * _BLOCK + 1, n + m))
     table[0, :n], table[0, n:] = x, eta
     # Row 0: the last kept sample's rate; rows 1..: each new sample's rate.
     rates = np.zeros((_BLOCK + 1, n + m))
@@ -297,19 +329,25 @@ def simulate(system: ClosedLoopSystem, x0=None, eta0=None, dt=None, t_max=None,
     half, step, sixth, two = np.array(dt / 2.0), np.array(dt), np.array(dt / 6.0), np.array(2.0)
 
     while steps_left and not converged:
-        if count == table.shape[0]:
-            grown = np.empty((2 * count, n + m))
-            grown[:count] = table
-            table = grown
-        block = min(_BLOCK, steps_left, table.shape[0] - count)  # grow only when full
+        if count == capacity:
+            capacity *= 2
+            if record:
+                grown = np.empty((capacity, n + m))
+                grown[:count] = table
+                table = grown
+        block = min(_BLOCK, steps_left, capacity - count)
+        if count - base + block > table.shape[0]:  # never on a recorded run
+            table[0] = table[count - 1 - base]
+            base = count - 1
+        last = count - 1 - base
         # Rows stepped past a blowup are dropped unread, so their overflow is silent.
         with np.errstate(all="ignore"):
-            z, k1 = table[count - 1], rates[0]
+            z, k1 = table[last], rates[0]
             affine = bool((np.abs(z[tanh_cols]) >= _DEEP).all())
             if affine:
                 if deep_map is None:
                     deep_map = _DeepMap(system, dt)
-                affine = deep_map.step(table, rates, xmus, count - 1, block)
+                affine = deep_map.step(table, rates, xmus, last, block)
             if not affine:
                 for j in range(1, block + 1):
                     rate(np.add(z, np.multiply(half, k1, s), s), k2, xmu)
@@ -319,10 +357,10 @@ def simulate(system: ClosedLoopSystem, x0=None, eta0=None, dt=None, t_max=None,
                     np.add(k1, np.multiply(two, k2, total), total)
                     np.add(total, np.multiply(two, k3, s), total)
                     np.multiply(sixth, np.add(total, k4, total), total)
-                    z, k1 = np.add(z, total, table[count - 1 + j]), rates[j]
+                    z, k1 = np.add(z, total, table[last + j]), rates[j]
                     rate(z, k1, xmus[j])
             # Written so that a NaN, which fails every comparison, counts as blown up.
-            blown = ~(np.abs(table[count: count + block]) <= _BLOWUP_LIMIT).all(axis=1)
+            blown = ~(np.abs(table[last + 1: last + 1 + block]) <= _BLOWUP_LIMIT).all(axis=1)
             steady = system.steady_rate(rates[1: block + 1], xmus[1: block + 1])
         bad = int(blown.argmax()) if blown.any() else block
         start = count
@@ -341,13 +379,13 @@ def simulate(system: ClosedLoopSystem, x0=None, eta0=None, dt=None, t_max=None,
         rates[0] = rates[block]
         steps_left -= block
 
-    table = table[:count]
+    table = table[:count] if record else table[count - 1 - base: count - base].copy()
     table.setflags(write=False)
     x_states, eta_states = table[:, :n].T, table[:, n:].T
     residual = float(np.max(metrics))
     y_ss = x_states[:, -1].copy() if converged else None
-    return Trajectory(np.arange(count) * dt, x_states, eta_states, converged, y_ss, residual,
-                      affine_samples)
+    times = np.arange(count - table.shape[0], count) * dt
+    return Trajectory(times, x_states, eta_states, converged, y_ss, residual, affine_samples)
 
 
 def steady_state_residual(system: ClosedLoopSystem, y):

@@ -393,7 +393,7 @@ def test_criterion_10_certified_runs_never_violate_dissipation():
         data = case_config(n, seed, mode, vsr=(0,)).to_dict()
         data["sim"]["dt"] = 0.02
         config = config_from_dict(data)
-        report = verify(config)
+        report = verify(config, record=True)
         assert report.passed, (n, seed, mode, report.verdict)
         graph, agents, _ = build_system_parts(config)
         trajectory = report.trajectory
@@ -426,6 +426,9 @@ def test_criterion_10_certified_runs_never_violate_dissipation():
         worst_violation = max(worst_violation, violation)
         total_samples += X.shape[1]
         assert violation <= 1e-8, (n, seed, mode, violation)
+    # Every sample of the five runs: a run verified without record=True holds
+    # its final sample alone, and the gate would check only that.
+    assert total_samples == 303820
     print(f"criterion 10: 5/5 certified runs dissipative over "
           f"{total_samples} samples, worst violation {worst_violation:.2e}")
 

@@ -599,7 +599,7 @@ def test_emit_report_round_trips_json(tmp_path):
 
 
 def test_emit_report_csv_shapes(tmp_path):
-    report = verify(config_from_dict(consensus_dict()))
+    report = verify(config_from_dict(consensus_dict()), record=True)
     traj_path = tmp_path / "trajectory.csv"
     pairs_path = tmp_path / "pairs.csv"
     emit_report(report, trajectory_csv=traj_path, pairs_csv=pairs_path)
@@ -609,6 +609,19 @@ def test_emit_report_csv_shapes(tmp_path):
     pair_lines = pairs_path.read_text().splitlines()
     assert pair_lines[0] == "vertex,y_ss,y_star"
     assert len(pair_lines) == 3
+
+
+def test_emit_report_refuses_a_trajectory_csv_from_an_unrecorded_run(tmp_path):
+    # An unrecorded run holds its final sample alone: writing it would be a
+    # one-row CSV that looks like a whole trajectory.
+    report = verify(config_from_dict(consensus_dict()))
+    assert report.trajectory.times.size == 1 and report.trajectory.times[0] > 0.0
+    path = tmp_path / "trajectory.csv"
+    with pytest.raises(ValueError, match="record=True"):
+        emit_report(report, trajectory_csv=path)
+    assert not path.exists()
+    recorded = verify(config_from_dict(consensus_dict()), record=True)
+    assert recorded.to_dict() == report.to_dict()
 
 
 def test_trajectory_csv_matches_per_value_format(tmp_path):
