@@ -6,6 +6,13 @@ so a length-1 one cannot broadcast, and its banks' counts with ``check_counts``.
 
 import numpy as np
 
+__all__ = [
+    "NetpassError", "SelfLoopError", "DuplicateEdgeError", "VertexIndexError",
+    "DisconnectedGraphError", "DimensionMismatchError", "NotPassivizableError",
+    "CertificateError", "EmptySelfRegulatingSetError", "NumericalBlowupError",
+    "ParameterError", "ConfigError", "ConfigParseError", "ConfigSchemaError",
+]
+
 
 class NetpassError(Exception):
     """Base class for all package-specific errors."""

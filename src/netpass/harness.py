@@ -46,27 +46,11 @@ from .errors import (
 from .graph import NetworkGraph
 from .netopt import SOLVER_MAX_ITER, SOLVER_STEP, SOLVER_TOL, SolveStatus, build_problem, solve
 from .passivation import hybrid_gain, uniform_network_gain, zero_design
-from .sim import STEADY_TOL, ClosedLoopSystem, simulate
+from .sim import HORIZON, STEADY_TOL, ClosedLoopSystem, simulate
 
 __all__ = [
-    "ScenarioConfig",
-    "VerifyReport",
-    "read_scenario",
-    "load_config",
-    "config_from_dict",
-    "generate_case_study",
-    "build_system_parts",
-    "synthesize_gain",
-    "synthesize_certified",
-    "synthesis_stage",
-    "simulation_stage",
-    "optimization_stage",
-    "verify",
-    "json_text",
-    "round_floats",
-    "write_trajectory_csv",
-    "emit_report",
-    "cluster_count",
+    "ScenarioConfig", "VerifyReport", "load_config", "config_from_dict",
+    "generate_case_study", "verify", "emit_report", "cluster_count",
 ]
 
 _GAIN_MODES = ("none", "network_only", "hybrid")
@@ -332,6 +316,9 @@ def config_from_dict(data):
             settings[name] = default
         if name == "controllers":
             parts = _build(settings)
+    dt, t_max = settings["dt"], HORIZON if settings["t_max"] is None else settings["t_max"]
+    if dt is not None and not math.isfinite(t_max / dt):
+        _fail("$.sim.dt", f"{dt:g} gives an unbounded step count over t_max = {t_max:g}")
     if settings["gain_mode"] == "hybrid":
         if not settings["self_regulating"]:
             _fail("$.self_regulating", "hybrid mode needs at least one vertex")

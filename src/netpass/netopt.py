@@ -239,31 +239,34 @@ def solve(problem: RegularizedProblem, step=SOLVER_STEP, max_iter=SOLVER_MAX_ITE
 
     r_p = r_d = np.inf
     iterations = 0
-    for iterations in range(1, max_iter + 1):
-        rhs = t * scatter(zeta - w) - lin
-        y = vertex.solve(rhs)
-        Ety = y[heads] - y[tails]
-        zeta_prev = zeta
-        zeta = problem.controllers.prox(Ety + w, 1.0 / t)
-        w = w + Ety - zeta
-        r = Ety - zeta
-        r_p = math.sqrt(r @ r)
-        balance = iterations % 50 == 0
-        # Only the stop test, the balancing and the last iterate read r_d.
-        if r_p < tol or balance or iterations == max_iter:
-            d = t * scatter(zeta - zeta_prev)
-            r_d = math.sqrt(d @ d)
-            if r_p < tol and r_d < tol:
-                break
-        if balance:
-            if r_p > 10.0 * r_d and t < 1e8:
-                if vertex.factor(2.0 * t):
-                    t *= 2.0
-                    w = w / 2.0
-            elif r_d > 10.0 * r_p and t > 1e-8:
-                if vertex.factor(t / 2.0):
-                    t /= 2.0
-                    w = w * 2.0
+    # Iterates that leave the float range (a penalty far from the problem's
+    # scale can do that) give inf or NaN residuals and end at MAX_ITER.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for iterations in range(1, max_iter + 1):
+            rhs = t * scatter(zeta - w) - lin
+            y = vertex.solve(rhs)
+            Ety = y[heads] - y[tails]
+            zeta_prev = zeta
+            zeta = problem.controllers.prox(Ety + w, 1.0 / t)
+            w = w + Ety - zeta
+            r = Ety - zeta
+            r_p = math.sqrt(r @ r)
+            balance = iterations % 50 == 0
+            # Only the stop test, the balancing and the last iterate read r_d.
+            if r_p < tol or balance or iterations == max_iter:
+                d = t * scatter(zeta - zeta_prev)
+                r_d = math.sqrt(d @ d)
+                if r_p < tol and r_d < tol:
+                    break
+            if balance:
+                if r_p > 10.0 * r_d and t < 1e8:
+                    if vertex.factor(2.0 * t):
+                        t *= 2.0
+                        w = w / 2.0
+                elif r_d > 10.0 * r_p and t > 1e-8:
+                    if vertex.factor(t / 2.0):
+                        t /= 2.0
+                        w = w * 2.0
 
     if nonconvex:
         status = SolveStatus.NONCONVEX_DETECTED

@@ -8,27 +8,30 @@ incidence matrix E and applies the synthesized passivating feedback:
 Agents are affine (x' = p x + q u + g, y = x) and static edges linear, so with
 K = Q(0) = diag(alpha) + E diag(beta + w) E^T (``passivation.coupling_matrix``)
 ``ClosedLoopSystem`` builds the field once, [A | B] held as one matrix acting
-on [x, tanh(eta_sat)], and keeps E_sat, the tanh edges' columns of z = [x, eta]
-and their end vertices beside it for the default step, the deep map and ``simulate``:
+on [x, tanh(eta_sat)], and keeps E_sat and the tanh edges' end vertices
+beside it for the default step, the deep map and ``simulate``:
 
     x' = A x + B tanh(eta_sat) + g,   A = diag(p) - diag(q) K,  B = -diag(q) E_sat,
-    eta_sat' = E_sat^T x,             and a static edge's eta never moves.
+    eta_sat' = E_sat^T x.
 
-``simulate`` integrates the stacked state z = [x, eta] by classic fixed-step
-fourth-order Runge-Kutta on preallocated stage buffers, writing each new
-state straight into the next row of a row-per-sample table.  With
-``record=True`` the table keeps every sample and the state histories are
-read-only transposed views of it; with ``record=False`` it is a fixed buffer
-of ``2 * _BLOCK + 1`` rows whose last kept row moves to row 0 when it fills,
-and the run returns its final sample alone.  Blowup and steadiness
-are checked once per block of samples, and the run ends where a per-step
-check would.  The default step keeps every stable mode inside RK4's
-stability region (``_default_step``).  A run counts as steady
-when the agent state rates and the controller output rates stay below a
-tolerance over a sustained window; the integrator controller's internal
-state may keep ramping (its output saturates, so the loop still settles),
-which is exactly what happens on edges that hold a nonzero relative output
-at steady state.
+A static edge has no memory, so the loop's state is z = [x, eta_sat], as
+wide as [A | B]: a static edge's eta is never stepped, stored or checked for
+blowup, and comes back from eta0, unchanged, only in the ``Trajectory``.
+
+``simulate`` integrates z by classic fixed-step fourth-order Runge-Kutta on
+preallocated stage buffers, writing each new state straight into the next
+row of one buffer of ``2 * _BLOCK + 1`` rows whose last kept row moves to
+row 0 when it fills.  With ``record=True`` each block's kept rows are also
+copied into a [x, eta] table and the state histories are read-only
+transposed views of it; with ``record=False`` the run returns its final
+sample alone.  Blowup and steadiness are checked once per block of samples,
+and the run ends where a per-step check would.  The default step keeps every
+stable mode inside RK4's stability region (``_default_step``).  A run counts
+as steady when the agent state rates and the controller output rates stay
+below a tolerance over a sustained window; the integrator controller's
+internal state may keep ramping (its output saturates, so the loop still
+settles), which is exactly what happens on edges that hold a nonzero
+relative output at steady state.
 
 Once every tanh edge is deep (|eta| >= ``_DEEP``, where float64 tanh is
 exactly +-1), the loop is exactly linear, and RK4 on it is one fixed affine
@@ -58,17 +61,17 @@ _BLOCK = 32  # samples stepped between two steadiness and blowup checks
 _DEEP = 20.0  # |eta| from which np.tanh(eta) is exactly +-1 in float64 (it is from 18.99 on)
 _ALIGN = 64  # bytes; the rate's matvec measured 13% slower 16 or 48 bytes past this boundary
 STEADY_TOL = 1e-8  # default threshold on the worst state/output rate
+HORIZON = 5000.0  # default t_max
 
 
 class ClosedLoopSystem:
     """An ``AgentBank``, ``ControllerBank`` and ``GainDesign`` on a graph, and the loop's pieces.
 
-    Derived once and read-only: ``operator``, the ``[A | B]`` acting on
-    ``[x, tanh(eta_sat)]``, on an ``_ALIGN``-byte boundary; ``E_sat``, the
-    incidence columns of the tanh edges; ``tanh_cols``, the columns of
-    ``z = [x, eta]`` holding their states (a slice on an all-tanh network, so
-    reading them is not a gather); and ``heads_sat``, ``tails_sat``, their end
-    vertices.
+    The loop's state is ``z = [x, eta_sat]``: only the tanh edges carry a
+    controller state.  Derived once and read-only: ``operator``, the
+    ``[A | B]`` acting on ``[x, tanh(eta_sat)]``, as wide as z, on an
+    ``_ALIGN``-byte boundary; ``E_sat``, the incidence columns of the tanh
+    edges; and ``heads_sat``, ``tails_sat``, their end vertices.
     """
 
     def __init__(self, graph, agents, controllers, gain):
@@ -82,38 +85,32 @@ class ClosedLoopSystem:
         self.E_sat = graph.incidence[:, sat]
         self.operator = _aligned_empty((n, n + self.E_sat.shape[1]))
         self.operator[:, :n], self.operator[:, n:] = np.diag(agents.p) - q * K, -q * self.E_sat
-        self.tanh_cols = slice(n, None) if sat.all() else n + np.flatnonzero(sat)
         self.heads_sat, self.tails_sat = graph.heads[sat], graph.tails[sat]
-        for arr in (self.E_sat, self.operator, self.heads_sat, self.tails_sat, self.tanh_cols):
-            if isinstance(arr, np.ndarray):
-                arr.setflags(write=False)
-        self._rate = (n, self.tanh_cols, self.heads_sat, self.tails_sat, agents.g)
-        self._static = (n + np.flatnonzero(~sat), controllers.w[~sat],
-                        graph.heads[~sat], graph.tails[~sat])
+        for arr in (self.E_sat, self.operator, self.heads_sat, self.tails_sat):
+            arr.setflags(write=False)
+        self._rate = (n, self.heads_sat, self.tails_sat, agents.g)
+        self._static = (controllers.w[~sat], graph.heads[~sat], graph.tails[~sat])
 
     def rate(self, z, z_dot, xmu):
-        """Write the rate of ``z = [x, eta]`` into ``z_dot``, ``[x, tanh(eta_sat)]`` into ``xmu``.
-
-        A static edge's entries of ``z_dot`` are never written; a zeroed buffer keeps them zero.
-        """
-        n, cols, heads, tails, g = self._rate
+        """Write ``z = [x, eta_sat]``'s rate into ``z_dot`` and [x, tanh(eta_sat)] into ``xmu``."""
+        n, heads, tails, g = self._rate
         xmu[:n] = z[:n]
-        np.tanh(z[cols], xmu[n:])
+        np.tanh(z[n:], xmu[n:])
         x_dot = np.dot(self.operator, xmu, z_dot[:n])
         np.add(x_dot, g, x_dot)
-        if isinstance(cols, slice):
-            np.subtract(z[heads], z[tails], z_dot[cols])
-        else:
-            z_dot[cols] = z[heads] - z[tails]
+        np.subtract(z[heads], z[tails], z_dot[n:])
 
     def steady_rate(self, z_dots, xmus):
-        """Worst state and output rate of each row of ``rate``'s results; reads xmus' mu columns."""
+        """Worst state and output rate of each row of ``rate``'s results; reads xmus' mu columns.
+
+        A tanh edge's output rate is (1 - mu^2) zeta, a static edge's w (x_dot_head - x_dot_tail).
+        """
+        n, (w, heads, tails) = self.graph.n_vertices, self._static
         rates = z_dots.copy()  # the saturated edges' entries are their zeta
-        mu_sat = xmus[:, self.graph.n_vertices:]
-        rates[:, self.tanh_cols] *= 1.0 - mu_sat * mu_sat
-        cols, w, heads, tails = self._static
+        mu_sat = xmus[:, n:]
+        rates[:, n:] *= 1.0 - mu_sat * mu_sat
         if w.size:
-            rates[:, cols] = w * (z_dots[:, heads] - z_dots[:, tails])
+            rates = np.hstack((rates, w * (z_dots[:, heads] - z_dots[:, tails])))
         return np.abs(rates).max(axis=1)
 
 
@@ -145,8 +142,8 @@ class Trajectory:
 def _default_step(system):
     """Default step inside RK4's stability region at every saturation pattern.
 
-    The Jacobian is J(D) = diag(A, 0) + [[0, B D], [E_sat^T, 0]] with
-    D = diag(1 - tanh(eta_sat)^2) in [0, 1] (a static edge's eta never moves).
+    The Jacobian on [x, eta_sat] is J(D) = diag(A, 0) + [[0, B D], [E_sat^T, 0]]
+    with D = diag(1 - tanh(eta_sat)^2) in [0, 1].
     The second term's 2-norm is max(||B D||, ||E_sat||), so
     r = ||A|| + max(||B||, ||E_sat||) >= ||J(D)|| >= rho(J(D)) for every D, and
     dt = 2.5 / r keeps every dt * lambda within 2.5 of 0.  Steady states are
@@ -179,7 +176,7 @@ class _DeepMap:
 
     def __init__(self, system, dt):
         n, E_sat = system.graph.n_vertices, system.E_sat
-        self.n, self.cols = n, system.tanh_cols
+        self.n = n
         self.A_T, self.B, self.g = system.operator[:, :n].T, system.operator[:, n:], system.agents.g
         self.heads, self.tails = system.heads_sat, system.tails_sat
         eye, hA, h = np.eye(n), dt * system.operator[:, :n], dt
@@ -190,8 +187,10 @@ class _DeepMap:
         # Where RK4 on the deep loop is unstable, the map would amplify its own
         # rounding in modes RK4 holds at exactly zero: leave those runs to RK4.
         # The slack admits marginal modes (an eigenvalue 1 of M, as with
-        # uncoupled integrators) that eigvals returns within rounding of 1.
-        self.stable = np.abs(np.linalg.eigvals(self.M)).max() <= 1.0 + 1e-12
+        # uncoupled integrators) that eigvals returns within rounding of 1.  A
+        # step so long that M overflows is no stable map either.
+        self.stable = bool(np.isfinite(self.M).all()) and \
+            np.abs(np.linalg.eigvals(self.M)).max() <= 1.0 + 1e-12
         powers = np.empty((_BLOCK, n, n))
         powers[0] = self.M
         for j in range(1, _BLOCK):
@@ -222,29 +221,28 @@ class _DeepMap:
     def step(self, table, rates, xmus, start, block):
         """Write rows start+1..start+block of ``table``, 1..block of ``rates`` and of ``xmus``' mu.
 
-        Row ``start`` must be deep.  Returns False, with ``rates`` and ``xmus``
-        untouched, when RK4 on the deep loop is unstable, or a row or a stage
-        input leaves the region where tanh is this row's s: RK4 must step them.
+        Rows are states ``z = [x, eta_sat]``; row ``start`` must be deep.
+        Returns False, with ``rates`` and ``xmus`` untouched, when RK4 on the
+        deep loop is unstable, or a row or a stage input leaves the region
+        where tanh is this row's s: RK4 must step them.
         """
         if not self.stable:
             return False
-        n, cols = self.n, self.cols
+        n = self.n
         z = table[start]
-        s = np.sign(z[cols])
+        s = np.sign(z[n:])
         b, D, eta_offsets = self.offsets(s)
         rows = table[start + 1: start + 1 + block]
-        X = rows[:, :n]
+        X, eta = rows[:, :n], rows[:, n:]
         np.add(np.dot(self.powers[: block * n], z[:n]).reshape(block, n), D[:block], X)
-        rows[:, n:] = z[n:]  # a static edge's eta never moves
         steps = np.dot(table[start: start + block, :n], self.eta_x).reshape(block, 4, -1)
         steps += eta_offsets
-        eta = z[cols] + np.cumsum(steps[:, 0], axis=0)
-        rows[:, cols] = eta
-        stages = steps[:, 1:] + table[start: start + block, cols][:, None, :]
+        np.add(z[n:], np.cumsum(steps[:, 0], axis=0), eta)
+        stages = steps[:, 1:] + table[start: start + block, n:][:, None, :]
         if not ((s * eta >= _DEEP).all() and (s * stages >= _DEEP).all()):
             return False
         np.add(np.dot(X, self.A_T), b, rates[1: block + 1, :n])
-        rates[1: block + 1, cols] = X[:, self.heads] - X[:, self.tails]
+        np.subtract(X[:, self.heads], X[:, self.tails], rates[1: block + 1, n:])
         xmus[1: block + 1, n:] = s
         return True
 
@@ -253,33 +251,37 @@ def simulate(system: ClosedLoopSystem, x0=None, eta0=None, dt=None, t_max=None,
              steady_tol=STEADY_TOL, window=_STEADY_WINDOW, seed=0, record=True):
     """Integrate the closed loop until steady, blown up, or out of time.
 
-    RK4 steps on preallocated buffers; every ``_BLOCK`` samples one pass over
-    the new rows finds the first blown-up one and their steady metrics, and
-    the run stops at the first sample that ends it, dropping the rows after.
-    A block that starts with every tanh edge deep is taken from RK4's exact
-    affine map on the saturated loop and kept only if all its rows and stage
-    inputs stay deep with the starting signs, and only where RK4 on that
-    linear loop is stable; otherwise RK4 steps it.  ``Trajectory.affine_samples``
-    counts the kept samples the map produced.
+    RK4 steps ``z = [x, eta_sat]`` through a buffer of ``2 * _BLOCK + 1``
+    rows, copying its last kept row to row 0 when the next block would not
+    fit.  Every ``_BLOCK`` samples one pass over the new rows finds the first
+    blown-up one and their steady metrics, and the run stops at the first
+    sample that ends it, dropping the rows after.  A block that starts with
+    every tanh edge deep is taken from RK4's exact affine map on the
+    saturated loop and kept only if all its rows and stage inputs stay deep
+    with the starting signs, and only where RK4 on that linear loop is
+    stable; otherwise RK4 steps it.  ``Trajectory.affine_samples`` counts the
+    kept samples the map produced.
 
-    A recorded run keeps every sample in a table that doubles from 4096
-    rows when full.  An unrecorded one steps through a buffer of
-    ``2 * _BLOCK + 1`` rows and copies its last kept row to row 0 when the
-    next block would not fit.  Both cut their blocks at the recorded table's
-    sizes, so they do the same arithmetic: the final sample, ``converged``,
-    ``y_ss``, ``residual`` and ``affine_samples`` are bitwise the same, and a
-    blowup raises the same message.
+    Blocks are cut at samples 4096 * 2^k, where a recorded run's [x, eta]
+    table doubles.  A recorded run copies each block's kept rows into that
+    table and writes the static edges' columns once, at the end; an
+    unrecorded run keeps nothing but the buffer.  Both do the same
+    arithmetic: the final sample, ``converged``, ``y_ss``, ``residual`` and
+    ``affine_samples`` are bitwise the same, and a blowup raises the same
+    message.
 
     Parameters
     ----------
     x0, eta0 : array or None
         Initial conditions, which must be finite.  Missing agent states are
         drawn uniformly from [min anchor - 10, max anchor + 10] with the given
-        seed; missing controller states start at zero.
+        seed; missing controller states start at zero.  A static edge's eta
+        is never stepped: the ``Trajectory`` holds its eta0 at every sample.
     dt, t_max : float or None
-        Step size and horizon.  The default step keeps every stable mode in
-        RK4's stability region (``_default_step``); the default horizon is
-        5000 time units with early exit once steady.
+        Step size and horizon, whose ratio must be finite.  The default step
+        keeps every stable mode in RK4's stability region
+        (``_default_step``); the default horizon is ``HORIZON`` time units
+        with early exit once steady.
     steady_tol : float
         Threshold on the worst state/output rate for steadiness.
     window : int
@@ -291,14 +293,16 @@ def simulate(system: ClosedLoopSystem, x0=None, eta0=None, dt=None, t_max=None,
     Raises
     ------
     NumericalBlowupError
-        If any state after the initial one exceeds 1e12 in magnitude or is
-        not finite.
+        If any stepped state after the initial one exceeds 1e12 in magnitude
+        or is not finite.
     """
-    n, m = system.graph.n_vertices, system.graph.n_edges
+    n, m, sat = system.graph.n_vertices, system.graph.n_edges, system.controllers.saturated
     dt = _default_step(system) if dt is None else dt
-    t_max = 5000.0 if t_max is None else t_max
+    t_max = HORIZON if t_max is None else t_max
     if dt <= 0.0 or t_max <= 0.0 or window < 1:
         raise ValueError("dt, t_max and window must be positive")
+    if not np.isfinite(t_max / dt):
+        raise ValueError(f"t_max / dt must be finite, got {t_max:g} / {dt:g}")
     if x0 is None:
         anchors = system.agents.anchors
         x0 = np.random.default_rng(seed).uniform(anchors.min() - 10.0, anchors.max() + 10.0, n)
@@ -308,18 +312,23 @@ def simulate(system: ClosedLoopSystem, x0=None, eta0=None, dt=None, t_max=None,
         if not np.isfinite(value).all():
             raise ValueError(f"{name} must be finite")
 
-    rate, deep_map, tanh_cols = system.rate, None, system.tanh_cols
-    # One row per sample.  Blocks end where a recorded table of `capacity`
-    # rows would fill; row i of `table` holds sample base + i.
+    rate, deep_map, width = system.rate, None, system.operator.shape[1]
+    # One state per row; row i of `rows` holds sample base + i.  Blocks end
+    # where a recorded table of `capacity` rows would fill.
     capacity, base = 4096, 0
-    table = np.empty((capacity if record else 2 * _BLOCK + 1, n + m))
-    table[0, :n], table[0, n:] = x, eta
+    rows = np.empty((2 * _BLOCK + 1, width))
+    rows[0, :n], rows[0, n:] = x, eta[sat]
+    # The recorded [x, eta] table and the column of each stepped state in it.
+    stepped = np.concatenate((np.arange(n), n + np.flatnonzero(sat)))
+    if record:
+        table = np.empty((capacity, n + m))
+        table[0, stepped] = rows[0]
     # Row 0: the last kept sample's rate; rows 1..: each new sample's rate.
-    rates = np.zeros((_BLOCK + 1, n + m))
-    xmus = np.empty((_BLOCK + 1, system.operator.shape[1]))
-    s, total, k2, k3, k4 = np.zeros((5, n + m))
-    xmu = np.empty(system.operator.shape[1])
-    rate(table[0], rates[0], xmus[0])
+    rates = np.empty((_BLOCK + 1, width))
+    xmus = np.empty((_BLOCK + 1, width))
+    s, total, k2, k3, k4 = np.empty((5, width))
+    xmu = np.empty(width)
+    rate(rows[0], rates[0], xmus[0])
     metrics = deque(system.steady_rate(rates[:1], xmus[:1]).tolist(), maxlen=window)
     steady_run = 1 if metrics[0] < steady_tol else 0
     converged = steady_run >= window
@@ -336,18 +345,18 @@ def simulate(system: ClosedLoopSystem, x0=None, eta0=None, dt=None, t_max=None,
                 grown[:count] = table
                 table = grown
         block = min(_BLOCK, steps_left, capacity - count)
-        if count - base + block > table.shape[0]:  # never on a recorded run
-            table[0] = table[count - 1 - base]
+        if count - base + block > rows.shape[0]:
+            rows[0] = rows[count - 1 - base]
             base = count - 1
         last = count - 1 - base
         # Rows stepped past a blowup are dropped unread, so their overflow is silent.
         with np.errstate(all="ignore"):
-            z, k1 = table[last], rates[0]
-            affine = bool((np.abs(z[tanh_cols]) >= _DEEP).all())
+            z, k1 = rows[last], rates[0]
+            affine = bool((np.abs(z[n:]) >= _DEEP).all())
             if affine:
                 if deep_map is None:
                     deep_map = _DeepMap(system, dt)
-                affine = deep_map.step(table, rates, xmus, last, block)
+                affine = deep_map.step(rows, rates, xmus, last, block)
             if not affine:
                 for j in range(1, block + 1):
                     rate(np.add(z, np.multiply(half, k1, s), s), k2, xmu)
@@ -357,10 +366,10 @@ def simulate(system: ClosedLoopSystem, x0=None, eta0=None, dt=None, t_max=None,
                     np.add(k1, np.multiply(two, k2, total), total)
                     np.add(total, np.multiply(two, k3, s), total)
                     np.multiply(sixth, np.add(total, k4, total), total)
-                    z, k1 = np.add(z, total, table[last + j]), rates[j]
+                    z, k1 = np.add(z, total, rows[last + j]), rates[j]
                     rate(z, k1, xmus[j])
             # Written so that a NaN, which fails every comparison, counts as blown up.
-            blown = ~(np.abs(table[last + 1: last + 1 + block]) <= _BLOWUP_LIMIT).all(axis=1)
+            blown = ~(np.abs(rows[last + 1: last + 1 + block]) <= _BLOWUP_LIMIT).all(axis=1)
             steady = system.steady_rate(rates[1: block + 1], xmus[1: block + 1])
         bad = int(blown.argmax()) if blown.any() else block
         start = count
@@ -376,10 +385,17 @@ def simulate(system: ClosedLoopSystem, x0=None, eta0=None, dt=None, t_max=None,
         if bad < block and not converged:
             raise NumericalBlowupError(f"state magnitude exceeded {_BLOWUP_LIMIT:g} "
                                        f"at t = {count * dt:.6g}")
+        if record:
+            table[start:count, stepped] = rows[last + 1: last + 1 + count - start]
         rates[0] = rates[block]
         steps_left -= block
 
-    table = table[:count] if record else table[count - 1 - base: count - base].copy()
+    if record:
+        table = table[:count]
+    else:
+        table = np.empty((1, n + m))
+        table[0, stepped] = rows[count - 1 - base]
+    table[:, n + np.flatnonzero(~sat)] = eta[~sat]
     table.setflags(write=False)
     x_states, eta_states = table[:, :n].T, table[:, n:].T
     residual = float(np.max(metrics))

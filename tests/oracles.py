@@ -322,8 +322,14 @@ def control(system, x, eta):
 
 
 def derivative(system, x, eta):
-    """Closed-loop vector field at state (x, eta) from ``system.rate``: (x_dot, eta_dot)."""
-    z = np.concatenate((np.asarray(x, float), np.asarray(eta, float)))
-    z_dot = np.zeros(z.size)
-    system.rate(z, z_dot, np.empty(system.operator.shape[1]))
-    return z_dot[: system.graph.n_vertices], z_dot[system.graph.n_vertices:]
+    """Closed-loop vector field at state (x, eta) from ``system.rate``: (x_dot, eta_dot).
+
+    ``rate`` maps the stepped state [x, eta_sat]; a static edge's eta_dot is zero.
+    """
+    n, sat = system.graph.n_vertices, system.controllers.saturated
+    z = np.concatenate((np.asarray(x, float), np.asarray(eta, float)[sat]))
+    z_dot = np.empty(z.size)
+    system.rate(z, z_dot, np.empty(z.size))
+    eta_dot = np.zeros(sat.size)
+    eta_dot[sat] = z_dot[n:]
+    return z_dot[:n], eta_dot

@@ -265,8 +265,11 @@ def test_schema_counts_the_models_before_building_the_graph(tmp_path, capsys):
     ({"agents": {"kind": "integrator"}}, "$.agents"),
     ({"agents": [1, {"kind": "integrator"}]}, "$.agents[0]"),
     ({"self_regulating": [0.5]}, "$.self_regulating"),
+    # t_max / dt overflows to inf: no step count exists, over a given or the default horizon
+    ({"sim": {"dt": 1e-300, "t_max": 1e10}}, "$.sim.dt"),
+    ({"sim": {"dt": 1e-306}}, "$.sim.dt"),
 ], ids=["graph-not-object", "graph-n-missing", "edges-not-list", "agents-not-list",
-        "agent-not-object", "vertices-not-integers"])
+        "agent-not-object", "vertices-not-integers", "steps-overflow", "steps-overflow-default"])
 def test_schema_error_exits_3_naming_its_path(overrides, path, tmp_path, capsys):
     data = consensus_dict(**overrides)
     assert schema_error_path(data) == path

@@ -321,13 +321,23 @@ def test_simulate_rejects_bad_shapes_and_steps():
         simulate(system, dt=0.1, t_max=0.0)
     with pytest.raises(ValueError):
         simulate(system, dt=0.1, window=0)
+    # a step count t_max / dt beyond the float range, over a given or the default horizon
+    for dt, t_max in ((1e-300, 1e10), (1e-306, None)):
+        with pytest.raises(ValueError, match="t_max / dt must be finite"):
+            simulate(system, dt=dt, t_max=t_max)
+
+
+def mixed4_system():
+    """The mixed4 golden scenario's loop: static and saturated edges."""
+    config = load_config(GOLDEN / "mixed4.json")
+    parts = build_system_parts(config)
+    return ClosedLoopSystem(*parts, synthesis_stage(config, *parts)[0])
 
 
 def mixed4_run():
-    """The mixed4 golden scenario: capped horizon, static and saturated edges."""
+    """The mixed4 golden scenario's capped-horizon run."""
     config = load_config(GOLDEN / "mixed4.json")
-    parts = build_system_parts(config)
-    system = ClosedLoopSystem(*parts, synthesis_stage(config, *parts)[0])
+    system = mixed4_system()
     return system, simulate(system, x0=config.x0, dt=config.dt, t_max=config.t_max,
                             steady_tol=config.steady_tol, seed=config.seed, window=WINDOW)
 
@@ -710,6 +720,60 @@ def test_unrecorded_run_ends_on_the_recorded_final_sample(scenario):
         assert run.startswith("state magnitude exceeded 1e+12 at t = ")
     else:
         assert (run.times.size, run.affine_samples) == (31654, 29189)
+
+
+# ----------------------------------------------------------------------
+# the stepped state [x, eta_sat]
+# ----------------------------------------------------------------------
+
+
+def test_rate_maps_the_stepped_state_of_a_mixed_network():
+    # A static edge has no memory: the state is [x, eta_sat], as wide as the operator.
+    system = mixed4_system()
+    n, sat, E = system.graph.n_vertices, system.controllers.saturated, system.graph.incidence
+    width = n + int(sat.sum())
+    assert sat.any() and not sat.all() and system.operator.shape == (n, width)
+    rng = np.random.default_rng(0)
+    x, eta = rng.uniform(-30.0, 30.0, n), rng.uniform(-3.0, 3.0, sat.size)
+    z, z_dot, xmu = np.concatenate((x, eta[sat])), np.empty(width), np.empty(width)
+    system.rate(z, z_dot, xmu)
+    _, _, mu, u = control(system, x, eta)
+    np.testing.assert_allclose(z_dot[:n], agent_bank_drift(system.agents, x, u),
+                               rtol=1e-12, atol=1e-12)
+    np.testing.assert_array_equal(z_dot[n:], (E.T @ x)[sat])
+    np.testing.assert_array_equal(xmu, np.concatenate((x, mu[sat])))
+
+
+def mixed_start(system, static_eta):
+    """A mixed4 start whose tanh edges start at 0.5 and static ones at ``static_eta``."""
+    return dict(x0=[20.0, 25.0, 3.0, 30.0], dt=0.01,
+                eta0=np.where(system.controllers.saturated, 0.5, static_eta))
+
+
+def test_mixed_runs_across_two_table_growths_hold_each_static_eta0():
+    # 9,201 samples: the recorded table grows at 4096 and 8192 rows while the
+    # run steps [x, eta_sat] through its small buffer; it matches the plain
+    # loop on [x, eta], and the static rows are eta0 throughout.
+    system = mixed4_system()
+    static = ~system.controllers.saturated
+    start = mixed_start(system, -0.7)
+    run = assert_same_run(system, t_max=92.0, steady_tol=0.0, **start)
+    assert run.times.size == 9201 and not run.converged
+    assert_bitwise(run.eta_states[static],
+                   np.repeat(start["eta0"][static, None], run.times.size, axis=1), "static eta")
+
+
+def test_a_static_edge_state_is_never_stepped_or_checked_for_blowup():
+    # A static edge's eta is read by nothing, so at 1e13 it is no blowup and
+    # changes no other state's bits.
+    system = mixed4_system()
+    static = ~system.controllers.saturated
+    huge = assert_unrecorded_run_matches(system, t_max=2.0, **mixed_start(system, 1e13))
+    zero = simulate(system, t_max=2.0, **mixed_start(system, 0.0))
+    assert not isinstance(huge, str), huge
+    assert (huge.eta_states[static] == 1e13).all()
+    assert_bitwise(huge.x_states, zero.x_states, "x_states")
+    assert_bitwise(huge.eta_states[~static], zero.eta_states[~static], "eta_sat")
 
 
 def test_operator_is_aligned_and_read_only():
