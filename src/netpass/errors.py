@@ -27,7 +27,7 @@ class DuplicateEdgeError(NetpassError):
 
 
 class VertexIndexError(NetpassError):
-    """An edge references a vertex outside 0..n-1."""
+    """A vertex count or an edge's vertex label is not an integer in range."""
 
 
 class DisconnectedGraphError(NetpassError):

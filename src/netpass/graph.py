@@ -1,17 +1,15 @@
-"""Undirected graphs with an oriented incidence matrix, Laplacian and components.
+"""Undirected graphs held as an oriented edge list, with Laplacian and components.
 
 Vertices are numbered 0..n-1.  Every edge carries an arbitrary but fixed
-orientation, recorded as a (head, tail) pair; the incidence matrix has +1 at
-the head and -1 at the tail of each edge column.  The quantities derived
+orientation, recorded as a (head, tail) pair; the incidence matrix E has +1
+at the head and -1 at the tail of each edge column.  The quantities derived
 here (the Laplacian and the component structure) are independent of the
 chosen orientation.  A graph stores its components and Laplacian once
-built, after the incidence, so an impossible graph fails fast.  The
-incidence is applied from the edge list: ``E^T y`` is ``y[heads] - y[tails]``,
-``E v`` is ``scatter`` and ``E diag(w) E^T`` is ``weighted_laplacian``; the
-dense ``incidence`` only builds dense operators.
+built, so an impossible graph fails fast.  E itself is never stored: it is
+applied from the edge list, ``E^T y`` as ``y[heads] - y[tails]``, ``E v`` as
+``scatter`` and ``E diag(w) E^T`` as ``weighted_laplacian``, and
+``incidence(mask)`` forms dense columns only for the operators built from them.
 """
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,9 +18,13 @@ from .errors import DuplicateEdgeError, SelfLoopError, VertexIndexError
 __all__ = ["NetworkGraph"]
 
 
-@dataclass(frozen=True)
+def _is_label(value):
+    """A vertex label or count is an integer, and a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 class NetworkGraph:
-    """Immutable undirected graph with oriented incidence matrix.
+    """Immutable undirected graph held as its oriented edge list.
 
     Parameters
     ----------
@@ -30,59 +32,42 @@ class NetworkGraph:
         Number of vertices, at least 1.
     edges : sequence of (int, int)
         Oriented edge list.  Self loops and repeated undirected edges are
-        rejected; vertex indices must lie in ``0..n_vertices-1``.
+        rejected; vertex labels must be integers in ``0..n_vertices-1``.
 
     Attributes
     ----------
-    incidence : ndarray, shape (n_vertices, n_edges)
-        +1 at each edge's head row, -1 at its tail row.
     heads, tails : ndarray of intp, shape (n_edges,)
         Each edge's head and tail vertex, so ``y[heads] - y[tails]`` is
-        ``incidence.T @ y`` without the product.
+        ``E^T y`` without the product.  Read-only.
     """
 
-    n_vertices: int
-    edges: tuple
-    incidence: np.ndarray = field(init=False, repr=False, compare=False)
-    heads: np.ndarray = field(init=False, repr=False, compare=False)
-    tails: np.ndarray = field(init=False, repr=False, compare=False)
-    _components: tuple = field(init=False, repr=False, compare=False)
-    _laplacian: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        n = self.n_vertices
-        if not isinstance(n, (int, np.integer)) or n < 1:
-            raise VertexIndexError(f"n_vertices must be a positive integer, got {n!r}")
-        object.__setattr__(self, "n_vertices", int(n))
-        edges = tuple((int(h), int(t)) for h, t in self.edges)
-        object.__setattr__(self, "edges", edges)
-
-        seen = set()
+    def __init__(self, n_vertices, edges):
+        if not _is_label(n_vertices) or n_vertices < 1:
+            raise VertexIndexError(f"n_vertices must be a positive integer, got {n_vertices!r}")
+        n = int(n_vertices)
+        checked, seen = [], set()
         for k, (head, tail) in enumerate(edges):
+            if not (_is_label(head) and _is_label(tail)):
+                raise VertexIndexError(
+                    f"edge {k} = ({head!r}, {tail!r}) has a vertex label that is not an integer")
+            head, tail = int(head), int(tail)
             if not (0 <= head < n and 0 <= tail < n):
                 raise VertexIndexError(
-                    f"edge {k} = ({head}, {tail}) references a vertex outside 0..{n - 1}"
-                )
+                    f"edge {k} = ({head}, {tail}) references a vertex outside 0..{n - 1}")
             if head == tail:
                 raise SelfLoopError(f"edge {k} is a self loop at vertex {head}")
             key = (min(head, tail), max(head, tail))
             if key in seen:
                 raise DuplicateEdgeError(f"edge {k} = ({head}, {tail}) repeats {key}")
             seen.add(key)
+            checked.append((head, tail))
 
-        heads, tails = np.array(edges, dtype=np.intp).reshape(-1, 2).T.copy()
-        for name, value in (("heads", heads), ("tails", tails)):
-            value.setflags(write=False)
-            object.__setattr__(self, name, value)
-        inc = np.zeros((n, len(edges)))
-        columns = np.arange(len(edges))
-        inc[heads, columns] = 1.0
-        inc[tails, columns] = -1.0
-        lap = self.weighted_laplacian(np.ones(len(edges)))
-        for name, value in (("incidence", inc), ("_laplacian", lap)):
-            value.setflags(write=False)
-            object.__setattr__(self, name, value)
-        object.__setattr__(self, "_components", _components(n, edges))
+        self.n_vertices, self.edges = n, tuple(checked)
+        self.heads, self.tails = np.array(checked, dtype=np.intp).reshape(-1, 2).T.copy()
+        self._laplacian = self.weighted_laplacian(np.ones(len(checked)))
+        for arr in (self.heads, self.tails, self._laplacian):
+            arr.setflags(write=False)
+        self._components = _components(n, checked)
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -109,6 +94,15 @@ class NetworkGraph:
     def laplacian(self):
         """Graph Laplacian, the Gram matrix of the incidence rows (read-only)."""
         return self._laplacian
+
+    def incidence(self, mask):
+        """The dense columns of E, +1 at the head and -1 at the tail, of the edges ``mask`` selects.
+
+        ``mask`` is a boolean edge mask; the result, (n_vertices, selected), is column-major.
+        """
+        vertices = np.arange(self.n_vertices)
+        at_head, at_tail = (ends[mask, None] == vertices for ends in (self.heads, self.tails))
+        return np.subtract(at_head, at_tail, dtype=float).T
 
     def weighted_laplacian(self, w):
         """E diag(w) E^T as a new array: -w_e off the diagonal, each vertex's weight sum on it."""

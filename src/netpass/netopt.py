@@ -24,7 +24,8 @@ scatter ``E v``, one n x n product, one gather ``E^T y`` and the prox, all
 O(m) but the product, and the dual residual is formed only where it is read
 (see ``solve``).  ``stationarity_residual`` measures how far a point is from
 the first-order conditions, freeing a tanh edge within ``effort_bounds``'
-default tolerance; its fit and ``sim.ClosedLoopSystem`` read the dense incidence.
+default tolerance; its fit and ``sim.ClosedLoopSystem`` alone form dense
+incidence columns, for the edges they need (``NetworkGraph.incidence``).
 """
 
 import enum
@@ -194,7 +195,7 @@ def solve(problem: RegularizedProblem, step=SOLVER_STEP, max_iter=SOLVER_MAX_ITE
     Each iteration costs one scatter ``E (zeta - w)`` (``bincount`` over the
     edges' heads minus their tails), one product with the cached n x n
     inverse, one gather ``E^T y = y[heads] - y[tails]`` and the controllers'
-    prox; the dense incidence is never read.  The dual residual
+    prox; no dense incidence is formed.  The dual residual
     ``t |E (zeta - zeta_prev)|`` costs a second scatter, so it is formed only
     when the primal residual is below ``tol``, on every 50th iteration
     (where the penalty is balanced) and on the last; the returned residuals
@@ -303,7 +304,7 @@ def stationarity_residual(problem: RegularizedProblem, y):
         from scipy.optimize import lsq_linear
 
         fixed_part = gradient + graph.scatter(selection)  # a free edge's selection is 0 so far
-        result = lsq_linear(graph.incidence[:, free], -fixed_part,
+        result = lsq_linear(graph.incidence(free), -fixed_part,
                             bounds=(lower[free], upper[free]), method="bvls")
         selection[free] = result.x
     return float(np.linalg.norm(gradient + graph.scatter(selection))), selection

@@ -8,8 +8,9 @@ incidence matrix E and applies the synthesized passivating feedback:
 Agents are affine (x' = p x + q u + g, y = x) and static edges linear, so with
 K = Q(0) = diag(alpha) + E diag(beta + w) E^T (``passivation.coupling_matrix``)
 ``ClosedLoopSystem`` builds the field once, [A | B] held as one matrix acting
-on [x, tanh(eta_sat)], and keeps E_sat and the tanh edges' end vertices
-beside it for the default step, the deep map and ``simulate``:
+on [x, tanh(eta_sat)], and keeps E_sat, the dense incidence columns of the
+tanh edges, and their end vertices beside it for the default step, the deep
+map and ``simulate``:
 
     x' = A x + B tanh(eta_sat) + g,   A = diag(p) - diag(q) K,  B = -diag(q) E_sat,
     eta_sat' = E_sat^T x.
@@ -19,9 +20,9 @@ wide as [A | B]: a static edge's eta is never stepped, stored or checked for
 blowup, and comes back from eta0, unchanged, only in the ``Trajectory``.
 
 ``simulate`` integrates z by classic fixed-step fourth-order Runge-Kutta on
-preallocated stage buffers, writing each new state straight into the next
-row of one buffer of ``2 * _BLOCK + 1`` rows whose last kept row moves to
-row 0 when it fills.  With ``record=True`` each block's kept rows are also
+preallocated stage buffers, writing each block's new states straight into
+rows 1.. of one buffer of ``_BLOCK + 1`` rows whose last kept row moves to
+row 0 after the block.  With ``record=True`` each block's kept rows are also
 copied into a [x, eta] table and the state histories are read-only
 transposed views of it; with ``record=False`` the run returns its final
 sample alone.  Blowup and steadiness are checked once per block of samples,
@@ -82,7 +83,7 @@ class ClosedLoopSystem:
         self.graph, self.agents, self.controllers, self.gain = graph, agents, controllers, gain
         n, sat, q = graph.n_vertices, controllers.saturated, agents.q[:, None]
         K = coupling_matrix(np.zeros(n), gain.alpha, gain.beta + controllers.w, graph)
-        self.E_sat = graph.incidence[:, sat]
+        self.E_sat = graph.incidence(sat)
         self.operator = _aligned_empty((n, n + self.E_sat.shape[1]))
         self.operator[:, :n], self.operator[:, n:] = np.diag(agents.p) - q * K, -q * self.E_sat
         self.heads_sat, self.tails_sat = graph.heads[sat], graph.tails[sat]
@@ -218,10 +219,10 @@ class _DeepMap:
             self.patterns[key] = b, D, (b @ self.eta_b).reshape(4, -1)
         return self.patterns[key]
 
-    def step(self, table, rates, xmus, start, block):
-        """Write rows start+1..start+block of ``table``, 1..block of ``rates`` and of ``xmus``' mu.
+    def step(self, rows, rates, xmus, block):
+        """Write rows 1..block of ``rows``, of ``rates`` and of ``xmus``' mu.
 
-        Rows are states ``z = [x, eta_sat]``; row ``start`` must be deep.
+        Rows are states ``z = [x, eta_sat]``; row 0 must be deep.
         Returns False, with ``rates`` and ``xmus`` untouched, when RK4 on the
         deep loop is unstable, or a row or a stage input leaves the region
         where tanh is this row's s: RK4 must step them.
@@ -229,16 +230,15 @@ class _DeepMap:
         if not self.stable:
             return False
         n = self.n
-        z = table[start]
+        z = rows[0]
         s = np.sign(z[n:])
         b, D, eta_offsets = self.offsets(s)
-        rows = table[start + 1: start + 1 + block]
-        X, eta = rows[:, :n], rows[:, n:]
+        X, eta = rows[1: block + 1, :n], rows[1: block + 1, n:]
         np.add(np.dot(self.powers[: block * n], z[:n]).reshape(block, n), D[:block], X)
-        steps = np.dot(table[start: start + block, :n], self.eta_x).reshape(block, 4, -1)
+        steps = np.dot(rows[:block, :n], self.eta_x).reshape(block, 4, -1)
         steps += eta_offsets
         np.add(z[n:], np.cumsum(steps[:, 0], axis=0), eta)
-        stages = steps[:, 1:] + table[start: start + block, n:][:, None, :]
+        stages = steps[:, 1:] + rows[:block, n:][:, None, :]
         if not ((s * eta >= _DEEP).all() and (s * stages >= _DEEP).all()):
             return False
         np.add(np.dot(X, self.A_T), b, rates[1: block + 1, :n])
@@ -251,9 +251,9 @@ def simulate(system: ClosedLoopSystem, x0=None, eta0=None, dt=None, t_max=None,
              steady_tol=STEADY_TOL, window=_STEADY_WINDOW, seed=0, record=True):
     """Integrate the closed loop until steady, blown up, or out of time.
 
-    RK4 steps ``z = [x, eta_sat]`` through a buffer of ``2 * _BLOCK + 1``
-    rows, copying its last kept row to row 0 when the next block would not
-    fit.  Every ``_BLOCK`` samples one pass over the new rows finds the first
+    RK4 steps ``z = [x, eta_sat]`` from row 0 of a buffer of ``_BLOCK + 1``
+    rows into rows 1.., copying the last kept row to row 0 after each block.
+    Every ``_BLOCK`` samples one pass over the new rows finds the first
     blown-up one and their steady metrics, and the run stops at the first
     sample that ends it, dropping the rows after.  A block that starts with
     every tanh edge deep is taken from RK4's exact affine map on the
@@ -313,10 +313,10 @@ def simulate(system: ClosedLoopSystem, x0=None, eta0=None, dt=None, t_max=None,
             raise ValueError(f"{name} must be finite")
 
     rate, deep_map, width = system.rate, None, system.operator.shape[1]
-    # One state per row; row i of `rows` holds sample base + i.  Blocks end
-    # where a recorded table of `capacity` rows would fill.
-    capacity, base = 4096, 0
-    rows = np.empty((2 * _BLOCK + 1, width))
+    # One state per row: row 0 holds the last kept sample, rows 1.. each new
+    # one.  Blocks end where a recorded table of `capacity` rows would fill.
+    capacity = 4096
+    rows = np.empty((_BLOCK + 1, width))
     rows[0, :n], rows[0, n:] = x, eta[sat]
     # The recorded [x, eta] table and the column of each stepped state in it.
     stepped = np.concatenate((np.arange(n), n + np.flatnonzero(sat)))
@@ -345,18 +345,14 @@ def simulate(system: ClosedLoopSystem, x0=None, eta0=None, dt=None, t_max=None,
                 grown[:count] = table
                 table = grown
         block = min(_BLOCK, steps_left, capacity - count)
-        if count - base + block > rows.shape[0]:
-            rows[0] = rows[count - 1 - base]
-            base = count - 1
-        last = count - 1 - base
         # Rows stepped past a blowup are dropped unread, so their overflow is silent.
         with np.errstate(all="ignore"):
-            z, k1 = rows[last], rates[0]
+            z, k1 = rows[0], rates[0]
             affine = bool((np.abs(z[n:]) >= _DEEP).all())
             if affine:
                 if deep_map is None:
                     deep_map = _DeepMap(system, dt)
-                affine = deep_map.step(rows, rates, xmus, last, block)
+                affine = deep_map.step(rows, rates, xmus, block)
             if not affine:
                 for j in range(1, block + 1):
                     rate(np.add(z, np.multiply(half, k1, s), s), k2, xmu)
@@ -366,10 +362,10 @@ def simulate(system: ClosedLoopSystem, x0=None, eta0=None, dt=None, t_max=None,
                     np.add(k1, np.multiply(two, k2, total), total)
                     np.add(total, np.multiply(two, k3, s), total)
                     np.multiply(sixth, np.add(total, k4, total), total)
-                    z, k1 = np.add(z, total, rows[last + j]), rates[j]
+                    z, k1 = np.add(z, total, rows[j]), rates[j]
                     rate(z, k1, xmus[j])
             # Written so that a NaN, which fails every comparison, counts as blown up.
-            blown = ~(np.abs(rows[last + 1: last + 1 + block]) <= _BLOWUP_LIMIT).all(axis=1)
+            blown = ~(np.abs(rows[1: block + 1]) <= _BLOWUP_LIMIT).all(axis=1)
             steady = system.steady_rate(rates[1: block + 1], xmus[1: block + 1])
         bad = int(blown.argmax()) if blown.any() else block
         start = count
@@ -386,15 +382,15 @@ def simulate(system: ClosedLoopSystem, x0=None, eta0=None, dt=None, t_max=None,
             raise NumericalBlowupError(f"state magnitude exceeded {_BLOWUP_LIMIT:g} "
                                        f"at t = {count * dt:.6g}")
         if record:
-            table[start:count, stepped] = rows[last + 1: last + 1 + count - start]
-        rates[0] = rates[block]
+            table[start:count, stepped] = rows[1: 1 + count - start]
+        rows[0], rates[0] = rows[count - start], rates[block]
         steps_left -= block
 
     if record:
         table = table[:count]
     else:
         table = np.empty((1, n + m))
-        table[0, stepped] = rows[count - 1 - base]
+        table[0, stepped] = rows[0]
     table[:, n + np.flatnonzero(~sat)] = eta[~sat]
     table.setflags(write=False)
     x_states, eta_states = table[:, :n].T, table[:, n:].T

@@ -6,6 +6,7 @@ The functions here evaluate the same quantities a second way, from the
 models' own parameters or one edge at a time, so that a test can compare the
 two:
 
+- the graph: the dense incidence matrix, entry by entry from the edge list;
 - agents: scalar drift, steady-state input, potential and storage of each
   model, and the agent bank's drift and batched potential;
 - controllers: scalar drift, output, potential, prox and steady-state effort
@@ -248,6 +249,19 @@ def flow_objective(agents, controllers, u, mu):
 
 
 # ----------------------------------------------------------------------
+# the graph
+# ----------------------------------------------------------------------
+
+
+def incidence(graph):
+    """The graph's n x m incidence matrix: +1 at each edge's head, -1 at its tail."""
+    E = np.zeros((graph.n_vertices, graph.n_edges))
+    for k, (head, tail) in enumerate(graph.edges):
+        E[head, k], E[tail, k] = 1.0, -1.0
+    return E
+
+
+# ----------------------------------------------------------------------
 # the regularized problem
 # ----------------------------------------------------------------------
 
@@ -255,7 +269,7 @@ def flow_objective(agents, controllers, u, mu):
 def objective_batch(problem, Y):
     """The problem's objective for each row of Y, shape (P, n) -> (P,)."""
     Y = np.asarray(Y, dtype=float)
-    Z = Y @ problem.graph.incidence
+    Z = Y @ incidence(problem.graph)
     vals = agent_bank_potential_batch(problem.agents, Y)
     vals = vals + controller_bank_potential_batch(problem.controllers, Z)
     vals = vals + 0.5 * (Z**2 @ problem.beta)
@@ -295,7 +309,7 @@ def brute_force(problem, box=None, spacing=1e-3):
             break
         lo = y_best - 2.0 * h
         hi = y_best + 2.0 * h
-    zeta = problem.graph.incidence.T @ y_best
+    zeta = incidence(problem.graph).T @ y_best
     return Minimizer(
         y_star=y_best,
         zeta_star=zeta,
@@ -314,10 +328,10 @@ def brute_force(problem, box=None, spacing=1e-3):
 
 def control(system, x, eta):
     """Signals around the loop at state (x, eta): (y, zeta, mu, u)."""
-    y = np.asarray(x, dtype=float)
-    zeta = system.graph.incidence.T @ y
+    y, E = np.asarray(x, dtype=float), incidence(system.graph)
+    zeta = E.T @ y
     mu = controller_bank_output(system.controllers, eta, zeta)
-    u = -system.graph.incidence @ (mu + system.gain.beta * zeta) - system.gain.alpha * y
+    u = -E @ (mu + system.gain.beta * zeta) - system.gain.alpha * y
     return y, zeta, mu, u
 
 

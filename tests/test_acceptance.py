@@ -65,7 +65,7 @@ from netpass.harness import (
     generate_case_study,
     verify,
 )
-from oracles import agent_drift, agent_storage, brute_force, flow_objective
+from oracles import agent_drift, agent_storage, brute_force, flow_objective, incidence
 
 
 # ----------------------------------------------------------------------
@@ -120,7 +120,7 @@ def select_case_studies(sizes, accept_rate_sum, count, mode="network_only",
 
 def smooth_part(problem, y):
     """Everything in the objective except the edge potentials."""
-    zeta = problem.graph.incidence.T @ y
+    zeta = incidence(problem.graph).T @ y
     return (problem.agents.potential_total(y)
             + 0.5 * float(problem.beta @ zeta**2)
             + 0.5 * float(problem.alpha @ y**2))
@@ -368,7 +368,7 @@ def test_criterion_09_potential_and_flow_objectives_cancel():
         problem = build_problem(graph, agents, controllers)
         minimizer = solve(problem)
         residual, efforts = stationarity_residual(problem, minimizer.y_star)
-        flows = -graph.incidence @ efforts
+        flows = -incidence(graph) @ efforts
         dual_value = flow_objective(agents, controllers, flows, efforts)
         gap = abs(minimizer.objective_value + dual_value)
         worst_gap = max(worst_gap, gap)
@@ -399,7 +399,7 @@ def test_criterion_10_certified_runs_never_violate_dissipation():
         trajectory = report.trajectory
         alpha = np.asarray(report.gain["alpha"])
         beta = np.asarray(report.gain["beta"])
-        E = graph.incidence
+        E = incidence(graph)
 
         X = trajectory.x_states
         y_ss = np.asarray(report.sim["y_ss"])

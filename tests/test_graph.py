@@ -1,9 +1,14 @@
 """Graph structure tests: incidence algebra, spectra, components.
 
+The reference incidence is ``oracles.incidence``, built entry by entry from
+the edge list; a graph forms dense columns only through ``incidence(mask)``.
+
 Eigenvalue facts are cross-checked against a symbolic characteristic
 polynomial (sympy) so the test-side spectrum does not come from the same
 LAPACK code the library uses.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +21,7 @@ from netpass import (
     SelfLoopError,
     VertexIndexError,
 )
+from oracles import incidence
 
 EIG_TOL = 1e-9
 
@@ -39,7 +45,7 @@ def symbolic_eigenvalues(matrix):
 
 def test_incidence_path_two():
     g = NetworkGraph.path(2)
-    np.testing.assert_array_equal(g.incidence, [[1.0], [-1.0]])
+    np.testing.assert_array_equal(g.incidence(np.ones(1, bool)), [[1.0], [-1.0]])
 
 
 def test_incidence_triangle():
@@ -49,24 +55,43 @@ def test_incidence_triangle():
         [-1.0, 0.0, 1.0],
         [0.0, -1.0, -1.0],
     ])
-    np.testing.assert_array_equal(g.incidence, expected)
+    np.testing.assert_array_equal(g.incidence(np.ones(3, bool)), expected)
+    np.testing.assert_array_equal(incidence(g), expected)
     assert g.n_edges == 3
 
 
 def test_incidence_columns_sum_to_zero():
     g = NetworkGraph(5, ((0, 3), (1, 2), (3, 4), (0, 4)))
-    np.testing.assert_array_equal(g.incidence.sum(axis=0), np.zeros(4))
+    np.testing.assert_array_equal(g.incidence(np.ones(4, bool)).sum(axis=0), np.zeros(4))
 
 
-def test_incidence_is_write_protected():
-    g = NetworkGraph.path(3)
-    with pytest.raises(ValueError):
-        g.incidence[0, 0] = 7.0
+def test_incidence_forms_the_selected_columns_in_edge_order():
+    g = NetworkGraph(5, ((0, 3), (1, 2), (3, 4), (0, 4)))
+    mask = np.array([True, False, True, True])
+    np.testing.assert_array_equal(g.incidence(mask), [
+        [1.0, 0.0, 1.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [-1.0, 1.0, 0.0], [0.0, -1.0, -1.0]])
+
+
+def test_incidence_of_no_edges_has_no_columns():
+    assert NetworkGraph.path(3).incidence(np.zeros(2, bool)).shape == (3, 0)
+    assert NetworkGraph(4, ()).incidence(np.zeros(0, bool)).shape == (4, 0)
+
+
+def test_a_graph_holds_no_dense_incidence():
+    # K_400 has 79,800 edges, whose dense incidence would take 255 MB
+    tracemalloc.start()
+    try:
+        g = NetworkGraph.complete(400)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.n_edges == 79_800
+    assert held < g.n_vertices * g.n_edges * 8 / 10
 
 
 def test_laplacian_equals_incidence_product():
     g = NetworkGraph(6, ((0, 1), (1, 2), (2, 0), (3, 4), (4, 5)))
-    E = g.incidence
+    E = incidence(g)
     np.testing.assert_allclose(g.laplacian(), E @ E.T)
 
 
@@ -92,6 +117,24 @@ def test_vertex_out_of_range_rejected():
         NetworkGraph(3, ((0, 3),))
     with pytest.raises(VertexIndexError):
         NetworkGraph(3, ((-1, 2),))
+
+
+@pytest.mark.parametrize("n,edges,message", [
+    (3, ((0, 1), (0.9, 2.7)), "edge 1 = (0.9, 2.7) has a vertex label that is not an integer"),
+    (3, ((True, 2),), "edge 0 = (True, 2) has a vertex label that is not an integer"),
+    (True, (), "n_vertices must be a positive integer, got True"),
+    (2.0, (), "n_vertices must be a positive integer, got 2.0"),
+])
+def test_non_integer_vertex_labels_rejected(n, edges, message):
+    with pytest.raises(VertexIndexError) as excinfo:
+        NetworkGraph(n, edges)
+    assert str(excinfo.value) == message
+
+
+def test_numpy_integer_labels_accepted():
+    g = NetworkGraph(np.int64(3), ((np.int32(0), np.int64(2)),))
+    assert g.n_vertices == 3 and g.edges == ((0, 2),)
+    assert type(g.n_vertices) is int and type(g.edges[0][1]) is int
 
 
 def test_connected_components_ordering():
@@ -142,7 +185,7 @@ def test_laplacian_kernel_dimension_counts_components():
 
 def test_edge_spaces_share_nonzero_spectrum():
     g = NetworkGraph(5, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)))
-    E = g.incidence
+    E = incidence(g)
     vertex_side = np.linalg.eigvalsh(E @ E.T)
     edge_side = np.linalg.eigvalsh(E.T @ E)
     nz_vertex = np.sort(vertex_side[np.abs(vertex_side) > 1e-9])
@@ -197,8 +240,9 @@ def random_graphs(draw):
 def test_random_graph_laplacian_properties(g):
     L = g.laplacian()
     # stored from the edge list, it is the incidence product bit for bit
-    np.testing.assert_array_equal(L, g.incidence @ g.incidence.T)
-    np.testing.assert_array_equal(np.signbit(L), np.signbit(g.incidence @ g.incidence.T))
+    E = incidence(g)
+    np.testing.assert_array_equal(L, E @ E.T)
+    np.testing.assert_array_equal(np.signbit(L), np.signbit(E @ E.T))
     np.testing.assert_allclose(L, L.T)
     np.testing.assert_allclose(L.sum(axis=1), np.zeros(g.n_vertices), atol=1e-12)
     assert np.linalg.eigvalsh(L)[0] >= -1e-9
@@ -248,7 +292,7 @@ def test_weighted_laplacian_is_the_weighted_incidence_product(data):
     g = data.draw(oriented_graphs())
     w = data.draw(edge_vectors(g))
     Q = g.weighted_laplacian(w)
-    E = g.incidence
+    E = incidence(g)
     np.testing.assert_allclose(Q, (E * w) @ E.T, rtol=1e-12, atol=1e-10)
     np.testing.assert_array_equal(Q, Q.T)
 
@@ -277,4 +321,13 @@ def test_weighted_laplacian_returns_a_new_array():
 def test_scatter_is_the_incidence_product(data):
     g = data.draw(oriented_graphs())
     v = data.draw(edge_vectors(g))
-    np.testing.assert_allclose(g.scatter(v), g.incidence @ v, rtol=1e-12, atol=1e-10)
+    np.testing.assert_allclose(g.scatter(v), incidence(g) @ v, rtol=1e-12, atol=1e-10)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_incidence_is_the_masked_columns_of_the_reference(data):
+    g = data.draw(oriented_graphs())
+    mask = np.array(data.draw(st.lists(st.booleans(), min_size=g.n_edges, max_size=g.n_edges)),
+                    dtype=bool)
+    np.testing.assert_array_equal(g.incidence(mask), incidence(g)[:, mask])

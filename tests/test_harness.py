@@ -240,7 +240,7 @@ def test_schema_rejects_bad_graph():
 
 
 def test_schema_counts_the_models_before_building_the_graph(tmp_path, capsys):
-    # 10**12 vertices would need terabytes of incidence: the count fails first
+    # 10**12 vertices would need a 10**12-square Laplacian: the count fails first
     data = consensus_dict(graph={"n": 10**12, "edges": [[0, 1]]})
     with pytest.raises(ConfigSchemaError) as excinfo:
         config_from_dict(data)
@@ -329,9 +329,9 @@ def test_config_builds_its_graph_and_each_model_once(monkeypatch):
     graphs, models = [], []
 
     class CountedGraph(NetworkGraph):
-        def __post_init__(self):
+        def __init__(self, *args):
             graphs.append(self)
-            super().__post_init__()
+            super().__init__(*args)
 
     monkeypatch.setattr(harness, "NetworkGraph", CountedGraph)
     for kinds in (harness._AGENT_KINDS, harness._CONTROLLER_KINDS):
@@ -751,8 +751,7 @@ def test_cli_synthesize_infeasible_and_hybrid_override(mixed_file, capsys):
 
 def test_cli_validates_an_overridden_scenario_once(monkeypatch, capsys):
     graphs = []
-    monkeypatch.setattr(NetworkGraph, "__post_init__",
-                        counted(NetworkGraph.__post_init__, graphs))
+    monkeypatch.setattr(NetworkGraph, "__init__", counted(NetworkGraph.__init__, graphs))
     argv = ["synthesize", str(GOLDEN / "mixed_pair.json"), "--hybrid", "--vsr", "1",
             "--epsilon", "0.5"]
     assert main(argv) == 0

@@ -1,13 +1,15 @@
 """The package applies the incidence from the edge list, not by dense products.
 
-``NetworkGraph`` writes E^T y as ``y[heads] - y[tails]``, E v as ``scatter``
-and E diag(w) E^T as ``weighted_laplacian``.  Its dense ``incidence`` is
-read elsewhere only by the two functions that build a dense operator from
-it: the closed loop's constructor, which builds ``[A | B]`` and keeps the
-tanh edges' columns ``E_sat`` for the default step's norm and the all-deep
-RK4 map, and the stationarity fit's least-squares matrix.  This guard parses
-every module under ``src/netpass`` but ``graph.py`` and fails on any other
-read of ``.incidence``.
+``NetworkGraph`` stores no incidence matrix.  It writes E^T y as
+``y[heads] - y[tails]``, E v as ``scatter`` and E diag(w) E^T as
+``weighted_laplacian``.  Its ``incidence(mask)``, which forms the dense
+columns of the edges a mask selects, is called elsewhere only by the two
+functions that build a dense operator from them: the closed loop's
+constructor, which builds ``[A | B]`` and keeps the tanh edges' columns
+``E_sat`` for the default step's norm and the all-deep RK4 map, and the
+stationarity fit's least-squares matrix.  This guard parses every module
+under ``src/netpass`` but ``graph.py`` and fails on any other read of
+``.incidence``.
 """
 
 import ast

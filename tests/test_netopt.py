@@ -38,7 +38,13 @@ from netpass import (
 )
 from netpass.harness import build_system_parts, generate_case_study, synthesis_stage
 from netpass.netopt import _VertexSolver
-from oracles import DimensionTooLargeError, brute_force, flow_objective, objective_batch
+from oracles import (
+    DimensionTooLargeError,
+    brute_force,
+    flow_objective,
+    incidence,
+    objective_batch,
+)
 
 P2 = NetworkGraph.path(2)
 K3 = NetworkGraph.complete(3)
@@ -79,7 +85,7 @@ def quadratic_problem():
     problem = build_problem(graph, agents, controllers, gain)
     curvature = np.array([1.0, 0.5, 2.0])
     weights = np.array([0.7, 1.3]) + beta
-    E = graph.incidence
+    E = incidence(graph)
     H = np.diag(curvature + alpha) + (E * weights) @ E.T
     y_exact = np.linalg.solve(H, curvature * np.array([5.0, 9.0, 1.0]))
     return problem, y_exact
@@ -111,7 +117,7 @@ def test_smooth_gradient_matches_finite_differences():
     problem = mixed_sign_problem()
 
     def smooth_value(y):
-        zeta = problem.graph.incidence.T @ y
+        zeta = incidence(problem.graph).T @ y
         return (problem.agents.potential_total(y)
                 + 0.5 * float(problem.beta @ zeta**2)
                 + 0.5 * float(problem.alpha @ y**2))
@@ -201,7 +207,7 @@ def test_convexity_probe_bounded_by_mean_curvature_for_any_edge_gain(problem):
 def test_objective_gathers_the_incidence_product_bit_for_bit(problem, data):
     n = problem.graph.n_vertices
     y = np.array(data.draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n)))
-    zeta = problem.graph.incidence.T @ y
+    zeta = incidence(problem.graph).T @ y
     np.testing.assert_array_equal(y[problem.graph.heads] - y[problem.graph.tails], zeta)
     # the objective's own sum, in its order, on the product's zeta
     expected = problem.agents.potential_total(y) + problem.controllers.potential_total(zeta)
@@ -271,7 +277,7 @@ def test_solve_constraint_consistency_at_optimal():
     for problem in (consensus_problem(), mixed_sign_problem(), quadratic_problem()[0]):
         minimizer = solve(problem)
         assert minimizer.status is SolveStatus.OPTIMAL
-        gap = minimizer.zeta_star - problem.graph.incidence.T @ minimizer.y_star
+        gap = minimizer.zeta_star - incidence(problem.graph).T @ minimizer.y_star
         assert np.abs(gap).max() <= 1e-8
 
 
@@ -288,7 +294,7 @@ def test_solve_integrator_network_reaches_consensus():
     problem = build_problem(K3, agents, ControllerBank([TanhIntegratorController()] * 3))
     minimizer = solve(problem)
     assert minimizer.status is SolveStatus.OPTIMAL
-    np.testing.assert_allclose(K3.incidence.T @ minimizer.y_star, 0.0, atol=1e-7)
+    np.testing.assert_allclose(incidence(K3).T @ minimizer.y_star, 0.0, atol=1e-7)
     assert minimizer.objective_value == pytest.approx(0.0, abs=1e-9)
 
 
@@ -336,7 +342,7 @@ def test_solve_random_quadratic_instances(anchors, slopes, weight):
     minimizer = solve(problem)
     assert minimizer.status is SolveStatus.OPTIMAL
     curvature = 1.0 / np.array(slopes[:n])
-    E = graph.incidence
+    E = incidence(graph)
     H = np.diag(curvature) + (E * weight) @ E.T
     y_exact = np.linalg.solve(H, curvature * np.array(anchors))
     np.testing.assert_allclose(minimizer.y_star, y_exact, atol=1e-6)
@@ -401,7 +407,7 @@ def plain_admm(problem, step=1.0, max_iter=100000, tol=1e-8):
     the values agree to rounding only.
     """
     nonconvex = problem.convexity_probe() < -1e-9
-    E = problem.graph.incidence
+    E = incidence(problem.graph)
     sat, gain = problem.controllers.saturated, problem.controllers.w
     lin = problem.agents.steady_input(np.zeros(len(problem.agents)))
 
@@ -605,7 +611,7 @@ def test_duality_gap_vanishes_at_consensus_optimum():
     problem = consensus_problem()
     minimizer = solve(problem)
     _, selection = stationarity_residual(problem, minimizer.y_star)
-    u_star = -problem.graph.incidence @ selection
+    u_star = -incidence(problem.graph) @ selection
     dual = flow_objective(problem.agents, problem.controllers, u_star, selection)
     assert dual == pytest.approx(-0.078125, abs=1e-6)
     assert abs(minimizer.objective_value + dual) <= 1e-6

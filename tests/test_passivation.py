@@ -29,6 +29,7 @@ from netpass import (
     uniform_network_gain,
     zero_design,
 )
+from oracles import incidence
 
 EXACT_TOL = 1e-12
 EIG_TOL = 1e-9
@@ -52,7 +53,7 @@ def test_threshold_frozen_hybrid_corrected_indices():
 
 def m_by_m_threshold(rho, graph):
     """Reference form: lambda_max of the m x m matrix E^T M E, M = (n/sum) R^2 - R."""
-    E = graph.incidence
+    E = incidence(graph)
     quad = (graph.n_vertices / rho.sum()) * (E.T * rho**2) @ E - (E.T * rho) @ E
     top = float(np.linalg.eigvalsh(quad)[-1])
     return max(0.0, top / np.linalg.eigvalsh(graph.laplacian())[1] ** 2)

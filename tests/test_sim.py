@@ -55,6 +55,7 @@ from oracles import (
     controller_bank_drift,
     controller_bank_output_rate,
     derivative,
+    incidence,
 )
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -170,7 +171,7 @@ def random_loops(draw):
 @given(random_loops())
 def test_fused_field_matches_signal_composition(case):
     system, x, eta = case
-    E, agents = system.graph.incidence, system.agents
+    E, agents = incidence(system.graph), system.agents
     _, _, mu, u = control(system, x, eta)
     x_ref = agent_bank_drift(agents, x, u)
     eta_ref = controller_bank_drift(system.controllers, eta, E.T @ x)
@@ -198,7 +199,7 @@ def default_step(system):
 def test_default_step_keeps_every_saturation_pattern_in_the_rk4_disk(case, seed):
     system, _, _ = case
     n, m = system.graph.n_vertices, system.graph.n_edges
-    agents, gain, E = system.agents, system.gain, system.graph.incidence
+    agents, gain, E = system.agents, system.gain, incidence(system.graph)
     sat = system.controllers.saturated
     K = np.diag(gain.alpha) + (E * (gain.beta + system.controllers.w)) @ E.T
     A = np.diag(agents.p) - agents.q[:, None] * K
@@ -350,7 +351,7 @@ def test_residual_is_worst_rate_over_last_window(run):
     else:
         system, trajectory = mixed4_run()
         assert not trajectory.converged
-    E = system.graph.incidence
+    E = incidence(system.graph)
     worst = 0.0
     for j in range(trajectory.times.size - WINDOW, trajectory.times.size):
         x, eta = trajectory.x_states[:, j], trajectory.eta_states[:, j]
@@ -730,7 +731,7 @@ def test_unrecorded_run_ends_on_the_recorded_final_sample(scenario):
 def test_rate_maps_the_stepped_state_of_a_mixed_network():
     # A static edge has no memory: the state is [x, eta_sat], as wide as the operator.
     system = mixed4_system()
-    n, sat, E = system.graph.n_vertices, system.controllers.saturated, system.graph.incidence
+    n, sat, E = system.graph.n_vertices, system.controllers.saturated, incidence(system.graph)
     width = n + int(sat.sum())
     assert sat.any() and not sat.all() and system.operator.shape == (n, width)
     rng = np.random.default_rng(0)
