@@ -54,7 +54,7 @@ def _print_json(payload, path=None):
 
 
 def _scenario(args):
-    """The overridden config and its parts, for the gain commands.
+    """The overridden config, for the gain commands.
 
     The overrides replace the file's raw fields, so the scenario is
     validated, and its graph and models built, once.
@@ -72,8 +72,7 @@ def _scenario(args):
                                   f"integers, got {args.vsr!r}")
         if args.epsilon is not None:
             data["epsilon"] = args.epsilon
-    config = config_from_dict(data)
-    return config, build_system_parts(config)
+    return config_from_dict(data)
 
 
 def _cmd_check(args):
@@ -95,8 +94,7 @@ def _cmd_check(args):
 
 
 def _cmd_synthesize(args):
-    config, parts = _scenario(args)
-    _, _, probe, gain = synthesis_stage(config, *parts)
+    _, _, probe, gain = synthesis_stage(_scenario(args))
     # This command names the certificate min_eig and leaves out its tolerance.
     payload = dict(gain, feasible=gain["positive_definite"],
                    min_eig=gain["certificate"], convexity_probe=probe)
@@ -106,9 +104,9 @@ def _cmd_synthesize(args):
 
 
 def _cmd_simulate(args):
-    config, parts = _scenario(args)
-    design = synthesis_stage(config, *parts)[0]
-    trajectory, sim = simulation_stage(config, *parts, design, record=bool(args.out_csv))
+    config = _scenario(args)
+    design = synthesis_stage(config)[0]
+    trajectory, sim = simulation_stage(config, design, record=bool(args.out_csv))
     if trajectory is None:
         _print_json({"converged": False, "blowup": True, "reason": sim["error"]},
                     args.out)
@@ -120,8 +118,8 @@ def _cmd_simulate(args):
 
 
 def _cmd_optimize(args):
-    config, parts = _scenario(args)
-    _, problem, probe, _ = synthesis_stage(config, *parts)
+    config = _scenario(args)
+    _, problem, probe, _ = synthesis_stage(config)
     minimizer, opt = optimization_stage(config, problem)
     _print_json(dict(opt, convexity_probe=probe), args.out)
     return EXIT_OK if minimizer.status is SolveStatus.OPTIMAL \

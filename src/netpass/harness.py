@@ -46,7 +46,7 @@ from .errors import (
 from .graph import NetworkGraph
 from .netopt import SOLVER_MAX_ITER, SOLVER_STEP, SOLVER_TOL, SolveStatus, build_problem, solve
 from .passivation import hybrid_gain, uniform_network_gain, zero_design
-from .sim import HORIZON, STEADY_TOL, ClosedLoopSystem, simulate
+from .sim import HORIZON, MIN_STEP, STEADY_TOL, ClosedLoopSystem, simulate
 
 __all__ = [
     "ScenarioConfig", "VerifyReport", "load_config", "config_from_dict",
@@ -319,6 +319,9 @@ def config_from_dict(data):
     dt, t_max = settings["dt"], HORIZON if settings["t_max"] is None else settings["t_max"]
     if dt is not None and not math.isfinite(t_max / dt):
         _fail("$.sim.dt", f"{dt:g} gives an unbounded step count over t_max = {t_max:g}")
+    if dt is None and not math.isfinite(t_max / MIN_STEP):
+        _fail("$.sim.t_max", f"{t_max:g} gives an unbounded step count "
+                             f"at the default step's floor {MIN_STEP:g}")
     if settings["gain_mode"] == "hybrid":
         if not settings["self_regulating"]:
             _fail("$.self_regulating", "hybrid mode needs at least one vertex")
@@ -465,14 +468,13 @@ def synthesize_certified(config, graph, agents, controllers):
     return design, problem, probe, escalations
 
 
-def synthesis_stage(config, graph, agents, controllers):
+def synthesis_stage(config):
     """First stage: a certified gain, escalated until the probe clears.
 
     Returns (design, problem, probe value, the report's ``gain`` payload).
     Raises NotPassivizableError when no network-only gain exists.
     """
-    design, problem, probe, escalations = synthesize_certified(
-        config, graph, agents, controllers)
+    design, problem, probe, escalations = synthesize_certified(config, *config.parts)
     certificate = design.certificate
     gain = {
         "mode": config.gain_mode,
@@ -488,7 +490,7 @@ def synthesis_stage(config, graph, agents, controllers):
     return design, problem, probe, gain
 
 
-def simulation_stage(config, graph, agents, controllers, design, record=False):
+def simulation_stage(config, design, record=False):
     """Second stage: the closed-loop run and the report's ``sim`` payload.
 
     Returns (trajectory, sim payload); after a numerical blowup the
@@ -496,7 +498,7 @@ def simulation_stage(config, graph, agents, controllers, design, record=False):
     keeps every sample only with ``record`` (see ``simulate``); the payload
     is the same either way.
     """
-    system = ClosedLoopSystem(graph, agents, controllers, design)
+    system = ClosedLoopSystem(*config.parts, design)
     try:
         trajectory = simulate(
             system,
@@ -539,11 +541,10 @@ def verify(config: ScenarioConfig, record=False):
     ``report.trajectory`` keeps every sample only with ``record``, which a
     trajectory CSV needs; the report's payloads do not depend on it.
     """
-    parts = build_system_parts(config)
     report = VerifyReport(config=config.to_dict(), feasible=False,
                           verdict="infeasible", passed=False)
     try:
-        design, problem, probe, gain = synthesis_stage(config, *parts)
+        design, problem, probe, gain = synthesis_stage(config)
     except NotPassivizableError:
         return report
     if not gain["positive_definite"]:
@@ -552,7 +553,7 @@ def verify(config: ScenarioConfig, record=False):
     report.gain = gain
     report.convexity_probe = probe
 
-    trajectory, report.sim = simulation_stage(config, *parts, design, record)
+    trajectory, report.sim = simulation_stage(config, design, record)
     if trajectory is None:
         report.verdict = "blowup"
         return report

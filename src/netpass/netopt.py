@@ -24,8 +24,8 @@ scatter ``E v``, one n x n product, one gather ``E^T y`` and the prox, all
 O(m) but the product, and the dual residual is formed only where it is read
 (see ``solve``).  ``stationarity_residual`` measures how far a point is from
 the first-order conditions, freeing a tanh edge within ``effort_bounds``'
-default tolerance; its fit and ``sim.ClosedLoopSystem`` alone form dense
-incidence columns, for the edges they need (``NetworkGraph.incidence``).
+default tolerance, and ``steady_state_residual`` the same of a closed loop's
+output; the fit forms the free edges' incidence columns (``NetworkGraph.incidence``).
 """
 
 import enum
@@ -47,6 +47,7 @@ __all__ = [
     "build_problem",
     "solve",
     "stationarity_residual",
+    "steady_state_residual",
 ]
 
 # Sampled curvature below this is treated as genuine nonconvexity.
@@ -308,3 +309,12 @@ def stationarity_residual(problem: RegularizedProblem, y):
                             bounds=(lower[free], upper[free]), method="bvls")
         selection[free] = result.x
     return float(np.linalg.norm(gradient + graph.scatter(selection))), selection
+
+
+def steady_state_residual(system, y):
+    """First-order mismatch of y as a steady output of the closed loop ``system``.
+
+    ``stationarity_residual`` on the regularized problem of its parts and gain.
+    """
+    problem = build_problem(system.graph, system.agents, system.controllers, system.gain)
+    return stationarity_residual(problem, y)[0]

@@ -8,9 +8,8 @@ incidence matrix E and applies the synthesized passivating feedback:
 Agents are affine (x' = p x + q u + g, y = x) and static edges linear, so with
 K = Q(0) = diag(alpha) + E diag(beta + w) E^T (``passivation.coupling_matrix``)
 ``ClosedLoopSystem`` builds the field once, [A | B] held as one matrix acting
-on [x, tanh(eta_sat)], and keeps E_sat, the dense incidence columns of the
-tanh edges, and their end vertices beside it for the default step, the deep
-map and ``simulate``:
+on [x, tanh(eta_sat)], and keeps the tanh edges' end vertices beside it
+(E_sat, their incidence columns, only the default step's norm forms):
 
     x' = A x + B tanh(eta_sat) + g,   A = diag(p) - diag(q) K,  B = -diag(q) E_sat,
     eta_sat' = E_sat^T x.
@@ -51,10 +50,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalBlowupError, as_vector, check_counts
-from .netopt import build_problem, stationarity_residual
 from .passivation import coupling_matrix
 
-__all__ = ["ClosedLoopSystem", "Trajectory", "simulate", "steady_state_residual"]
+__all__ = ["ClosedLoopSystem", "Trajectory", "simulate"]
 
 _BLOWUP_LIMIT = 1e12
 _STEADY_WINDOW = 100
@@ -63,6 +61,7 @@ _DEEP = 20.0  # |eta| from which np.tanh(eta) is exactly +-1 in float64 (it is f
 _ALIGN = 64  # bytes; the rate's matvec measured 13% slower 16 or 48 bytes past this boundary
 STEADY_TOL = 1e-8  # default threshold on the worst state/output rate
 HORIZON = 5000.0  # default t_max
+MIN_STEP = 1e-4  # the default step's floor
 
 
 class ClosedLoopSystem:
@@ -71,8 +70,8 @@ class ClosedLoopSystem:
     The loop's state is ``z = [x, eta_sat]``: only the tanh edges carry a
     controller state.  Derived once and read-only: ``operator``, the
     ``[A | B]`` acting on ``[x, tanh(eta_sat)]``, as wide as z, on an
-    ``_ALIGN``-byte boundary; ``E_sat``, the incidence columns of the tanh
-    edges; and ``heads_sat``, ``tails_sat``, their end vertices.
+    ``_ALIGN``-byte boundary; and ``heads_sat``, ``tails_sat``, the tanh
+    edges' end vertices.
     """
 
     def __init__(self, graph, agents, controllers, gain):
@@ -81,13 +80,15 @@ class ClosedLoopSystem:
         # would broadcast a length-1 beta over every edge.
         as_vector(gain.beta, graph.n_edges, "beta")
         self.graph, self.agents, self.controllers, self.gain = graph, agents, controllers, gain
-        n, sat, q = graph.n_vertices, controllers.saturated, agents.q[:, None]
+        n, sat, q = graph.n_vertices, controllers.saturated, agents.q
         K = coupling_matrix(np.zeros(n), gain.alpha, gain.beta + controllers.w, graph)
-        self.E_sat = graph.incidence(sat)
-        self.operator = _aligned_empty((n, n + self.E_sat.shape[1]))
-        self.operator[:, :n], self.operator[:, n:] = np.diag(agents.p) - q * K, -q * self.E_sat
-        self.heads_sat, self.tails_sat = graph.heads[sat], graph.tails[sat]
-        for arr in (self.E_sat, self.operator, self.heads_sat, self.tails_sat):
+        self.heads_sat, self.tails_sat = heads, tails = graph.heads[sat], graph.tails[sat]
+        self.operator = _aligned_empty((n, n + heads.size))
+        self.operator[:, :n], self.operator[:, n:] = np.diag(agents.p) - q[:, None] * K, 0.0
+        # B = -diag(q) E_sat: column k holds -q at its head and q at its tail.
+        k = n + np.arange(heads.size)
+        self.operator[heads, k], self.operator[tails, k] = -q[heads], q[tails]
+        for arr in (self.operator, self.heads_sat, self.tails_sat):
             arr.setflags(write=False)
         self._rate = (n, self.heads_sat, self.tails_sat, agents.g)
         self._static = (controllers.w[~sat], graph.heads[~sat], graph.tails[~sat])
@@ -151,10 +152,10 @@ def _default_step(system):
     exact fixed points of the RK4 map, so a large step only costs transient
     accuracy.  The cap covers r = 0 (edgeless integrators).
     """
-    n = system.graph.n_vertices
+    n, E_sat = system.graph.n_vertices, system.graph.incidence(system.controllers.saturated)
     r = np.linalg.norm(system.operator[:, :n], 2) + max(
-        np.linalg.norm(system.operator[:, n:], 2), np.linalg.norm(system.E_sat, 2))
-    return min(0.25, max(1e-4, 2.5 / max(r, 1e-12)))
+        np.linalg.norm(system.operator[:, n:], 2), np.linalg.norm(E_sat, 2))
+    return min(0.25, max(MIN_STEP, 2.5 / max(r, 1e-12)))
 
 
 class _DeepMap:
@@ -176,8 +177,7 @@ class _DeepMap:
     """
 
     def __init__(self, system, dt):
-        n, E_sat = system.graph.n_vertices, system.E_sat
-        self.n = n
+        n = self.n = system.graph.n_vertices
         self.A_T, self.B, self.g = system.operator[:, :n].T, system.operator[:, n:], system.agents.g
         self.heads, self.tails = system.heads_sat, system.tails_sat
         eye, hA, h = np.eye(n), dt * system.operator[:, :n], dt
@@ -201,10 +201,11 @@ class _DeepMap:
         # eta + (h/2) k1, eta + (h/2) k2, eta + h k3, whose eta parts are
         # E_sat^T (S x + O b) with S = (h/2) I, (h/2)(I + hA/2), h (I + hA/2 + (hA)^2/4).
         # Column block 0 maps x (and b) to a step's eta increment, 1..3 to those offsets.
+        # L^T E_sat is a difference of two of L's rows per edge, exactly the product.
         x_maps = (self.N, h / 2 * eye, h / 2 * (eye + hA / 2), h * (eye + hA / 2 + hA @ hA / 4))
         b_maps = (C, np.zeros((n, n)), h * h / 4 * eye, h * h / 2 * (eye + hA / 2))
-        self.eta_x = np.hstack([L.T @ E_sat for L in x_maps])
-        self.eta_b = np.hstack([L.T @ E_sat for L in b_maps])
+        self.eta_x = np.hstack([(L[self.heads] - L[self.tails]).T for L in x_maps])
+        self.eta_b = np.hstack([(L[self.heads] - L[self.tails]).T for L in b_maps])
         self.patterns = {}
 
     def offsets(self, s):
@@ -398,14 +399,3 @@ def simulate(system: ClosedLoopSystem, x0=None, eta0=None, dt=None, t_max=None,
     y_ss = x_states[:, -1].copy() if converged else None
     times = np.arange(count - table.shape[0], count) * dt
     return Trajectory(times, x_states, eta_states, converged, y_ss, residual, affine_samples)
-
-
-def steady_state_residual(system: ClosedLoopSystem, y):
-    """First-order mismatch of y as a steady output of the regularized loop.
-
-    Builds the matching regularized steady-state problem and returns the
-    minimal norm of its gradient inclusion over admissible edge efforts.
-    """
-    problem = build_problem(system.graph, system.agents, system.controllers, system.gain)
-    residual, _ = stationarity_residual(problem, y)
-    return residual

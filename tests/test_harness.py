@@ -268,8 +268,11 @@ def test_schema_counts_the_models_before_building_the_graph(tmp_path, capsys):
     # t_max / dt overflows to inf: no step count exists, over a given or the default horizon
     ({"sim": {"dt": 1e-300, "t_max": 1e10}}, "$.sim.dt"),
     ({"sim": {"dt": 1e-306}}, "$.sim.dt"),
+    # without a dt, the default step's floor bounds the step count
+    ({"sim": {"t_max": 1e308}}, "$.sim.t_max"),
 ], ids=["graph-not-object", "graph-n-missing", "edges-not-list", "agents-not-list",
-        "agent-not-object", "vertices-not-integers", "steps-overflow", "steps-overflow-default"])
+        "agent-not-object", "vertices-not-integers", "steps-overflow", "steps-overflow-default",
+        "steps-overflow-default-step"])
 def test_schema_error_exits_3_naming_its_path(overrides, path, tmp_path, capsys):
     data = consensus_dict(**overrides)
     assert schema_error_path(data) == path
@@ -557,7 +560,7 @@ def test_synthesis_stage_certifies_each_design_once(config, monkeypatch):
     check = counted(passivation.check_design, calls)
     monkeypatch.setattr(passivation, "check_design", check)
     monkeypatch.setattr(harness, "check_design", check, raising=False)
-    design, _, _, gain = harness.synthesis_stage(config, *build_system_parts(config))
+    design, _, _, gain = harness.synthesis_stage(config)
     assert len(calls) == gain["escalations"] + 1
     assert gain["certificate"] == design.certificate.min_eig
     assert gain["positive_definite"] is design.certificate.positive_definite
@@ -775,7 +778,7 @@ def test_synthesis_and_solve_derive_the_graph_structure_once(monkeypatch):
     monkeypatch.setattr(NetworkGraph, "laplacian", recorded_laplacian)
     config = generate_case_study(10, 1)
     parts = build_system_parts(config)
-    _, problem, _, _ = synthesis_stage(config, *parts)
+    _, problem, _, _ = synthesis_stage(config)
     optimization_stage(config, problem)
     assert len(searches) == 1
     assert laplacians and all(L is laplacian(parts[0]) for L in laplacians)

@@ -4,11 +4,12 @@
 ``y[heads] - y[tails]``, E v as ``scatter`` and E diag(w) E^T as
 ``weighted_laplacian``.  Its ``incidence(mask)``, which forms the dense
 columns of the edges a mask selects, is called elsewhere only by the two
-functions that build a dense operator from them: the closed loop's
-constructor, which builds ``[A | B]`` and keeps the tanh edges' columns
-``E_sat`` for the default step's norm and the all-deep RK4 map, and the
-stationarity fit's least-squares matrix.  This guard parses every module
-under ``src/netpass`` but ``graph.py`` and fails on any other read of
+functions that need a dense operator from them: the default step, which
+takes the 2-norm of the tanh edges' columns ``E_sat`` and drops them, and
+the stationarity fit's least-squares matrix.  The closed loop writes its
+``[A | B]`` by index and its all-deep RK4 map gathers rows by edge end, so
+neither holds ``E_sat``.  This guard parses every module under
+``src/netpass`` but ``graph.py`` and fails on any other read of
 ``.incidence``.
 """
 
@@ -18,7 +19,7 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "netpass"
 
 DENSE_OPERATOR_BUILDERS = {
-    ("sim.py", "ClosedLoopSystem.__init__"),
+    ("sim.py", "_default_step"),
     ("netopt.py", "stationarity_residual"),
 }
 

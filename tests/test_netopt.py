@@ -370,7 +370,7 @@ def _backward_errors(H, L, t, rhs):
 def test_vertex_solve_backward_error_on_case_study_hessians(n, seed, t):
     config = generate_case_study(n, seed)
     graph, agents, controllers = build_system_parts(config)
-    _, problem, _, _ = synthesis_stage(config, graph, agents, controllers)
+    _, problem, _, _ = synthesis_stage(config)
     rhs = np.random.default_rng(seed).standard_normal((n, 8))
     _, errors = _backward_errors(problem.smooth_hessian(), graph.laplacian(), t, rhs)
     assert errors.max() <= VERTEX_BACKWARD_TOL
@@ -523,7 +523,7 @@ def test_solve_matches_the_plain_admm_loop(problem, max_iter):
 
 def test_solve_matches_the_plain_admm_loop_on_every_exit_path():
     config = generate_case_study(5, 1)  # 156 iterations, balanced at 50, 100, 150
-    problem = synthesis_stage(config, *build_system_parts(config))[1]
+    problem = synthesis_stage(config)[1]
     # the tolerance exit
     got = assert_matches_plain_admm(problem, None)
     assert (got.iterations, got.status) == (156, SolveStatus.OPTIMAL)

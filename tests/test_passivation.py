@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from netpass import (
+    CertificateError,
     DisconnectedGraphError,
     EmptySelfRegulatingSetError,
     NetworkGraph,
@@ -25,10 +26,12 @@ from netpass import (
     component_sums,
     coupling_matrix,
     edge_gain_threshold,
+    generate_case_study,
     hybrid_gain,
     uniform_network_gain,
     zero_design,
 )
+from netpass.harness import build_system_parts
 from oracles import incidence
 
 EXACT_TOL = 1e-12
@@ -299,6 +302,16 @@ def test_check_design_verdicts():
     assert good.positive_definite and good.min_eig > 0.0
     bad = check_design(np.array([3.0, -1.0]), np.zeros(2), np.array([1.0]), P2)
     assert not bad.positive_definite and bad.min_eig < 0.0
+
+
+@pytest.mark.xfail(raises=CertificateError, strict=True,
+                   reason="check_design's tolerance grows with the edge gains; "
+                          "the design's smallest eigenvalue does not")
+def test_a_large_margin_still_certifies():
+    # The n=10 case study's design at epsilon = 1e9 is positive definite by
+    # construction, with min eig 0.400, but 1e-9 (1 + ||X||_inf) is 18.
+    graph, agents, _ = build_system_parts(generate_case_study(10, 1))
+    assert uniform_network_gain(agents.rho_vector, graph, 1e9).certificate.positive_definite
 
 
 def test_zero_design():

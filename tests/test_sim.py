@@ -270,7 +270,7 @@ def test_simulate_halving_step_leaves_steady_state():
 def test_default_step_settles_the_n40_case_study_in_few_steps():
     config = generate_case_study(40, 7)
     parts = build_system_parts(config)
-    system = ClosedLoopSystem(*parts, synthesis_stage(config, *parts)[0])
+    system = ClosedLoopSystem(*parts, synthesis_stage(config)[0])
     trajectory = simulate(system, seed=config.seed)
     assert trajectory.converged
     assert trajectory.times.size - 1 < 16000
@@ -332,7 +332,7 @@ def mixed4_system():
     """The mixed4 golden scenario's loop: static and saturated edges."""
     config = load_config(GOLDEN / "mixed4.json")
     parts = build_system_parts(config)
-    return ClosedLoopSystem(*parts, synthesis_stage(config, *parts)[0])
+    return ClosedLoopSystem(*parts, synthesis_stage(config)[0])
 
 
 def mixed4_run():
@@ -548,7 +548,7 @@ def drawn_start(system, seed):
 def test_buffered_step_matches_plain_loop_on_the_n10_case_study(seed):
     config = generate_case_study(10, seed)
     parts = build_system_parts(config)
-    system = ClosedLoopSystem(*parts, synthesis_stage(config, *parts)[0])
+    system = ClosedLoopSystem(*parts, synthesis_stage(config)[0])
     run = assert_same_run(system, drawn_start(system, seed), dt=default_step(system),
                           t_max=5000.0)
     assert run.converged
@@ -600,7 +600,7 @@ def test_buffered_step_matches_plain_loop_when_cut_by_the_horizon(steps):
 def test_buffered_step_reports_the_plain_loop_blowup():
     config = load_config(GOLDEN / "none_blowup.json")
     parts = build_system_parts(config)
-    system = ClosedLoopSystem(*parts, synthesis_stage(config, *parts)[0])
+    system = ClosedLoopSystem(*parts, synthesis_stage(config)[0])
     message = assert_same_run(system, drawn_start(system, config.seed),
                               dt=default_step(system), t_max=5000.0)
     assert message.startswith("state magnitude exceeded 1e+12 at t = ")
@@ -678,7 +678,7 @@ def test_affine_map_steps_most_of_the_slow_hybrid_case_study():
     data.update(gain_mode="hybrid", self_regulating=[0])
     config = config_from_dict(data)
     parts = build_system_parts(config)
-    system = ClosedLoopSystem(*parts, synthesis_stage(config, *parts)[0])
+    system = ClosedLoopSystem(*parts, synthesis_stage(config)[0])
     trajectory = simulate(system, seed=config.seed)
     assert trajectory.converged
     assert trajectory.affine_samples > 0.9 * trajectory.times.size
@@ -715,7 +715,7 @@ def test_unrecorded_run_ends_on_the_recorded_final_sample(scenario):
         data.update(gain_mode="hybrid", self_regulating=[0])
         config = config_from_dict(data)
     parts = build_system_parts(config)
-    system = ClosedLoopSystem(*parts, synthesis_stage(config, *parts)[0])
+    system = ClosedLoopSystem(*parts, synthesis_stage(config)[0])
     run = assert_unrecorded_run_matches(system, seed=config.seed)
     if scenario == "none_blowup":
         assert run.startswith("state magnitude exceeded 1e+12 at t = ")
@@ -777,6 +777,15 @@ def test_a_static_edge_state_is_never_stepped_or_checked_for_blowup():
     assert_bitwise(huge.eta_states[~static], zero.eta_states[~static], "eta_sat")
 
 
+def test_operator_input_block_is_the_scaled_incidence_of_the_tanh_edges():
+    # B = -diag(q) E_sat, written by index; the loop holds no E_sat beside it.
+    system = mixed4_system()
+    n, sat = system.graph.n_vertices, system.controllers.saturated
+    np.testing.assert_array_equal(system.operator[:, n:],
+                                  -system.agents.q[:, None] * incidence(system.graph)[:, sat])
+    assert not hasattr(system, "E_sat")
+
+
 def test_operator_is_aligned_and_read_only():
     # The rate's matvec runs at one speed only on a cache-line-aligned operator.
     for n in (2, 3, 12, 40):
@@ -804,6 +813,9 @@ def test_given_step_skips_the_default_step_norms(monkeypatch):
     def no_norms(*args, **kwargs):
         raise AssertionError("the default step was computed")
 
+    # Only the default step forms dense incidence columns: the loop and a
+    # run given its step form none.
+    monkeypatch.setattr(NetworkGraph, "incidence", no_norms)
     system = consensus_system()
     monkeypatch.setattr(np.linalg, "norm", no_norms)
     assert simulate(system, x0=[5.0, 18.0], dt=0.02).converged
@@ -818,7 +830,7 @@ from netpass.harness import build_system_parts, synthesis_stage
 record = sys.argv[1] == "record"
 config = generate_case_study(20, 1)
 parts = build_system_parts(config)
-system = ClosedLoopSystem(*parts, synthesis_stage(config, *parts)[0])
+system = ClosedLoopSystem(*parts, synthesis_stage(config)[0])
 simulate(system, seed=1, t_max=1.0, record=record)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB on Linux
 trajectory = simulate(system, seed=1, dt=0.01, t_max=300.0, steady_tol=0.0, record=record)
