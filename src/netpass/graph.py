@@ -5,10 +5,10 @@ orientation, recorded as a (head, tail) pair; the incidence matrix E has +1
 at the head and -1 at the tail of each edge column.  The quantities derived
 here (the Laplacian and the component structure) are independent of the
 chosen orientation.  A graph stores its components and Laplacian once
-built, so an impossible graph fails fast.  E itself is never stored: it is
+built, so an impossible graph fails fast.  E itself is never formed: it is
 applied from the edge list, ``E^T y`` as ``y[heads] - y[tails]``, ``E v`` as
-``scatter`` and ``E diag(w) E^T`` as ``weighted_laplacian``, and
-``incidence(mask)`` forms dense columns only for the operators built from them.
+``scatter`` and ``E diag(w) E^T`` as ``weighted_laplacian``, whose largest
+eigenvalue gives the 2-norm of E diag(sqrt(w)) (the default step's ||E_sat||).
 """
 
 import numpy as np
@@ -94,15 +94,6 @@ class NetworkGraph:
     def laplacian(self):
         """Graph Laplacian, the Gram matrix of the incidence rows (read-only)."""
         return self._laplacian
-
-    def incidence(self, mask):
-        """The dense columns of E, +1 at the head and -1 at the tail, of the edges ``mask`` selects.
-
-        ``mask`` is a boolean edge mask; the result, (n_vertices, selected), is column-major.
-        """
-        vertices = np.arange(self.n_vertices)
-        at_head, at_tail = (ends[mask, None] == vertices for ends in (self.heads, self.tails))
-        return np.subtract(at_head, at_tail, dtype=float).T
 
     def weighted_laplacian(self, w):
         """E diag(w) E^T as a new array: -w_e off the diagonal, each vertex's weight sum on it."""

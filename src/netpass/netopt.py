@@ -25,7 +25,7 @@ O(m) but the product, and the dual residual is formed only where it is read
 (see ``solve``).  ``stationarity_residual`` measures how far a point is from
 the first-order conditions, freeing a tanh edge within ``effort_bounds``'
 default tolerance, and ``steady_state_residual`` the same of a closed loop's
-output; the fit forms the free edges' incidence columns (``NetworkGraph.incidence``).
+output; its BVLS fit writes the free edges' columns of E, the only dense ones formed.
 """
 
 import enum
@@ -305,8 +305,11 @@ def stationarity_residual(problem: RegularizedProblem, y):
         from scipy.optimize import lsq_linear
 
         fixed_part = gradient + graph.scatter(selection)  # a free edge's selection is 0 so far
-        result = lsq_linear(graph.incidence(free), -fixed_part,
-                            bounds=(lower[free], upper[free]), method="bvls")
+        columns = np.zeros((graph.n_vertices, np.count_nonzero(free)), order="F")
+        k = np.arange(columns.shape[1])
+        columns[graph.heads[free], k], columns[graph.tails[free], k] = 1.0, -1.0
+        result = lsq_linear(columns, -fixed_part, bounds=(lower[free], upper[free]),
+                            method="bvls")
         selection[free] = result.x
     return float(np.linalg.norm(gradient + graph.scatter(selection))), selection
 

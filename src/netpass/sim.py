@@ -9,7 +9,7 @@ Agents are affine (x' = p x + q u + g, y = x) and static edges linear, so with
 K = Q(0) = diag(alpha) + E diag(beta + w) E^T (``passivation.coupling_matrix``)
 ``ClosedLoopSystem`` builds the field once, [A | B] held as one matrix acting
 on [x, tanh(eta_sat)], and keeps the tanh edges' end vertices beside it
-(E_sat, their incidence columns, only the default step's norm forms):
+(E_sat, their incidence columns, is never formed):
 
     x' = A x + B tanh(eta_sat) + g,   A = diag(p) - diag(q) K,  B = -diag(q) E_sat,
     eta_sat' = E_sat^T x.
@@ -26,12 +26,12 @@ copied into a [x, eta] table and the state histories are read-only
 transposed views of it; with ``record=False`` the run returns its final
 sample alone.  Blowup and steadiness are checked once per block of samples,
 and the run ends where a per-step check would.  The default step keeps every
-stable mode inside RK4's stability region (``_default_step``).  A run counts
-as steady when the agent state rates and the controller output rates stay
-below a tolerance over a sustained window; the integrator controller's
-internal state may keep ramping (its output saturates, so the loop still
-settles), which is exactly what happens on edges that hold a nonzero
-relative output at steady state.
+stable mode inside RK4's stability region, its norms read from n x n
+Laplacians (``_default_step``).  A run counts as steady when the agent state
+rates and the controller output rates stay below a tolerance over a
+sustained window; the integrator controller's internal state may keep
+ramping (its output saturates, so the loop still settles), which is exactly
+what happens on edges that hold a nonzero relative output at steady state.
 
 Once every tanh edge is deep (|eta| >= ``_DEEP``, where float64 tanh is
 exactly +-1), the loop is exactly linear, and RK4 on it is one fixed affine
@@ -150,11 +150,14 @@ def _default_step(system):
     r = ||A|| + max(||B||, ||E_sat||) >= ||J(D)|| >= rho(J(D)) for every D, and
     dt = 2.5 / r keeps every dt * lambda within 2.5 of 0.  Steady states are
     exact fixed points of the RK4 map, so a large step only costs transient
-    accuracy.  The cap covers r = 0 (edgeless integrators).
+    accuracy.  The cap covers r = 0 (edgeless integrators).  E_sat is never
+    formed: ||E_sat||^2 and ||B||^2 are the top eigenvalues of the n x n
+    L_sat = E_sat E_sat^T, the tanh edges' Laplacian, and B B^T = diag(q) L_sat diag(q).
     """
-    n, E_sat = system.graph.n_vertices, system.graph.incidence(system.controllers.saturated)
-    r = np.linalg.norm(system.operator[:, :n], 2) + max(
-        np.linalg.norm(system.operator[:, n:], 2), np.linalg.norm(E_sat, 2))
+    n, q = system.graph.n_vertices, system.agents.q
+    L_sat = system.graph.weighted_laplacian(system.controllers.saturated.astype(float))
+    top = max(np.linalg.eigvalsh(G)[-1] for G in (q[:, None] * L_sat * q, L_sat))
+    r = np.linalg.norm(system.operator[:, :n], 2) + np.sqrt(max(top, 0.0))
     return min(0.25, max(MIN_STEP, 2.5 / max(r, 1e-12)))
 
 
@@ -182,7 +185,6 @@ class _DeepMap:
         self.heads, self.tails = system.heads_sat, system.tails_sat
         eye, hA, h = np.eye(n), dt * system.operator[:, :n], dt
         tail = eye / 6 + hA / 24
-        C = h * h * (eye / 2 + hA @ tail)
         self.N = h * (eye + hA @ (eye / 2 + hA @ tail))
         self.M = eye + self.N @ system.operator[:, :n]
         # Where RK4 on the deep loop is unstable, the map would amplify its own
@@ -192,6 +194,9 @@ class _DeepMap:
         # step so long that M overflows is no stable map either.
         self.stable = bool(np.isfinite(self.M).all()) and \
             np.abs(np.linalg.eigvals(self.M)).max() <= 1.0 + 1e-12
+        if not self.stable:
+            return  # ``step`` reads nothing below
+        C = h * h * (eye / 2 + hA @ tail)
         powers = np.empty((_BLOCK, n, n))
         powers[0] = self.M
         for j in range(1, _BLOCK):

@@ -1,7 +1,7 @@
 """Graph structure tests: incidence algebra, spectra, components.
 
 The reference incidence is ``oracles.incidence``, built entry by entry from
-the edge list; a graph forms dense columns only through ``incidence(mask)``.
+the edge list; a graph never forms dense columns of it.
 
 Eigenvalue facts are cross-checked against a symbolic characteristic
 polynomial (sympy) so the test-side spectrum does not come from the same
@@ -43,11 +43,6 @@ def symbolic_eigenvalues(matrix):
     return np.sort(np.array(roots))
 
 
-def test_incidence_path_two():
-    g = NetworkGraph.path(2)
-    np.testing.assert_array_equal(g.incidence(np.ones(1, bool)), [[1.0], [-1.0]])
-
-
 def test_incidence_triangle():
     g = NetworkGraph.complete(3)
     expected = np.array([
@@ -55,26 +50,8 @@ def test_incidence_triangle():
         [-1.0, 0.0, 1.0],
         [0.0, -1.0, -1.0],
     ])
-    np.testing.assert_array_equal(g.incidence(np.ones(3, bool)), expected)
     np.testing.assert_array_equal(incidence(g), expected)
     assert g.n_edges == 3
-
-
-def test_incidence_columns_sum_to_zero():
-    g = NetworkGraph(5, ((0, 3), (1, 2), (3, 4), (0, 4)))
-    np.testing.assert_array_equal(g.incidence(np.ones(4, bool)).sum(axis=0), np.zeros(4))
-
-
-def test_incidence_forms_the_selected_columns_in_edge_order():
-    g = NetworkGraph(5, ((0, 3), (1, 2), (3, 4), (0, 4)))
-    mask = np.array([True, False, True, True])
-    np.testing.assert_array_equal(g.incidence(mask), [
-        [1.0, 0.0, 1.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [-1.0, 1.0, 0.0], [0.0, -1.0, -1.0]])
-
-
-def test_incidence_of_no_edges_has_no_columns():
-    assert NetworkGraph.path(3).incidence(np.zeros(2, bool)).shape == (3, 0)
-    assert NetworkGraph(4, ()).incidence(np.zeros(0, bool)).shape == (4, 0)
 
 
 def test_a_graph_holds_no_dense_incidence():
@@ -87,6 +64,8 @@ def test_a_graph_holds_no_dense_incidence():
         tracemalloc.stop()
     assert g.n_edges == 79_800
     assert held < g.n_vertices * g.n_edges * 8 / 10
+    # nor does it offer to form one
+    assert not hasattr(g, "incidence")
 
 
 def test_laplacian_equals_incidence_product():
@@ -322,12 +301,3 @@ def test_scatter_is_the_incidence_product(data):
     g = data.draw(oriented_graphs())
     v = data.draw(edge_vectors(g))
     np.testing.assert_allclose(g.scatter(v), incidence(g) @ v, rtol=1e-12, atol=1e-10)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_incidence_is_the_masked_columns_of_the_reference(data):
-    g = data.draw(oriented_graphs())
-    mask = np.array(data.draw(st.lists(st.booleans(), min_size=g.n_edges, max_size=g.n_edges)),
-                    dtype=bool)
-    np.testing.assert_array_equal(g.incidence(mask), incidence(g)[:, mask])

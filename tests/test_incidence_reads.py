@@ -1,27 +1,19 @@
 """The package applies the incidence from the edge list, not by dense products.
 
-``NetworkGraph`` stores no incidence matrix.  It writes E^T y as
-``y[heads] - y[tails]``, E v as ``scatter`` and E diag(w) E^T as
-``weighted_laplacian``.  Its ``incidence(mask)``, which forms the dense
-columns of the edges a mask selects, is called elsewhere only by the two
-functions that need a dense operator from them: the default step, which
-takes the 2-norm of the tanh edges' columns ``E_sat`` and drops them, and
-the stationarity fit's least-squares matrix.  The closed loop writes its
-``[A | B]`` by index and its all-deep RK4 map gathers rows by edge end, so
-neither holds ``E_sat``.  This guard parses every module under
-``src/netpass`` but ``graph.py`` and fails on any other read of
-``.incidence``.
+``NetworkGraph`` neither stores nor forms an incidence matrix.  It writes
+E^T y as ``y[heads] - y[tails]``, E v as ``scatter`` and E diag(w) E^T as
+``weighted_laplacian``.  The closed loop writes its ``[A | B]`` by index,
+its all-deep RK4 map gathers rows by edge end, and the default step takes
+its norms from n x n Laplacians.  The one dense operator left, the
+stationarity fit's least-squares matrix, is written in place from the edge
+ends.  This guard parses every module under ``src/netpass`` and fails on
+any read of an ``.incidence`` attribute: the allow-list is empty.
 """
 
 import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "netpass"
-
-DENSE_OPERATOR_BUILDERS = {
-    ("sim.py", "_default_step"),
-    ("netopt.py", "stationarity_residual"),
-}
 
 
 def incidence_reads(source, filename):
@@ -53,9 +45,6 @@ def test_guard_finds_reads_by_enclosing_function():
 
 
 def test_only_dense_operator_builders_read_the_incidence():
-    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "graph.py")
+    modules = sorted(PACKAGE.glob("*.py"))
     assert modules
-    reads = [read for path in modules for read in incidence_reads(path.read_text(), path.name)]
-    assert [r for r in reads if r[:2] not in DENSE_OPERATOR_BUILDERS] == []
-    # every named builder still reads it, so a stale entry cannot hide a new reader
-    assert {r[:2] for r in reads} == DENSE_OPERATOR_BUILDERS
+    assert [read for path in modules for read in incidence_reads(path.read_text(), path.name)] == []

@@ -13,9 +13,12 @@ Frozen values derived by hand:
   anchors, which this file computes independently with numpy.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from scipy.optimize import lsq_linear
 
 from netpass import (
     AgentBank,
@@ -593,6 +596,39 @@ def test_stationarity_residual_zero_at_balanced_consensus():
     problem = build_problem(P2, agents, ControllerBank([TanhIntegratorController()]))
     residual, _ = stationarity_residual(problem, np.array([15.0, 15.0]))
     assert residual == pytest.approx(0.0, abs=1e-12)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(admm_problems(), st.data())
+def test_stationarity_fit_is_bvls_on_the_reference_columns_bit_for_bit(problem, data):
+    # Outputs on a few levels, so that many tanh edges sit at zeta = 0 and are free.
+    graph = problem.graph
+    levels = data.draw(st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=3))
+    y = np.array([data.draw(st.sampled_from(levels)) for _ in range(graph.n_vertices)])
+    matrices = []
+
+    def spy(matrix, *args, **kwargs):
+        matrices.append(matrix)
+        return lsq_linear(matrix, *args, **kwargs)
+
+    with mock.patch("scipy.optimize.lsq_linear", spy):
+        residual, selection = stationarity_residual(problem, y)
+    gradient = problem.smooth_gradient(y)
+    lower, upper = problem.controllers.effort_bounds(y[graph.heads] - y[graph.tails])
+    expected = 0.5 * (lower + upper)
+    free = upper - lower > 1e-15
+    assert len(matrices) == int(free.any())
+    if free.any():
+        # The reference's masked columns are column-major, and so are the fit's:
+        # on larger fits the layout decides the summation order of BVLS's products.
+        reference = incidence(graph)[:, free]
+        assert matrices[0].flags.f_contiguous and reference.flags.f_contiguous
+        np.testing.assert_array_equal(matrices[0], reference)
+        fit = lsq_linear(reference, -(gradient + graph.scatter(expected)),
+                         bounds=(lower[free], upper[free]), method="bvls")
+        expected[free] = fit.x
+    np.testing.assert_array_equal(selection, expected)
+    assert residual == float(np.linalg.norm(gradient + graph.scatter(expected)))
 
 
 def test_flow_objective_zero_at_origin():

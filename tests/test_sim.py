@@ -16,6 +16,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from collections import deque
 from pathlib import Path
 
@@ -48,7 +49,7 @@ from netpass import (
     zero_design,
 )
 from netpass.harness import build_system_parts, config_from_dict, synthesis_stage
-from netpass.sim import _BLOCK, _DEEP
+from netpass.sim import _BLOCK, _DEEP, MIN_STEP, _default_step
 from oracles import (
     agent_bank_drift,
     control,
@@ -192,6 +193,49 @@ def default_step(system):
                           steady_tol=np.inf, window=2)
     assert trajectory.times.size == 2
     return trajectory.times[1]
+
+
+def svd_default_step(system):
+    """The default step's bound from the SVD norms of A, B and a dense E_sat."""
+    n, sat = system.graph.n_vertices, system.controllers.saturated
+    E_sat = incidence(system.graph)[:, sat]
+    B = -system.agents.q[:, None] * E_sat
+    r = np.linalg.norm(system.operator[:, :n], 2) + max(np.linalg.norm(B, 2),
+                                                        np.linalg.norm(E_sat, 2))
+    return min(0.25, max(MIN_STEP, 2.5 / max(r, 1e-12)))
+
+
+@settings(derandomize=True, deadline=None)
+@given(random_loops())
+def test_default_step_matches_the_svd_norms_of_the_dense_blocks(case):
+    system, _, _ = case
+    assert _default_step(system) == pytest.approx(svd_default_step(system), rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("seed", [3, 7])
+def test_default_step_matches_the_svd_norms_on_the_n40_case_study(seed):
+    config = generate_case_study(40, seed)
+    system = ClosedLoopSystem(*config.parts, synthesis_stage(config)[0])
+    dt = _default_step(system)
+    assert MIN_STEP < dt < 0.25  # the bound, not a clamp, sets it
+    assert dt == pytest.approx(svd_default_step(system), rel=1e-12, abs=0)
+
+
+def test_default_step_allocates_no_dense_incidence():
+    # K_200 with every edge a tanh edge: a dense E_sat would take 31.8 MB.
+    n = 200
+    graph = NetworkGraph.complete(n)
+    system = ClosedLoopSystem(
+        graph, AgentBank([TrafficAgent(1, 10.0 + i, 0.8) for i in range(n)]),
+        ControllerBank([TanhIntegratorController()] * graph.n_edges),
+        zero_design(np.ones(n), graph))
+    tracemalloc.start()
+    try:
+        _default_step(system)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * graph.n_edges * 8 / 10
 
 
 @settings(derandomize=True, deadline=None)
@@ -813,11 +857,11 @@ def test_given_step_skips_the_default_step_norms(monkeypatch):
     def no_norms(*args, **kwargs):
         raise AssertionError("the default step was computed")
 
-    # Only the default step forms dense incidence columns: the loop and a
-    # run given its step form none.
-    monkeypatch.setattr(NetworkGraph, "incidence", no_norms)
+    # The default step's SVD and eigensolves are the only ones a run takes:
+    # a run given its step takes none.
     system = consensus_system()
     monkeypatch.setattr(np.linalg, "norm", no_norms)
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_norms)
     assert simulate(system, x0=[5.0, 18.0], dt=0.02).converged
     with pytest.raises(AssertionError, match="default step"):
         simulate(system, x0=[5.0, 18.0])
