@@ -79,8 +79,7 @@ def _cmd_check(args):
     config = load_config(args.config)
     graph, agents, _ = build_system_parts(config)
     try:
-        design = synthesize_gain(config, agents.rho_vector, graph, config.epsilon)
-        feasible = design.certificate.positive_definite
+        feasible = synthesize_gain(config, graph, agents).certificate.positive_definite
     except NotPassivizableError:
         feasible = False
     sums = component_sums(agents.rho_vector, graph)

@@ -15,15 +15,10 @@ a pass when the certificate is positive definite (``check`` and
 ``synthesize`` read the same answer), the simulation settled, the solver
 finished clean, and the two outputs agree within tolerance.
 
-When the certified gain still leaves the optimization probe below its floor
-(the certificate is stated in terms of the declared indices, which for some
-agent models undershoot the curvature that actually enters the objective),
-verify deterministically escalates the synthesis margin epsilon by doubling
-until the probe clears, and records how many doublings it took.  Edge gains
-drop out on each component's indicator vector, so the probe never exceeds
-the smallest component mean of curvature plus vertex gain: when that bound is
-at or below the floor the rounds only make the probe non-negative, and when
-it is not positive none runs.  Doubling never decides feasibility.
+Gains are synthesized once, on the agents' steady-state slopes, which are
+the curvatures that enter the objective, less a probe floor: a
+positive-definite certificate then means the objective's convexity probe
+clears that floor (``synthesize_gain``).
 """
 
 import json
@@ -45,7 +40,7 @@ from .errors import (
 )
 from .graph import NetworkGraph
 from .netopt import SOLVER_MAX_ITER, SOLVER_STEP, SOLVER_TOL, SolveStatus, build_problem, solve
-from .passivation import hybrid_gain, uniform_network_gain, zero_design
+from .passivation import component_sums, hybrid_gain, uniform_network_gain, zero_design
 from .sim import HORIZON, MIN_STEP, STEADY_TOL, ClosedLoopSystem, simulate
 
 __all__ = [
@@ -54,11 +49,10 @@ __all__ = [
 ]
 
 _GAIN_MODES = ("none", "network_only", "hybrid")
-# The escalation loop doubles the synthesis margin until the objective's
-# worst-case curvature clears this floor; a healthy floor also bounds how
-# long the closed loop takes to settle.
+# Gains are synthesized on the agents' slopes less this floor, so a certified
+# design's convexity probe clears it; a healthy floor also bounds how long the
+# closed loop takes to settle.
 _PROBE_MIN = 1e-2
-_MAX_ESCALATIONS = 12
 _CLUSTER_GAP = 1.0
 # Samples the trajectory CSV writer formats at once; bounds its Python floats.
 _CSV_BLOCK = 256
@@ -433,54 +427,47 @@ def cluster_count(y, gap=_CLUSTER_GAP):
     return int(1 + np.count_nonzero(np.diff(y) > gap))
 
 
-def synthesize_gain(config, rho, graph, epsilon):
-    """The scenario's gain-mode design at margin ``epsilon`` (None: the default)."""
-    if config.gain_mode == "network_only":
-        return uniform_network_gain(rho, graph, epsilon)
+def synthesize_gain(config, graph, agents):
+    """The scenario's one design, synthesized on the agents' slopes less the probe floor.
+
+    ``hybrid`` always shifts the slopes by ``_PROBE_MIN``; ``network_only``
+    does when every component's shifted sum stays positive and certifies the
+    plain slopes otherwise; ``none`` checks the plain slopes.
+    """
+    if config.gain_mode == "none":
+        return zero_design(agents.slope, graph)
+    c = agents.slope - _PROBE_MIN
     if config.gain_mode == "hybrid":
-        return hybrid_gain(rho, graph, config.self_regulating, epsilon)
-    return zero_design(rho, graph)
+        return hybrid_gain(c, graph, config.self_regulating, config.epsilon)
+    if any(total <= 0.0 for _, total in component_sums(c, graph)):
+        c = agents.slope
+    return uniform_network_gain(c, graph, config.epsilon)
 
 
 def synthesize_certified(config, graph, agents, controllers):
-    """Synthesize a gain, doubling the margin until the curvature probe clears.
+    """The scenario's design, its regularized problem and the problem's convexity probe.
 
-    Returns (design, problem, probe value, escalation count).  Each retry
-    doubles the plain synthesis's margin, up to a fixed cap.  The probe's bound
-    is the smallest component mean of slope + alpha; the floor is 0 when the
-    bound lies under it, and no round runs when the bound is not positive.
+    Returns (design, problem, probe value, 0); the trailing 0 keeps the
+    four-value form callers unpack.  A positive-definite certificate makes
+    the probe exceed the floor the design was synthesized with.
     """
-    rho = agents.rho_vector
-    design = synthesize_gain(config, rho, graph, config.epsilon)
+    design = synthesize_gain(config, graph, agents)
     problem = build_problem(graph, agents, controllers, design)
-    probe = problem.convexity_probe()
-    escalations = 0
-    curvature = agents.slope + design.alpha
-    bound = min(np.mean(curvature[comp]) for comp in graph.connected_components())
-    floor = _PROBE_MIN if bound > _PROBE_MIN else 0.0
-    if config.gain_mode != "none" and bound > 0.0:
-        base_eps = design.epsilon
-        while probe < floor and escalations < _MAX_ESCALATIONS:
-            escalations += 1
-            design = synthesize_gain(config, rho, graph, base_eps * 2.0**escalations)
-            problem = build_problem(graph, agents, controllers, design)
-            probe = problem.convexity_probe()
-    return design, problem, probe, escalations
+    return design, problem, problem.convexity_probe(), 0
 
 
 def synthesis_stage(config):
-    """First stage: a certified gain, escalated until the probe clears.
+    """First stage: the certified gain and its regularized problem.
 
     Returns (design, problem, probe value, the report's ``gain`` payload).
     Raises NotPassivizableError when no network-only gain exists.
     """
-    design, problem, probe, escalations = synthesize_certified(config, *config.parts)
+    design, problem, probe, _ = synthesize_certified(config, *config.parts)
     certificate = design.certificate
     gain = {
         "mode": config.gain_mode,
         "threshold": design.threshold,
         "epsilon": design.epsilon,
-        "escalations": escalations,
         "alpha": design.alpha.tolist(),
         "beta": design.beta.tolist(),
         "certificate": certificate.min_eig,
@@ -573,8 +560,6 @@ def verify(config: ScenarioConfig, record=False):
     )
     if report.passed:
         report.verdict = "pass"
-    elif minimizer.status is SolveStatus.NONCONVEX_DETECTED:
-        report.verdict = "nonconvex"
     elif not trajectory.converged:
         report.verdict = "not_converged"
     elif minimizer.status is not SolveStatus.OPTIMAL:

@@ -25,7 +25,9 @@ O(m) but the product, and the dual residual is formed only where it is read
 (see ``solve``).  ``stationarity_residual`` measures how far a point is from
 the first-order conditions, freeing a tanh edge within ``effort_bounds``'
 default tolerance, and ``steady_state_residual`` the same of a closed loop's
-output; its BVLS fit writes the free edges' columns of E, the only dense ones formed.
+output; its fit writes the free edges' columns of E, the only dense ones formed,
+and calls scipy's BVLS only when the unbounded least-squares fit leaves the
+effort bounds.
 """
 
 import enum
@@ -300,17 +302,20 @@ def stationarity_residual(problem: RegularizedProblem, y):
     selection = 0.5 * (lower + upper)
     free = upper - lower > 1e-15
     if np.any(free):
-        # Imported here, not at module level: no CLI command reaches this fit,
-        # so the CLI starts without loading scipy.
-        from scipy.optimize import lsq_linear
-
         fixed_part = gradient + graph.scatter(selection)  # a free edge's selection is 0 so far
         columns = np.zeros((graph.n_vertices, np.count_nonzero(free)), order="F")
         k = np.arange(columns.shape[1])
         columns[graph.heads[free], k], columns[graph.tails[free], k] = 1.0, -1.0
-        result = lsq_linear(columns, -fixed_part, bounds=(lower[free], upper[free]),
-                            method="bvls")
-        selection[free] = result.x
+        bounds = (lower[free], upper[free])
+        # BVLS returns this unbounded fit itself when it lies in the bounds.
+        fit = np.linalg.lstsq(columns, -fixed_part, rcond=-1)[0]
+        if not np.all((fit >= bounds[0]) & (fit <= bounds[1])):
+            # Imported here, not at module level, so that neither the CLI nor
+            # an in-bounds fit loads scipy.
+            from scipy.optimize import lsq_linear
+
+            fit = lsq_linear(columns, -fixed_part, bounds=bounds, method="bvls").x
+        selection[free] = fit
     return float(np.linalg.norm(gradient + graph.scatter(selection))), selection
 
 

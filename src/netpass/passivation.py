@@ -9,7 +9,9 @@ output feedback with gains ``alpha``.  One gain quadratic carries them,
 with ``E`` the oriented incidence matrix.  On the agents' passivity indices
 ``rho`` it is the certificate X = Q(rho): the interconnection is passivating
 exactly when X is positive definite.  On the agents' steady-state slopes it
-is the Hessian of the regularized steady-state problem (``netopt``).  Because
+is the Hessian of the regularized steady-state problem (``netopt``); for
+every supported model the slope is also a valid index, so ``harness`` passes
+the slopes, less a probe floor, as ``rho``.  Because
 the incidence rows sum to zero, ``1^T X 1 = sum(rho + alpha)`` regardless of
 ``beta``: edge gains alone can never rescue a vertex set whose indices sum
 non-positive, which is what makes the positive-sum condition both necessary
@@ -18,9 +20,11 @@ zero never passes as a rounding residue.  The hybrid design lifts one
 vertex's index until the sum is positive and runs the network-only synthesis
 on the lifted indices.
 
-The edge-gain threshold is computed in vertex space: the Laplacian
-L = V diag(lam) V^T gives E = V diag(sqrt(lam)) W^T, so the m x m E^T M E and
-the (n-1) x (n-1) U^T M U, U = V[:, 1:] sqrt(lam[1:]), share nonzero eigenvalues.
+The edge-gain threshold is exact.  On the Laplacian's modes L = V diag(lam) V^T,
+with V1, lam1 the non-zero ones, diag(rho) + beta L is positive definite
+exactly when beta exceeds the largest eigenvalue of the Schur complement on
+the consensus direction, lam1^{-1/2} (b b^T / sum(rho) - V1^T diag(rho) V1)
+lam1^{-1/2} with b = V1^T rho: one n x n and one (n-1) x (n-1) eigensolve.
 """
 
 import math
@@ -120,11 +124,10 @@ def _short_component(rho, graph):
 def edge_gain_threshold(rho, graph: NetworkGraph):
     """Uniform edge gain above which the coupling matrix is positive definite.
 
-    Valid on connected graphs with a positive index sum.  The bound is
-    max(0, lambda_max(U^T M U)) / lambda_2**2 with M = (n / sum(rho)) R^2 - R,
-    R = diag(rho) and U, lambda_2 from the Laplacian (module docstring).  The
-    exactly rounded sum makes M = 0, and the bound exactly 0, for equal
-    indices.  Any uniform edge gain strictly above the bound certifies.
+    Valid on connected graphs with a positive index sum.  The threshold is
+    the exact one of the module docstring, max(0, lambda_max) of the Schur
+    complement on the consensus direction; every uniform edge gain strictly
+    above it certifies, and no gain at or below a positive threshold does.
     """
     rho = as_vector(rho, graph.n_vertices, "rho")
     if not graph.is_connected():
@@ -137,10 +140,10 @@ def edge_gain_threshold(rho, graph: NetworkGraph):
     if graph.n_edges == 0:
         return 0.0
     lam, V = np.linalg.eigh(graph.laplacian())
-    U = V[:, 1:] * np.sqrt(lam[1:])
-    M = rho * (graph.n_vertices * rho - total) / total
-    top = float(np.linalg.eigvalsh((U.T * M) @ U)[-1])
-    return max(0.0, top / lam[1] ** 2)
+    W = V[:, 1:] / np.sqrt(lam[1:])
+    b = rho @ W
+    top = float(np.linalg.eigvalsh(np.outer(b, b) / total - (W.T * rho) @ W)[-1])
+    return max(0.0, top)
 
 
 def uniform_network_gain(rho, graph: NetworkGraph, epsilon=None):
@@ -216,10 +219,13 @@ def hybrid_gain(rho, graph: NetworkGraph, self_regulating, epsilon=None):
 
 
 def check_design(rho, alpha, beta, graph: NetworkGraph):
-    """Smallest eigenvalue of the coupling matrix and a scale-aware verdict."""
+    """Smallest eigenvalue of the coupling matrix and a scale-aware verdict.
+
+    The tolerance n * eps * ||X||_inf is the scale of ``eigvalsh``'s error.
+    """
     X = coupling_matrix(rho, alpha, beta, graph)
     min_eig = float(np.linalg.eigvalsh(X)[0])
-    tol = 1e-9 * (1.0 + float(np.linalg.norm(X, np.inf))) if X.size else 1e-9
+    tol = X.shape[0] * np.finfo(float).eps * float(np.linalg.norm(X, np.inf))
     return Certificate(min_eig, tol, bool(min_eig > tol))
 
 

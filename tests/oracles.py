@@ -7,6 +7,8 @@ models' own parameters or one edge at a time, so that a test can compare the
 two:
 
 - the graph: the dense incidence matrix, entry by entry from the edge list;
+- gain synthesis: the paper's sufficient edge-gain bound, which the exact
+  threshold of ``edge_gain_threshold`` replaced;
 - agents: scalar drift, steady-state input, potential and storage of each
   model, and the agent bank's drift and batched potential;
 - controllers: scalar drift, output, potential, prox and steady-state effort
@@ -259,6 +261,20 @@ def incidence(graph):
     for k, (head, tail) in enumerate(graph.edges):
         E[head, k], E[tail, k] = 1.0, -1.0
     return E
+
+
+def paper_edge_gain_bound(rho, graph):
+    """The paper's sufficient uniform edge gain, in its m x m form.
+
+    max(0, lambda_max(E^T M E)) / lambda_2**2 with M = (n / sum(rho)) R^2 - R
+    and R = diag(rho); any uniform gain above it certifies, and it is never
+    below the exact threshold ``edge_gain_threshold``.
+    """
+    rho = np.asarray(rho, dtype=float)
+    E = incidence(graph)
+    quad = (graph.n_vertices / math.fsum(rho)) * (E.T * rho**2) @ E - (E.T * rho) @ E
+    top = float(np.linalg.eigvalsh(quad)[-1])
+    return max(0.0, top / np.linalg.eigvalsh(graph.laplacian())[1] ** 2)
 
 
 # ----------------------------------------------------------------------

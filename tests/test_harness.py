@@ -401,7 +401,7 @@ def test_verify_consensus_pair_passes():
     assert report.passed and report.verdict == "pass"
     assert report.feasible
     assert report.gain["positive_definite"]
-    assert report.gain["escalations"] == 0
+    assert "escalations" not in report.gain
     assert report.sim["converged"]
     assert report.opt["status"] == "optimal"
     assert report.mismatch <= 1e-6
@@ -423,11 +423,10 @@ def test_verify_short_pair_passes_in_hybrid_mode():
         mixed_pair_dict(gain_mode="hybrid", self_regulating=[0])))
     assert report.passed and report.verdict == "pass"
     assert report.gain["mode"] == "hybrid"
-    assert report.gain["alpha"][0] > 0.0
-    # the declared-index certificate alone is not enough here: the margin
-    # had to be escalated until the objective curvature cleared
-    assert report.gain["escalations"] >= 1
-    assert report.convexity_probe > 0.0
+    # the slopes (1.25, -1.25) less the floor sum to -0.02, and vertex 0
+    # lifts that sum to 1, so the probe clears the floor
+    assert report.gain["alpha"][0] == pytest.approx(1.02, rel=1e-12)
+    assert report.convexity_probe > 1e-2
 
 
 def test_verify_mode_none_runs_already_passive_networks():
@@ -455,10 +454,7 @@ def test_verify_reports_not_converged_on_short_horizon():
     # the first step's state is NaN, which no magnitude bound catches
     (consensus_dict(sim={"dt": 1e200, "t_max": 1e203}), "blowup"),
     (consensus_dict(solver={"max_iter": 1}), "solver_stalled"),
-    (consensus_dict(
-        agents=[{"kind": "static_affine", "a": -1.0, "c": 0.0, "rho": 1.0}] * 2),
-     "nonconvex"),
-], ids=["blowup", "blowup-nan", "solver_stalled", "nonconvex"])
+], ids=["blowup", "blowup-nan", "solver_stalled"])
 def test_verify_names_each_run_failure(data, verdict, tmp_path, capsys):
     report = verify(config_from_dict(data))
     assert report.feasible and not report.passed
@@ -469,7 +465,22 @@ def test_verify_names_each_run_failure(data, verdict, tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["verdict"] == verdict
 
 
-def test_verify_escalates_margin_when_probe_is_negative():
+def test_verify_certifies_the_slope_not_the_declared_index(tmp_path, capsys):
+    # declared index 1 on both agents, but slope 1/a = -1: no edge gain makes
+    # the steady-state problem convex, so the scenario is infeasible
+    data = consensus_dict(
+        agents=[{"kind": "static_affine", "a": -1.0, "c": 0.0, "rho": 1.0}] * 2)
+    assert verify(config_from_dict(data)).verdict == "infeasible"
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data))
+    assert main(["check", str(path)]) == 1
+    assert json.loads(capsys.readouterr().out)["rho"] == [1.0, 1.0]
+
+
+def test_verify_certifies_the_probe_floor_on_the_slopes():
+    # the declared indices (1, 1, -1) undershoot the slopes' shortage
+    # (1.25, 1.25, -1.25); a certificate on the slopes less the 1e-2 floor
+    # makes the probe exceed the certificate by exactly the floor
     data = {
         "graph": {"n": 3, "edges": [[0, 1], [0, 2], [1, 2]]},
         "agents": [
@@ -481,8 +492,9 @@ def test_verify_escalates_margin_when_probe_is_negative():
     }
     report = verify(config_from_dict(data))
     assert report.passed
-    assert report.gain["escalations"] >= 1
-    assert report.convexity_probe >= 1e-2
+    assert report.gain["certificate"] > 0.0
+    assert report.convexity_probe == pytest.approx(report.gain["certificate"] + 1e-2,
+                                                   rel=1e-9)
 
 
 def static_affine_k3_hybrid(a, rho):
@@ -496,41 +508,26 @@ def static_affine_k3_hybrid(a, rho):
     })
 
 
-def test_synthesis_skips_escalation_that_cannot_reach_the_probe_floor(monkeypatch):
-    # the lift alpha_0 = 2 leaves slope + alpha = 0.005 on every vertex, so
-    # the base probe is already 0.005; no edge gain lifts it above that mean,
-    # the 1e-2 floor is out of reach, and the base design is kept
-    config = static_affine_k3_hybrid((-1.0 / 1.995, 200.0, 200.0), (0.0, -0.5, -0.5))
-    parts = build_system_parts(config)
-    calls = []
-    monkeypatch.setattr(harness, "hybrid_gain", counted(harness.hybrid_gain, calls))
-    design, problem, probe, escalations = synthesize_certified(config, *parts)
-    assert escalations == 0 and calls == ["hybrid_gain"]
-    assert design.epsilon == pytest.approx(0.1 * design.threshold)
-    assert probe == pytest.approx(float(np.mean(parts[1].slope + design.alpha)))
-    assert 0.0 < probe < 1e-2
-    assert solve(problem).status is SolveStatus.OPTIMAL
-
-
-def test_synthesis_escalates_to_convexity_when_the_probe_floor_is_out_of_reach():
-    # the lift alpha_0 = 4 leaves mean(slope + alpha) = (4 - 8/3 - 1/0.76)/3
-    # = 0.0058, under the 1e-2 floor; the base probe is negative, so the
-    # margin still doubles until the objective is convex
-    config = static_affine_k3_hybrid((-0.75, -0.75, -0.76), (-1.0, -1.0, -1.0))
+@pytest.mark.parametrize("a", [(-1.0 / 1.995, 200.0, 200.0), (-0.75, -0.75, -0.76)],
+                         ids=["mean_under_the_floor", "all_short"])
+def test_hybrid_synthesis_lifts_the_shifted_slopes_to_one(a):
+    # hybrid mode always certifies the slopes less the 1e-2 floor: vertex 0
+    # lifts their sum to 1, and the probe clears the floor in one synthesis
+    config = static_affine_k3_hybrid(a, (0.0, -0.5, -0.5))
     parts = build_system_parts(config)
     design, problem, probe, escalations = synthesize_certified(config, *parts)
-    bound = float(np.mean(parts[1].slope + design.alpha))
-    assert 0.0 < bound < 1e-2
-    assert 0 < escalations < 12
-    assert 0.0 <= probe <= bound
+    assert escalations == 0 and design.certificate.positive_definite
+    shifted = parts[1].slope - 1e-2
+    assert design.alpha[0] == pytest.approx(1.0 - math.fsum(shifted), rel=1e-12)
+    assert probe > 1e-2
     assert solve(problem).status is SolveStatus.OPTIMAL
 
 
 def test_synthesis_bounds_the_probe_per_component():
     # two static-affine triangles: slope 1/200 on the first, 1 on the second;
     # the global mean 0.5025 clears the 1e-2 floor, but edge gains drop out
-    # on the first triangle's indicator, so its mean 0.005 bounds the probe
-    # and no round can help
+    # on the first triangle's indicator, so its mean 0.005 bounds the probe:
+    # network-only synthesis then certifies the plain slopes
     edges = [[0, 1], [0, 2], [1, 2], [3, 4], [3, 5], [4, 5]]
     agents = [{"kind": "static_affine", "a": a, "c": c, "rho": 1.0 / a}
               for a, c in ((200.0, 1.0), (200.0, 2.0), (200.0, 3.0),
@@ -544,26 +541,50 @@ def test_synthesis_bounds_the_probe_per_component():
     design, problem, probe, escalations = synthesize_certified(config, *parts)
     assert escalations == 0
     assert probe == pytest.approx(0.005, rel=1e-9)
+    assert design.certificate.min_eig == pytest.approx(probe, rel=1e-9)
     minimizer = solve(problem)
     assert minimizer.status is SolveStatus.OPTIMAL
     report = verify(config)
     assert report.passed, report.verdict
-    assert report.gain["escalations"] == 0
 
 
-@pytest.mark.parametrize("config", [
+SYNTHESIS_SCENARIOS = [
     config_from_dict(consensus_dict()),
     static_affine_k3_hybrid((-0.75, -0.75, -0.76), (-1.0, -1.0, -1.0)),
-], ids=["network_only", "hybrid_escalated"])
+]
+
+
+@pytest.mark.parametrize("config", SYNTHESIS_SCENARIOS, ids=["network_only", "hybrid"])
 def test_synthesis_stage_certifies_each_design_once(config, monkeypatch):
     calls = []
     check = counted(passivation.check_design, calls)
     monkeypatch.setattr(passivation, "check_design", check)
     monkeypatch.setattr(harness, "check_design", check, raising=False)
     design, _, _, gain = harness.synthesis_stage(config)
-    assert len(calls) == gain["escalations"] + 1
+    assert len(calls) == 1
     assert gain["certificate"] == design.certificate.min_eig
     assert gain["positive_definite"] is design.certificate.positive_definite
+
+
+@pytest.mark.parametrize("config", SYNTHESIS_SCENARIOS, ids=["network_only", "hybrid"])
+def test_verify_certifies_and_probes_each_design_once(config, monkeypatch):
+    checks, problems, eigensolves = [], [], []
+    check = counted(passivation.check_design, checks)
+    monkeypatch.setattr(passivation, "check_design", check)
+    build = harness.build_problem
+    monkeypatch.setattr(harness, "build_problem",
+                        lambda *args: problems.append(build(*args)) or problems[-1])
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda a, *args: eigensolves.append(a) or eigvalsh(a, *args))
+    report = verify(config)
+    assert report.feasible
+    assert len(checks) == 1 and len(problems) == 1
+    hessian = problems[0].smooth_hessian()
+    assert sum(matrix is hessian for matrix in eigensolves) == 1
+    assert report.gain["certificate"] > 0.0
+    assert report.convexity_probe == pytest.approx(report.gain["certificate"] + 1e-2,
+                                                   rel=1e-9)
 
 
 def test_solve_reuses_the_probe_taken_at_synthesis(monkeypatch):
@@ -687,13 +708,14 @@ def test_cli_check_exit_codes(consensus_file, mixed_file, capsys):
 
 
 def test_cli_check_and_synthesize_use_the_exact_index_sum(tmp_path, capsys):
-    # the indices sum to exactly 0; numpy's pairwise sum gives 2.2e-16
-    rho = [0.4, 0.9, 0.9, -0.9, -1.3]
+    # the slopes, equal to the declared indices, sum to exactly 0; numpy's
+    # sum gives -4.4e-16; 1 / (1 / r) == r for each of them
+    rho = [-3.0, -2.9, 1.0, 2.1, 2.8]
     edges = [[i, j] for i in range(5) for j in range(i + 1, 5)]
     path = tmp_path / "k5.json"
     path.write_text(json.dumps({
         "graph": {"n": 5, "edges": edges},
-        "agents": [{"kind": "static_affine", "a": 1.0, "c": 0.0, "rho": r}
+        "agents": [{"kind": "static_affine", "a": 1.0 / r, "c": 0.0, "rho": r}
                    for r in rho],
         "controllers": [{"kind": "tanh_integrator"}] * len(edges),
     }))
@@ -708,8 +730,7 @@ def test_cli_check_and_synthesize_use_the_exact_index_sum(tmp_path, capsys):
 
 
 def test_cli_check_synthesizes_once(tmp_path, monkeypatch, capsys):
-    # the static-affine K3 hybrid scenario escalates 9 times under verify,
-    # but doubling the margin never changes whether a certified design exists
+    # check certifies the one design verify runs, and takes no probe
     path = tmp_path / "k3.json"
     path.write_text(json.dumps(static_affine_k3_hybrid(
         (-0.75, -0.75, -0.76), (-1.0, -1.0, -1.0)).to_dict()))

@@ -1,12 +1,16 @@
 """Gain synthesis tests: thresholds, certificates, feasibility.
 
 Frozen values derived by hand:
-- rho = (3, -1) on the 2-path: quad term (2/2)(9+1) - (3-1) = 8, lambda_2 = 2,
-  so the threshold is 8/4 = 2; with margin 0.1 the gain is 2.1 and
-  X = [[5.1, -2.1], [-2.1, 1.1]], det 1.2; at gain 1.0 det is exactly -1.
-- rho = (-1,-1,-1) on the triangle, hybrid: vertex 0 gets alpha = 4, the
-  corrected indices (3,-1,-1) give quad max eigenvalue 52 (hand
-  eigendecomposition), lambda_2 = 3, threshold 52/9.
+- rho = (3, -1) on the 2-path: det(diag(rho) + beta L) = 2 beta - 3, so the
+  threshold is 3/2; with margin 0.1 the gain is 1.6.  At gain 2.1,
+  X = [[5.1, -2.1], [-2.1, 1.1]] has det 1.2; at gain 1.0 det is exactly -1.
+- rho = (3, -1) and (5, -1) on two 2-paths: det 4 beta - 5 on the second, so
+  the component thresholds are 3/2 and 5/4.
+- rho = (-1,-1,-1) on the triangle, hybrid: vertex 0 gets alpha = 4.  On the
+  corrected indices (3,-1,-1) the Schur complement on the consensus
+  direction is diag(9, 1) in the basis (2,-1,-1)/sqrt(6), (0,1,-1)/sqrt(2);
+  with lambda = 3 on both, the threshold is 9/3 = 3 (the paper's bound is
+  52/9).
 """
 
 import tracemalloc
@@ -16,7 +20,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from netpass import (
-    CertificateError,
     DisconnectedGraphError,
     EmptySelfRegulatingSetError,
     NetworkGraph,
@@ -32,7 +35,7 @@ from netpass import (
     zero_design,
 )
 from netpass.harness import build_system_parts
-from oracles import incidence
+from oracles import paper_edge_gain_bound
 
 EXACT_TOL = 1e-12
 EIG_TOL = 1e-9
@@ -42,7 +45,7 @@ K3 = NetworkGraph.complete(3)
 
 
 def test_threshold_frozen_two_vertex():
-    assert edge_gain_threshold(np.array([3.0, -1.0]), P2) == pytest.approx(2.0, abs=EXACT_TOL)
+    assert edge_gain_threshold(np.array([3.0, -1.0]), P2) == pytest.approx(1.5, abs=EXACT_TOL)
 
 
 def test_threshold_zero_for_homogeneous_surplus():
@@ -51,15 +54,9 @@ def test_threshold_zero_for_homogeneous_surplus():
 
 def test_threshold_frozen_hybrid_corrected_indices():
     assert edge_gain_threshold(np.array([3.0, -1.0, -1.0]), K3) == pytest.approx(
+        3.0, abs=1e-10)
+    assert paper_edge_gain_bound(np.array([3.0, -1.0, -1.0]), K3) == pytest.approx(
         52.0 / 9.0, abs=1e-10)
-
-
-def m_by_m_threshold(rho, graph):
-    """Reference form: lambda_max of the m x m matrix E^T M E, M = (n/sum) R^2 - R."""
-    E = incidence(graph)
-    quad = (graph.n_vertices / rho.sum()) * (E.T * rho**2) @ E - (E.T * rho) @ E
-    top = float(np.linalg.eigvalsh(quad)[-1])
-    return max(0.0, top / np.linalg.eigvalsh(graph.laplacian())[1] ** 2)
 
 
 @st.composite
@@ -96,19 +93,40 @@ def threshold_cases(draw):
     return graph, rho
 
 
+def bisected_threshold(rho, graph, steps=60):
+    """The smallest uniform edge gain making diag(rho) + beta L positive definite, by bisection."""
+    def definite(beta):
+        return np.linalg.eigvalsh(coupling_matrix(rho, np.zeros(rho.size),
+                                                  np.full(graph.n_edges, beta), graph))[0] > 0.0
+    if definite(0.0):
+        return 0.0
+    low, high = 0.0, 1.0
+    while not definite(high):
+        low, high = high, 2.0 * high
+    for _ in range(steps):
+        middle = 0.5 * (low + high)
+        low, high = (low, middle) if definite(middle) else (middle, high)
+    return high
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(threshold_cases())
-def test_threshold_matches_m_by_m_form(case):
+def test_threshold_is_exact(case):
     graph, rho = case
     got = edge_gain_threshold(rho, graph)
     if np.all(rho == rho[0]):
         assert got == 0.0
-    # both forms cancel (n / sum) rho^2 against rho, so rounding scales with
-    # the larger of the two, times lambda_max(L) / lambda_2^2
-    terms = np.abs(np.concatenate([(graph.n_vertices / rho.sum()) * rho**2, rho]))
-    lam = np.linalg.eigvalsh(graph.laplacian())
-    scale = terms.max() * lam[-1] / lam[1] ** 2
-    assert got == pytest.approx(m_by_m_threshold(rho, graph), rel=1e-9, abs=1e-12 * scale)
+    # the exact threshold never exceeds the paper's sufficient bound
+    bound = paper_edge_gain_bound(rho, graph)
+    assert got <= bound * (1.0 + 1e-9) + 1e-12
+    # positive definite just above it, and not just below a positive one
+    step = 1e-6 * max(1.0, got)
+    beta = np.full(graph.n_edges, got + step)
+    assert np.linalg.eigvalsh(coupling_matrix(rho, np.zeros(rho.size), beta, graph))[0] > 0.0
+    if got > step:
+        beta = np.full(graph.n_edges, got - step)
+        assert np.linalg.eigvalsh(coupling_matrix(rho, np.zeros(rho.size), beta, graph))[0] < 0.0
+    assert got == pytest.approx(bisected_threshold(rho, graph), rel=1e-9, abs=1e-12)
 
 
 def test_threshold_memory_stays_below_one_m_vector_per_vertex():
@@ -158,15 +176,15 @@ def test_quadratic_form_along_ones_equals_index_sum():
 
 def test_uniform_gain_frozen_design():
     d = uniform_network_gain(np.array([3.0, -1.0]), P2, epsilon=0.1)
-    np.testing.assert_allclose(d.beta, [2.1], atol=EXACT_TOL)
+    np.testing.assert_allclose(d.beta, [1.6], atol=EXACT_TOL)
     np.testing.assert_allclose(d.alpha, [0.0, 0.0], atol=EXACT_TOL)
-    assert d.threshold == pytest.approx(2.0, abs=EXACT_TOL)
+    assert d.threshold == pytest.approx(1.5, abs=EXACT_TOL)
     assert d.certificate.min_eig > 0.0
 
 
 def test_uniform_gain_default_epsilon():
     d = uniform_network_gain(np.array([3.0, -1.0]), P2)
-    assert d.epsilon == pytest.approx(0.2, abs=EXACT_TOL)  # 0.1 * max(1, 2)
+    assert d.epsilon == pytest.approx(0.15, abs=EXACT_TOL)  # 0.1 * max(1, 1.5)
     d0 = uniform_network_gain(np.array([2.0, 2.0, 2.0]), K3)
     assert d0.epsilon == pytest.approx(0.1, abs=EXACT_TOL)
     assert d0.threshold == 0.0
@@ -175,10 +193,10 @@ def test_uniform_gain_default_epsilon():
 def test_uniform_gain_per_component():
     g = NetworkGraph(4, ((0, 1), (2, 3)))
     d = uniform_network_gain(np.array([3.0, -1.0, 5.0, -1.0]), g)
-    # component thresholds: 2 and ((2/4)(25+1) - 4)/4 = 2.25
-    assert d.threshold == pytest.approx(2.25, abs=EXACT_TOL)
-    assert d.epsilon == pytest.approx(0.225, abs=EXACT_TOL)
-    np.testing.assert_allclose(d.beta, [2.225, 2.475], atol=1e-12)
+    # component thresholds: 3/2 and 5/4
+    assert d.threshold == pytest.approx(1.5, abs=EXACT_TOL)
+    assert d.epsilon == pytest.approx(0.15, abs=EXACT_TOL)
+    np.testing.assert_allclose(d.beta, [1.65, 1.4], atol=1e-12)
     assert d.certificate.min_eig > 0.0
 
 
@@ -196,7 +214,7 @@ def test_uniform_gain_rejects_bad_epsilon():
 def test_hybrid_gain_frozen_design():
     d = hybrid_gain(np.array([-1.0, -1.0, -1.0]), K3, [0, 1, 2])
     np.testing.assert_allclose(d.alpha, [4.0, 0.0, 0.0], atol=EXACT_TOL)
-    assert d.threshold == pytest.approx(52.0 / 9.0, abs=1e-10)
+    assert d.threshold == pytest.approx(3.0, abs=1e-10)
     assert d.certificate.min_eig > 0.0
     X = coupling_matrix(np.array([-1.0, -1.0, -1.0]), d.alpha, d.beta, K3)
     assert np.linalg.eigvalsh(X)[0] == pytest.approx(d.certificate.min_eig, abs=EIG_TOL)
@@ -210,7 +228,7 @@ def test_hybrid_gain_picks_smallest_allowed_vertex():
 def test_hybrid_gain_skips_vertex_gain_when_feasible():
     d = hybrid_gain(np.array([3.0, -1.0, -1.0]), K3, [0])
     np.testing.assert_allclose(d.alpha, np.zeros(3), atol=EXACT_TOL)
-    assert d.threshold == pytest.approx(52.0 / 9.0, abs=1e-10)
+    assert d.threshold == pytest.approx(3.0, abs=1e-10)
 
 
 def test_hybrid_gain_guards():
@@ -304,12 +322,10 @@ def test_check_design_verdicts():
     assert not bad.positive_definite and bad.min_eig < 0.0
 
 
-@pytest.mark.xfail(raises=CertificateError, strict=True,
-                   reason="check_design's tolerance grows with the edge gains; "
-                          "the design's smallest eigenvalue does not")
 def test_a_large_margin_still_certifies():
     # The n=10 case study's design at epsilon = 1e9 is positive definite by
-    # construction, with min eig 0.400, but 1e-9 (1 + ||X||_inf) is 18.
+    # construction, with min eig 0.400; a tolerance of 1e-9 (1 + ||X||_inf)
+    # would be 18, but n eps ||X||_inf, the scale of eigvalsh's error, is 4e-5.
     graph, agents, _ = build_system_parts(generate_case_study(10, 1))
     assert uniform_network_gain(agents.rho_vector, graph, 1e9).certificate.positive_definite
 
