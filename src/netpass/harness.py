@@ -589,14 +589,21 @@ def write_trajectory_csv(trajectory, path):
         raise ValueError("the trajectory holds only its final sample; simulate with record=True")
     n = trajectory.x_states.shape[0]
     m = trajectory.eta_states.shape[0]
-    line = ",".join(["%.12g"] * (1 + n + m)) + "\n"
+    # An eta column whose bits never change (a static edge's) is formatted
+    # once, into the row format; bits, not values, so that -0.0 stays "-0".
+    bits = trajectory.eta_states.view(np.int64)
+    fixed = (bits == bits[:, :1]).all(axis=1)
+    moving = np.flatnonzero(~fixed)
+    etas = ["%.12g" % v if c else "%.12g"
+            for v, c in zip(trajectory.eta_states[:, 0].tolist(), fixed.tolist())]
+    line = ",".join(["%.12g"] * (1 + n) + etas) + "\n"
     with open(path, "w") as fh:
         header = ["t"] + [f"x_{i}" for i in range(n)] + [f"eta_{e}" for e in range(m)]
         fh.write(",".join(header) + "\n")
         for start in range(0, trajectory.times.size, _CSV_BLOCK):
             cols = slice(start, start + _CSV_BLOCK)
             block = np.vstack((trajectory.times[cols], trajectory.x_states[:, cols],
-                               trajectory.eta_states[:, cols]))
+                               trajectory.eta_states[moving, cols]))
             fh.writelines(line % tuple(row) for row in block.T.tolist())
 
 

@@ -19,9 +19,14 @@ wide as [A | B]: a static edge's eta is never stepped, stored or checked for
 blowup, and comes back from eta0, unchanged, only in the ``Trajectory``.
 
 ``simulate`` integrates z by classic fixed-step fourth-order Runge-Kutta on
-preallocated stage buffers, writing each block's new states straight into
-rows 1.. of one buffer of ``_BLOCK + 1`` rows whose last kept row moves to
-row 0 after the block.  With ``record=True`` each block's kept rows are also
+preallocated buffers, writing each block's new states straight into rows
+1.. of one buffer of ``_BLOCK + 1`` rows whose last kept row moves to row 0
+after the block.  The field's arithmetic is written once, in ``_field``,
+which ``ClosedLoopSystem.rate`` and the stepping loop both call.  Every
+view the loop passes it is taken once per run: each RK4 stage writes its
+input into one stage buffer and tanh overwrites that buffer's eta half in
+place, so the buffer itself is the [x, tanh(eta_sat)] the matvec reads,
+with no copy of x.  With ``record=True`` each block's kept rows are also
 copied into a [x, eta] table and the state histories are read-only
 transposed views of it; with ``record=False`` the run returns its final
 sample alone.  Blowup and steadiness are checked once per block of samples,
@@ -90,17 +95,14 @@ class ClosedLoopSystem:
         self.operator[heads, k], self.operator[tails, k] = -q[heads], q[tails]
         for arr in (self.operator, self.heads_sat, self.tails_sat):
             arr.setflags(write=False)
-        self._rate = (n, self.heads_sat, self.tails_sat, agents.g)
         self._static = (controllers.w[~sat], graph.heads[~sat], graph.tails[~sat])
 
     def rate(self, z, z_dot, xmu):
         """Write ``z = [x, eta_sat]``'s rate into ``z_dot`` and [x, tanh(eta_sat)] into ``xmu``."""
-        n, heads, tails, g = self._rate
+        n = self.graph.n_vertices
         xmu[:n] = z[:n]
-        np.tanh(z[n:], xmu[n:])
-        x_dot = np.dot(self.operator, xmu, z_dot[:n])
-        np.add(x_dot, g, x_dot)
-        np.subtract(z[heads], z[tails], z_dot[n:])
+        _field(self.operator, self.agents.g, self.heads_sat, self.tails_sat,
+               xmu, xmu[:n], xmu[n:], z[n:], z_dot[:n], z_dot[n:])
 
     def steady_rate(self, z_dots, xmus):
         """Worst state and output rate of each row of ``rate``'s results; reads xmus' mu columns.
@@ -114,6 +116,17 @@ class ClosedLoopSystem:
         if w.size:
             rates = np.hstack((rates, w * (z_dots[:, heads] - z_dots[:, tails])))
         return np.abs(rates).max(axis=1)
+
+
+def _field(operator, g, heads, tails, xmu, x, mu, eta, x_dot, eta_dot):
+    """The loop's field: mu = tanh(eta), x_dot = [A | B] xmu + g, eta_dot = x[heads] - x[tails].
+
+    ``xmu`` is the contiguous vector [x, mu] and ``x``, ``mu`` its halves,
+    already holding x; ``eta`` may be ``mu`` itself, which tanh then overwrites.
+    """
+    np.tanh(eta, mu)
+    np.add(np.dot(operator, xmu, x_dot), g, x_dot)
+    np.subtract(x[heads], x[tails], eta_dot)
 
 
 def _aligned_empty(shape):
@@ -318,7 +331,7 @@ def simulate(system: ClosedLoopSystem, x0=None, eta0=None, dt=None, t_max=None,
         if not np.isfinite(value).all():
             raise ValueError(f"{name} must be finite")
 
-    rate, deep_map, width = system.rate, None, system.operator.shape[1]
+    deep_map, width = None, system.operator.shape[1]
     # One state per row: row 0 holds the last kept sample, rows 1.. each new
     # one.  Blocks end where a recorded table of `capacity` rows would fill.
     capacity = 4096
@@ -332,9 +345,16 @@ def simulate(system: ClosedLoopSystem, x0=None, eta0=None, dt=None, t_max=None,
     # Row 0: the last kept sample's rate; rows 1..: each new sample's rate.
     rates = np.empty((_BLOCK + 1, width))
     xmus = np.empty((_BLOCK + 1, width))
-    s, total, k2, k3, k4 = np.empty((5, width))
-    xmu = np.empty(width)
-    rate(rows[0], rates[0], xmus[0])
+    system.rate(rows[0], rates[0], xmus[0])
+    # Views taken once: each RK4 stage writes its input into `stage` and tanh
+    # overwrites the stage's eta half, so `stage` is the field's [x, mu].
+    stage, total, k2, k3, k4 = np.empty((5, width))
+    stage_x, stage_mu = stage[:n], stage[n:]
+    k2_x, k2_eta, k3_x, k3_eta, k4_x, k4_eta = k2[:n], k2[n:], k3[:n], k3[n:], k4[:n], k4[n:]
+    views = [(rows[j], rows[j, :n], rows[j, n:], xmus[j], xmus[j, :n], xmus[j, n:],
+              rates[j], rates[j, :n], rates[j, n:]) for j in range(_BLOCK + 1)]
+    operator, g = system.operator, system.agents.g
+    heads, tails = system.heads_sat, system.tails_sat
     metrics = deque(system.steady_rate(rates[:1], xmus[:1]).tolist(), maxlen=window)
     steady_run = 1 if metrics[0] < steady_tol else 0
     converged = steady_run >= window
@@ -361,15 +381,23 @@ def simulate(system: ClosedLoopSystem, x0=None, eta0=None, dt=None, t_max=None,
                 affine = deep_map.step(rows, rates, xmus, block)
             if not affine:
                 for j in range(1, block + 1):
-                    rate(np.add(z, np.multiply(half, k1, s), s), k2, xmu)
-                    rate(np.add(z, np.multiply(half, k2, s), s), k3, xmu)
-                    rate(np.add(z, np.multiply(step, k3, s), s), k4, xmu)
+                    np.add(z, np.multiply(half, k1, stage), stage)
+                    _field(operator, g, heads, tails, stage, stage_x, stage_mu, stage_mu,
+                           k2_x, k2_eta)
+                    np.add(z, np.multiply(half, k2, stage), stage)
+                    _field(operator, g, heads, tails, stage, stage_x, stage_mu, stage_mu,
+                           k3_x, k3_eta)
+                    np.add(z, np.multiply(step, k3, stage), stage)
+                    _field(operator, g, heads, tails, stage, stage_x, stage_mu, stage_mu,
+                           k4_x, k4_eta)
                     # (dt / 6) * (((k1 + 2 k2) + 2 k3) + k4), summed in that order
                     np.add(k1, np.multiply(two, k2, total), total)
-                    np.add(total, np.multiply(two, k3, s), total)
+                    np.add(total, np.multiply(two, k3, stage), total)
                     np.multiply(sixth, np.add(total, k4, total), total)
-                    z, k1 = np.add(z, total, rows[j]), rates[j]
-                    rate(z, k1, xmus[j])
+                    row, row_x, row_eta, xmu, xmu_x, mu, k1, k1_x, k1_eta = views[j]
+                    z = np.add(z, total, row)
+                    xmu_x[...] = row_x
+                    _field(operator, g, heads, tails, xmu, xmu_x, mu, row_eta, k1_x, k1_eta)
             # Written so that a NaN, which fails every comparison, counts as blown up.
             blown = ~(np.abs(rows[1: block + 1]) <= _BLOWUP_LIMIT).all(axis=1)
             steady = system.steady_rate(rates[1: block + 1], xmus[1: block + 1])

@@ -669,6 +669,27 @@ def test_trajectory_csv_matches_per_value_format(tmp_path):
     assert path.read_text() == "\n".join(expected) + "\n"
 
 
+def test_trajectory_csv_formats_constant_eta_columns_as_each_value(tmp_path):
+    # The writer formats a column whose bits never change once; a column
+    # that changes only its sign bit changes, and prints "0" then "-0".
+    count = 300
+    t = np.arange(count) * 0.1
+    sign_flip = np.where(np.arange(count) < count // 2, 0.0, -0.0)
+    trajectory = Trajectory(times=t, x_states=np.vstack((np.sin(t), np.full(count, 2.5))),
+                            eta_states=np.vstack((np.full(count, 1.0 / 3.0), np.full(count, -0.0),
+                                                  sign_flip, np.cos(t))),
+                            converged=False, y_ss=None, residual=1.0)
+    path = tmp_path / "trajectory.csv"
+    write_trajectory_csv(trajectory, path)
+    expected = ["t,x_0,x_1,eta_0,eta_1,eta_2,eta_3"]
+    for j in range(count):
+        values = (t[j], *trajectory.x_states[:, j], *trajectory.eta_states[:, j])
+        expected.append(",".join(f"{v:.12g}" for v in values))
+    text = path.read_text()
+    assert text == "\n".join(expected) + "\n"
+    assert ",0.333333333333,-0,0," in text and ",0.333333333333,-0,-0," in text
+
+
 def test_emit_report_skips_csvs_without_run_data(tmp_path):
     report = verify(config_from_dict(mixed_pair_dict()))
     traj_path = tmp_path / "trajectory.csv"

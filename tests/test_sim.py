@@ -588,14 +588,16 @@ def drawn_start(system, seed):
                                                system.graph.n_vertices)
 
 
-@pytest.mark.parametrize("seed", [0, 1])
+# Seed 1 ends on the affine map; seeds 0 and 5 are RK4 throughout, so they
+# match bit for bit (seed 5: 3,201 steps, ending with one tanh edge not deep).
+@pytest.mark.parametrize("seed", [0, 1, 5])
 def test_buffered_step_matches_plain_loop_on_the_n10_case_study(seed):
     config = generate_case_study(10, seed)
     parts = build_system_parts(config)
     system = ClosedLoopSystem(*parts, synthesis_stage(config)[0])
     run = assert_same_run(system, drawn_start(system, seed), dt=default_step(system),
                           t_max=5000.0)
-    assert run.converged
+    assert run.converged and (run.affine_samples > 0) == (seed == 1)
 
 
 def test_buffered_step_matches_plain_loop_on_gathered_mixed_columns():
