@@ -19,7 +19,8 @@ wide as [A | B]: a static edge's eta is never stepped, stored or checked for
 blowup, and comes back from eta0, unchanged, only in the ``Trajectory``.
 
 ``simulate`` integrates z by classic fixed-step fourth-order Runge-Kutta on
-preallocated buffers, writing each block's new states straight into rows
+preallocated buffers, in blocks of ``_BLOCK`` samples from sample 1 whether
+or not the run records, writing each block's new states straight into rows
 1.. of one buffer of ``_BLOCK + 1`` rows whose last kept row moves to row 0
 after the block.  The field's arithmetic is written once, in ``_field``,
 which ``ClosedLoopSystem.rate`` and the stepping loop both call.  Every
@@ -27,16 +28,17 @@ view the loop passes it is taken once per run: each RK4 stage writes its
 input into one stage buffer and tanh overwrites that buffer's eta half in
 place, so the buffer itself is the [x, tanh(eta_sat)] the matvec reads,
 with no copy of x.  With ``record=True`` each block's kept rows are also
-copied into a [x, eta] table and the state histories are read-only
-transposed views of it; with ``record=False`` the run returns its final
-sample alone.  Blowup and steadiness are checked once per block of samples,
-and the run ends where a per-step check would.  The default step keeps every
-stable mode inside RK4's stability region, its norms read from n x n
-Laplacians (``_default_step``).  A run counts as steady when the agent state
-rates and the controller output rates stay below a tolerance over a
-sustained window; the integrator controller's internal state may keep
-ramping (its output saturates, so the loop still settles), which is exactly
-what happens on edges that hold a nonzero relative output at steady state.
+copied into a [x, eta] table, doubled when a block would not fit, and the
+state histories are read-only transposed views of it; with
+``record=False`` the run returns its final sample alone.  Blowup and
+steadiness are checked once per block, and the run ends where a per-step
+check would.  The default step keeps every stable mode inside RK4's
+stability region, its norms read from n x n Laplacians (``_default_step``).
+A run counts as steady when the agent state rates and the controller output
+rates stay below a tolerance over a sustained window; the integrator
+controller's internal state may keep ramping (its output saturates, so the
+loop still settles), which is exactly what happens on edges that hold a
+nonzero relative output at steady state.
 
 Once every tanh edge is deep (|eta| >= ``_DEEP``, where float64 tanh is
 exactly +-1), the loop is exactly linear, and RK4 on it is one fixed affine
@@ -270,24 +272,25 @@ def simulate(system: ClosedLoopSystem, x0=None, eta0=None, dt=None, t_max=None,
              steady_tol=STEADY_TOL, window=_STEADY_WINDOW, seed=0, record=True):
     """Integrate the closed loop until steady, blown up, or out of time.
 
-    RK4 steps ``z = [x, eta_sat]`` from row 0 of a buffer of ``_BLOCK + 1``
-    rows into rows 1.., copying the last kept row to row 0 after each block.
-    Every ``_BLOCK`` samples one pass over the new rows finds the first
-    blown-up one and their steady metrics, and the run stops at the first
-    sample that ends it, dropping the rows after.  A block that starts with
-    every tanh edge deep is taken from RK4's exact affine map on the
+    RK4 steps ``z = [x, eta_sat]`` in blocks of ``_BLOCK`` samples from
+    sample 1, the last cut short by the horizon, from row 0 of a buffer of
+    ``_BLOCK + 1`` rows into rows 1.., copying the last kept row to row 0
+    after each block.  After each block one pass over the new rows finds the
+    first blown-up one and their steady metrics, and the run stops at the
+    first sample that ends it, dropping the rows after.  A block that starts
+    with every tanh edge deep is taken from RK4's exact affine map on the
     saturated loop and kept only if all its rows and stage inputs stay deep
     with the starting signs, and only where RK4 on that linear loop is
-    stable; otherwise RK4 steps it.  ``Trajectory.affine_samples`` counts the
-    kept samples the map produced.
+    stable; otherwise RK4 steps it.  ``Trajectory.affine_samples`` counts
+    the kept samples the map produced.
 
-    Blocks are cut at samples 4096 * 2^k, where a recorded run's [x, eta]
-    table doubles.  A recorded run copies each block's kept rows into that
-    table and writes the static edges' columns once, at the end; an
-    unrecorded run keeps nothing but the buffer.  Both do the same
-    arithmetic: the final sample, ``converged``, ``y_ss``, ``residual`` and
-    ``affine_samples`` are bitwise the same, and a blowup raises the same
-    message.
+    The blocks, and so where the map is tried, depend on the loop alone.  A
+    recorded run copies each block's kept rows into an [x, eta] table of
+    4096 rows, doubled when a block would not fit; an unrecorded run keeps
+    nothing but the buffer.  Both write the final sample and the static
+    edges' columns once, at the end, and do the same arithmetic: the final
+    sample, ``converged``, ``y_ss``, ``residual`` and ``affine_samples`` are
+    bitwise the same, and a blowup raises the same message.
 
     Parameters
     ----------
@@ -332,16 +335,13 @@ def simulate(system: ClosedLoopSystem, x0=None, eta0=None, dt=None, t_max=None,
             raise ValueError(f"{name} must be finite")
 
     deep_map, width = None, system.operator.shape[1]
-    # One state per row: row 0 holds the last kept sample, rows 1.. each new
-    # one.  Blocks end where a recorded table of `capacity` rows would fill.
-    capacity = 4096
+    # One state per row: row 0 holds the last kept sample, rows 1.. each new one.
     rows = np.empty((_BLOCK + 1, width))
     rows[0, :n], rows[0, n:] = x, eta[sat]
-    # The recorded [x, eta] table and the column of each stepped state in it.
+    # The [x, eta] table, of every sample or of the last, and each stepped state's column.
     stepped = np.concatenate((np.arange(n), n + np.flatnonzero(sat)))
-    if record:
-        table = np.empty((capacity, n + m))
-        table[0, stepped] = rows[0]
+    table = np.empty((4096 if record else 1, n + m))
+    table[0, stepped] = rows[0]
     # Row 0: the last kept sample's rate; rows 1..: each new sample's rate.
     rates = np.empty((_BLOCK + 1, width))
     xmus = np.empty((_BLOCK + 1, width))
@@ -364,13 +364,7 @@ def simulate(system: ClosedLoopSystem, x0=None, eta0=None, dt=None, t_max=None,
     half, step, sixth, two = np.array(dt / 2.0), np.array(dt), np.array(dt / 6.0), np.array(2.0)
 
     while steps_left and not converged:
-        if count == capacity:
-            capacity *= 2
-            if record:
-                grown = np.empty((capacity, n + m))
-                grown[:count] = table
-                table = grown
-        block = min(_BLOCK, steps_left, capacity - count)
+        block = min(_BLOCK, steps_left)
         # Rows stepped past a blowup are dropped unread, so their overflow is silent.
         with np.errstate(all="ignore"):
             z, k1 = rows[0], rates[0]
@@ -416,15 +410,16 @@ def simulate(system: ClosedLoopSystem, x0=None, eta0=None, dt=None, t_max=None,
             raise NumericalBlowupError(f"state magnitude exceeded {_BLOWUP_LIMIT:g} "
                                        f"at t = {count * dt:.6g}")
         if record:
+            if count > len(table):  # a block is far shorter than the table: doubling fits it
+                grown = np.empty((2 * len(table), n + m))
+                grown[:start] = table[:start]
+                table = grown
             table[start:count, stepped] = rows[1: 1 + count - start]
         rows[0], rates[0] = rows[count - start], rates[block]
         steps_left -= block
 
-    if record:
-        table = table[:count]
-    else:
-        table = np.empty((1, n + m))
-        table[0, stepped] = rows[0]
+    table = table[:count]
+    table[-1, stepped] = rows[0]
     table[:, n + np.flatnonzero(~sat)] = eta[~sat]
     table.setflags(write=False)
     x_states, eta_states = table[:, :n].T, table[:, n:].T

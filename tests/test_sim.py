@@ -411,11 +411,11 @@ def test_residual_is_worst_rate_over_last_window(run):
 
 # Bound on |simulate - plain loop| after the first affine block, relative to
 # the run's largest |x| (for x) and largest |eta| (for eta).  The worst
-# measured on the eight n=10 bench case studies is 7.8e-14 (n10-s2, in x).
+# measured on the eight n=10 bench case studies is 4.4e-14 (n10-s2, in x).
 AFFINE_RTOL = 1e-12
 # The steady metric of a row the affine map produced differs from RK4's by
-# rounding, so the first sample of a full steady window may move; on n10-s2
-# it moves by two.
+# rounding, so the first sample of a full steady window may move; on the
+# eight n=10 bench case studies it does not.
 MAX_STOP_SHIFT = 4
 
 
@@ -681,13 +681,19 @@ def test_tanh_is_exactly_one_from_the_deep_threshold_on():
     assert (np.tanh(-eta) == -1.0).all()
 
 
-def test_affine_block_falls_back_to_rk4_where_a_wrong_sign_edge_leaves_the_deep_region():
-    # eta starts at -25 against a relative output that turns positive, so the
+@pytest.mark.parametrize("eta0, t_max, steady_tol, converged", [
+    (-25.0, 1000.0, 1e-8, True), (-110.0, 100.0, 0.0, False)], ids=["eta0 -25", "eta0 -110"])
+def test_affine_block_falls_back_to_rk4_where_a_wrong_sign_edge_leaves_the_deep_region(
+        eta0, t_max, steady_tol, converged):
+    # eta starts deep against a relative output that turns positive, so the
     # edge unwinds out of the deep region inside a block: that block must be
     # discarded and stepped by RK4, and the run still match the plain loop.
-    system = consensus_system()
-    run = assert_same_run(system, [5.0, 18.0], [-25.0], dt=0.02, t_max=1000.0)
-    assert run.converged
+    # From -110 it leaves at sample 4,732, past the 4,096 rows where a
+    # recorded table first doubles, and the affine samples are still whole
+    # blocks of the grid from sample 1.
+    run = assert_same_run(consensus_system(), [5.0, 18.0], [eta0], dt=0.02, t_max=t_max,
+                          steady_tol=steady_tol)
+    assert run.converged == converged
     exit_sample = int(np.argmax(run.eta_states[0] > -_DEEP))
     assert run.affine_samples % _BLOCK == 0
     assert run.affine_samples + 1 < exit_sample < run.affine_samples + _BLOCK
@@ -719,7 +725,7 @@ def test_affine_map_is_not_used_where_rk4_on_the_deep_loop_is_unstable(case):
 
 def test_affine_map_steps_most_of_the_slow_hybrid_case_study():
     # n=10, seed 2 has a negative rate sum; the benchmark rescues it in hybrid
-    # mode.  Its slow tail is all-deep: 29,189 of its 31,654 samples.
+    # mode.  Its slow tail is all-deep: 12,285 of its 12,830 samples.
     data = generate_case_study(10, 2).to_dict()
     data.update(gain_mode="hybrid", self_regulating=[0])
     config = config_from_dict(data)
@@ -751,9 +757,9 @@ def test_affine_tail_matches_plain_loop_on_random_deep_starts(case, dt, steps, w
 
 @pytest.mark.parametrize("scenario", ["n10-s2 hybrid", "none_blowup"])
 def test_unrecorded_run_ends_on_the_recorded_final_sample(scenario):
-    # n10-s2's samples cross the recorded table's growth at 4096 and 8192
-    # rows, mostly in affine blocks, where a block cut at other sample counts
-    # moves t_end, affine_samples and y_ss.  none_blowup raises.
+    # n10-s2's recorded table doubles at 4096 and 8192 rows, mid-block and
+    # mostly in affine blocks, and the unrecorded run steps the same grid of
+    # 32-sample blocks from sample 1.  none_blowup raises.
     if scenario == "none_blowup":
         config = load_config(GOLDEN / "none_blowup.json")
     else:
@@ -766,7 +772,7 @@ def test_unrecorded_run_ends_on_the_recorded_final_sample(scenario):
     if scenario == "none_blowup":
         assert run.startswith("state magnitude exceeded 1e+12 at t = ")
     else:
-        assert (run.times.size, run.affine_samples) == (12831, 12286)
+        assert (run.times.size, run.affine_samples) == (12830, 12285)
 
 
 # ----------------------------------------------------------------------
