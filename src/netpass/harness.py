@@ -500,7 +500,7 @@ def simulation_stage(config, design, record=False):
         return None, {"converged": False, "error": str(exc)}
     return trajectory, {
         "converged": trajectory.converged,
-        "affine_samples": trajectory.affine_samples,
+        "certified_at": trajectory.certified_at,
         "residual": trajectory.residual,
         "t_end": float(trajectory.times[-1]),
         "y_ss": None if trajectory.y_ss is None else trajectory.y_ss.tolist(),

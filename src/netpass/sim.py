@@ -41,14 +41,11 @@ loop still settles), which is exactly what happens on edges that hold a
 nonzero relative output at steady state.
 
 Once every tanh edge is deep (|eta| >= ``_DEEP``, where float64 tanh is
-exactly +-1), the loop is exactly linear, and RK4 on it is one fixed affine
-map per sign pattern s = sign(eta_sat) (``_DeepMap``).  A block that starts
-deep is produced by that map with a few matrix products, then verified: if
-any of its rows or RK4 stage inputs left the deep region with sign s, the
-block is discarded and stepped by RK4.  So rows before the first affine
-block are RK4's bits, and affine rows equal RK4's up to rounding.  This is
-the slow tail of runs whose edges hold nonzero relative outputs at steady
-state.  Where RK4 on the deep loop is unstable the map is not used.
+exactly +-1) the loop is linear, with one equilibrium x* per sign pattern.
+A block that starts there first asks ``_Certificate`` for a proof, from A's
+modes, that RK4's later rows and stage inputs all stay deep with the same
+signs and so settle on x*; when it holds the run ends at that sample,
+converged, with y_ss = x*.  Every row ``simulate`` returns is RK4's own.
 """
 
 from collections import deque
@@ -144,7 +141,9 @@ class Trajectory:
     """Sampled closed-loop run on a uniform time grid; its state arrays are read-only.
 
     A run without a recorder holds its final sample alone: ``times`` is
-    ``[t_end]`` and the state arrays have one column.
+    ``[t_end]`` and the state arrays have one column.  A run that a
+    ``_Certificate`` ended names its last sample in ``certified_at``; its
+    ``y_ss`` is then the certified equilibrium x*, not that sample's x.
     """
 
     times: np.ndarray
@@ -153,7 +152,7 @@ class Trajectory:
     converged: bool
     y_ss: np.ndarray  # None unless converged
     residual: float
-    affine_samples: int = 0  # samples that came from the exact all-deep RK4 map
+    certified_at: int = None  # None unless a certificate ended the run
 
 
 def _default_step(system):
@@ -176,96 +175,70 @@ def _default_step(system):
     return min(0.25, max(MIN_STEP, 2.5 / max(r, 1e-12)))
 
 
-class _DeepMap:
-    """RK4's step, exactly, on the loop whose tanh edges all sit at |eta| >= ``_DEEP``.
+class _Certificate:
+    """Proof that RK4 on the all-deep loop never changes a sign again and settles on x*.
 
-    There tanh(eta_sat) is a fixed sign vector s, so the field is linear,
-    x' = A x + b with b = B s + g and eta_sat' = E_sat^T x, and one RK4 step of
-    size h is the [x, eta_sat] rows of P(hF) = I + Z + Z^2/2 + Z^3/6 + Z^4/24
-    (Z = hF, F the field on [x, eta_sat, 1]):
+    With every tanh edge deep, tanh(eta_sat) is s = sign(eta_sat) and the
+    loop is x' = A x + b, b = B s + g, eta_sat' = E_sat^T x, whose equilibrium
+    is x* = -A^-1 b, zeta* = E_sat^T x*.  One RK4 step of size h maps x to
+    M x + N b and eta to eta + E_sat^T (N x + C b), with
+    N = h (I + hA/2 + (hA)^2/6 + (hA)^3/24), M = I + N A and
+    C = h^2 (I/2 + hA/6 + (hA)^2/24); so M x* + N b = x* and N x* + C b = h x*.
+    Write A = V diag(lam) V^-1 and P(z) = 1 + z + z^2/2 + z^3/6 + z^4/24:
+    M = V diag(P(h lam)) V^-1 and N V = V diag((P - 1) / lam).  From the
+    checked state (x_0, eta_0) and c = V^-1 (x_0 - x*), k steps later
 
-        x   -> M x + N b,                     M = I + N A,
-        eta -> eta + E_sat^T (N x + C b),     N = h (I + hA/2 + (hA)^2/6 + (hA)^3/24),
-                                              C = h^2 (I/2 + hA/6 + (hA)^2/24).
+        x_k   = x* + V diag(P^k) c,
+        eta_k = eta_0 + k h zeta* - E_sat^T V diag((1 - P^k) / lam) c,
 
-    A block's rows are x_j = M^j x_0 + sum_{i<j} M^i N b from the held powers
-    M, ..., M^_BLOCK, and its eta rows the running sum of the steps' increments.
-    Only the offsets depend on s; they are formed once per sign pattern.  Held
-    memory is _BLOCK n^2 + 8 m_sat n floats, plus _BLOCK n + 4 m_sat per pattern.
+    and the eta parts of step k's stage inputs eta + (h/2) k1, eta + (h/2) k2
+    and eta + h k3 are eta_k + (h/2, h/2, h) zeta* + E_sat^T V diag(sigma_j P^k) c,
+    sigma_j = h/2, (h/2)(1 + h lam/2), h (1 + h lam/2 + (h lam)^2/4).  If every
+    |P(h lam)| < 1, then |1 - P^k| <= 2 and |P^k| <= 1, so once s * zeta* >= 0 and
+
+        s_e eta_e - sum_i |(E_sat^T V)_ei| w_i |c_i| >= _DEEP,  w_i = 2/|lam_i| + max_j |sigma_j|,
+
+    on every edge, every later row and stage input has tanh(eta_sat) = s:
+    RK4 steps this linear loop for ever, and x_k tends to x*.  One eig of A
+    per run; each check is O(n^2 + n m_sat).
     """
 
     def __init__(self, system, dt):
-        n = self.n = system.graph.n_vertices
-        self.A_T, self.B, self.g = system.operator[:, :n].T, system.operator[:, n:], system.agents.g
-        self.heads, self.tails = system.heads_sat, system.tails_sat
-        eye, hA, h = np.eye(n), dt * system.operator[:, :n], dt
-        tail = eye / 6 + hA / 24
-        self.N = h * (eye + hA @ (eye / 2 + hA @ tail))
-        self.M = eye + self.N @ system.operator[:, :n]
-        # Where RK4 on the deep loop is unstable, the map would amplify its own
-        # rounding in modes RK4 holds at exactly zero: leave those runs to RK4.
-        # The slack admits marginal modes (an eigenvalue 1 of M, as with
-        # uncoupled integrators) that eigvals returns within rounding of 1.  A
-        # step so long that M overflows is no stable map either.
-        self.stable = bool(np.isfinite(self.M).all()) and \
-            np.abs(np.linalg.eigvals(self.M)).max() <= 1.0 + 1e-12
-        if not self.stable:
-            return  # ``step`` reads nothing below
-        C = h * h * (eye / 2 + hA @ tail)
-        powers = np.empty((_BLOCK, n, n))
-        powers[0] = self.M
-        for j in range(1, _BLOCK):
-            np.dot(self.M, powers[j - 1], powers[j])
-        self.powers = powers.reshape(_BLOCK * n, n)
-        # RK4 reads tanh(eta) at four stage inputs per step: the row itself and
-        # eta + (h/2) k1, eta + (h/2) k2, eta + h k3, whose eta parts are
-        # E_sat^T (S x + O b) with S = (h/2) I, (h/2)(I + hA/2), h (I + hA/2 + (hA)^2/4).
-        # Column block 0 maps x (and b) to a step's eta increment, 1..3 to those offsets.
-        # L^T E_sat is a difference of two of L's rows per edge, exactly the product.
-        x_maps = (self.N, h / 2 * eye, h / 2 * (eye + hA / 2), h * (eye + hA / 2 + hA @ hA / 4))
-        b_maps = (C, np.zeros((n, n)), h * h / 4 * eye, h * h / 2 * (eye + hA / 2))
-        self.eta_x = np.hstack([(L[self.heads] - L[self.tails]).T for L in x_maps])
-        self.eta_b = np.hstack([(L[self.heads] - L[self.tails]).T for L in b_maps])
-        self.patterns = {}
+        n = system.graph.n_vertices
+        lam, V = np.linalg.eig(system.operator[:, :n])
+        z = dt * lam
+        P = 1.0 + z * (1.0 + z / 2.0 * (1.0 + z / 3.0 * (1.0 + z / 4.0)))
+        # The bounds are relative, and each failure only leaves the run to RK4:
+        # - |P| <= 1 - 1e-9: a mode whose |P| is near 1 or above it is not
+        #   damped, or so slowly that rounding in lam decides whether it is;
+        # - |lam| > 1e-9 max |lam|: a singular A has no single x*, and a nearly
+        #   singular one puts x* = -A^-1 b at the mercy of rounding;
+        # - cond(V) < 1e8: a nearly defective A's modes cancel, so c = V^-1 (x - x*)
+        #   and the bound built on it lose their digits.
+        self.applies = bool((np.abs(P) <= 1.0 - 1e-9).all()
+                            and (np.abs(lam) > 1e-9 * np.abs(lam).max()).all()
+                            and np.linalg.cond(V) < 1e8)
+        if not self.applies:
+            return  # ``fixed_point`` reads nothing below
+        V_inv = np.linalg.inv(V)
+        heads, tails = system.heads_sat, system.tails_sat
+        sigma = dt * np.abs([np.full_like(z, 0.5), 0.5 + z / 4.0, 1.0 + z / 2.0 + z * z / 4.0])
+        self.lam, self.V, self.V_inv, self.heads, self.tails = lam, V, V_inv, heads, tails
+        self.VB, self.Vg = V_inv @ system.operator[:, n:], V_inv @ system.agents.g
+        self.weights = np.abs(V[heads] - V[tails]) * (2.0 / np.abs(lam) + sigma.max(axis=0))
 
-    def offsets(self, s):
-        """b, the row offsets sum_{i<j} M^i N b for j = 1.._BLOCK, and the eta offsets for s."""
-        key = s.tobytes()
-        if key not in self.patterns:
-            b = self.B @ s + self.g
-            D = np.empty((_BLOCK, self.n))
-            D[0] = self.N @ b
-            for j in range(1, _BLOCK):
-                D[j] = self.M @ D[j - 1] + D[0]
-            self.patterns[key] = b, D, (b @ self.eta_b).reshape(4, -1)
-        return self.patterns[key]
-
-    def step(self, rows, rates, xmus, block):
-        """Write rows 1..block of ``rows``, of ``rates`` and of ``xmus``' mu.
-
-        Rows are states ``z = [x, eta_sat]``; row 0 must be deep.
-        Returns False, with ``rates`` and ``xmus`` untouched, when RK4 on the
-        deep loop is unstable, or a row or a stage input leaves the region
-        where tanh is this row's s: RK4 must step them.
-        """
-        if not self.stable:
-            return False
-        n = self.n
-        z = rows[0]
-        s = np.sign(z[n:])
-        b, D, eta_offsets = self.offsets(s)
-        X, eta = rows[1: block + 1, :n], rows[1: block + 1, n:]
-        np.add(np.dot(self.powers[: block * n], z[:n]).reshape(block, n), D[:block], X)
-        steps = np.dot(rows[:block, :n], self.eta_x).reshape(block, 4, -1)
-        steps += eta_offsets
-        np.add(z[n:], np.cumsum(steps[:, 0], axis=0), eta)
-        stages = steps[:, 1:] + rows[:block, n:][:, None, :]
-        if not ((s * eta >= _DEEP).all() and (s * stages >= _DEEP).all()):
-            return False
-        np.add(np.dot(X, self.A_T), b, rates[1: block + 1, :n])
-        np.subtract(X[:, self.heads], X[:, self.tails], rates[1: block + 1, n:])
-        xmus[1: block + 1, n:] = s
-        return True
+    def fixed_point(self, z):
+        """x* if the certificate holds at the deep state ``z = [x, eta_sat]``, else None."""
+        if not self.applies:
+            return None
+        n = self.lam.size
+        x, eta = z[:n], z[n:]
+        s = np.sign(eta)
+        d = (self.VB @ s + self.Vg) / self.lam  # -V^-1 x*
+        x_star = -(self.V @ d).real
+        zeta = x_star[self.heads] - x_star[self.tails]
+        margin = s * eta - self.weights @ np.abs(self.V_inv @ x + d)
+        return x_star if (s * zeta >= 0.0).all() and (margin >= _DEEP).all() else None
 
 
 def simulate(system: ClosedLoopSystem, x0=None, eta0=None, dt=None, t_max=None,
@@ -278,19 +251,20 @@ def simulate(system: ClosedLoopSystem, x0=None, eta0=None, dt=None, t_max=None,
     after each block.  After each block one pass over the new rows finds the
     first blown-up one and their steady metrics, and the run stops at the
     first sample that ends it, dropping the rows after.  A block that starts
-    with every tanh edge deep is taken from RK4's exact affine map on the
-    saturated loop and kept only if all its rows and stage inputs stay deep
-    with the starting signs, and only where RK4 on that linear loop is
-    stable; otherwise RK4 steps it.  ``Trajectory.affine_samples`` counts
-    the kept samples the map produced.
+    with every tanh edge deep (every block, on a loop without tanh edges)
+    first checks ``_Certificate``: if it proves that RK4 keeps every sign from
+    here on and settles on the deep loop's equilibrium x*, the run ends at
+    this sample, converged, with ``Trajectory.certified_at`` naming it,
+    ``y_ss`` = x* and ``residual`` the worst rate at [x*, eta]; so the
+    trajectory's last sample is not y_ss.  Every returned row is RK4's.
 
-    The blocks, and so where the map is tried, depend on the loop alone.  A
-    recorded run copies each block's kept rows into an [x, eta] table of
-    4096 rows, doubled when a block would not fit; an unrecorded run keeps
-    nothing but the buffer.  Both write the final sample and the static
-    edges' columns once, at the end, and do the same arithmetic: the final
-    sample, ``converged``, ``y_ss``, ``residual`` and ``affine_samples`` are
-    bitwise the same, and a blowup raises the same message.
+    The blocks, and so where the certificate is checked, depend on the loop
+    alone.  A recorded run copies each block's kept rows into an [x, eta]
+    table of 4096 rows, doubled when a block would not fit; an unrecorded
+    run keeps nothing but the buffer.  Both write the final sample and the
+    static edges' columns once, at the end, and do the same arithmetic: the
+    final sample, ``converged``, ``y_ss``, ``residual`` and ``certified_at``
+    are bitwise the same, and a blowup raises the same message.
 
     Parameters
     ----------
@@ -334,7 +308,7 @@ def simulate(system: ClosedLoopSystem, x0=None, eta0=None, dt=None, t_max=None,
         if not np.isfinite(value).all():
             raise ValueError(f"{name} must be finite")
 
-    deep_map, width = None, system.operator.shape[1]
+    certificate, y_ss, width = None, None, system.operator.shape[1]
     # One state per row: row 0 holds the last kept sample, rows 1.. each new one.
     rows = np.empty((_BLOCK + 1, width))
     rows[0, :n], rows[0, n:] = x, eta[sat]
@@ -358,7 +332,7 @@ def simulate(system: ClosedLoopSystem, x0=None, eta0=None, dt=None, t_max=None,
     metrics = deque(system.steady_rate(rates[:1], xmus[:1]).tolist(), maxlen=window)
     steady_run = 1 if metrics[0] < steady_tol else 0
     converged = steady_run >= window
-    count, affine_samples = 1, 0
+    count = 1
     steps_left = int(np.floor(t_max / dt + 1e-9))
     # 0-d arrays: a ufunc takes them faster than Python floats, with the same product.
     half, step, sixth, two = np.array(dt / 2.0), np.array(dt), np.array(dt / 6.0), np.array(2.0)
@@ -368,30 +342,29 @@ def simulate(system: ClosedLoopSystem, x0=None, eta0=None, dt=None, t_max=None,
         # Rows stepped past a blowup are dropped unread, so their overflow is silent.
         with np.errstate(all="ignore"):
             z, k1 = rows[0], rates[0]
-            affine = bool((np.abs(z[n:]) >= _DEEP).all())
-            if affine:
-                if deep_map is None:
-                    deep_map = _DeepMap(system, dt)
-                affine = deep_map.step(rows, rates, xmus, block)
-            if not affine:
-                for j in range(1, block + 1):
-                    np.add(z, np.multiply(half, k1, stage), stage)
-                    _field(operator, g, heads, tails, stage, stage_x, stage_mu, stage_mu,
-                           k2_x, k2_eta)
-                    np.add(z, np.multiply(half, k2, stage), stage)
-                    _field(operator, g, heads, tails, stage, stage_x, stage_mu, stage_mu,
-                           k3_x, k3_eta)
-                    np.add(z, np.multiply(step, k3, stage), stage)
-                    _field(operator, g, heads, tails, stage, stage_x, stage_mu, stage_mu,
-                           k4_x, k4_eta)
-                    # (dt / 6) * (((k1 + 2 k2) + 2 k3) + k4), summed in that order
-                    np.add(k1, np.multiply(two, k2, total), total)
-                    np.add(total, np.multiply(two, k3, stage), total)
-                    np.multiply(sixth, np.add(total, k4, total), total)
-                    row, row_x, row_eta, xmu, xmu_x, mu, k1, k1_x, k1_eta = views[j]
-                    z = np.add(z, total, row)
-                    xmu_x[...] = row_x
-                    _field(operator, g, heads, tails, xmu, xmu_x, mu, row_eta, k1_x, k1_eta)
+            if (np.abs(z[n:]) >= _DEEP).all():
+                certificate = certificate or _Certificate(system, dt)
+                y_ss = certificate.fixed_point(z)
+                if y_ss is not None:
+                    break
+            for j in range(1, block + 1):
+                np.add(z, np.multiply(half, k1, stage), stage)
+                _field(operator, g, heads, tails, stage, stage_x, stage_mu, stage_mu,
+                       k2_x, k2_eta)
+                np.add(z, np.multiply(half, k2, stage), stage)
+                _field(operator, g, heads, tails, stage, stage_x, stage_mu, stage_mu,
+                       k3_x, k3_eta)
+                np.add(z, np.multiply(step, k3, stage), stage)
+                _field(operator, g, heads, tails, stage, stage_x, stage_mu, stage_mu,
+                       k4_x, k4_eta)
+                # (dt / 6) * (((k1 + 2 k2) + 2 k3) + k4), summed in that order
+                np.add(k1, np.multiply(two, k2, total), total)
+                np.add(total, np.multiply(two, k3, stage), total)
+                np.multiply(sixth, np.add(total, k4, total), total)
+                row, row_x, row_eta, xmu, xmu_x, mu, k1, k1_x, k1_eta = views[j]
+                z = np.add(z, total, row)
+                xmu_x[...] = row_x
+                _field(operator, g, heads, tails, xmu, xmu_x, mu, row_eta, k1_x, k1_eta)
             # Written so that a NaN, which fails every comparison, counts as blown up.
             blown = ~(np.abs(rows[1: block + 1]) <= _BLOWUP_LIMIT).all(axis=1)
             steady = system.steady_rate(rates[1: block + 1], xmus[1: block + 1])
@@ -404,8 +377,6 @@ def simulate(system: ClosedLoopSystem, x0=None, eta0=None, dt=None, t_max=None,
             if steady_run >= window:
                 converged = True
                 break
-        if affine:
-            affine_samples += count - start
         if bad < block and not converged:
             raise NumericalBlowupError(f"state magnitude exceeded {_BLOWUP_LIMIT:g} "
                                        f"at t = {count * dt:.6g}")
@@ -423,7 +394,14 @@ def simulate(system: ClosedLoopSystem, x0=None, eta0=None, dt=None, t_max=None,
     table[:, n + np.flatnonzero(~sat)] = eta[~sat]
     table.setflags(write=False)
     x_states, eta_states = table[:, :n].T, table[:, n:].T
-    residual = float(np.max(metrics))
-    y_ss = x_states[:, -1].copy() if converged else None
+    certified_at = None
+    if y_ss is not None:  # certified: the residual is the worst rate at [x*, eta]
+        certified_at, converged = count - 1, True
+        rows[1, :n], rows[1, n:] = y_ss, rows[0, n:]
+        system.rate(rows[1], rates[1], xmus[1])
+        metrics = system.steady_rate(rates[1:2], xmus[1:2])
+    elif converged:
+        y_ss = x_states[:, -1].copy()
     times = np.arange(count - table.shape[0], count) * dt
-    return Trajectory(times, x_states, eta_states, converged, y_ss, residual, affine_samples)
+    return Trajectory(times, x_states, eta_states, converged, y_ss, float(np.max(metrics)),
+                      certified_at)

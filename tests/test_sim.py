@@ -49,7 +49,7 @@ from netpass import (
     zero_design,
 )
 from netpass.harness import build_system_parts, config_from_dict, synthesis_stage
-from netpass.sim import _BLOCK, _DEEP, MIN_STEP, _default_step
+from netpass.sim import _DEEP, MIN_STEP, _default_step
 from oracles import (
     agent_bank_drift,
     control,
@@ -188,9 +188,15 @@ def test_fused_field_matches_signal_composition(case):
 
 
 def default_step(system):
-    """The step ``simulate`` picks: with any rate counted steady, it stops after one."""
+    """The step ``simulate`` picks: with any rate counted steady, it stops after one.
+
+    A run that the certificate ends at sample 0 (a stable loop without tanh
+    edges) takes no step; ``_default_step`` is then the step.
+    """
     trajectory = simulate(system, x0=np.zeros(system.graph.n_vertices),
                           steady_tol=np.inf, window=2)
+    if trajectory.certified_at == 0:
+        return _default_step(system)
     assert trajectory.times.size == 2
     return trajectory.times[1]
 
@@ -397,7 +403,7 @@ def test_residual_is_worst_rate_over_last_window(run):
         assert not trajectory.converged
     E = incidence(system.graph)
     worst = 0.0
-    for j in range(trajectory.times.size - WINDOW, trajectory.times.size):
+    for j in range(max(0, trajectory.times.size - WINDOW), trajectory.times.size):
         x, eta = trajectory.x_states[:, j], trajectory.eta_states[:, j]
         x_dot, _ = derivative(system, x, eta)
         mu_dot = controller_bank_output_rate(system.controllers, eta, E.T @ x, E.T @ x_dot)
@@ -406,17 +412,8 @@ def test_residual_is_worst_rate_over_last_window(run):
 
 
 # ----------------------------------------------------------------------
-# the buffered step and the exact affine tail against the plain loop
+# the buffered step and the certified stop against the plain loop
 # ----------------------------------------------------------------------
-
-# Bound on |simulate - plain loop| after the first affine block, relative to
-# the run's largest |x| (for x) and largest |eta| (for eta).  The worst
-# measured on the eight n=10 bench case studies is 4.4e-14 (n10-s2, in x).
-AFFINE_RTOL = 1e-12
-# The steady metric of a row the affine map produced differs from RK4's by
-# rounding, so the first sample of a full steady window may move; on the
-# eight n=10 bench case studies it does not.
-MAX_STOP_SHIFT = 4
 
 
 def reference_simulate(system, x0, eta0, dt, t_max, steady_tol=1e-8, window=WINDOW):
@@ -487,13 +484,6 @@ def reference_simulate(system, x0, eta0, dt, t_max, steady_tol=1e-8, window=WIND
     return Trajectory(np.arange(count) * dt, x_states, eta_states, converged, y_ss, residual)
 
 
-def first_deep_sample(system, trajectory):
-    """First sample whose tanh edges all have |eta| >= the deep threshold."""
-    sat = system.controllers.saturated
-    deep = (np.abs(trajectory.eta_states[sat]) >= _DEEP).all(axis=0)
-    return int(deep.argmax()) if deep.any() else trajectory.times.size
-
-
 def run_or_message(function, system, **kwargs):
     try:
         return function(system, **kwargs)
@@ -519,7 +509,7 @@ def assert_unrecorded_run_matches(system, **kwargs):
     assert not isinstance(unrecorded, str), unrecorded
     assert unrecorded.times.size == 1
     assert unrecorded.converged == recorded.converged
-    assert unrecorded.affine_samples == recorded.affine_samples
+    assert unrecorded.certified_at == recorded.certified_at
     for name in ("times", "x_states", "eta_states"):
         assert_bitwise(getattr(unrecorded, name), getattr(recorded, name)[..., -1:], name)
     assert_bitwise(unrecorded.residual, recorded.residual, "residual")
@@ -531,12 +521,12 @@ def assert_unrecorded_run_matches(system, **kwargs):
 
 
 def assert_same_run(system, x0, eta0=None, **kwargs):
-    """``simulate`` and the plain loop agree; returns the run.
+    """``simulate`` and the plain loop agree bit for bit; returns the run.
 
-    Bit for bit when no block took the affine map.  Otherwise bit for bit up
-    to the plain loop's first all-deep sample, which no affine block precedes,
-    and within ``AFFINE_RTOL`` after it, where the stop may move by up to
-    ``MAX_STOP_SHIFT`` samples.  The unrecorded run ends where the recorded one does.
+    A run that a certificate ends at sample k holds the plain loop's first
+    k + 1 samples, which go on past it, and reports its y_ss = x* with a
+    residual below the steady tolerance.  Any other run is the plain loop's,
+    y_ss and residual included.  The unrecorded run ends where the recorded one does.
     """
     if eta0 is None:
         eta0 = np.zeros(system.graph.n_edges)
@@ -546,38 +536,20 @@ def assert_same_run(system, x0, eta0=None, **kwargs):
         assert actual == expected
         return actual
     assert not isinstance(actual, str), actual
-    assert actual.converged == expected.converged
-    if not actual.affine_samples:
-        for name in ("times", "x_states", "eta_states", "y_ss", "residual"):
-            want, got = getattr(expected, name), getattr(actual, name)
-            if want is None:
-                assert got is None, name
-            else:
-                assert_bitwise(got, want, name)
-        return actual
-
-    exact = first_deep_sample(system, expected) + 1
-    assert exact <= expected.times.size
-    shift = actual.times.size - expected.times.size
-    assert abs(shift) <= (MAX_STOP_SHIFT if expected.converged else 0)
-    common = min(actual.times.size, expected.times.size)
-    assert_bitwise(actual.times[:common], expected.times[:common], "times")
-    for name in ("x_states", "eta_states"):
-        want, got = getattr(expected, name), getattr(actual, name)
-        assert_bitwise(got[:, :exact], want[:, :exact], name)
-        scale = np.abs(want).max()
-        assert np.abs(got[:, :common] - want[:, :common]).max() <= AFFINE_RTOL * scale, name
-    if expected.converged:
-        # Every rate of a full steady window is below steady_tol, so each
-        # sample the stop moves by moves y_ss by about dt * steady_tol.
-        drift = abs(shift) * kwargs["dt"] * kwargs.get("steady_tol", 1e-8)
-        bound = AFFINE_RTOL * np.abs(expected.x_states).max() + 2.0 * drift
-        assert np.abs(actual.y_ss - expected.y_ss).max() <= bound
-        assert actual.residual < kwargs.get("steady_tol", 1e-8)
+    k = actual.certified_at
+    if k is None:
+        assert actual.converged == expected.converged
+        if expected.y_ss is None:
+            assert actual.y_ss is None
+        else:
+            assert_bitwise(actual.y_ss, expected.y_ss, "y_ss")
+        assert_bitwise(actual.residual, expected.residual, "residual")
     else:
-        assert actual.y_ss is None
-        # the bound of test_residual_is_worst_rate_over_last_window
-        assert actual.residual == pytest.approx(expected.residual, rel=1e-9)
+        assert actual.converged and k + 1 < expected.times.size
+        assert actual.residual < kwargs.get("steady_tol", 1e-8)
+    count = expected.times.size if k is None else k + 1
+    for name in ("times", "x_states", "eta_states"):
+        assert_bitwise(getattr(actual, name), getattr(expected, name)[..., :count], name)
     return actual
 
 
@@ -588,8 +560,8 @@ def drawn_start(system, seed):
                                                system.graph.n_vertices)
 
 
-# Seed 1 ends on the affine map; seeds 0 and 5 are RK4 throughout, so they
-# match bit for bit (seed 5: 3,201 steps, ending with one tanh edge not deep).
+# Seed 1 is certified at sample 192; seeds 0 and 5 never are, so the whole
+# runs match (seed 5: 3,201 steps, ending with one tanh edge not deep).
 @pytest.mark.parametrize("seed", [0, 1, 5])
 def test_buffered_step_matches_plain_loop_on_the_n10_case_study(seed):
     config = generate_case_study(10, seed)
@@ -597,7 +569,7 @@ def test_buffered_step_matches_plain_loop_on_the_n10_case_study(seed):
     system = ClosedLoopSystem(*parts, synthesis_stage(config)[0])
     run = assert_same_run(system, drawn_start(system, seed), dt=default_step(system),
                           t_max=5000.0)
-    assert run.converged and (run.affine_samples > 0) == (seed == 1)
+    assert run.converged and run.certified_at == (192 if seed == 1 else None)
 
 
 def test_buffered_step_matches_plain_loop_on_gathered_mixed_columns():
@@ -612,14 +584,28 @@ def test_buffered_step_matches_plain_loop_on_gathered_mixed_columns():
 
 
 def test_buffered_step_matches_plain_loop_on_an_all_static_graph():
+    # Integrators under static edges and no vertex gain: A = -L is singular,
+    # so the certificate never holds and RK4 steps the run to consensus.
+    controllers = ControllerBank([StaticGainController(w) for w in (1.0, 2.0, 0.5)])
+    system = ClosedLoopSystem(K3, AgentBank([IntegratorAgent()] * 3), controllers,
+                              zero_design(np.zeros(3), K3))
+    assert not system.controllers.saturated.any()
+    run = assert_same_run(system, [5.0, 40.0, 12.0], dt=default_step(system), t_max=500.0)
+    assert run.converged and run.certified_at is None
+
+
+def test_a_stable_loop_without_tanh_edges_is_certified_at_its_first_sample():
+    # Every tanh edge is deep when there is none: the loop is linear, and its
+    # equilibrium solves A x* = -g.
     agents = AgentBank([TrafficAgent(1, 20.0, 0.8), TrafficAgent(1, 30.0, 0.8),
                         TrafficAgent(-1, 24.0, -0.8)])
     controllers = ControllerBank([StaticGainController(w) for w in (1.0, 2.0, 0.5)])
     system = ClosedLoopSystem(K3, agents, controllers, uniform_network_gain(
         np.array([1.0, 1.0, -1.0]), K3))
-    assert not system.controllers.saturated.any()
     run = assert_same_run(system, [5.0, 40.0, 12.0], dt=default_step(system), t_max=500.0)
-    assert run.converged
+    assert run.certified_at == 0 and run.times.size == 1
+    x_star = np.linalg.solve(system.operator, -agents.g)
+    np.testing.assert_allclose(run.y_ss, x_star, rtol=1e-12)
 
 
 def test_buffered_step_converges_at_sample_zero_with_a_one_sample_window():
@@ -675,7 +661,7 @@ def test_buffered_step_matches_plain_loop_on_random_loops(case, dt, steps, windo
 
 
 def test_tanh_is_exactly_one_from_the_deep_threshold_on():
-    # The affine map replaces tanh(eta) by sign(eta) from |eta| = _DEEP on.
+    # The certificate reads tanh(eta) as sign(eta) from |eta| = _DEEP on.
     eta = np.array([_DEEP, np.nextafter(_DEEP, np.inf), 25.0, 1e3, 1e300])
     assert (np.tanh(eta) == 1.0).all()
     assert (np.tanh(-eta) == -1.0).all()
@@ -683,57 +669,61 @@ def test_tanh_is_exactly_one_from_the_deep_threshold_on():
 
 @pytest.mark.parametrize("eta0, t_max, steady_tol, converged", [
     (-25.0, 1000.0, 1e-8, True), (-110.0, 100.0, 0.0, False)], ids=["eta0 -25", "eta0 -110"])
-def test_affine_block_falls_back_to_rk4_where_a_wrong_sign_edge_leaves_the_deep_region(
-        eta0, t_max, steady_tol, converged):
-    # eta starts deep against a relative output that turns positive, so the
-    # edge unwinds out of the deep region inside a block: that block must be
-    # discarded and stepped by RK4, and the run still match the plain loop.
-    # From -110 it leaves at sample 4,732, past the 4,096 rows where a
-    # recorded table first doubles, and the affine samples are still whole
-    # blocks of the grid from sample 1.
+def test_a_wrong_sign_deep_edge_is_never_certified(eta0, t_max, steady_tol, converged):
+    # eta starts deep against a relative output that turns positive, so
+    # s * zeta* < 0 at every deep block start: RK4 steps the edge out of the
+    # deep region, bit for bit the plain loop.  From -110 it leaves at sample
+    # 4,732, past the 4,096 rows where a recorded table first doubles.
     run = assert_same_run(consensus_system(), [5.0, 18.0], [eta0], dt=0.02, t_max=t_max,
                           steady_tol=steady_tol)
-    assert run.converged == converged
-    exit_sample = int(np.argmax(run.eta_states[0] > -_DEEP))
-    assert run.affine_samples % _BLOCK == 0
-    assert run.affine_samples + 1 < exit_sample < run.affine_samples + _BLOCK
+    assert run.converged == converged and run.certified_at is None
+    assert int(np.argmax(run.eta_states[0] > -_DEEP)) == (869 if eta0 == -25.0 else 4732)
 
 
-@pytest.mark.parametrize("case", ["unstable equilibrium", "step outside the rk4 region"])
-def test_affine_map_is_not_used_where_rk4_on_the_deep_loop_is_unstable(case):
-    # RK4 holds an unstable mode at exactly zero here; the affine map would
-    # amplify its own rounding in it.  With no tanh edge every sample is deep,
-    # and this start is an equilibrium in binary-exact numbers, where the map
-    # grows by about 4.6e10 per step: it would report a blowup.  With a tanh
-    # edge at dt = 0.3, x_0 - x_1 stays exactly 2 under RK4, whose step is
-    # outside its stability region for that mode (dt * lambda = -3).
+@pytest.mark.parametrize("case", ["unstable equilibrium", "step outside the rk4 region",
+                                  "singular A"])
+def test_the_certificate_never_fires_where_it_does_not_apply(case):
+    # Each start is deep, and each loop breaks one of the certificate's bounds.
+    # With no tanh edge every sample is deep, and this start is an equilibrium
+    # in binary-exact numbers of an unstable loop (|P| is about 4.6e10): RK4
+    # holds it exactly.  With a tanh edge at dt = 0.3, x_0 - x_1 stays exactly
+    # 2 under RK4, whose step is outside its stability region for that mode
+    # (dt * lambda = -3, |P| = 1.375).  Two integrators with no gain have A = 0:
+    # no x*, and lambda = 0 must neither certify nor raise.
     if case == "unstable equilibrium":
         agents = AgentBank([TrafficAgent(1, 10.0, 0.5), TrafficAgent(-1024, 10.0, -0.5)])
         controllers, gain = ControllerBank([StaticGainController(0.5)]), zero_design(
             np.array([1.0, -1.0]), P2)
         x0, eta0, dt = [10.0, 10.0], [0.0], 1.0
-    else:
+    elif case == "step outside the rk4 region":
         agents = AgentBank([TrafficAgent(2, 3.0, 0.5), TrafficAgent(2, -8.0, 0.5)])
         controllers = ControllerBank([TanhIntegratorController()])
         gain = GainDesign(alpha=np.zeros(2), beta=np.array([4.0]), epsilon=0.0, threshold=0.0,
                           certificate=1.0)
         x0, eta0, dt = [10.0, 8.0], [20.5], 0.3
+    else:
+        agents = AgentBank([IntegratorAgent()] * 2)
+        controllers, gain = ControllerBank([TanhIntegratorController()]), zero_design(
+            np.zeros(2), P2)
+        x0, eta0, dt = [18.0, 5.0], [25.0], 0.1
     run = assert_same_run(ClosedLoopSystem(P2, agents, controllers, gain), x0, eta0,
                           dt=dt, t_max=64 * dt)
-    assert run.affine_samples == 0
+    assert run.certified_at is None and run.times.size == 65
+    assert (np.abs(run.eta_states[controllers.saturated]) >= _DEEP).all()
 
 
-def test_affine_map_steps_most_of_the_slow_hybrid_case_study():
+def test_the_certificate_ends_the_slow_hybrid_case_study():
     # n=10, seed 2 has a negative rate sum; the benchmark rescues it in hybrid
-    # mode.  Its slow tail is all-deep: 12,285 of its 12,830 samples.
+    # mode.  Its slow tail is all-deep, and certified at sample 864 of the
+    # 12,830 that the steady window took.
     data = generate_case_study(10, 2).to_dict()
     data.update(gain_mode="hybrid", self_regulating=[0])
     config = config_from_dict(data)
     parts = build_system_parts(config)
     system = ClosedLoopSystem(*parts, synthesis_stage(config)[0])
     trajectory = simulate(system, seed=config.seed)
-    assert trajectory.converged
-    assert trajectory.affine_samples > 0.9 * trajectory.times.size
+    assert trajectory.converged and trajectory.certified_at == 864
+    assert trajectory.times.size == 865
 
 
 def test_a_non_finite_state_is_a_blowup():
@@ -744,26 +734,66 @@ def test_a_non_finite_state_is_a_blowup():
     assert message == "state magnitude exceeded 1e+12 at t = 1e+200"
 
 
-@settings(derandomize=True, deadline=None)
-@given(random_loops(), st.sampled_from([0.01, 0.05, 0.2]), st.integers(1, 300),
-       st.integers(1, 120), st.sampled_from([1e-8, 1e-3, 1.0]))
-def test_affine_tail_matches_plain_loop_on_random_deep_starts(case, dt, steps, window, tol):
-    # Every tanh edge starts deep, with either sign: wrong-sign edges unwind
-    # out of the deep region, so blocks are both kept and discarded.
+def toward_equilibrium(system, eta):
+    """eta with each tanh edge's sign turned toward the deep loop's zeta* (a few rounds).
+
+    A start whose signs agree with zeta* is one the certificate can prove.
+    """
+    n, sat = system.graph.n_vertices, system.controllers.saturated
+    A, B, g = system.operator[:, :n], system.operator[:, n:], system.agents.g
+    eta = eta.copy()
+    for _ in range(3):
+        try:
+            with np.errstate(all="ignore"):  # a nearly singular A overflows
+                x_star = np.linalg.solve(A, -(B @ np.sign(eta[sat]) + g))
+                zeta = x_star[system.heads_sat] - x_star[system.tails_sat]
+        except np.linalg.LinAlgError:
+            break
+        if not np.isfinite(zeta).all():
+            break
+        eta[sat] = np.where(zeta == 0.0, eta[sat], np.copysign(eta[sat], zeta))
+    return eta
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(random_loops(), st.sampled_from([None, 0.01, 0.05]), st.integers(1, 300),
+       st.integers(1, 120), st.sampled_from([1e-8, 1e-3, 1.0]), st.sampled_from([0.0, 100.0]))
+def test_a_certified_stop_is_sound_on_random_deep_starts(case, dt, steps, window, tol, depth):
+    # Every tanh edge starts deep, its sign turned toward zeta*: edges left
+    # with the wrong sign unwind, and the rest may be certified (38 of the
+    # 200 drawn runs are, 15 of them with tanh edges; None is the default step).
     system, x, eta = case
-    deep = np.where(eta < 0.0, eta - _DEEP, eta + _DEEP)
-    assert_same_run(system, x, deep, dt=dt, t_max=steps * dt, steady_tol=tol, window=window)
+    dt = _default_step(system) if dt is None else dt
+    deep = toward_equilibrium(system, np.where(eta < 0.0, eta - _DEEP - depth,
+                                               eta + _DEEP + depth))
+    run = assert_same_run(system, x, deep, dt=dt, t_max=steps * dt, steady_tol=tol, window=window)
+    k = None if isinstance(run, str) else run.certified_at
+    if k is None:
+        return
+    # From the certified sample on, the plain loop keeps every sign deep, and
+    # once steady it is within ||A^-1||_2 sqrt(n) steady_tol of x*: there
+    # x' = A (x - x*) with every |x'_i| below the tolerance.  Measured: at
+    # most 0.44 of that bound.
+    plain = reference_simulate(system, x, deep, dt, t_max=(k + 4000) * dt)
+    sat, n = system.controllers.saturated, system.graph.n_vertices
+    s = np.sign(deep[sat])[:, None]
+    assert (s * plain.eta_states[sat, k:] >= _DEEP).all()
+    if plain.converged:
+        bound = np.linalg.norm(np.linalg.inv(system.operator[:, :n]), 2) * np.sqrt(n) * 1e-8
+        assert np.linalg.norm(plain.y_ss - run.y_ss) <= bound
 
 
-@pytest.mark.parametrize("scenario", ["n10-s2 hybrid", "none_blowup"])
+@pytest.mark.parametrize("scenario", ["n10-s2 hybrid", "n10-s3 hybrid", "none_blowup"])
 def test_unrecorded_run_ends_on_the_recorded_final_sample(scenario):
-    # n10-s2's recorded table doubles at 4096 and 8192 rows, mid-block and
-    # mostly in affine blocks, and the unrecorded run steps the same grid of
-    # 32-sample blocks from sample 1.  none_blowup raises.
+    # n10-s3 is never certified, and its recorded table doubles at 4096 and
+    # 8192 rows, mid-block, while the unrecorded run steps the same grid of
+    # 32-sample blocks from sample 1.  n10-s2 ends at a certified stop, and
+    # none_blowup raises.  Both case studies' rate sums are not positive, so
+    # the benchmark runs them in hybrid mode.
     if scenario == "none_blowup":
         config = load_config(GOLDEN / "none_blowup.json")
     else:
-        data = generate_case_study(10, 2).to_dict()
+        data = generate_case_study(10, int(scenario[5])).to_dict()
         data.update(gain_mode="hybrid", self_regulating=[0])
         config = config_from_dict(data)
     parts = build_system_parts(config)
@@ -772,7 +802,8 @@ def test_unrecorded_run_ends_on_the_recorded_final_sample(scenario):
     if scenario == "none_blowup":
         assert run.startswith("state magnitude exceeded 1e+12 at t = ")
     else:
-        assert (run.times.size, run.affine_samples) == (12830, 12285)
+        assert (run.times.size, run.certified_at) == {
+            "n10-s2 hybrid": (865, 864), "n10-s3 hybrid": (8969, None)}[scenario]
 
 
 # ----------------------------------------------------------------------
@@ -797,21 +828,23 @@ def test_rate_maps_the_stepped_state_of_a_mixed_network():
     np.testing.assert_array_equal(xmu, np.concatenate((x, mu[sat])))
 
 
-def mixed_start(system, static_eta):
-    """A mixed4 start whose tanh edges start at 0.5 and static ones at ``static_eta``."""
+def mixed_start(system, static_eta, sat_eta=0.5):
+    """A mixed4 start whose tanh edges start at ``sat_eta`` and static ones at ``static_eta``."""
     return dict(x0=[20.0, 25.0, 3.0, 30.0], dt=0.01,
-                eta0=np.where(system.controllers.saturated, 0.5, static_eta))
+                eta0=np.where(system.controllers.saturated, sat_eta, static_eta))
 
 
 def test_mixed_runs_across_two_table_growths_hold_each_static_eta0():
     # 9,201 samples: the recorded table grows at 4096 and 8192 rows while the
     # run steps [x, eta_sat] through its small buffer; it matches the plain
-    # loop on [x, eta], and the static rows are eta0 throughout.
+    # loop on [x, eta], and the static rows are eta0 throughout.  Edge 0
+    # starts wound deep against its zeta* (about +23), so it stays wrong-signed
+    # to the horizon and no block start is certified.
     system = mixed4_system()
     static = ~system.controllers.saturated
-    start = mixed_start(system, -0.7)
+    start = mixed_start(system, -0.7, np.array([-5000.0, 0.0, 0.5, 0.0, 0.5]))
     run = assert_same_run(system, t_max=92.0, steady_tol=0.0, **start)
-    assert run.times.size == 9201 and not run.converged
+    assert run.times.size == 9201 and not run.converged and run.certified_at is None
     assert_bitwise(run.eta_states[static],
                    np.repeat(start["eta0"][static, None], run.times.size, axis=1), "static eta")
 

@@ -8,8 +8,9 @@ blowup.  The agents' indices come from the models; static affine agents are
 left out, because their index is declared by the caller.
 
 The n=10 case study at seeds 0 and 7, run with the paper's edge-gain bound,
-keeps a known defect visible: the steady-state detector stops on a wound-up
-saturated edge, whose output tanh(eta) is exactly +-1 while eta still moves.
+and the sparse ring2n(300) under the synthesized gain keep a known defect
+visible: the steady-state detector stops on a wound-up saturated edge, whose
+output tanh(eta) is exactly +-1 while eta still moves.
 """
 
 import numpy as np
@@ -29,6 +30,7 @@ from netpass.harness import (
     generate_case_study,
     optimization_stage,
     simulation_stage,
+    synthesis_stage,
     verify,
 )
 from oracles import paper_edge_gain_bound
@@ -97,3 +99,41 @@ def test_a_case_study_run_under_the_paper_bound_ends_at_the_minimizer(seed):
     residual = steady_state_residual(ClosedLoopSystem(graph, agents, controllers, design),
                                      trajectory.y_ss)
     assert mismatch <= config.mismatch_tol and residual <= 1e-5, (mismatch, residual)
+
+
+def ring2n(n):
+    """A ring on n vertices plus n random chords, with the case study's agents.
+
+    Every edge is a tanh integrator, in ``network_only`` mode; the graph,
+    the agents and the sim seed are drawn from seed 0.
+    """
+    rng = np.random.default_rng(0)
+    kappa = np.where(rng.random(n) < 1 / 3, -1.0, 1.0)
+    v0 = np.where(rng.random(n) < 0.5, 20.0, 120.0) + 15.0 * rng.standard_normal(n)
+    edges = {(i, (i + 1) % n) for i in range(n)}
+    while len(edges) < 2 * n:
+        a, b = rng.integers(n, size=2)
+        if a != b and (b, a) not in edges:
+            edges.add((int(a), int(b)))
+    edges = sorted(edges)
+    return config_from_dict({
+        "graph": {"n": n, "edges": [list(e) for e in edges]},
+        "agents": [{"kind": "traffic", "kappa": float(k), "v0": float(v), "v1": 0.8 * float(k)}
+                   for k, v in zip(kappa, v0)],
+        "controllers": [{"kind": "tanh_integrator"}] * len(edges),
+        "gain_mode": "network_only",
+        "sim": {"seed": 0},
+    })
+
+
+@pytest.mark.xfail(raises=AssertionError, strict=True,
+                   reason="the steady-state detector stops on a wound-up saturated edge")
+def test_the_sparse_ring2n_300_run_ends_at_the_minimizer():
+    # Today verify stops at t = 683.7 with mismatch 0.058 and stationarity
+    # residual 4.00: two edges are wound deep with the wrong sign.
+    config = ring2n(300)
+    report = verify(config)
+    system = ClosedLoopSystem(*config.parts, synthesis_stage(config)[0])
+    residual = steady_state_residual(system, report.trajectory.y_ss)
+    assert report.mismatch <= config.mismatch_tol and residual <= 1e-5, (report.mismatch,
+                                                                         residual)
