@@ -22,12 +22,14 @@ does, so it is inverted once per penalty, from its Cholesky factor (or as a
 pseudoinverse when it is only semidefinite).  An iteration is then one
 scatter ``E v``, one n x n product, one gather ``E^T y`` and the prox, all
 O(m) but the product, and the dual residual is formed only where it is read
-(see ``solve``).  ``stationarity_residual`` measures how far a point is from
-the first-order conditions, freeing a tanh edge within ``effort_bounds``'
-default tolerance, and ``steady_state_residual`` the same of a closed loop's
-output; its fit writes the free edges' columns of E, the only dense ones formed,
-and calls scipy's BVLS only when the unbounded least-squares fit leaves the
-effort bounds.
+(see ``solve``).  On a strictly convex problem it also polishes: it solves
+the cluster quotient of an iterate's sign pattern exactly and returns that
+point on a KKT certificate.  ``stationarity_residual`` measures how far a
+point is from the first-order conditions, freeing a tanh edge within
+``effort_bounds``' default tolerance, and ``steady_state_residual`` the same
+of a closed loop's output; its fit writes the free edges' columns of E, the
+only dense ones formed, and calls scipy's BVLS only when the unbounded
+least-squares fit leaves the effort bounds.
 """
 
 import enum
@@ -72,7 +74,12 @@ class SolveStatus(enum.Enum):
 
 @dataclass(frozen=True)
 class Minimizer:
-    """Solver output: candidate minimizer plus convergence diagnostics."""
+    """Solver output: candidate minimizer plus convergence diagnostics.
+
+    ``polished_at`` is the iteration whose sign pattern gave a certified
+    exact point (see ``solve``), or None when the splitting iterate itself
+    is returned.
+    """
 
     y_star: np.ndarray
     zeta_star: np.ndarray
@@ -81,6 +88,7 @@ class Minimizer:
     dual_residual: float
     iterations: int
     status: SolveStatus
+    polished_at: int = None
 
 
 class RegularizedProblem:
@@ -147,6 +155,15 @@ def build_problem(graph, agents, controllers, gain: GainDesign = None):
 # ----------------------------------------------------------------------
 
 
+def _cholesky(A):
+    """The Cholesky factor of A, or None if A is indefinite or has a rounding-level pivot."""
+    try:
+        C = np.linalg.cholesky(A)
+    except np.linalg.LinAlgError:
+        return None
+    return C if np.min(np.diag(C))**2 > _PIVOT_TOL * np.max(np.diag(A)) else None
+
+
 class _VertexSolver:
     """Solves (H + t * L) y = rhs by one product, tolerating a consensus null space."""
 
@@ -158,11 +175,8 @@ class _VertexSolver:
     def factor(self, t):
         """Cache the inverse of H + t * L; False (the cache kept) if it is indefinite."""
         A = self._H + t * self._L
-        try:
-            C = np.linalg.cholesky(A)
-        except np.linalg.LinAlgError:
-            C = None
-        if C is not None and np.min(np.diag(C))**2 > _PIVOT_TOL * np.max(np.diag(A)):
+        C = _cholesky(A)
+        if C is not None:
             Ci = np.linalg.inv(C)
             self._inverse = Ci.T @ Ci
             return True
@@ -178,6 +192,95 @@ class _VertexSolver:
 
     def solve(self, rhs):
         return self._inverse @ rhs
+
+
+def _clusters(n, heads, tails):
+    """Components of the graph on n vertices with these edges: labels 0..k-1, and k.
+
+    A union-find by whole arrays: each round hooks the larger root of every
+    edge between two roots under the smaller (one write wins where several
+    compete), then jumps pointers until each vertex names its root.  Roots
+    only ever point to smaller indices, so no cycle forms.
+    """
+    root = np.arange(n)
+    while True:
+        a, b = root[heads], root[tails]
+        split = a != b
+        if not split.any():
+            roots = np.flatnonzero(root == np.arange(n))
+            label = np.zeros(n, dtype=np.intp)
+            label[roots] = np.arange(roots.size)
+            return label[root], roots.size
+        root[np.maximum(a, b)[split]] = np.minimum(a, b)[split]
+        while not np.array_equal(root[root], root):
+            root = root[root]
+
+
+class _Polish:
+    """The exact minimizer for the sign pattern of an ADMM iterate, kept only with its proof.
+
+    A tanh edge whose prox output is exactly 0 is interior, every other tanh
+    edge saturated with its output's sign s.  On that pattern the minimizer
+    is constant on each cluster (component of the interior edges): with C
+    the n x k cluster indicator, H the smooth Hessian plus the static edges'
+    Laplacian and b = -(intercept + E s), it is y = C (C^T H C)^{-1} C^T b.
+    ``attempt`` keeps y only on a KKT certificate: C^T H C passes
+    ``_cholesky``, every saturated edge keeps its sign (s_e (E^T y)_e >= 0),
+    and projecting ADMM's effort estimate, clipped to [-1, 1], onto
+    {E_I mu = b - H y} gives |mu| <= 1 on the interior edges and
+    ||H y - b + E_I mu|| < tol.  y then meets the first-order conditions to
+    that norm, so it is within tol / probe of the unique minimizer.
+
+    An attempt sums C^T H C over the cluster labels (no indicator product)
+    and solves one k x k system and one over the vertices interior edges
+    touch, less than one ``_VertexSolver.factor``.
+    """
+
+    def __init__(self, problem, tol):
+        self._problem, self._tol = problem, tol
+        w = problem.controllers.w
+        self._H = problem.smooth_hessian()
+        if w.any():
+            self._H = self._H + problem.graph.weighted_laplacian(w)
+
+    def attempt(self, zeta, effort):
+        """(y, KKT norm) for the pattern of ``zeta``, or None when it is not certified."""
+        problem, H = self._problem, self._H
+        graph, saturated = problem.graph, problem.controllers.saturated
+        sign = np.where(saturated, np.sign(zeta), 0.0)
+        interior = saturated & (sign == 0.0)
+        b = -(problem.agents.intercept + graph.scatter(sign))
+        labels, k = _clusters(graph.n_vertices, graph.heads[interior], graph.tails[interior])
+        quotient = np.bincount((labels[:, None] * k + labels).ravel(), H.ravel(),
+                               k * k).reshape(k, k)
+        if _cholesky(quotient) is None:
+            return None
+        y = np.linalg.solve(quotient, np.bincount(labels, b, k))[labels]
+        if np.any(sign * (y[graph.heads] - y[graph.tails]) < 0.0):
+            return None
+        residual = b - H @ y
+        mu = np.zeros(graph.n_edges)
+        if interior.any():
+            # Project the clipped effort onto {E_I mu = residual}: add E_I^T lam
+            # with L_I lam = residual - E_I mu, whose right-hand side sums to 0
+            # on every cluster, over the vertices interior edges touch (lam is
+            # 0 elsewhere).  Adding 1 between every two vertices of a cluster
+            # lifts L_I's null space (each cluster's constant direction) to
+            # the cluster's size, so the system is definite, as well
+            # conditioned as L_I's range (K_n's becomes n I), and still has
+            # L_I's minimum-norm lam as its solution.
+            mu[interior] = np.clip(effort[interior], -1.0, 1.0)
+            inside = np.bincount(labels)[labels] > 1
+            lifted = graph.weighted_laplacian(interior.astype(float))[np.ix_(inside, inside)]
+            lifted += labels[inside, None] == labels[inside]
+            lam = np.zeros(graph.n_vertices)
+            lam[inside] = np.linalg.solve(lifted, (residual - graph.scatter(mu))[inside])
+            mu[interior] += (lam[graph.heads] - lam[graph.tails])[interior]
+            if np.max(np.abs(mu)) > 1.0:
+                return None
+        gap = residual - graph.scatter(mu)
+        kkt = math.sqrt(gap @ gap)
+        return (y, kkt) if kkt < self._tol else None
 
 
 def solve(problem: RegularizedProblem, step=SOLVER_STEP, max_iter=SOLVER_MAX_ITER,
@@ -204,6 +307,16 @@ def solve(problem: RegularizedProblem, step=SOLVER_STEP, max_iter=SOLVER_MAX_ITE
     (where the penalty is balanced) and on the last; the returned residuals
     are always those of the returned iterate.
 
+    With a positive convexity probe, each balance point and each iteration
+    whose primal residual is below ``tol`` first try a polish: the exact
+    point of the iterate's sign pattern, kept only on a KKT certificate (see
+    ``_Polish``).  A kept polish ends the run ``OPTIMAL`` there, with
+    ``polished_at`` set, ``zeta_star = E^T y_star`` (exactly 0 on interior
+    edges), ``primal_residual`` 0 and ``dual_residual`` the certificate's
+    first-order residual.  Otherwise the splitting runs on unchanged and
+    ``OPTIMAL`` means both residual norms fell below ``tol``.  Either way it
+    names the same minimizer, unique under a positive probe.
+
     A failed convexity probe downgrades the status to ``NONCONVEX_DETECTED``
     and the returned point is best-effort only.
 
@@ -218,7 +331,7 @@ def solve(problem: RegularizedProblem, step=SOLVER_STEP, max_iter=SOLVER_MAX_ITE
     heads, tails, scatter = graph.heads, graph.tails, graph.scatter
     lin = problem.agents.intercept
 
-    def best_effort(y, zeta, r_p, r_d, iterations, status):
+    def result(y, zeta, r_p, r_d, iterations, status, polished_at=None):
         return Minimizer(
             y_star=y,
             zeta_star=zeta,
@@ -227,6 +340,7 @@ def solve(problem: RegularizedProblem, step=SOLVER_STEP, max_iter=SOLVER_MAX_ITE
             dual_residual=r_d,
             iterations=iterations,
             status=status,
+            polished_at=polished_at,
         )
 
     y = problem.agents.anchors.astype(float).copy()
@@ -239,8 +353,9 @@ def solve(problem: RegularizedProblem, step=SOLVER_STEP, max_iter=SOLVER_MAX_ITE
         t *= 2.0
         if t > 1e12:
             status = SolveStatus.NONCONVEX_DETECTED if nonconvex else SolveStatus.MAX_ITER
-            return best_effort(y, zeta, np.inf, np.inf, 0, status)
+            return result(y, zeta, np.inf, np.inf, 0, status)
 
+    polish = _Polish(problem, tol) if problem.convexity_probe() > 0.0 else None
     r_p = r_d = np.inf
     iterations = 0
     # Iterates that leave the float range (a penalty far from the problem's
@@ -256,6 +371,12 @@ def solve(problem: RegularizedProblem, step=SOLVER_STEP, max_iter=SOLVER_MAX_ITE
             r = Ety - zeta
             r_p = math.sqrt(r @ r)
             balance = iterations % 50 == 0
+            if polish is not None and (r_p < tol or balance):
+                point = polish.attempt(zeta, t * w)
+                if point is not None:
+                    y, kkt = point
+                    return result(y, y[heads] - y[tails], 0.0, kkt, iterations,
+                                  SolveStatus.OPTIMAL, iterations)
             # Only the stop test, the balancing and the last iterate read r_d.
             if r_p < tol or balance or iterations == max_iter:
                 d = t * scatter(zeta - zeta_prev)
@@ -278,7 +399,7 @@ def solve(problem: RegularizedProblem, step=SOLVER_STEP, max_iter=SOLVER_MAX_ITE
         status = SolveStatus.OPTIMAL
     else:
         status = SolveStatus.MAX_ITER
-    return best_effort(y, zeta, r_p, r_d, iterations, status)
+    return result(y, zeta, r_p, r_d, iterations, status)
 
 
 # ----------------------------------------------------------------------

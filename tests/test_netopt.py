@@ -44,7 +44,7 @@ from netpass import (
     steady_state_residual,
 )
 from netpass.harness import build_system_parts, generate_case_study, synthesis_stage
-from netpass.netopt import _VertexSolver
+from netpass.netopt import SOLVER_TOL, _Polish, _VertexSolver
 from oracles import (
     DimensionTooLargeError,
     brute_force,
@@ -474,22 +474,52 @@ ORACLE_RESIDUAL_TOL = 1e-9
 
 
 def assert_matches_plain_admm(problem, max_iter):
+    """``solve`` against ``plain_admm``, up to the iteration it polished at if it did."""
     kwargs = {} if max_iter is None else {"max_iter": max_iter}
     got = solve(problem, **kwargs)
+    if got.polished_at is not None:
+        assert_polished_on_the_plain_admm_loop(problem, got)
+        return got
     y, zeta, r_p, r_d, iterations, status, t = plain_admm(problem, **kwargs)
     assert (got.iterations, got.status) == (iterations, status)
     point = ORACLE_POINT_TOL * max(np.abs(y).max(), 1e-300)
     assert np.abs(got.y_star - y).max() <= point
     assert np.abs(got.zeta_star - zeta).max(initial=0.0) <= point
-    # r_p = |E^T y - zeta| and r_d = t |E (zeta - zeta_prev)|, with |E| <= sqrt(2 n)
-    n, m = problem.graph.n_vertices, problem.graph.n_edges
-    norm_E = np.sqrt(2.0 * n)
-    slack_p = (norm_E * np.sqrt(n) + np.sqrt(m)) * point
-    slack_d = t * norm_E * 2.0 * np.sqrt(m) * point
+    slack_p, slack_d = _residual_slacks(problem, point, t)
     for value, expected, slack in ((got.primal_residual, r_p, slack_p),
                                    (got.dual_residual, r_d, slack_d)):
         assert value == pytest.approx(expected, rel=ORACLE_RESIDUAL_TOL, abs=slack)
     return got
+
+
+def _residual_slacks(problem, point, t):
+    # r_p = |E^T y - zeta| and r_d = t |E (zeta - zeta_prev)|, with |E| <= sqrt(2 n)
+    n, m = problem.graph.n_vertices, problem.graph.n_edges
+    norm_E = np.sqrt(2.0 * n)
+    return (norm_E * np.sqrt(n) + np.sqrt(m)) * point, t * norm_E * 2.0 * np.sqrt(m) * point
+
+
+def assert_polished_on_the_plain_admm_loop(problem, got, tol=1e-8):
+    """A polished run: the plain loop's iterates up to ``polished_at``, then its pattern's exact point.
+
+    The plain loop must run to that iteration without stopping, at a balance
+    point or with its primal residual below ``tol``.  The returned point
+    keeps that iterate's pattern: zeta* = E^T y* is exactly 0 on every tanh
+    edge the prox held at 0 and keeps every other tanh edge's sign.
+    """
+    k = got.polished_at
+    assert (got.iterations, got.status) == (k, SolveStatus.OPTIMAL)
+    assert got.primal_residual == 0.0 and got.dual_residual < tol
+    y, zeta, r_p, _, iterations, _, t = plain_admm(problem, max_iter=k, tol=tol)
+    assert iterations == k
+    slack_p, _ = _residual_slacks(problem, ORACLE_POINT_TOL * np.abs(y).max(), t)
+    assert k % 50 == 0 or r_p < tol * (1.0 + ORACLE_RESIDUAL_TOL) + slack_p
+    graph, saturated = problem.graph, problem.controllers.saturated
+    np.testing.assert_array_equal(got.zeta_star, got.y_star[graph.heads] - got.y_star[graph.tails])
+    interior = saturated & (zeta == 0.0)
+    np.testing.assert_array_equal(got.zeta_star[interior], 0.0)
+    assert np.all(np.sign(zeta[saturated]) * got.zeta_star[saturated] >= 0.0)
+    assert stationarity_residual(problem, got.y_star)[0] <= 1e-7
 
 
 @st.composite
@@ -529,22 +559,112 @@ def test_solve_matches_the_plain_admm_loop(problem, max_iter):
 
 
 def test_solve_matches_the_plain_admm_loop_on_every_exit_path():
-    config = generate_case_study(5, 1)  # 102 iterations, balanced at 50 and 100
-    problem = synthesis_stage(config)[1]
-    # the tolerance exit
+    # a polish accepted where the primal residual first drops below tol
+    problem = synthesis_stage(generate_case_study(5, 1))[1]
     got = assert_matches_plain_admm(problem, None)
-    assert (got.iterations, got.status) == (102, SolveStatus.OPTIMAL)
-    # a max_iter exit on and off a multiple of 50, before and after balancing
-    for max_iter in (1, 3, 49, 50, 51, 100, 101):
+    assert got.polished_at == 6
+    # the first polish at the first balance point, so every earlier max_iter
+    # exit is the plain loop's, and every later cap ends at the polish
+    problem = synthesis_stage(generate_case_study(7, 3))[1]
+    for max_iter in (1, 3, 49):
         got = assert_matches_plain_admm(problem, max_iter)
-        assert (got.iterations, got.status) == (max_iter, SolveStatus.MAX_ITER)
-    # a factor that fails at the start: a lone negative-curvature vertex, so
-    # H + t L = H is negative at every penalty
+        assert (got.iterations, got.status, got.polished_at) == (
+            max_iter, SolveStatus.MAX_ITER, None)
+    for max_iter in (50, 51, 100, None):
+        got = assert_matches_plain_admm(problem, max_iter)
+        assert (got.iterations, got.polished_at) == (50, 50)
+    # the tolerance exit, past a balance point: a semidefinite problem (an
+    # integrator agent, so the probe is 0) is never polished
+    graph = NetworkGraph.path(3)
+    agents = AgentBank([TrafficAgent(1, 12.0, 0.8), IntegratorAgent(),
+                        StaticAffineAgent(2.0, 3.0)])
+    controllers = ControllerBank([TanhIntegratorController(), StaticGainController(1.0)])
+    got = assert_matches_plain_admm(build_problem(graph, agents, controllers), None)
+    assert (got.iterations, got.status, got.polished_at) == (84, SolveStatus.OPTIMAL, None)
+    # a nonconvex problem runs past balance points without a polish
+    got = assert_matches_plain_admm(mixed_sign_problem(beta=0.0), 120)
+    assert (got.iterations, got.status, got.polished_at) == (
+        120, SolveStatus.NONCONVEX_DETECTED, None)
+    # a factor that fails at the start (the t > 1e12 exit): a lone
+    # negative-curvature vertex, so H + t L = H is negative at every penalty
     problem = build_problem(NetworkGraph(1, ()),
                             AgentBank([TrafficAgent(-1, 25.0, -0.5)]), ControllerBank([]))
     got = assert_matches_plain_admm(problem, None)
     assert got.iterations == 0 and got.status is SolveStatus.NONCONVEX_DETECTED
     assert got.primal_residual == got.dual_residual == np.inf
+
+
+# ----------------------------------------------------------------------
+# the polish and its certificate
+# ----------------------------------------------------------------------
+
+
+@st.composite
+def polish_scenarios(draw):
+    """Scenarios on two or three vertices with mixed edges, under either synthesized gain."""
+    # The grid oracle's cost grows 33-fold per vertex: about 1 s a call at
+    # its cap of four, 20 ms at three.
+    n = draw(st.sampled_from((2, 3, 3)))
+    chords = [(i, j) for i in range(n) for j in range(i + 2, n)]
+    pairs = [(i, i + 1) for i in range(n - 1)]
+    if chords:
+        pairs += draw(st.lists(st.sampled_from(chords), unique=True))
+    edges = [[j, i] if draw(st.booleans()) else [i, j] for i, j in pairs]
+    controllers = [{"kind": "tanh_integrator"} if draw(st.booleans())
+                   else {"kind": "static_gain", "w": draw(st.floats(0.2, 3.0))} for _ in edges]
+    controllers[0] = {"kind": "tanh_integrator"}
+    agents = []
+    for _ in range(n):
+        kappa = draw(st.sampled_from((-1.0, 1.0, 1.0)))
+        agents.append({"kind": "traffic", "kappa": kappa, "v0": draw(st.floats(0.0, 6.0)),
+                       "v1": kappa * draw(st.floats(0.3, 2.0))})
+    mode = draw(st.sampled_from(("network_only", "hybrid")))
+    data = {"graph": {"n": n, "edges": edges}, "agents": agents,
+            "controllers": controllers, "gain_mode": mode}
+    if mode == "hybrid":
+        data["self_regulating"] = [0]
+    try:
+        problem = synthesis_stage(netpass.config_from_dict(data))[1]
+    except netpass.NotPassivizableError:
+        assume(False)
+    assume(problem.convexity_probe() > 0.0)
+    return problem
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(polish_scenarios())
+def test_a_polished_point_is_the_minimizer_and_a_wrong_pattern_is_refused(problem):
+    got = solve(problem)
+    assume(got.polished_at is not None)
+    y, probe = got.y_star, problem.convexity_probe()
+    residual, effort = stationarity_residual(problem, y)
+    assert residual <= 1e-7
+    # The grid oracle over a box that holds the anchors and y*.  Its point
+    # lies within its objective gap of the minimizer, by strong convexity:
+    # F(y_grid) - F(y*) >= probe / 2 |y_grid - y*|^2; a narrow valley can
+    # leave the zooming grid far off along it, but never y* below the grid.
+    anchors = problem.agents.anchors
+    box = (min(anchors.min(), y.min()) - 1.0, max(anchors.max(), y.max()) + 1.0)
+    oracle = brute_force(problem, box=box, spacing=0.05)
+    gap = oracle.objective_value - problem.objective(y)
+    assert gap >= -1e-12
+    assert 0.5 * probe * np.sum((oracle.y_star - y)**2) <= gap + 1e-12
+    # Mutations of the certified pattern.  Each of these edges has
+    # |zeta*| far above what the certificate allows (tol / probe), so a point
+    # that keeps it at 0 or turns its sign cannot be certified.
+    polish = _Polish(problem, SOLVER_TOL)
+    zeta = got.zeta_star
+    saturated = problem.controllers.saturated
+    far = saturated & (np.abs(zeta) > 1e3 * SOLVER_TOL / probe)
+    for e in np.flatnonzero(far):
+        flipped = zeta.copy()
+        flipped[e] = -flipped[e]
+        assert polish.attempt(flipped, effort) is None
+        held = zeta.copy()
+        held[e] = 0.0
+        assert polish.attempt(held, effort) is None
+    # the certified pattern itself is accepted again from the fitted efforts
+    assert polish.attempt(zeta, effort) is not None
 
 
 # ----------------------------------------------------------------------
