@@ -14,17 +14,14 @@ convex in the first place.  The smooth part's Hessian is the gain quadratic
 Q(slope) of ``passivation.coupling_matrix``, the certificate's matrix with
 the agents' steady-state slopes in place of their indices.
 
-``solve`` is an alternating-direction splitting with the vertex block kept
-smooth (all supported agents have quadratic potentials, so that update is a
-linear solve) and the edge block handled by the controllers' closed-form
-proximal maps.  The vertex system H + t L changes only when the penalty t
-does, so it is inverted once per penalty, from its Cholesky factor (or as a
-pseudoinverse when it is only semidefinite).  An iteration is then one
-scatter ``E v``, one n x n product, one gather ``E^T y`` and the prox, all
-O(m) but the product, and the dual residual is formed only where it is read
-(see ``solve``).  On a strictly convex problem it also polishes: it solves
-the cluster quotient of an iterate's sign pattern exactly and returns that
-point on a KKT certificate.  ``stationarity_residual`` measures how far a
+``solve`` finds a strictly convex problem's minimizer by a primal-dual
+active-set iteration over the tanh edges' sign patterns (a semismooth Newton
+method), each step one pattern's exact cluster point, the last certified by
+KKT.  Other problems, and any the iteration cannot finish, go to an
+alternating-direction splitting: the vertex update is one product with the
+inverse of H + t L, formed once per penalty t from its Cholesky factor (a
+pseudoinverse when it is only semidefinite), the edge update the
+controllers' closed-form prox.  ``stationarity_residual`` measures how far a
 point is from the first-order conditions, freeing a tanh edge within
 ``effort_bounds``' default tolerance, and ``steady_state_residual`` the same
 of a closed loop's output; its fit writes the free edges' columns of E, the
@@ -76,9 +73,9 @@ class SolveStatus(enum.Enum):
 class Minimizer:
     """Solver output: candidate minimizer plus convergence diagnostics.
 
-    ``polished_at`` is the iteration whose sign pattern gave a certified
-    exact point (see ``solve``), or None when the splitting iterate itself
-    is returned.
+    ``polished_at`` is the active-set pattern whose exact point was
+    certified, the last of ``iterations`` (see ``solve``), or None when the
+    splitting loop's iterate is returned.
     """
 
     y_star: np.ndarray
@@ -151,7 +148,7 @@ def build_problem(graph, agents, controllers, gain: GainDesign = None):
 
 
 # ----------------------------------------------------------------------
-# splitting solver
+# solvers: active set and splitting
 # ----------------------------------------------------------------------
 
 
@@ -216,39 +213,43 @@ def _clusters(n, heads, tails):
             root = root[root]
 
 
-class _Polish:
-    """The exact minimizer for the sign pattern of an ADMM iterate, kept only with its proof.
+class _Pattern:
+    """One active-set step: a sign pattern's exact point, its certificate and its correction.
 
-    A tanh edge whose prox output is exactly 0 is interior, every other tanh
-    edge saturated with its output's sign s.  On that pattern the minimizer
-    is constant on each cluster (component of the interior edges): with C
-    the n x k cluster indicator, H the smooth Hessian plus the static edges'
-    Laplacian and b = -(intercept + E s), it is y = C (C^T H C)^{-1} C^T b.
-    ``attempt`` keeps y only on a KKT certificate: C^T H C passes
-    ``_cholesky``, every saturated edge keeps its sign (s_e (E^T y)_e >= 0),
-    and projecting ADMM's effort estimate, clipped to [-1, 1], onto
-    {E_I mu = b - H y} gives |mu| <= 1 on the interior edges and
-    ||H y - b + E_I mu|| < tol.  y then meets the first-order conditions to
-    that norm, so it is within tol / probe of the unique minimizer.
-
-    An attempt sums C^T H C over the cluster labels (no indicator product)
-    and solves one k x k system and one over the vertices interior edges
-    touch, less than one ``_VertexSolver.factor``.
+    The pattern s gives each tanh edge a sign: +-1 saturated, 0 interior.
+    Its minimizer is constant on each cluster (component of the interior
+    edges): with C the n x k cluster indicator, H the smooth Hessian plus
+    the static edges' Laplacian and b = -(intercept + E s), it is
+    y = C (C^T H C)^{-1} C^T b, and the interior efforts mu are the starting
+    effort, clipped to [-1, 1], projected onto {E_I mu = b - H y}.  The point
+    is certified when C^T H C passes ``_cholesky``, every saturated edge
+    keeps its sign (s_e (E^T y)_e >= 0), |mu| <= 1 and
+    ||H y - b + E_I mu|| < tol; y then meets the first-order conditions to
+    that norm, so it is within tol / probe of the unique minimizer.  A step
+    sums C^T H C over the cluster labels (no indicator product) and solves
+    one k x k system and one over the vertices interior edges touch.
     """
 
-    def __init__(self, problem, tol):
-        self._problem, self._tol = problem, tol
+    def __init__(self, problem):
+        self._problem = problem
         w = problem.controllers.w
         self._H = problem.smooth_hessian()
         if w.any():
             self._H = self._H + problem.graph.weighted_laplacian(w)
 
-    def attempt(self, zeta, effort):
-        """(y, KKT norm) for the pattern of ``zeta``, or None when it is not certified."""
+    def step(self, sign, effort):
+        """(y, KKT norm, next sign, next effort) for the pattern ``sign``, or None if C^T H C does not factor.
+
+        The next pattern is ``sign`` itself exactly when no sign is violated:
+        a saturated edge whose (E^T y)_e has the wrong sign becomes interior,
+        an interior edge whose mu leaves [-1, 1] saturates with sign(mu).
+        The next effort is this point's: mu on the interior edges, s on the
+        saturated ones.  With no violation and a KKT norm below tol the
+        point is certified.
+        """
         problem, H = self._problem, self._H
-        graph, saturated = problem.graph, problem.controllers.saturated
-        sign = np.where(saturated, np.sign(zeta), 0.0)
-        interior = saturated & (sign == 0.0)
+        graph = problem.graph
+        interior = problem.controllers.saturated & (sign == 0.0)
         b = -(problem.agents.intercept + graph.scatter(sign))
         labels, k = _clusters(graph.n_vertices, graph.heads[interior], graph.tails[interior])
         quotient = np.bincount((labels[:, None] * k + labels).ravel(), H.ravel(),
@@ -256,8 +257,6 @@ class _Polish:
         if _cholesky(quotient) is None:
             return None
         y = np.linalg.solve(quotient, np.bincount(labels, b, k))[labels]
-        if np.any(sign * (y[graph.heads] - y[graph.tails]) < 0.0):
-            return None
         residual = b - H @ y
         mu = np.zeros(graph.n_edges)
         if interior.any():
@@ -268,54 +267,80 @@ class _Polish:
             # lifts L_I's null space (each cluster's constant direction) to
             # the cluster's size, so the system is definite, as well
             # conditioned as L_I's range (K_n's becomes n I), and still has
-            # L_I's minimum-norm lam as its solution.
+            # L_I's minimum-norm lam as its solution.  An interior edge's entry
+            # is 1 - 1 = 0 and each diagonal its vertex's degree + 1.
             mu[interior] = np.clip(effort[interior], -1.0, 1.0)
             inside = np.bincount(labels)[labels] > 1
-            lifted = graph.weighted_laplacian(interior.astype(float))[np.ix_(inside, inside)]
+            row = np.cumsum(inside) - 1
+            heads, tails = row[graph.heads[interior]], row[graph.tails[interior]]
+            lifted = np.diag(np.bincount(np.r_[heads, tails], None, row[-1] + 1).astype(float))
             lifted += labels[inside, None] == labels[inside]
+            lifted[heads, tails] = lifted[tails, heads] = 0.0
             lam = np.zeros(graph.n_vertices)
             lam[inside] = np.linalg.solve(lifted, (residual - graph.scatter(mu))[inside])
             mu[interior] += (lam[graph.heads] - lam[graph.tails])[interior]
-            if np.max(np.abs(mu)) > 1.0:
-                return None
         gap = residual - graph.scatter(mu)
-        kkt = math.sqrt(gap @ gap)
-        return (y, kkt) if kkt < self._tol else None
+        wrong = sign * (y[graph.heads] - y[graph.tails]) < 0.0
+        out = np.abs(mu) > 1.0
+        corrected = np.where(wrong, 0.0, np.where(out, np.sign(mu), sign))
+        return y, math.sqrt(gap @ gap), corrected, mu + sign
+
+
+def _active_set(problem, max_iter, tol):
+    """Step ``_Pattern`` from all tanh edges interior: (y, KKT norm) or None, and patterns tried.
+
+    None hands the problem to the splitting loop: a quotient did not factor,
+    a pattern came back (the iteration would cycle), or ``max_iter`` ran out.
+    """
+    pattern = _Pattern(problem)
+    sign = effort = np.zeros(problem.graph.n_edges)  # every tanh edge interior
+    seen = {sign.tobytes()}
+    for tried in range(1, max_iter + 1):
+        step = pattern.step(sign, effort)
+        if step is None:
+            return None, tried
+        y, kkt, corrected, effort = step
+        if kkt < tol and np.array_equal(corrected, sign):
+            return (y, kkt), tried
+        sign = corrected
+        if sign.tobytes() in seen:
+            return None, tried
+        seen.add(sign.tobytes())
+    return None, max_iter
 
 
 def solve(problem: RegularizedProblem, step=SOLVER_STEP, max_iter=SOLVER_MAX_ITER,
           tol=SOLVER_TOL):
-    """Minimize the regularized problem by alternating-direction splitting.
+    """Minimize the regularized problem: by active sets under a positive probe, else by splitting.
 
     Parameters
     ----------
     step : float
-        Initial penalty on the vertex/edge consistency constraint; adapted
-        by residual balancing (doubled or halved when one residual exceeds
-        ten times the other).
+        The splitting loop's initial penalty on the vertex/edge consistency
+        constraint; adapted by residual balancing (doubled or halved when
+        one residual exceeds ten times the other).  The active set has none.
     max_iter : int
-        Iteration cap; hitting it yields status ``MAX_ITER``.
+        Cap on the patterns tried plus the splitting iterations run; hitting
+        it yields status ``MAX_ITER``.
     tol : float
-        Convergence threshold on both primal and dual residual norms.
+        The certificate's bound on the KKT norm, and the splitting loop's
+        convergence threshold on both primal and dual residual norms.
 
-    Each iteration costs one scatter ``E (zeta - w)`` (``bincount`` over the
-    edges' heads minus their tails), one product with the cached n x n
-    inverse, one gather ``E^T y = y[heads] - y[tails]`` and the controllers'
-    prox; no dense incidence is formed.  The dual residual
+    With a positive convexity probe the minimizer is unique, and
+    ``_active_set`` looks for its sign pattern.  A certified pattern ends
+    the run ``OPTIMAL``: ``iterations`` counts the patterns tried and
+    ``polished_at`` names the last, ``zeta_star = E^T y_star`` is exactly 0
+    on interior edges, ``primal_residual`` is 0 and ``dual_residual`` the
+    certificate's first-order residual.  Otherwise the splitting loop runs
+    on what is left of ``max_iter``, ``iterations`` counts both and
+    ``polished_at`` is None.  Its iteration is one scatter ``E (zeta - w)``,
+    one product with the cached n x n inverse, one gather
+    ``E^T y = y[heads] - y[tails]`` and the prox.  The dual residual
     ``t |E (zeta - zeta_prev)|`` costs a second scatter, so it is formed only
     when the primal residual is below ``tol``, on every 50th iteration
     (where the penalty is balanced) and on the last; the returned residuals
-    are always those of the returned iterate.
-
-    With a positive convexity probe, each balance point and each iteration
-    whose primal residual is below ``tol`` first try a polish: the exact
-    point of the iterate's sign pattern, kept only on a KKT certificate (see
-    ``_Polish``).  A kept polish ends the run ``OPTIMAL`` there, with
-    ``polished_at`` set, ``zeta_star = E^T y_star`` (exactly 0 on interior
-    edges), ``primal_residual`` 0 and ``dual_residual`` the certificate's
-    first-order residual.  Otherwise the splitting runs on unchanged and
-    ``OPTIMAL`` means both residual norms fell below ``tol``.  Either way it
-    names the same minimizer, unique under a positive probe.
+    are always those of the returned iterate, and ``OPTIMAL`` means both
+    fell below ``tol``.
 
     A failed convexity probe downgrades the status to ``NONCONVEX_DETECTED``
     and the returned point is best-effort only.
@@ -343,6 +368,14 @@ def solve(problem: RegularizedProblem, step=SOLVER_STEP, max_iter=SOLVER_MAX_ITE
             polished_at=polished_at,
         )
 
+    patterns = 0
+    if problem.convexity_probe() > 0.0:
+        point, patterns = _active_set(problem, max_iter, tol)
+        if point is not None:
+            y, kkt = point
+            return result(y, y[heads] - y[tails], 0.0, kkt, patterns,
+                          SolveStatus.OPTIMAL, patterns)
+
     y = problem.agents.anchors.astype(float).copy()
     zeta = y[heads] - y[tails]
     w = np.zeros(graph.n_edges)
@@ -353,15 +386,14 @@ def solve(problem: RegularizedProblem, step=SOLVER_STEP, max_iter=SOLVER_MAX_ITE
         t *= 2.0
         if t > 1e12:
             status = SolveStatus.NONCONVEX_DETECTED if nonconvex else SolveStatus.MAX_ITER
-            return result(y, zeta, np.inf, np.inf, 0, status)
+            return result(y, zeta, np.inf, np.inf, patterns, status)
 
-    polish = _Polish(problem, tol) if problem.convexity_probe() > 0.0 else None
     r_p = r_d = np.inf
-    iterations = 0
+    iterations, budget = 0, max_iter - patterns
     # Iterates that leave the float range (a penalty far from the problem's
     # scale can do that) give inf or NaN residuals and end at MAX_ITER.
     with np.errstate(over="ignore", invalid="ignore"):
-        for iterations in range(1, max_iter + 1):
+        for iterations in range(1, budget + 1):
             rhs = t * scatter(zeta - w) - lin
             y = vertex.solve(rhs)
             Ety = y[heads] - y[tails]
@@ -371,14 +403,8 @@ def solve(problem: RegularizedProblem, step=SOLVER_STEP, max_iter=SOLVER_MAX_ITE
             r = Ety - zeta
             r_p = math.sqrt(r @ r)
             balance = iterations % 50 == 0
-            if polish is not None and (r_p < tol or balance):
-                point = polish.attempt(zeta, t * w)
-                if point is not None:
-                    y, kkt = point
-                    return result(y, y[heads] - y[tails], 0.0, kkt, iterations,
-                                  SolveStatus.OPTIMAL, iterations)
             # Only the stop test, the balancing and the last iterate read r_d.
-            if r_p < tol or balance or iterations == max_iter:
+            if r_p < tol or balance or iterations == budget:
                 d = t * scatter(zeta - zeta_prev)
                 r_d = math.sqrt(d @ d)
                 if r_p < tol and r_d < tol:
@@ -399,7 +425,7 @@ def solve(problem: RegularizedProblem, step=SOLVER_STEP, max_iter=SOLVER_MAX_ITE
         status = SolveStatus.OPTIMAL
     else:
         status = SolveStatus.MAX_ITER
-    return result(y, zeta, r_p, r_d, iterations, status)
+    return result(y, zeta, r_p, r_d, patterns + iterations, status)
 
 
 # ----------------------------------------------------------------------

@@ -453,7 +453,10 @@ def test_verify_reports_not_converged_on_short_horizon():
     (consensus_dict(sim={"dt": 50.0}), "blowup"),
     # the first step's state is NaN, which no magnitude bound catches
     (consensus_dict(sim={"dt": 1e200, "t_max": 1e203}), "blowup"),
-    (consensus_dict(solver={"max_iter": 1}), "solver_stalled"),
+    # anchors 3 apart saturate the edge: the second pattern certifies, past the cap
+    (consensus_dict(agents=[{"kind": "traffic", "kappa": 1.0, "v0": 10.0, "v1": 0.8},
+                            {"kind": "traffic", "kappa": 1.0, "v0": 13.0, "v1": 0.8}],
+                    solver={"max_iter": 1}), "solver_stalled"),
 ], ids=["blowup", "blowup-nan", "solver_stalled"])
 def test_verify_names_each_run_failure(data, verdict, tmp_path, capsys):
     report = verify(config_from_dict(data))

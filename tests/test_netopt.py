@@ -13,10 +13,12 @@ Frozen values derived by hand:
   anchors, which this file computes independently with numpy.
 """
 
+import contextlib
 import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -44,7 +46,7 @@ from netpass import (
     steady_state_residual,
 )
 from netpass.harness import build_system_parts, generate_case_study, synthesis_stage
-from netpass.netopt import SOLVER_TOL, _Polish, _VertexSolver
+from netpass.netopt import SOLVER_TOL, _Pattern, _VertexSolver
 from oracles import (
     DimensionTooLargeError,
     brute_force,
@@ -328,10 +330,18 @@ def test_solve_nonconvex_detected():
 
 
 def test_solve_max_iter_status():
-    problem, _ = quadratic_problem()
-    minimizer = solve(problem, max_iter=3)
+    # the active set needs two patterns here, so one is not enough
+    minimizer = solve(mixed_sign_problem(), max_iter=1)
     assert minimizer.status is SolveStatus.MAX_ITER
-    assert minimizer.iterations == 3
+    assert (minimizer.iterations, minimizer.polished_at) == (1, None)
+    # the splitting loop's cap: an integrator agent makes the probe 0
+    graph = NetworkGraph.path(3)
+    agents = AgentBank([TrafficAgent(1, 12.0, 0.8), IntegratorAgent(),
+                        StaticAffineAgent(2.0, 3.0)])
+    controllers = ControllerBank([TanhIntegratorController(), StaticGainController(1.0)])
+    minimizer = solve(build_problem(graph, agents, controllers), max_iter=3)
+    assert minimizer.status is SolveStatus.MAX_ITER
+    assert (minimizer.iterations, minimizer.polished_at) == (3, None)
 
 
 @settings(max_examples=20, deadline=None)
@@ -473,15 +483,12 @@ ORACLE_POINT_TOL = 1e-12
 ORACLE_RESIDUAL_TOL = 1e-9
 
 
-def assert_matches_plain_admm(problem, max_iter):
-    """``solve`` against ``plain_admm``, up to the iteration it polished at if it did."""
-    kwargs = {} if max_iter is None else {"max_iter": max_iter}
-    got = solve(problem, **kwargs)
-    if got.polished_at is not None:
-        assert_polished_on_the_plain_admm_loop(problem, got)
-        return got
+def assert_matches_plain_admm(problem, max_iter, patterns=0):
+    """``solve`` against ``plain_admm`` run on what ``patterns`` tried patterns leave of ``max_iter``."""
+    got = solve(problem) if max_iter is None else solve(problem, max_iter=max_iter)
+    kwargs = {} if max_iter is None else {"max_iter": max_iter - patterns}
     y, zeta, r_p, r_d, iterations, status, t = plain_admm(problem, **kwargs)
-    assert (got.iterations, got.status) == (iterations, status)
+    assert (got.iterations, got.status, got.polished_at) == (patterns + iterations, status, None)
     point = ORACLE_POINT_TOL * max(np.abs(y).max(), 1e-300)
     assert np.abs(got.y_star - y).max() <= point
     assert np.abs(got.zeta_star - zeta).max(initial=0.0) <= point
@@ -499,27 +506,23 @@ def _residual_slacks(problem, point, t):
     return (norm_E * np.sqrt(n) + np.sqrt(m)) * point, t * norm_E * 2.0 * np.sqrt(m) * point
 
 
-def assert_polished_on_the_plain_admm_loop(problem, got, tol=1e-8):
-    """A polished run: the plain loop's iterates up to ``polished_at``, then its pattern's exact point.
+@contextlib.contextmanager
+def handed_over():
+    """Every ``solve`` in the block meets a repeated pattern at its second step, if it gets there.
 
-    The plain loop must run to that iteration without stopping, at a balance
-    point or with its primal residual below ``tol``.  The returned point
-    keeps that iterate's pattern: zeta* = E^T y* is exactly 0 on every tanh
-    edge the prox held at 0 and keeps every other tanh edge's sign.
+    The second step corrects its pattern back to the first, all interior.
     """
-    k = got.polished_at
-    assert (got.iterations, got.status) == (k, SolveStatus.OPTIMAL)
-    assert got.primal_residual == 0.0 and got.dual_residual < tol
-    y, zeta, r_p, _, iterations, _, t = plain_admm(problem, max_iter=k, tol=tol)
-    assert iterations == k
-    slack_p, _ = _residual_slacks(problem, ORACLE_POINT_TOL * np.abs(y).max(), t)
-    assert k % 50 == 0 or r_p < tol * (1.0 + ORACLE_RESIDUAL_TOL) + slack_p
-    graph, saturated = problem.graph, problem.controllers.saturated
-    np.testing.assert_array_equal(got.zeta_star, got.y_star[graph.heads] - got.y_star[graph.tails])
-    interior = saturated & (zeta == 0.0)
-    np.testing.assert_array_equal(got.zeta_star[interior], 0.0)
-    assert np.all(np.sign(zeta[saturated]) * got.zeta_star[saturated] >= 0.0)
-    assert stationarity_residual(problem, got.y_star)[0] <= 1e-7
+    step = _Pattern.step
+
+    def repeating(self, sign, effort):
+        point = step(self, sign, effort)
+        if point is None or not sign.any():
+            return point
+        y, kkt, _, effort = point
+        return y, kkt, np.zeros_like(sign), effort
+
+    with mock.patch.object(_Pattern, "step", repeating):
+        yield
 
 
 @st.composite
@@ -553,38 +556,61 @@ def admm_problems(draw):
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
-@given(admm_problems(), st.sampled_from((1, 3, 49, 50, 51, 200, None)))
+@given(admm_problems(), st.sampled_from((2, 3, 49, 51, 52, 200, None)))
 def test_solve_matches_the_plain_admm_loop(problem, max_iter):
-    assert_matches_plain_admm(problem, max_iter)
+    # The splitting loop's one way in under a positive probe: the active
+    # set hands over where it meets a pattern again.  Problems certified at
+    # their first pattern never get there.
+    assume(solve(problem).polished_at > 1)
+    with handed_over():
+        assert_matches_plain_admm(problem, max_iter, patterns=2)
+
+
+def test_a_repeated_pattern_hands_the_problem_to_the_splitting_loop():
+    problem = synthesis_stage(generate_case_study(5, 1))[1]
+    certified = solve(problem)
+    assert (certified.iterations, certified.polished_at) == (3, 3)
+    with handed_over():
+        got = assert_matches_plain_admm(problem, None, patterns=2)
+    assert got.status is SolveStatus.OPTIMAL and got.iterations > 2
+    # both name the unique minimizer: by strong convexity each lies within
+    # its first-order residual over the probe of it
+    residual = stationarity_residual(problem, got.y_star)[0]
+    assert residual <= 1e-7
+    distance = np.linalg.norm(got.y_star - certified.y_star)
+    assert distance <= (residual + certified.dual_residual) / problem.convexity_probe()
 
 
 def test_solve_matches_the_plain_admm_loop_on_every_exit_path():
-    # a polish accepted where the primal residual first drops below tol
-    problem = synthesis_stage(generate_case_study(5, 1))[1]
-    got = assert_matches_plain_admm(problem, None)
-    assert got.polished_at == 6
-    # the first polish at the first balance point, so every earlier max_iter
-    # exit is the plain loop's, and every later cap ends at the polish
+    # the active set's cap: two patterns certify this case study, so a cap of
+    # one ends at MAX_ITER with no splitting iteration left
     problem = synthesis_stage(generate_case_study(7, 3))[1]
-    for max_iter in (1, 3, 49):
-        got = assert_matches_plain_admm(problem, max_iter)
-        assert (got.iterations, got.status, got.polished_at) == (
-            max_iter, SolveStatus.MAX_ITER, None)
-    for max_iter in (50, 51, 100, None):
-        got = assert_matches_plain_admm(problem, max_iter)
-        assert (got.iterations, got.polished_at) == (50, 50)
+    got = solve(problem, max_iter=1)
+    assert (got.iterations, got.status, got.polished_at) == (1, SolveStatus.MAX_ITER, None)
+    assert got.primal_residual == got.dual_residual == np.inf
+    for max_iter in (2, 3, None):
+        got = solve(problem) if max_iter is None else solve(problem, max_iter=max_iter)
+        assert_certified(problem, got)
+        assert got.polished_at == 2
+    # after a handover, the splitting loop's cap takes the patterns into account
+    with handed_over():
+        for max_iter in (3, 51, 52):
+            got = assert_matches_plain_admm(problem, max_iter, patterns=2)
+            assert (got.iterations, got.status) == (max_iter, SolveStatus.MAX_ITER)
     # the tolerance exit, past a balance point: a semidefinite problem (an
-    # integrator agent, so the probe is 0) is never polished
+    # integrator agent, so the probe is 0) takes no active-set step
     graph = NetworkGraph.path(3)
     agents = AgentBank([TrafficAgent(1, 12.0, 0.8), IntegratorAgent(),
                         StaticAffineAgent(2.0, 3.0)])
     controllers = ControllerBank([TanhIntegratorController(), StaticGainController(1.0)])
     got = assert_matches_plain_admm(build_problem(graph, agents, controllers), None)
-    assert (got.iterations, got.status, got.polished_at) == (84, SolveStatus.OPTIMAL, None)
-    # a nonconvex problem runs past balance points without a polish
+    assert (got.iterations, got.status) == (84, SolveStatus.OPTIMAL)
+    for max_iter in (1, 49, 50, 51):
+        got = assert_matches_plain_admm(build_problem(graph, agents, controllers), max_iter)
+        assert (got.iterations, got.status) == (max_iter, SolveStatus.MAX_ITER)
+    # a nonconvex problem runs past balance points
     got = assert_matches_plain_admm(mixed_sign_problem(beta=0.0), 120)
-    assert (got.iterations, got.status, got.polished_at) == (
-        120, SolveStatus.NONCONVEX_DETECTED, None)
+    assert (got.iterations, got.status) == (120, SolveStatus.NONCONVEX_DETECTED)
     # a factor that fails at the start (the t > 1e12 exit): a lone
     # negative-curvature vertex, so H + t L = H is negative at every penalty
     problem = build_problem(NetworkGraph(1, ()),
@@ -595,8 +621,39 @@ def test_solve_matches_the_plain_admm_loop_on_every_exit_path():
 
 
 # ----------------------------------------------------------------------
-# the polish and its certificate
+# the active set and its certificate
 # ----------------------------------------------------------------------
+
+
+def assert_certified(problem, got, tol=SOLVER_TOL):
+    """A run the active set ended: its last pattern certified, and that pattern's exact point.
+
+    zeta* = E^T y* bit for bit, the certificate's KKT norm below ``tol``, and
+    y* stationary by the independent residual.  On three vertices or fewer,
+    y* also lies within the grid oracle's objective gap of the oracle's
+    point, by strong convexity: F(y_grid) - F(y*) >= probe / 2
+    |y_grid - y*|^2.  A narrow valley can leave the zooming grid far off
+    along it, but never y* below the grid.
+    """
+    assert got.status is SolveStatus.OPTIMAL
+    assert got.polished_at == got.iterations >= 1
+    assert got.primal_residual == 0.0 and got.dual_residual < tol
+    y, graph = got.y_star, problem.graph
+    np.testing.assert_array_equal(got.zeta_star, y[graph.heads] - y[graph.tails])
+    assert stationarity_residual(problem, y)[0] <= 1e-7
+    if graph.n_vertices <= 3:
+        anchors = problem.agents.anchors
+        box = (min(anchors.min(), y.min()) - 1.0, max(anchors.max(), y.max()) + 1.0)
+        oracle = brute_force(problem, box=box, spacing=0.05)
+        gap = oracle.objective_value - problem.objective(y)
+        assert gap >= -1e-12
+        assert 0.5 * problem.convexity_probe() * np.sum((oracle.y_star - y)**2) <= gap + 1e-12
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(admm_problems())
+def test_solve_certifies_every_strictly_convex_problem_through_the_active_set(problem):
+    assert_certified(problem, solve(problem))
 
 
 @st.composite
@@ -631,40 +688,34 @@ def polish_scenarios(draw):
     return problem
 
 
+def _certifies(pattern, sign, effort):
+    point = pattern.step(sign, effort)
+    return point is not None and point[1] < SOLVER_TOL and np.array_equal(point[2], sign)
+
+
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(polish_scenarios())
 def test_a_polished_point_is_the_minimizer_and_a_wrong_pattern_is_refused(problem):
     got = solve(problem)
-    assume(got.polished_at is not None)
-    y, probe = got.y_star, problem.convexity_probe()
-    residual, effort = stationarity_residual(problem, y)
-    assert residual <= 1e-7
-    # The grid oracle over a box that holds the anchors and y*.  Its point
-    # lies within its objective gap of the minimizer, by strong convexity:
-    # F(y_grid) - F(y*) >= probe / 2 |y_grid - y*|^2; a narrow valley can
-    # leave the zooming grid far off along it, but never y* below the grid.
-    anchors = problem.agents.anchors
-    box = (min(anchors.min(), y.min()) - 1.0, max(anchors.max(), y.max()) + 1.0)
-    oracle = brute_force(problem, box=box, spacing=0.05)
-    gap = oracle.objective_value - problem.objective(y)
-    assert gap >= -1e-12
-    assert 0.5 * probe * np.sum((oracle.y_star - y)**2) <= gap + 1e-12
+    assert_certified(problem, got)
+    _, effort = stationarity_residual(problem, got.y_star)
     # Mutations of the certified pattern.  Each of these edges has
     # |zeta*| far above what the certificate allows (tol / probe), so a point
     # that keeps it at 0 or turns its sign cannot be certified.
-    polish = _Polish(problem, SOLVER_TOL)
+    pattern = _Pattern(problem)
     zeta = got.zeta_star
     saturated = problem.controllers.saturated
-    far = saturated & (np.abs(zeta) > 1e3 * SOLVER_TOL / probe)
+    sign = np.where(saturated, np.sign(zeta), 0.0)
+    far = saturated & (np.abs(zeta) > 1e3 * SOLVER_TOL / problem.convexity_probe())
     for e in np.flatnonzero(far):
-        flipped = zeta.copy()
+        flipped = sign.copy()
         flipped[e] = -flipped[e]
-        assert polish.attempt(flipped, effort) is None
-        held = zeta.copy()
+        assert not _certifies(pattern, flipped, effort)
+        held = sign.copy()
         held[e] = 0.0
-        assert polish.attempt(held, effort) is None
+        assert not _certifies(pattern, held, effort)
     # the certified pattern itself is accepted again from the fitted efforts
-    assert polish.attempt(zeta, effort) is not None
+    assert _certifies(pattern, sign, effort)
 
 
 # ----------------------------------------------------------------------
