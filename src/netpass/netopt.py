@@ -24,9 +24,9 @@ pseudoinverse when it is only semidefinite), the edge update the
 controllers' closed-form prox.  ``stationarity_residual`` measures how far a
 point is from the first-order conditions, freeing a tanh edge within
 ``effort_bounds``' default tolerance, and ``steady_state_residual`` the same
-of a closed loop's output; its fit writes the free edges' columns of E, the
-only dense ones formed, and calls scipy's BVLS only when the unbounded
-least-squares fit leaves the effort bounds.
+of a closed loop's output.  The free edges' best efforts are the dual of a
+graph total-variation prox, a problem of this module's own kind that the
+active set solves exactly; E is never formed.
 """
 
 import enum
@@ -35,8 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .agents import AgentBank
-from .controllers import ControllerBank
+from .agents import AgentBank, StaticAffineAgent
+from .controllers import ControllerBank, TanhIntegratorController
 from .errors import as_vector, check_counts
 from .graph import NetworkGraph
 from .passivation import GainDesign, coupling_matrix
@@ -287,10 +287,10 @@ class _Pattern:
 
 
 def _active_set(problem, max_iter, tol):
-    """Step ``_Pattern`` from all tanh edges interior: (y, KKT norm) or None, and patterns tried.
+    """Step ``_Pattern`` from all tanh edges interior: last step, certified or not, patterns tried.
 
-    None hands the problem to the splitting loop: a quotient did not factor,
-    a pattern came back (the iteration would cycle), or ``max_iter`` ran out.
+    Uncertified (a quotient did not factor, which leaves no last step, a
+    pattern came back, or ``max_iter`` ran out), ``solve`` goes on by splitting.
     """
     pattern = _Pattern(problem)
     sign = effort = np.zeros(problem.graph.n_edges)  # every tanh edge interior
@@ -298,15 +298,15 @@ def _active_set(problem, max_iter, tol):
     for tried in range(1, max_iter + 1):
         step = pattern.step(sign, effort)
         if step is None:
-            return None, tried
-        y, kkt, corrected, effort = step
+            return None, False, tried
+        _, kkt, corrected, effort = step
         if kkt < tol and np.array_equal(corrected, sign):
-            return (y, kkt), tried
+            return step, True, tried
         sign = corrected
         if sign.tobytes() in seen:
-            return None, tried
+            return step, False, tried
         seen.add(sign.tobytes())
-    return None, max_iter
+    return step, False, max_iter
 
 
 def solve(problem: RegularizedProblem, step=SOLVER_STEP, max_iter=SOLVER_MAX_ITER,
@@ -370,9 +370,9 @@ def solve(problem: RegularizedProblem, step=SOLVER_STEP, max_iter=SOLVER_MAX_ITE
 
     patterns = 0
     if problem.convexity_probe() > 0.0:
-        point, patterns = _active_set(problem, max_iter, tol)
-        if point is not None:
-            y, kkt = point
+        last, certified, patterns = _active_set(problem, max_iter, tol)
+        if certified:
+            y, kkt = last[:2]
             return result(y, y[heads] - y[tails], 0.0, kkt, patterns,
                           SolveStatus.OPTIMAL, patterns)
 
@@ -440,6 +440,15 @@ def stationarity_residual(problem: RegularizedProblem, y):
     selections ``s`` compatible with the steady-state relations at
     ``zeta = E^T y`` (an interval for saturated controllers at zero relative
     output, a point otherwise).  Returns the minimal norm and the selection.
+
+    With g the fixed part (the gradient plus the fixed edges' efforts) and F
+    the free edges, the minimum over s_F in [-1, 1]^F of ||g + E_F s_F|| is
+    ||r*||, r* = argmin_r 1/2 ||r - g||^2 + sum_{e in F} |r_head - r_tail|,
+    and s_F = -nu for that graph total-variation prox's tanh efforts nu
+    (r* = g - E_F nu).  The prox is the problem of agents y = u + g_i (H = I)
+    on F's tanh edges, solved exactly by ``_active_set``.  The norm is the
+    one the selection attains: the minimum once certified, as on every
+    problem measured, else an upper bound from the last efforts, clipped.
     """
     graph = problem.graph
     y = as_vector(y, graph.n_vertices, "y")
@@ -450,19 +459,12 @@ def stationarity_residual(problem: RegularizedProblem, y):
     free = upper - lower > 1e-15
     if np.any(free):
         fixed_part = gradient + graph.scatter(selection)  # a free edge's selection is 0 so far
-        columns = np.zeros((graph.n_vertices, np.count_nonzero(free)), order="F")
-        k = np.arange(columns.shape[1])
-        columns[graph.heads[free], k], columns[graph.tails[free], k] = 1.0, -1.0
-        bounds = (lower[free], upper[free])
-        # BVLS returns this unbounded fit itself when it lies in the bounds.
-        fit = np.linalg.lstsq(columns, -fixed_part, rcond=-1)[0]
-        if not np.all((fit >= bounds[0]) & (fit <= bounds[1])):
-            # Imported here, not at module level, so that neither the CLI nor
-            # an in-bounds fit loads scipy.
-            from scipy.optimize import lsq_linear
-
-            fit = lsq_linear(columns, -fixed_part, bounds=bounds, method="bvls").x
-        selection[free] = fit
+        tv = NetworkGraph(graph.n_vertices, zip(graph.heads[free].tolist(),
+                                                graph.tails[free].tolist()))
+        prox = build_problem(tv, AgentBank([StaticAffineAgent(1.0, c) for c in fixed_part]),
+                             ControllerBank([TanhIntegratorController()] * tv.n_edges))
+        efforts = _active_set(prox, SOLVER_MAX_ITER, SOLVER_TOL)[0][3]
+        selection[free] = -np.clip(efforts, -1.0, 1.0)
     return float(np.linalg.norm(gradient + graph.scatter(selection))), selection
 
 

@@ -103,18 +103,23 @@ class ClosedLoopSystem:
         _field(self.operator, self.agents.g, self.heads_sat, self.tails_sat,
                xmu, xmu[:n], xmu[n:], z[n:], z_dot[:n], z_dot[n:])
 
-    def steady_rate(self, z_dots, xmus):
+    def steady_rate(self, z_dots, xmus, work):
         """Worst state and output rate of each row of ``rate``'s results; reads xmus' mu columns.
 
         A tanh edge's output rate is (1 - mu^2) zeta, a static edge's w (x_dot_head - x_dot_tail).
+        Formed in ``work``, a flat buffer of at least 2 * rows * (width + static edges) entries.
         """
-        n, (w, heads, tails) = self.graph.n_vertices, self._static
-        rates = z_dots.copy()  # the saturated edges' entries are their zeta
-        mu_sat = xmus[:, n:]
-        rates[:, n:] *= 1.0 - mu_sat * mu_sat
-        if w.size:
-            rates = np.hstack((rates, w * (z_dots[:, heads] - z_dots[:, tails])))
-        return np.abs(rates).max(axis=1)
+        (rows, width), n, (w, heads, tails) = z_dots.shape, self.graph.n_vertices, self._static
+        rates = work[:rows * (width + w.size)].reshape(rows, -1)
+        rates[:, :width] = z_dots  # the saturated edges' z_dots are their zeta
+        factor = work[rates.size:][:rows * (width - n)].reshape(rows, -1)
+        rates[:, n:width] *= np.subtract(1.0, np.multiply(xmus[:, n:], xmus[:, n:], factor), factor)
+        if w.size:  # mode "clip": take's default "raise" would buffer its output
+            static, tail = rates[:, width:], work[rates.size:][:rows * w.size].reshape(rows, -1)
+            np.subtract(np.take(z_dots, heads, 1, static, "clip"),
+                        np.take(z_dots, tails, 1, tail, "clip"), static)
+            np.multiply(w, static, static)
+        return np.abs(rates, rates).max(axis=1)
 
 
 def _field(operator, g, heads, tails, xmu, x, mu, eta, x_dot, eta_dot):
@@ -319,6 +324,8 @@ def simulate(system: ClosedLoopSystem, x0=None, eta0=None, dt=None, t_max=None,
     # Row 0: the last kept sample's rate; rows 1..: each new sample's rate.
     rates = np.empty((_BLOCK + 1, width))
     xmus = np.empty((_BLOCK + 1, width))
+    # The per-block checks' scratch: no check allocates a block-sized array.
+    work = np.empty(2 * (_BLOCK + 1) * (width + np.count_nonzero(~sat)))
     system.rate(rows[0], rates[0], xmus[0])
     # Views taken once: each RK4 stage writes its input into `stage` and tanh
     # overwrites the stage's eta half, so `stage` is the field's [x, mu].
@@ -329,7 +336,7 @@ def simulate(system: ClosedLoopSystem, x0=None, eta0=None, dt=None, t_max=None,
               rates[j], rates[j, :n], rates[j, n:]) for j in range(_BLOCK + 1)]
     operator, g = system.operator, system.agents.g
     heads, tails = system.heads_sat, system.tails_sat
-    metrics = deque(system.steady_rate(rates[:1], xmus[:1]).tolist(), maxlen=window)
+    metrics = deque(system.steady_rate(rates[:1], xmus[:1], work).tolist(), maxlen=window)
     steady_run = 1 if metrics[0] < steady_tol else 0
     converged = steady_run >= window
     count = 1
@@ -366,8 +373,9 @@ def simulate(system: ClosedLoopSystem, x0=None, eta0=None, dt=None, t_max=None,
                 xmu_x[...] = row_x
                 _field(operator, g, heads, tails, xmu, xmu_x, mu, row_eta, k1_x, k1_eta)
             # Written so that a NaN, which fails every comparison, counts as blown up.
-            blown = ~(np.abs(rows[1: block + 1]) <= _BLOWUP_LIMIT).all(axis=1)
-            steady = system.steady_rate(rates[1: block + 1], xmus[1: block + 1])
+            magnitude = np.abs(rows[1: block + 1], work[:block * width].reshape(block, width))
+            blown = ~(magnitude.max(axis=1) <= _BLOWUP_LIMIT)
+            steady = system.steady_rate(rates[1: block + 1], xmus[1: block + 1], work)
         bad = int(blown.argmax()) if blown.any() else block
         start = count
         for metric in steady[:bad].tolist():
@@ -399,7 +407,7 @@ def simulate(system: ClosedLoopSystem, x0=None, eta0=None, dt=None, t_max=None,
         certified_at, converged = count - 1, True
         rows[1, :n], rows[1, n:] = y_ss, rows[0, n:]
         system.rate(rows[1], rates[1], xmus[1])
-        metrics = system.steady_rate(rates[1:2], xmus[1:2])
+        metrics = system.steady_rate(rates[1:2], xmus[1:2], work)
     elif converged:
         y_ss = x_states[:, -1].copy()
     times = np.arange(count - table.shape[0], count) * dt

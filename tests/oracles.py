@@ -19,6 +19,9 @@ two:
   evaluate at all;
 - the regularized problem's batched objective and ``brute_force``, a zooming
   exhaustive grid search for its minimizer on at most 4 vertices;
+- the stationarity residual ``bvls_residual``: scipy's bounded-variable least
+  squares on the free edges' dense incidence columns, which the package
+  computes as a graph total-variation prox instead;
 - the closed loop's signals ``control`` and vector field ``derivative``.
 
 The module has no ``test_`` prefix, so pytest imports it only from the test
@@ -28,6 +31,7 @@ modules that use it.
 import math
 
 import numpy as np
+from scipy.optimize import lsq_linear
 
 from netpass import (
     IntegratorAgent,
@@ -291,6 +295,28 @@ def objective_batch(problem, Y):
     vals = vals + 0.5 * (Z**2 @ problem.beta)
     vals = vals + 0.5 * (Y**2 @ problem.alpha)
     return vals
+
+
+def bvls_residual(problem, y):
+    """Stationarity residual of y and an optimal effort selection, by BVLS.
+
+    The selection is the effort bounds' midpoint on the fixed edges; on the
+    free ones (a nonempty interval) it minimizes ``||smooth_gradient(y) +
+    E s||`` by bounded-variable least squares (Stark & Parker, Comput. Stat.
+    1995) on their dense incidence columns, column-major.
+    """
+    graph = problem.graph
+    y = np.asarray(y, dtype=float)
+    gradient = problem.smooth_gradient(y)
+    lower, upper = problem.controllers.effort_bounds(y[graph.heads] - y[graph.tails])
+    selection = 0.5 * (lower + upper)
+    free = upper - lower > 1e-15
+    if free.any():
+        columns = np.asfortranarray(incidence(graph)[:, free])
+        fit = lsq_linear(columns, -(gradient + graph.scatter(selection)),
+                         bounds=(lower[free], upper[free]), method="bvls")
+        selection[free] = fit.x
+    return float(np.linalg.norm(gradient + graph.scatter(selection))), selection
 
 
 def brute_force(problem, box=None, spacing=1e-3):

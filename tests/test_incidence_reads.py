@@ -4,10 +4,11 @@
 E^T y as ``y[heads] - y[tails]``, E v as ``scatter`` and E diag(w) E^T as
 ``weighted_laplacian``.  The closed loop writes its ``[A | B]`` by index,
 its all-deep RK4 map gathers rows by edge end, and the default step takes
-its norms from n x n Laplacians.  The one dense operator left, the
-stationarity fit's least-squares matrix, is written in place from the edge
-ends.  This guard parses every module under ``src/netpass`` and fails on
-any read of an ``.incidence`` attribute: the allow-list is empty.
+its norms from n x n Laplacians, and the stationarity residual solves a
+total-variation prox on the free edges' own graph.  No dense incidence
+operator is left.  This guard parses every module under ``src/netpass``
+and fails on any read of an ``.incidence`` attribute: the allow-list is
+empty.
 """
 
 import ast

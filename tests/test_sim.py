@@ -942,6 +942,34 @@ def test_trajectory_memory_stays_near_its_own_size():
     assert unrecorded["growth"] < 0.1 * recorded["states"]
 
 
+_FAULT_PROBE = """
+import resource
+from netpass import ClosedLoopSystem, generate_case_study, simulate
+from netpass.harness import synthesis_stage
+config = generate_case_study(40, 0)
+system = ClosedLoopSystem(*config.parts, synthesis_stage(config)[0])
+simulate(system, record=False)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+simulate(system, record=False)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts glibc's mmap faults")
+def test_a_second_unrecorded_run_of_the_n40_case_study_takes_few_page_faults():
+    # Each block's checks work in one buffer per run.  A temporary of a
+    # block's rows (33 x 820 doubles, 211 KB, here) is above glibc's 128 KiB
+    # mmap threshold, so each would be mapped, faulted in page by page and
+    # unmapped: 41,803 minor faults per run with them, 101 without (Python
+    # 3.11, numpy 2.4).  A fresh process, so no earlier free has raised the
+    # threshold.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    faults = int(subprocess.run(
+        [sys.executable, "-c", _FAULT_PROBE], check=True, capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src), timeout=300).stdout)
+    assert faults < 1000
+
+
 def test_simulate_certified_short_network_settles_on_optimizer():
     system = certified_triangle()
     trajectory = simulate(system, x0=[-450.0, -465.0, -465.0])
