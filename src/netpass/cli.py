@@ -32,7 +32,6 @@ from .harness import (
     synthesis_stage,
     synthesize_gain,
     verify,
-    write_trajectory_csv,
 )
 from .netopt import SolveStatus
 from .passivation import component_sums
@@ -105,13 +104,11 @@ def _cmd_synthesize(args):
 def _cmd_simulate(args):
     config = _scenario(args)
     design = synthesis_stage(config)[0]
-    trajectory, sim = simulation_stage(config, design, record=bool(args.out_csv))
+    trajectory, sim = simulation_stage(config, design, record=args.out_csv)
     if trajectory is None:
         _print_json({"converged": False, "blowup": True, "reason": sim["error"]},
                     args.out)
         return EXIT_RUN_FAILED
-    if args.out_csv:
-        write_trajectory_csv(trajectory, args.out_csv)
     _print_json(sim, args.out)
     return EXIT_OK if trajectory.converged else EXIT_RUN_FAILED
 
@@ -121,8 +118,7 @@ def _cmd_optimize(args):
     _, problem, probe, _ = synthesis_stage(config)
     minimizer, opt = optimization_stage(config, problem)
     _print_json(dict(opt, convexity_probe=probe), args.out)
-    return EXIT_OK if minimizer.status is SolveStatus.OPTIMAL \
-        else EXIT_RUN_FAILED
+    return EXIT_OK if minimizer.status is SolveStatus.OPTIMAL else EXIT_RUN_FAILED
 
 
 def _cmd_verify(args):
@@ -136,9 +132,8 @@ def _cmd_verify(args):
             Path(args.config_out).write_text(json_text(config.to_dict()))
     else:
         config = load_config(args.config)
-    report = verify(config, record=args.out_trajectory is not None)
-    sys.stdout.write(emit_report(report, json_path=args.out_json,
-                                 trajectory_csv=args.out_trajectory, pairs_csv=args.out_pairs))
+    report = verify(config, record=args.out_trajectory)
+    sys.stdout.write(emit_report(report, json_path=args.out_json, pairs_csv=args.out_pairs))
     if report.passed:
         return EXIT_OK
     return EXIT_INFEASIBLE if report.verdict == "infeasible" else EXIT_RUN_FAILED

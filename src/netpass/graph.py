@@ -11,6 +11,8 @@ applied from the edge list, ``E^T y`` as ``y[heads] - y[tails]``, ``E v`` as
 eigenvalue gives the 2-norm of E diag(sqrt(w)) (the default step's ||E_sat||).
 """
 
+from itertools import chain
+
 import numpy as np
 
 from .errors import DuplicateEdgeError, SelfLoopError, VertexIndexError
@@ -21,6 +23,41 @@ __all__ = ["NetworkGraph"]
 def _is_label(value):
     """A vertex label or count is an integer, and a bool is not one."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _edge_pairs(n, edges):
+    """The edges as an (m, 2) intp array, checked as whole arrays.
+
+    The first edge with a non-integer label, a label outside 0..n-1, a self
+    loop or a repeat raises, named by the first of those checks it fails.
+    """
+    edges = list(edges)
+    labelled = len(edges)  # the edges before the first with a non-integer label
+    if not all(issubclass(t, (int, np.integer)) and not issubclass(t, bool)
+               for t in set(map(type, chain.from_iterable(edges)))):
+        labelled = next(k for k, edge in enumerate(edges) if not all(map(_is_label, edge)))
+    pairs = np.array(edges[:labelled]).reshape(labelled, 2)  # of objects past int64
+    a, b = np.clip(pairs, -1, n).astype(np.int64).T
+    low, high = np.minimum(a, b), np.maximum(a, b)
+    outside, loop = (low == -1) | (high == n), a == b
+    # A repeat holds an earlier edge's key.  Clipping can give an edge outside
+    # 0..n-1 another's key, but one of the two is then named by a check above.
+    key, first, repeat = (low * n + high).tolist(), {}, np.zeros(labelled, dtype=bool)
+    if len(set(key)) < labelled:
+        repeat[:] = [first.setdefault(k, j) != j for j, k in enumerate(key)]
+    for k in np.flatnonzero(outside | loop | repeat)[:1].tolist():
+        head, tail = map(int, edges[k])
+        name = f"edge {k} = ({head}, {tail})"
+        if outside[k]:
+            raise VertexIndexError(f"{name} references a vertex outside 0..{n - 1}")
+        if loop[k]:
+            raise SelfLoopError(f"edge {k} is a self loop at vertex {head}")
+        raise DuplicateEdgeError(f"{name} repeats {min(head, tail), max(head, tail)}")
+    if labelled < len(edges):
+        head, tail = edges[labelled]
+        raise VertexIndexError(
+            f"edge {labelled} = ({head!r}, {tail!r}) has a vertex label that is not an integer")
+    return pairs.astype(np.intp)
 
 
 class NetworkGraph:
@@ -45,29 +82,13 @@ class NetworkGraph:
         if not _is_label(n_vertices) or n_vertices < 1:
             raise VertexIndexError(f"n_vertices must be a positive integer, got {n_vertices!r}")
         n = int(n_vertices)
-        checked, seen = [], set()
-        for k, (head, tail) in enumerate(edges):
-            if not (_is_label(head) and _is_label(tail)):
-                raise VertexIndexError(
-                    f"edge {k} = ({head!r}, {tail!r}) has a vertex label that is not an integer")
-            head, tail = int(head), int(tail)
-            if not (0 <= head < n and 0 <= tail < n):
-                raise VertexIndexError(
-                    f"edge {k} = ({head}, {tail}) references a vertex outside 0..{n - 1}")
-            if head == tail:
-                raise SelfLoopError(f"edge {k} is a self loop at vertex {head}")
-            key = (min(head, tail), max(head, tail))
-            if key in seen:
-                raise DuplicateEdgeError(f"edge {k} = ({head}, {tail}) repeats {key}")
-            seen.add(key)
-            checked.append((head, tail))
-
-        self.n_vertices, self.edges = n, tuple(checked)
-        self.heads, self.tails = np.array(checked, dtype=np.intp).reshape(-1, 2).T.copy()
-        self._laplacian = self.weighted_laplacian(np.ones(len(checked)))
+        pairs = _edge_pairs(n, edges)
+        self.n_vertices = n
+        self.heads, self.tails = pairs.T.copy()
+        self._laplacian = self.weighted_laplacian(np.ones(len(pairs)))
         for arr in (self.heads, self.tails, self._laplacian):
             arr.setflags(write=False)
-        self._components = _components(n, checked)
+        self._components = _components(n, self.heads, self.tails)
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -88,8 +109,13 @@ class NetworkGraph:
     # ------------------------------------------------------------------
 
     @property
+    def edges(self):
+        """The oriented edge list, as a tuple of (head, tail) pairs of ints."""
+        return tuple(zip(self.heads.tolist(), self.tails.tolist()))
+
+    @property
     def n_edges(self):
-        return len(self.edges)
+        return self.heads.size
 
     def laplacian(self):
         """Graph Laplacian, the Gram matrix of the incidence rows (read-only)."""
@@ -119,31 +145,37 @@ class NetworkGraph:
         """Induced subgraph on ``vertices`` (reindexed 0..k-1) plus the kept edge ids."""
         if list(vertices) == list(range(self.n_vertices)):
             return self, list(range(self.n_edges))
-        index = {v: i for i, v in enumerate(vertices)}
-        kept_edges = []
-        kept_ids = []
-        for k, (head, tail) in enumerate(self.edges):
-            if head in index and tail in index:
-                kept_edges.append((index[head], index[tail]))
-                kept_ids.append(k)
-        return NetworkGraph(len(vertices), tuple(kept_edges)), kept_ids
+        index = np.full(self.n_vertices, -1)
+        index[list(vertices)] = np.arange(len(vertices))
+        pairs = np.column_stack((index[self.heads], index[self.tails]))
+        kept = np.flatnonzero((pairs >= 0).all(axis=1))
+        return NetworkGraph(len(vertices), pairs[kept]), kept.tolist()
 
 
-def _components(n, edges):
+def _components(n, heads, tails):
     """Connected components of a graph on 0..n-1, each a sorted tuple, ordered by minimum."""
-    adjacency = [[] for _ in range(n)]
-    for head, tail in edges:
-        adjacency[head].append(tail)
-        adjacency[tail].append(head)
-    seen, components = set(), []
-    for start in range(n):
-        if start not in seen:
-            seen.add(start)
-            comp = [start]
-            for v in comp:  # breadth-first: comp grows while it is scanned
-                for w in adjacency[v]:
-                    if w not in seen:
-                        seen.add(w)
-                        comp.append(w)
-            components.append(tuple(sorted(comp)))
-    return tuple(components)
+    labels, k = cluster_labels(n, heads, tails)
+    return tuple(tuple(np.flatnonzero(labels == c).tolist()) for c in range(k))
+
+
+def cluster_labels(n, heads, tails):
+    """Components of the graph on n vertices with these edges: labels 0..k-1, and k.
+
+    A union-find by whole arrays: each round hooks the larger root of every
+    edge between two roots under the smaller (one write wins where several
+    compete), then jumps pointers until each vertex names its root.  Roots
+    only ever point to smaller indices, so no cycle forms, and labels follow
+    each component's least vertex.
+    """
+    root = np.arange(n)
+    while True:
+        a, b = root[heads], root[tails]
+        split = a != b
+        if not split.any():
+            roots = np.flatnonzero(root == np.arange(n))
+            label = np.zeros(n, dtype=np.intp)
+            label[roots] = np.arange(roots.size)
+            return label[root], roots.size
+        root[np.maximum(a, b)[split]] = np.minimum(a, b)[split]
+        while not np.array_equal(root[root], root):
+            root = root[root]

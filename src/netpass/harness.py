@@ -21,8 +21,10 @@ positive-definite certificate then means the objective's convexity probe
 clears that floor (``synthesize_gain``).
 """
 
+import contextlib
 import json
 import math
+import os
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -54,8 +56,6 @@ _GAIN_MODES = ("none", "network_only", "hybrid")
 # closed loop takes to settle.
 _PROBE_MIN = 1e-2
 _CLUSTER_GAP = 1.0
-# Samples the trajectory CSV writer formats at once; bounds its Python floats.
-_CSV_BLOCK = 256
 
 
 # ----------------------------------------------------------------------
@@ -481,22 +481,23 @@ def simulation_stage(config, design, record=False):
     """Second stage: the closed-loop run and the report's ``sim`` payload.
 
     Returns (trajectory, sim payload); after a numerical blowup the
-    trajectory is None and the payload carries the error.  The trajectory
-    keeps every sample only with ``record`` (see ``simulate``); the payload
-    is the same either way.
+    trajectory is None and the payload carries the error.  ``record=True``
+    keeps every sample (see ``simulate``); a path streams the trajectory CSV
+    there as the run steps, to a file that replaces any at that path and
+    that a blowup removes.  The payload is the same either way.
     """
     system = ClosedLoopSystem(*config.parts, design)
+    stream = isinstance(record, (str, os.PathLike))
     try:
-        trajectory = simulate(
-            system,
-            x0=config.x0,
-            dt=config.dt,
-            t_max=config.t_max,
-            steady_tol=config.steady_tol,
-            seed=config.seed,
-            record=record,
-        )
+        with open(record, "w") if stream else contextlib.nullcontext() as fh:
+            if stream:  # every controller state starts at 0, so a static edge's eta stays 0
+                record = _csv_rows(fh, system.graph.n_vertices, np.zeros(system.graph.n_edges),
+                                   system.controllers.saturated)
+            trajectory = simulate(system, x0=config.x0, dt=config.dt, t_max=config.t_max,
+                                  steady_tol=config.steady_tol, seed=config.seed, record=record)
     except NumericalBlowupError as exc:
+        if stream:
+            os.remove(fh.name)
         return None, {"converged": False, "error": str(exc)}
     return trajectory, {
         "converged": trajectory.converged,
@@ -526,8 +527,9 @@ def optimization_stage(config, problem):
 def verify(config: ScenarioConfig, record=False):
     """Run the three stages and compare simulated and optimized steady states.
 
-    ``report.trajectory`` keeps every sample only with ``record``, which a
-    trajectory CSV needs; the report's payloads do not depend on it.
+    ``record`` is ``simulation_stage``'s: True keeps every sample in
+    ``report.trajectory``, a path streams the trajectory CSV there, and an
+    infeasible design never opens it.  The payloads do not depend on it.
     """
     report = VerifyReport(config=config.to_dict(), feasible=False,
                           verdict="infeasible", passed=False)
@@ -553,20 +555,15 @@ def verify(config: ScenarioConfig, record=False):
         report.mismatch = float(np.max(np.abs(trajectory.y_ss - minimizer.y_star)))
         report.clusters = cluster_count(trajectory.y_ss)
 
-    report.passed = bool(
-        trajectory.converged
-        and minimizer.status is SolveStatus.OPTIMAL
-        and report.mismatch is not None
-        and report.mismatch <= config.mismatch_tol
-    )
-    if report.passed:
-        report.verdict = "pass"
-    elif not trajectory.converged:
+    if not trajectory.converged:
         report.verdict = "not_converged"
     elif minimizer.status is not SolveStatus.OPTIMAL:
         report.verdict = "solver_stalled"
-    else:
+    elif not report.mismatch <= config.mismatch_tol:  # a NaN mismatch fails too
         report.verdict = "mismatch"
+    else:
+        report.verdict = "pass"
+    report.passed = report.verdict == "pass"
     return report
 
 
@@ -580,43 +577,48 @@ def json_text(payload):
     return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
+def _csv_rows(fh, n, eta0, moving):
+    """Write the header of a CSV of t, x_0.., eta_0.. to ``fh``; return a row writer.
+
+    ``write(times, rows)``, a ``simulate`` recorder, formats each value as
+    ``%.12g``; a row holds x, then the eta of each edge that ``moving``
+    marks.  Every other eta is ``eta0``'s throughout, formatted once, here.
+    """
+    etas = ["%.12g" if move else "%.12g" % v for v, move in zip(eta0.tolist(), moving.tolist())]
+    line = ",".join(["%.12g"] * (1 + n) + etas) + "\n"
+    header = ["t"] + [f"x_{i}" for i in range(n)] + [f"eta_{e}" for e in range(len(etas))]
+    fh.write(",".join(header) + "\n")
+
+    def write(times, rows):
+        fh.writelines(line % (t, *row.tolist()) for t, row in zip(times.tolist(), rows))
+
+    return write
+
+
 def write_trajectory_csv(trajectory, path):
-    """Write columns t, x_0.., eta_0.., one row per sample, each value as ``%.12g``.
+    """Write a recorded trajectory as the CSV a streamed run writes (``_csv_rows``).
 
     Raises ValueError, before opening ``path``, on a trajectory that does not
-    start at t = 0: a run simulated without ``record`` holds its final sample alone.
+    start at t = 0: a run simulated without ``record=True`` holds its final
+    sample alone.
     """
     if trajectory.times[0] != 0.0:
         raise ValueError("the trajectory holds only its final sample; simulate with record=True")
-    n = trajectory.x_states.shape[0]
-    m = trajectory.eta_states.shape[0]
-    # An eta column whose bits never change (a static edge's) is formatted
-    # once, into the row format; bits, not values, so that -0.0 stays "-0".
-    bits = trajectory.eta_states.view(np.int64)
-    fixed = (bits == bits[:, :1]).all(axis=1)
-    moving = np.flatnonzero(~fixed)
-    etas = ["%.12g" % v if c else "%.12g"
-            for v, c in zip(trajectory.eta_states[:, 0].tolist(), fixed.tolist())]
-    line = ",".join(["%.12g"] * (1 + n) + etas) + "\n"
+    x, eta = trajectory.x_states, trajectory.eta_states
     with open(path, "w") as fh:
-        header = ["t"] + [f"x_{i}" for i in range(n)] + [f"eta_{e}" for e in range(m)]
-        fh.write(",".join(header) + "\n")
-        for start in range(0, trajectory.times.size, _CSV_BLOCK):
-            cols = slice(start, start + _CSV_BLOCK)
-            block = np.vstack((trajectory.times[cols], trajectory.x_states[:, cols],
-                               trajectory.eta_states[moving, cols]))
-            fh.writelines(line % tuple(row) for row in block.T.tolist())
+        write = _csv_rows(fh, x.shape[0], eta[:, 0], np.ones(eta.shape[0], dtype=bool))
+        write(trajectory.times, map(np.concatenate, zip(x.T, eta.T)))
 
 
 def emit_report(report: VerifyReport, json_path=None, trajectory_csv=None,
                 pairs_csv=None):
     """Write the JSON report and optional CSV companions; return the report's JSON text.
 
-    The trajectory CSV has columns t, x_0.., eta_0.., and needs a report
-    verified with ``record=True`` (``write_trajectory_csv``); the pairs CSV lists
-    per-vertex simulated and optimized steady outputs.  All floats are
-    written with 12 significant digits so identical runs produce identical
-    bytes.
+    The trajectory CSV needs a report verified with ``record=True``
+    (``write_trajectory_csv``); the CLI streams it from the run instead.
+    The pairs CSV lists per-vertex simulated and optimized steady outputs.
+    All floats are written with 12 significant digits so identical runs
+    produce identical bytes.
     """
     text = json_text(report.to_dict())
     if json_path is not None:

@@ -38,7 +38,7 @@ import numpy as np
 from .agents import AgentBank, StaticAffineAgent
 from .controllers import ControllerBank, TanhIntegratorController
 from .errors import as_vector, check_counts
-from .graph import NetworkGraph
+from .graph import NetworkGraph, cluster_labels
 from .passivation import GainDesign, coupling_matrix
 
 __all__ = [
@@ -94,9 +94,7 @@ class RegularizedProblem:
     def __init__(self, graph: NetworkGraph, agents: AgentBank,
                  controllers: ControllerBank, alpha, beta):
         check_counts(graph, agents, controllers)
-        self.graph = graph
-        self.agents = agents
-        self.controllers = controllers
+        self.graph, self.agents, self.controllers = graph, agents, controllers
         self.alpha = np.array(alpha, dtype=float)
         self.beta = np.array(beta, dtype=float)
         self._hessian = coupling_matrix(agents.slope, self.alpha, self.beta, graph)
@@ -165,9 +163,7 @@ class _VertexSolver:
     """Solves (H + t * L) y = rhs by one product, tolerating a consensus null space."""
 
     def __init__(self, hessian, laplacian):
-        self._H = hessian
-        self._L = laplacian
-        self._inverse = None
+        self._H, self._L, self._inverse = hessian, laplacian, None
 
     def factor(self, t):
         """Cache the inverse of H + t * L; False (the cache kept) if it is indefinite."""
@@ -189,28 +185,6 @@ class _VertexSolver:
 
     def solve(self, rhs):
         return self._inverse @ rhs
-
-
-def _clusters(n, heads, tails):
-    """Components of the graph on n vertices with these edges: labels 0..k-1, and k.
-
-    A union-find by whole arrays: each round hooks the larger root of every
-    edge between two roots under the smaller (one write wins where several
-    compete), then jumps pointers until each vertex names its root.  Roots
-    only ever point to smaller indices, so no cycle forms.
-    """
-    root = np.arange(n)
-    while True:
-        a, b = root[heads], root[tails]
-        split = a != b
-        if not split.any():
-            roots = np.flatnonzero(root == np.arange(n))
-            label = np.zeros(n, dtype=np.intp)
-            label[roots] = np.arange(roots.size)
-            return label[root], roots.size
-        root[np.maximum(a, b)[split]] = np.minimum(a, b)[split]
-        while not np.array_equal(root[root], root):
-            root = root[root]
 
 
 class _Pattern:
@@ -251,7 +225,7 @@ class _Pattern:
         graph = problem.graph
         interior = problem.controllers.saturated & (sign == 0.0)
         b = -(problem.agents.intercept + graph.scatter(sign))
-        labels, k = _clusters(graph.n_vertices, graph.heads[interior], graph.tails[interior])
+        labels, k = cluster_labels(graph.n_vertices, graph.heads[interior], graph.tails[interior])
         quotient = np.bincount((labels[:, None] * k + labels).ravel(), H.ravel(),
                                k * k).reshape(k, k)
         if _cholesky(quotient) is None:
@@ -356,17 +330,8 @@ def solve(problem: RegularizedProblem, step=SOLVER_STEP, max_iter=SOLVER_MAX_ITE
     heads, tails, scatter = graph.heads, graph.tails, graph.scatter
     lin = problem.agents.intercept
 
-    def result(y, zeta, r_p, r_d, iterations, status, polished_at=None):
-        return Minimizer(
-            y_star=y,
-            zeta_star=zeta,
-            objective_value=problem.objective(y),
-            primal_residual=r_p,
-            dual_residual=r_d,
-            iterations=iterations,
-            status=status,
-            polished_at=polished_at,
-        )
+    def result(y, zeta, r_p, r_d, iterations, status, polished_at=None):  # Minimizer's field order
+        return Minimizer(y, zeta, problem.objective(y), r_p, r_d, iterations, status, polished_at)
 
     patterns = 0
     if problem.convexity_probe() > 0.0:

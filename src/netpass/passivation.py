@@ -231,6 +231,5 @@ def check_design(rho, alpha, beta, graph: NetworkGraph):
 
 def zero_design(rho, graph: NetworkGraph):
     """The do-nothing design (alpha = beta = 0); certifies only if all indices are positive."""
-    alpha = np.zeros(graph.n_vertices)
-    beta = np.zeros(graph.n_edges)
+    alpha, beta = np.zeros(graph.n_vertices), np.zeros(graph.n_edges)
     return GainDesign(alpha, beta, 0.0, 0.0, check_design(rho, alpha, beta, graph))

@@ -18,22 +18,18 @@ A static edge has no memory, so the loop's state is z = [x, eta_sat], as
 wide as [A | B]: a static edge's eta is never stepped, stored or checked for
 blowup, and comes back from eta0, unchanged, only in the ``Trajectory``.
 
-``simulate`` integrates z by classic fixed-step fourth-order Runge-Kutta on
-preallocated buffers, in blocks of ``_BLOCK`` samples from sample 1 whether
-or not the run records, writing each block's new states straight into rows
-1.. of one buffer of ``_BLOCK + 1`` rows whose last kept row moves to row 0
-after the block.  The field's arithmetic is written once, in ``_field``,
-which ``ClosedLoopSystem.rate`` and the stepping loop both call.  Every
-view the loop passes it is taken once per run: each RK4 stage writes its
-input into one stage buffer and tanh overwrites that buffer's eta half in
-place, so the buffer itself is the [x, tanh(eta_sat)] the matvec reads,
-with no copy of x.  With ``record=True`` each block's kept rows are also
-copied into a [x, eta] table, doubled when a block would not fit, and the
-state histories are read-only transposed views of it; with
-``record=False`` the run returns its final sample alone.  Blowup and
-steadiness are checked once per block, and the run ends where a per-step
-check would.  The default step keeps every stable mode inside RK4's
-stability region, its norms read from n x n Laplacians (``_default_step``).
+``simulate`` integrates z by classic fixed-step fourth-order Runge-Kutta in
+blocks of ``_BLOCK`` samples through one buffer of ``_BLOCK + 1`` rows, and
+hands each block's kept rows, straight from it, to at most one recorder: a
+run keeps every sample only in the ``_Table`` of ``record=True``.  The
+field's arithmetic is written once, in ``_field``, which
+``ClosedLoopSystem.rate`` and the stepping loop both call on views taken
+once per run: each RK4 stage writes its input into one stage buffer and
+tanh overwrites that buffer's eta half in place, so the buffer itself is
+the [x, tanh(eta_sat)] the matvec reads.  Blowup and steadiness are
+checked once per block, and the run ends where a per-step check would.  The
+default step keeps every stable mode inside RK4's stability region, its
+norms read from n x n Laplacians (``_default_step``).
 A run counts as steady when the agent state rates and the controller output
 rates stay below a tolerance over a sustained window; the integrator
 controller's internal state may keep ramping (its output saturates, so the
@@ -145,7 +141,7 @@ def _aligned_empty(shape):
 class Trajectory:
     """Sampled closed-loop run on a uniform time grid; its state arrays are read-only.
 
-    A run without a recorder holds its final sample alone: ``times`` is
+    A run not kept by ``record=True`` holds its final sample alone: ``times`` is
     ``[t_end]`` and the state arrays have one column.  A run that a
     ``_Certificate`` ended names its last sample in ``certified_at``; its
     ``y_ss`` is then the certified equilibrium x*, not that sample's x.
@@ -158,6 +154,19 @@ class Trajectory:
     y_ss: np.ndarray  # None unless converged
     residual: float
     certified_at: int = None  # None unless a certificate ended the run
+
+
+class _Table:
+    """The recorder that keeps every sample: ``stepped`` columns of an [x, eta] table, doubled."""
+
+    def __init__(self, stepped, width):
+        self.stepped, self.table, self.count = stepped, np.empty((4096, width)), 0
+
+    def __call__(self, times, rows):
+        start, self.count = self.count, self.count + len(rows)
+        if self.count > len(self.table):  # doubling fits it: a stretch is far shorter
+            self.table = np.concatenate((self.table, np.empty_like(self.table)))
+        self.table[start:self.count, self.stepped] = rows
 
 
 def _default_step(system):
@@ -264,12 +273,12 @@ def simulate(system: ClosedLoopSystem, x0=None, eta0=None, dt=None, t_max=None,
     trajectory's last sample is not y_ss.  Every returned row is RK4's.
 
     The blocks, and so where the certificate is checked, depend on the loop
-    alone.  A recorded run copies each block's kept rows into an [x, eta]
-    table of 4096 rows, doubled when a block would not fit; an unrecorded
-    run keeps nothing but the buffer.  Both write the final sample and the
-    static edges' columns once, at the end, and do the same arithmetic: the
-    final sample, ``converged``, ``y_ss``, ``residual`` and ``certified_at``
-    are bitwise the same, and a blowup raises the same message.
+    alone.  A recorder gets sample 0, then each block's kept rows before the
+    next block steps (a blowup raises first), as ``recorder(times, rows)``:
+    the samples' ``k * dt`` and a view of their [x, eta_sat] buffer rows,
+    valid for the call.  Recorded or not, the final sample, ``converged``,
+    ``y_ss``, ``residual`` and ``certified_at`` are bitwise the same, and a
+    blowup raises the same message.
 
     Parameters
     ----------
@@ -287,9 +296,10 @@ def simulate(system: ClosedLoopSystem, x0=None, eta0=None, dt=None, t_max=None,
         Threshold on the worst state/output rate for steadiness.
     window : int
         Number of consecutive steady samples required before stopping.
-    record : bool
-        Keep every sample.  Without it the ``Trajectory`` holds the final
-        sample alone: ``times == [t_end]`` and one state column each.
+    record : bool or callable
+        ``True`` keeps every sample in a ``_Table``; a callable is the
+        recorder instead.  Otherwise, and then, the ``Trajectory`` holds the
+        final sample alone: ``times == [t_end]`` and one state column each.
 
     Raises
     ------
@@ -317,10 +327,11 @@ def simulate(system: ClosedLoopSystem, x0=None, eta0=None, dt=None, t_max=None,
     # One state per row: row 0 holds the last kept sample, rows 1.. each new one.
     rows = np.empty((_BLOCK + 1, width))
     rows[0, :n], rows[0, n:] = x, eta[sat]
-    # The [x, eta] table, of every sample or of the last, and each stepped state's column.
+    # Each stepped state's column in the [x, eta] table; the rows' one consumer.
     stepped = np.concatenate((np.arange(n), n + np.flatnonzero(sat)))
-    table = np.empty((4096 if record else 1, n + m))
-    table[0, stepped] = rows[0]
+    recorder = _Table(stepped, n + m) if record is True else record or None
+    if recorder is not None:
+        recorder(np.zeros(1), rows[:1])
     # Row 0: the last kept sample's rate; rows 1..: each new sample's rate.
     rates = np.empty((_BLOCK + 1, width))
     xmus = np.empty((_BLOCK + 1, width))
@@ -388,16 +399,12 @@ def simulate(system: ClosedLoopSystem, x0=None, eta0=None, dt=None, t_max=None,
         if bad < block and not converged:
             raise NumericalBlowupError(f"state magnitude exceeded {_BLOWUP_LIMIT:g} "
                                        f"at t = {count * dt:.6g}")
-        if record:
-            if count > len(table):  # a block is far shorter than the table: doubling fits it
-                grown = np.empty((2 * len(table), n + m))
-                grown[:start] = table[:start]
-                table = grown
-            table[start:count, stepped] = rows[1: 1 + count - start]
+        if recorder is not None:
+            recorder(np.arange(start, count) * dt, rows[1: 1 + count - start])
         rows[0], rates[0] = rows[count - start], rates[block]
         steps_left -= block
 
-    table = table[:count]
+    table = recorder.table[:count] if record is True else np.empty((1, n + m))
     table[-1, stepped] = rows[0]
     table[:, n + np.flatnonzero(~sat)] = eta[~sat]
     table.setflags(write=False)

@@ -110,6 +110,67 @@ def test_non_integer_vertex_labels_rejected(n, edges, message):
     assert str(excinfo.value) == message
 
 
+def per_edge_verdict(n, edges):
+    """The first offending edge's (error class, message), by a loop over the edges; or None.
+
+    The reference for the array checks: per edge, in this order, an integer
+    label, a label in 0..n-1, no self loop, no repeat of an earlier edge.
+    """
+    seen = set()
+    for k, (head, tail) in enumerate(edges):
+        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+                   for v in (head, tail)):
+            return VertexIndexError, (f"edge {k} = ({head!r}, {tail!r}) has a vertex label "
+                                      f"that is not an integer")
+        head, tail = int(head), int(tail)
+        if not (0 <= head < n and 0 <= tail < n):
+            return VertexIndexError, (f"edge {k} = ({head}, {tail}) references a vertex "
+                                      f"outside 0..{n - 1}")
+        if head == tail:
+            return SelfLoopError, f"edge {k} is a self loop at vertex {head}"
+        key = (min(head, tail), max(head, tail))
+        if key in seen:
+            return DuplicateEdgeError, f"edge {k} = ({head}, {tail}) repeats {key}"
+        seen.add(key)
+    return None
+
+
+LABELS = st.one_of(st.integers(-2, 6), st.integers(-2, 6), st.integers(-2, 6),
+                   st.sampled_from([True, 1.0, 2**70, -2**64, np.int32(1), np.uint8(2),
+                                   np.uint64(2**63 + 5)]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 5), st.lists(st.tuples(LABELS, LABELS), max_size=12))
+def test_edge_checks_name_the_first_offending_edge_as_a_per_edge_loop(n, edges):
+    verdict = per_edge_verdict(n, edges)
+    if verdict is None:
+        g = NetworkGraph(n, edges)
+        assert g.edges == tuple((int(h), int(t)) for h, t in edges)
+        assert all(type(v) is int for edge in g.edges for v in edge)
+        return
+    error, message = verdict
+    with pytest.raises(error) as excinfo:
+        NetworkGraph(n, edges)
+    assert type(excinfo.value) is error and str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("edges,error,message", [
+    (((0, 1), (1, 0), (2, 2)), DuplicateEdgeError, "edge 1 = (1, 0) repeats (0, 1)"),
+    (((0, 1), (2, 2), (1, 0)), SelfLoopError, "edge 1 is a self loop at vertex 2"),
+    (((0, 1), (0, 3), (0.5, 1)), VertexIndexError,
+     "edge 1 = (0, 3) references a vertex outside 0..2"),
+    (((0, 1), (0.5, 1), (0, 3)), VertexIndexError,
+     "edge 1 = (0.5, 1) has a vertex label that is not an integer"),
+    (((0, 2**70), (0, 0)), VertexIndexError,
+     f"edge 0 = (0, {2**70}) references a vertex outside 0..2"),
+])
+def test_the_first_offending_edge_is_named_whatever_follows_it(edges, error, message):
+    with pytest.raises(error) as excinfo:
+        NetworkGraph(3, edges)
+    assert str(excinfo.value) == message
+
+
 def test_numpy_integer_labels_accepted():
     g = NetworkGraph(np.int64(3), ((np.int32(0), np.int64(2)),))
     assert g.n_vertices == 3 and g.edges == ((0, 2),)

@@ -12,6 +12,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -673,8 +674,9 @@ def test_trajectory_csv_matches_per_value_format(tmp_path):
 
 
 def test_trajectory_csv_formats_constant_eta_columns_as_each_value(tmp_path):
-    # The writer formats a column whose bits never change once; a column
-    # that changes only its sign bit changes, and prints "0" then "-0".
+    # A recorded trajectory carries no static-edge mask, so every eta column
+    # is formatted per value: constant columns print each value, and a
+    # column that changes only its sign bit prints "0" then "-0".
     count = 300
     t = np.arange(count) * 0.1
     sign_flip = np.where(np.arange(count) < count // 2, 0.0, -0.0)
@@ -691,6 +693,84 @@ def test_trajectory_csv_formats_constant_eta_columns_as_each_value(tmp_path):
     text = path.read_text()
     assert text == "\n".join(expected) + "\n"
     assert ",0.333333333333,-0,0," in text and ",0.333333333333,-0,-0," in text
+
+
+def hybrid_case_study_dict(n, seed):
+    data = generate_case_study(n, seed).to_dict()
+    data.update(gain_mode="hybrid", self_regulating=[0])
+    return data
+
+
+def long_pair_dict(samples):
+    """The consensus pair stepped ``samples`` times: a steady_tol no rate falls under."""
+    return consensus_dict(sim={"dt": 0.01, "t_max": samples * 0.01, "steady_tol": 5e-324})
+
+
+def mixed4_dict(**sim):
+    return dict(json.loads((GOLDEN / "mixed4.json").read_text()), sim=sim)
+
+
+# Mixed agents with two static edges, cut by the horizon within a block; a
+# certified stop; and a run past the recorder's first 4,096 rows.
+@pytest.mark.parametrize("data,samples,certified_at", [
+    (mixed4_dict(dt=0.01, t_max=3.0), 301, None),
+    (hybrid_case_study_dict(10, 4), 97, 96),
+    (long_pair_dict(5000), 5001, None),
+], ids=["mixed4-static-edges", "n10-s4-hybrid-certified", "pair-5000-steps"])
+def test_streamed_trajectory_csv_is_the_recorded_one_byte_for_byte(data, samples, certified_at,
+                                                                   tmp_path, capsys):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(data))
+    streamed, recorded_csv = tmp_path / "streamed.csv", tmp_path / "recorded.csv"
+    main(["verify", str(scenario), "--out-trajectory", str(streamed)])
+    recorded = verify(load_config(scenario), record=True)
+    write_trajectory_csv(recorded.trajectory, recorded_csv)
+    assert json.loads(capsys.readouterr().out) == recorded.to_dict()
+    assert streamed.read_bytes() == recorded_csv.read_bytes()
+    assert recorded.trajectory.times.size == samples
+    assert recorded.sim["certified_at"] == certified_at
+
+
+def test_a_blown_up_simulate_leaves_no_trajectory_csv(tmp_path, capsys):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text((GOLDEN / "none_blowup.json").read_text())
+    path = tmp_path / "trajectory.csv"
+    path.write_text("an earlier run's file\n")
+    assert main(["simulate", str(scenario), "--out-csv", str(path)]) == 2
+    assert json.loads(capsys.readouterr().out)["blowup"] is True
+    assert not path.exists()
+
+
+def test_an_infeasible_run_never_opens_the_trajectory_path(tmp_path, capsys):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(mixed_pair_dict()))
+    path = tmp_path / "trajectory.csv"
+    path.write_text("an earlier run's file\n")
+    assert main(["verify", str(scenario), "--out-trajectory", str(path)]) == 1
+    assert main(["simulate", str(scenario), "--out-csv", str(path)]) == 1
+    assert path.read_text() == "an earlier run's file\n"
+
+
+def test_streaming_the_trajectory_csv_holds_no_whole_run_table(tmp_path, capsys):
+    # Peak traced allocation of an in-process ``verify --out-trajectory``
+    # on the 2-vertex pair at 5,000 and at 50,000 samples.  A whole-run
+    # [x, eta] table of 3 columns grows by at least 45,000 * 24 bytes (2.1 MB
+    # measured, doubling included); streamed, the two peaks measured within
+    # 25 kB of each other.
+    peaks = []
+    for samples in (5000, 50000):
+        scenario = tmp_path / f"pair-{samples}.json"
+        scenario.write_text(json.dumps(long_pair_dict(samples)))
+        argv = ["verify", str(scenario), "--out-trajectory", str(tmp_path / "t.csv")]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 2
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert len((tmp_path / "t.csv").read_text().splitlines()) == samples + 2
+    capsys.readouterr()
+    assert peaks[1] - peaks[0] < 64 * 1024, peaks
 
 
 def test_emit_report_skips_csvs_without_run_data(tmp_path):

@@ -41,3 +41,9 @@ def test_guard_finds_relative_and_absolute_imports():
 def test_simulator_and_optimizer_import_nothing_from_each_other():
     assert "netopt" not in package_imports((PACKAGE / "sim.py").read_text(), "sim.py")
     assert "sim" not in package_imports((PACKAGE / "netopt.py").read_text(), "netopt.py")
+
+
+def test_simulator_imports_nothing_from_the_harness():
+    # A trajectory CSV streams through a recorder the harness hands in, so
+    # the simulator needs neither the writer nor its module.
+    assert "harness" not in package_imports((PACKAGE / "sim.py").read_text(), "sim.py")
