@@ -8,14 +8,8 @@ potential.  A model is a parameter record: the saturated integrator
 gain (mu = w * zeta, potential w zeta**2 / 2) has its gain ``w``.
 
 ``ControllerBank`` holds the saturated-edge mask and the static gains as
-arrays and evaluates, over all edges at once, the summed potential, the
-steady-state effort bounds, and the proximal map
-
-    argmin_z  potential(z) + 1/(2*step) * (z - v)**2
-
-in closed form, which is the edge-separable inner step of the
-operator-splitting solver (the edge gains' quadratic lives in its vertex
-step).
+arrays and evaluates, over all edges at once, the summed potential and the
+steady-state effort bounds.
 """
 
 from dataclasses import dataclass
@@ -64,7 +58,6 @@ class ControllerBank:
         )
         for arr in (self.saturated, self.w):
             arr.setflags(write=False)
-        self._no_static = bool(self.saturated.all())
 
     def __len__(self):
         return len(self.controllers)
@@ -73,16 +66,6 @@ class ControllerBank:
         zeta = as_vector(zeta, len(self), "zeta")
         vals = np.where(self.saturated, np.abs(zeta), 0.5 * self.w * zeta**2)
         return float(vals.sum())
-
-    def prox(self, v, step):
-        """Vectorized prox across all edges."""
-        v = as_vector(v, len(self), "v")
-        if step <= 0.0:
-            raise ValueError(f"prox step must be positive, got {step}")
-        shrunk = np.sign(v) * np.maximum(np.abs(v) - step, 0.0)
-        if self._no_static:
-            return shrunk
-        return np.where(self.saturated, shrunk, v / (1.0 + step * self.w))
 
     def effort_bounds(self, zeta, zero_tol=1e-6):
         """Per-edge bounds on steady-state effort selections at ``zeta``.

@@ -510,8 +510,7 @@ def simulation_stage(config, design, record=False):
 
 def optimization_stage(config, problem):
     """Third stage: the regularized problem's minimizer and the ``opt`` payload."""
-    minimizer = solve(problem, step=config.solver_step,
-                      max_iter=config.solver_max_iter, tol=config.solver_tol)
+    minimizer = solve(problem, max_iter=config.solver_max_iter, tol=config.solver_tol)
     return minimizer, {
         "status": minimizer.status.value,
         "iterations": minimizer.iterations,

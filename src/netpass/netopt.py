@@ -1,4 +1,4 @@
-"""Steady-state network optimization: regularized problems and solvers.
+"""Steady-state network optimization: the regularized problem and its solver.
 
 The vertex-side problem minimized here is
 
@@ -14,14 +14,13 @@ convex in the first place.  The smooth part's Hessian is the gain quadratic
 Q(slope) of ``passivation.coupling_matrix``, the certificate's matrix with
 the agents' steady-state slopes in place of their indices.
 
-``solve`` finds a strictly convex problem's minimizer by a primal-dual
-active-set iteration over the tanh edges' sign patterns (a semismooth Newton
-method), each step one pattern's exact cluster point, the last certified by
-KKT.  Other problems, and any the iteration cannot finish, go to an
-alternating-direction splitting: the vertex update is one product with the
-inverse of H + t L, formed once per penalty t from its Cholesky factor (a
-pseudoinverse when it is only semidefinite), the edge update the
-controllers' closed-form prox.  ``stationarity_residual`` measures how far a
+``solve`` minimizes by a primal-dual active-set iteration over the tanh
+edges' sign patterns (a semismooth Newton method), each step one pattern's
+exact cluster point, the last certified by KKT.  A strictly convex problem
+takes one pass of it.  A merely convex one (a semidefinite Hessian, as with
+integrator agents and no gain), and a pass that does not certify, go to a
+proximal-point loop of such passes, each on the problem plus
+rho/2 |y - y_k|^2.  ``stationarity_residual`` measures how far a
 point is from the first-order conditions, freeing a tanh edge within
 ``effort_bounds``' default tolerance, and ``steady_state_residual`` the same
 of a closed loop's output.  The free edges' best efforts are the dual of a
@@ -29,6 +28,7 @@ graph total-variation prox, a problem of this module's own kind that the
 active set solves exactly; E is never formed.
 """
 
+import copy
 import enum
 import math
 from dataclasses import dataclass
@@ -54,12 +54,17 @@ __all__ = [
 # Sampled curvature below this is treated as genuine nonconvexity.
 _CURVATURE_TOL = -1e-9
 # A Cholesky pivot whose square is at most this share of the largest diagonal
-# entry marks the vertex system as singular.  Exactly singular Laplacians
-# (complete and path graphs, n <= 100, t in 1e-8..1e8) leave pivots up to
-# 1.8e-14; the definite systems of the bench scenarios keep 8.5e-11 at t = 1e8.
+# entry marks a pattern's quotient, C^T H C or the proximal loop's
+# C^T (H + rho I) C, as singular.  No quotient measured comes near it: the
+# smallest share is 4.4e-4 on the bench's optimize scenarios (seeds 0 and 3),
+# 1.7e-3 (rho = 0) and 3.9e-3 (rho > 0) on the test suite's problems, and
+# 1.5e-5 = 4^-8 (rho eight shrinks down on a cluster H leaves singular) on
+# 3,866 random semidefinite problems.
 _PIVOT_TOL = 1e-12
+# The proximal loop's weight shrinks by this factor per pass.
+_PROX_SHRINK = 0.25
 
-# ``solve``'s defaults: initial penalty, iteration budget, residual tolerance.
+# ``solve``'s defaults: the step it ignores, pattern budget, KKT tolerance.
 SOLVER_STEP, SOLVER_MAX_ITER, SOLVER_TOL = 1.0, 100000, 1e-8
 
 
@@ -74,8 +79,8 @@ class Minimizer:
     """Solver output: candidate minimizer plus convergence diagnostics.
 
     ``polished_at`` is the active-set pattern whose exact point was
-    certified, the last of ``iterations`` (see ``solve``), or None when the
-    splitting loop's iterate is returned.
+    certified, the last of ``iterations`` (see ``solve``), or None when no
+    point was.
     """
 
     y_star: np.ndarray
@@ -146,7 +151,7 @@ def build_problem(graph, agents, controllers, gain: GainDesign = None):
 
 
 # ----------------------------------------------------------------------
-# solvers: active set and splitting
+# the active-set solver
 # ----------------------------------------------------------------------
 
 
@@ -157,34 +162,6 @@ def _cholesky(A):
     except np.linalg.LinAlgError:
         return None
     return C if np.min(np.diag(C))**2 > _PIVOT_TOL * np.max(np.diag(A)) else None
-
-
-class _VertexSolver:
-    """Solves (H + t * L) y = rhs by one product, tolerating a consensus null space."""
-
-    def __init__(self, hessian, laplacian):
-        self._H, self._L, self._inverse = hessian, laplacian, None
-
-    def factor(self, t):
-        """Cache the inverse of H + t * L; False (the cache kept) if it is indefinite."""
-        A = self._H + t * self._L
-        C = _cholesky(A)
-        if C is not None:
-            Ci = np.linalg.inv(C)
-            self._inverse = Ci.T @ Ci
-            return True
-        # Semidefinite but consistent systems (e.g. all-integrator networks)
-        # fall back to the pseudoinverse, picking the minimum-norm solution.
-        # So does a factor with a rounding-level pivot: inverting it would
-        # lose the solution's range part to its huge null-space part.
-        eigenvalues = np.linalg.eigvalsh(A)
-        if eigenvalues[0] < -1e-10 * max(1.0, abs(eigenvalues[-1])):
-            return False
-        self._inverse = np.linalg.pinv(A, hermitian=True)
-        return True
-
-    def solve(self, rhs):
-        return self._inverse @ rhs
 
 
 class _Pattern:
@@ -205,11 +182,24 @@ class _Pattern:
     """
 
     def __init__(self, problem):
-        self._problem = problem
+        self._graph, self._saturated = problem.graph, problem.controllers.saturated
         w = problem.controllers.w
-        self._H = problem.smooth_hessian()
+        self.hessian = problem.smooth_hessian()
         if w.any():
-            self._H = self._H + problem.graph.weighted_laplacian(w)
+            self.hessian = self.hessian + problem.graph.weighted_laplacian(w)
+        self.intercept = problem.agents.intercept
+
+    def proximal(self, rho, center):
+        """The step on the problem plus rho/2 |y - center|^2: H + rho I, intercept - rho center."""
+        shifted = copy.copy(self)
+        shifted.hessian = self.hessian + rho * np.eye(center.size)
+        shifted.intercept = self.intercept - rho * center
+        return shifted
+
+    def kkt(self, y, effort):
+        """The first-order residual |H y + intercept + E effort| of y under the edge efforts ``effort``."""
+        gap = self.hessian @ y + self.intercept + self._graph.scatter(effort)
+        return math.sqrt(gap @ gap)
 
     def step(self, sign, effort):
         """(y, KKT norm, next sign, next effort) for the pattern ``sign``, or None if C^T H C does not factor.
@@ -221,10 +211,9 @@ class _Pattern:
         saturated ones.  With no violation and a KKT norm below tol the
         point is certified.
         """
-        problem, H = self._problem, self._H
-        graph = problem.graph
-        interior = problem.controllers.saturated & (sign == 0.0)
-        b = -(problem.agents.intercept + graph.scatter(sign))
+        graph, H = self._graph, self.hessian
+        interior = self._saturated & (sign == 0.0)
+        b = -(self.intercept + graph.scatter(sign))
         labels, k = cluster_labels(graph.n_vertices, graph.heads[interior], graph.tails[interior])
         quotient = np.bincount((labels[:, None] * k + labels).ravel(), H.ravel(),
                                k * k).reshape(k, k)
@@ -260,14 +249,12 @@ class _Pattern:
         return y, math.sqrt(gap @ gap), corrected, mu + sign
 
 
-def _active_set(problem, max_iter, tol):
-    """Step ``_Pattern`` from all tanh edges interior: last step, certified or not, patterns tried.
+def _active_set(pattern, sign, effort, max_iter, tol):
+    """Step ``pattern`` from ``sign`` and ``effort``: last step, certified or not, patterns tried.
 
-    Uncertified (a quotient did not factor, which leaves no last step, a
-    pattern came back, or ``max_iter`` ran out), ``solve`` goes on by splitting.
+    Uncertified, a quotient did not factor (which leaves no last step), a
+    pattern came back, or ``max_iter`` ran out.
     """
-    pattern = _Pattern(problem)
-    sign = effort = np.zeros(problem.graph.n_edges)  # every tanh edge interior
     seen = {sign.tobytes()}
     for tried in range(1, max_iter + 1):
         step = pattern.step(sign, effort)
@@ -285,112 +272,73 @@ def _active_set(problem, max_iter, tol):
 
 def solve(problem: RegularizedProblem, step=SOLVER_STEP, max_iter=SOLVER_MAX_ITER,
           tol=SOLVER_TOL):
-    """Minimize the regularized problem: by active sets under a positive probe, else by splitting.
+    """Minimize the regularized problem by active sets, ending on a KKT certificate.
 
     Parameters
     ----------
     step : float
-        The splitting loop's initial penalty on the vertex/edge consistency
-        constraint; adapted by residual balancing (doubled or halved when
-        one residual exceeds ten times the other).  The active set has none.
+        Accepted and ignored: the active set takes no step size.  It stays
+        for callers written for the splitting solver it replaced.
     max_iter : int
-        Cap on the patterns tried plus the splitting iterations run; hitting
-        it yields status ``MAX_ITER``.
+        Cap on the patterns tried over all passes; hitting it yields status
+        ``MAX_ITER``.
     tol : float
-        The certificate's bound on the KKT norm, and the splitting loop's
-        convergence threshold on both primal and dual residual norms.
+        The certificate's bound on the KKT norm.
 
-    With a positive convexity probe the minimizer is unique, and
-    ``_active_set`` looks for its sign pattern.  A certified pattern ends
-    the run ``OPTIMAL``: ``iterations`` counts the patterns tried and
-    ``polished_at`` names the last, ``zeta_star = E^T y_star`` is exactly 0
-    on interior edges, ``primal_residual`` is 0 and ``dual_residual`` the
-    certificate's first-order residual.  Otherwise the splitting loop runs
-    on what is left of ``max_iter``, ``iterations`` counts both and
-    ``polished_at`` is None.  Its iteration is one scatter ``E (zeta - w)``,
-    one product with the cached n x n inverse, one gather
-    ``E^T y = y[heads] - y[tails]`` and the prox.  The dual residual
-    ``t |E (zeta - zeta_prev)|`` costs a second scatter, so it is formed only
-    when the primal residual is below ``tol``, on every 50th iteration
-    (where the penalty is balanced) and on the last; the returned residuals
-    are always those of the returned iterate, and ``OPTIMAL`` means both
-    fell below ``tol``.
+    Each pass is one ``_active_set`` run.  With a positive convexity probe
+    the minimizer is unique, and one pass on the problem itself, from every
+    tanh edge interior, looks for its sign pattern.  A probe in
+    [``_CURVATURE_TOL``, 0], or a pass that does not certify, starts a
+    proximal-point loop (Rockafellar 1976) at y_0, the agents' anchors: pass
+    k minimizes F(y) + rho/2 |y - y_k|^2, strongly convex for any rho > 0,
+    warm-started from pass k - 1's pattern and efforts, and its certified
+    point is y_{k+1}.  rho starts at max(1, max diag(H + L_w)) and shrinks
+    by ``_PROX_SHRINK`` per pass; a pass that does not certify runs again
+    from every tanh edge interior with rho grown back by that factor.  The
+    loop ends when y_{k+1} meets the problem's own first-order conditions to
+    ``tol``: with the pass's efforts, |H y + intercept + E effort|, the
+    pass's KKT norm less rho (y_{k+1} - y_k).
 
-    A failed convexity probe downgrades the status to ``NONCONVEX_DETECTED``
-    and the returned point is best-effort only.
-
-    The vertex update carries the whole smooth quadratic (vertex curvatures,
-    vertex gains, and the edge-gain quadratic mapped through the incidence),
-    so it stays convex whenever the overall objective is, even when a vertex
-    curvature alone is negative; the edge update then reduces to the plain
-    controller prox.
+    A certified point ends the run ``OPTIMAL``: ``iterations`` counts the
+    patterns tried over all passes and ``polished_at`` names the last,
+    ``zeta_star = E^T y_star`` is exactly 0 on interior edges,
+    ``primal_residual`` is 0 and ``dual_residual`` the KKT norm.  The cap
+    ends it ``MAX_ITER`` at the last y_k and its KKT norm, with
+    ``polished_at`` None; before any y_k that is the anchors, with both
+    residuals inf.  A probe below ``_CURVATURE_TOL`` returns
+    ``NONCONVEX_DETECTED`` at once, at the anchors, with 0 iterations and
+    both residuals inf: a KKT point need not be a minimizer there.
     """
-    nonconvex = problem.convexity_probe() < _CURVATURE_TOL
     graph = problem.graph
-    heads, tails, scatter = graph.heads, graph.tails, graph.scatter
-    lin = problem.agents.intercept
 
-    def result(y, zeta, r_p, r_d, iterations, status, polished_at=None):  # Minimizer's field order
-        return Minimizer(y, zeta, problem.objective(y), r_p, r_d, iterations, status, polished_at)
+    def result(y, kkt, iterations, status, polished_at=None):  # Minimizer's field order
+        primal = 0.0 if math.isfinite(kkt) else math.inf  # both inf where nothing was solved
+        return Minimizer(y, y[graph.heads] - y[graph.tails], problem.objective(y), primal, kkt,
+                         iterations, status, polished_at)
 
-    patterns = 0
+    y, kkt, patterns = problem.agents.anchors.astype(float), math.inf, 0
+    if problem.convexity_probe() < _CURVATURE_TOL:
+        return result(y, kkt, 0, SolveStatus.NONCONVEX_DETECTED)
+    pattern, interior = _Pattern(problem), np.zeros(graph.n_edges)
     if problem.convexity_probe() > 0.0:
-        last, certified, patterns = _active_set(problem, max_iter, tol)
+        last, certified, patterns = _active_set(pattern, interior, interior, max_iter, tol)
         if certified:
-            y, kkt = last[:2]
-            return result(y, y[heads] - y[tails], 0.0, kkt, patterns,
-                          SolveStatus.OPTIMAL, patterns)
+            return result(*last[:2], patterns, SolveStatus.OPTIMAL, patterns)
 
-    y = problem.agents.anchors.astype(float).copy()
-    zeta = y[heads] - y[tails]
-    w = np.zeros(graph.n_edges)
-
-    vertex = _VertexSolver(problem.smooth_hessian(), graph.laplacian())
-    t = float(step)
-    while not vertex.factor(t):
-        t *= 2.0
-        if t > 1e12:
-            status = SolveStatus.NONCONVEX_DETECTED if nonconvex else SolveStatus.MAX_ITER
-            return result(y, zeta, np.inf, np.inf, patterns, status)
-
-    r_p = r_d = np.inf
-    iterations, budget = 0, max_iter - patterns
-    # Iterates that leave the float range (a penalty far from the problem's
-    # scale can do that) give inf or NaN residuals and end at MAX_ITER.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for iterations in range(1, budget + 1):
-            rhs = t * scatter(zeta - w) - lin
-            y = vertex.solve(rhs)
-            Ety = y[heads] - y[tails]
-            zeta_prev = zeta
-            zeta = problem.controllers.prox(Ety + w, 1.0 / t)
-            w = w + Ety - zeta
-            r = Ety - zeta
-            r_p = math.sqrt(r @ r)
-            balance = iterations % 50 == 0
-            # Only the stop test, the balancing and the last iterate read r_d.
-            if r_p < tol or balance or iterations == budget:
-                d = t * scatter(zeta - zeta_prev)
-                r_d = math.sqrt(d @ d)
-                if r_p < tol and r_d < tol:
-                    break
-            if balance:
-                if r_p > 10.0 * r_d and t < 1e8:
-                    if vertex.factor(2.0 * t):
-                        t *= 2.0
-                        w = w / 2.0
-                elif r_d > 10.0 * r_p and t > 1e-8:
-                    if vertex.factor(t / 2.0):
-                        t /= 2.0
-                        w = w * 2.0
-
-    if nonconvex:
-        status = SolveStatus.NONCONVEX_DETECTED
-    elif r_p < tol and r_d < tol:
-        status = SolveStatus.OPTIMAL
-    else:
-        status = SolveStatus.MAX_ITER
-    return result(y, zeta, r_p, r_d, patterns + iterations, status)
+    rho, sign, effort = max(1.0, float(pattern.hessian.diagonal().max())), interior, interior
+    while patterns < max_iter:
+        last, certified, tried = _active_set(pattern.proximal(rho, y), sign, effort,
+                                             max_iter - patterns, tol)
+        patterns += tried
+        if not certified:
+            rho, sign, effort = rho / _PROX_SHRINK, interior, interior
+            continue
+        y, _, sign, effort = last
+        kkt = pattern.kkt(y, effort)
+        if kkt < tol:
+            return result(y, kkt, patterns, SolveStatus.OPTIMAL, patterns)
+        rho *= _PROX_SHRINK
+    return result(y, kkt, patterns, SolveStatus.MAX_ITER)
 
 
 # ----------------------------------------------------------------------
@@ -428,7 +376,9 @@ def stationarity_residual(problem: RegularizedProblem, y):
                                                 graph.tails[free].tolist()))
         prox = build_problem(tv, AgentBank([StaticAffineAgent(1.0, c) for c in fixed_part]),
                              ControllerBank([TanhIntegratorController()] * tv.n_edges))
-        efforts = _active_set(prox, SOLVER_MAX_ITER, SOLVER_TOL)[0][3]
+        interior = np.zeros(tv.n_edges)
+        efforts = _active_set(_Pattern(prox), interior, interior,
+                              SOLVER_MAX_ITER, SOLVER_TOL)[0][3]
         selection[free] = -np.clip(efforts, -1.0, 1.0)
     return float(np.linalg.norm(gradient + graph.scatter(selection))), selection
 

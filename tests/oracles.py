@@ -11,7 +11,7 @@ two:
   threshold of ``edge_gain_threshold`` replaced;
 - agents: scalar drift, steady-state input, potential and storage of each
   model, and the agent bank's drift and batched potential;
-- controllers: scalar drift, output, potential, prox and steady-state effort
+- controllers: scalar drift, output, potential and steady-state effort
   interval of each model, and the controller bank's drift, output, output
   rate and batched potential;
 - the input-side (flow) dual: each model's conjugate potential, the banks'
@@ -157,17 +157,6 @@ def controller_potential(controller, zeta):
         return abs(zeta)
     if isinstance(controller, StaticGainController):
         return 0.5 * controller.w * zeta**2
-    raise _unsupported(controller)
-
-
-def controller_prox(controller, v, step):
-    """Closed-form argmin_z potential(z) + (z - v)**2 / (2 step)."""
-    if step <= 0.0:
-        raise ValueError(f"prox step must be positive, got {step}")
-    if isinstance(controller, TanhIntegratorController):
-        return math.copysign(max(abs(v) - step, 0.0), v)
-    if isinstance(controller, StaticGainController):
-        return v / (1.0 + step * controller.w)
     raise _unsupported(controller)
 
 
@@ -320,7 +309,7 @@ def bvls_residual(problem, y):
 
 
 def brute_force(problem, box=None, spacing=1e-3):
-    """Zooming exhaustive grid minimization, independent of the splitting solver.
+    """Zooming exhaustive grid minimization, independent of the active-set solver.
 
     Evaluates the objective on a uniform grid over ``box`` (a (lo, hi) pair
     applied to every coordinate), then repeatedly re-grids around the best

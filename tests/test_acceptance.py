@@ -21,7 +21,7 @@ Gate summary:
     <= 1e-2, in <2 min.
  6. 10 scenarios with negative total rate are rescued by the hybrid
     vertex-lift design and still pass the pipeline.
- 7. The splitting solver agrees with an independent zooming grid search to
+ 7. The solver agrees with an independent zooming grid search to
     1e-3 on ten small convexified networks.
  8. Analytic gradients of the smooth objective part match central
     differences to 1e-5 relative on three model classes, 100 points each.

@@ -1,13 +1,11 @@
-"""Edge controller tests: dynamics, potentials, proxes, effort intervals.
+"""Edge controller tests: dynamics, potentials, effort intervals.
 
-The scalar models' dynamics, potentials, conjugate potentials, proxes and
-effort intervals are the reference evaluations of ``oracles``; the bank's vectorized prox, potential
-and effort bounds are checked against them edge by edge.  The prox closed
-forms are cross-checked against an independent zooming grid minimizer of
-potential(z) + (z - v)^2 / (2 step).
+The scalar models' dynamics, potentials, conjugate potentials and effort
+intervals are the reference evaluations of ``oracles``; the bank's
+vectorized potential and effort bounds are checked against them edge by
+edge.
 """
 
-import functools
 import math
 
 import numpy as np
@@ -30,28 +28,11 @@ from oracles import (
     controller_drift,
     controller_output,
     controller_potential,
-    controller_prox,
     effort_interval,
 )
 
 EXACT_TOL = 1e-9
-PROX_REL_TOL = 1e-5
 CONVEXITY_TOL = 1e-12
-
-
-def grid_prox(potential, v, step, span=None, points=2001, rounds=6):
-    """Independent prox oracle: zooming grid over the scalar objective."""
-    if span is None:
-        span = max(1.0, 2.0 * abs(v))
-    lo, hi = v - span, v + span
-    best = v
-    for _ in range(rounds):
-        z = np.linspace(lo, hi, points)
-        vals = np.array([potential(zi) for zi in z]) + (z - v) ** 2 / (2.0 * step)
-        best = z[int(np.argmin(vals))]
-        h = (hi - lo) / (points - 1)
-        lo, hi = best - 2 * h, best + 2 * h
-    return best
 
 
 # ----------------------------------------------------------------------
@@ -64,33 +45,6 @@ def test_tanh_dynamics_and_output():
     assert controller_drift(c, 0.3, 1.7) == 1.7
     assert controller_output(c, 0.5, 99.0) == pytest.approx(math.tanh(0.5), abs=EXACT_TOL)
     assert controller_potential(c, -2.5) == 2.5
-
-
-def test_tanh_prox_frozen_values():
-    c = TanhIntegratorController()
-    assert controller_prox(c, 3.0, 1.0) == pytest.approx(2.0, abs=EXACT_TOL)
-    assert controller_prox(c, 3.0, 2.0) == pytest.approx(1.0, abs=EXACT_TOL)
-    assert controller_prox(c, 0.5, 1.0) == 0.0
-    assert controller_prox(c, -3.0, 1.0) == pytest.approx(-2.0, abs=EXACT_TOL)
-
-
-def test_tanh_prox_matches_grid_oracle():
-    c = TanhIntegratorController()
-    rng = np.random.default_rng(11)
-    for _ in range(25):
-        v = rng.uniform(-8.0, 8.0)
-        step = rng.uniform(0.05, 3.0)
-        closed = controller_prox(c, v, step)
-        grid = grid_prox(abs, v, step)
-        assert closed == pytest.approx(grid, abs=PROX_REL_TOL * (1 + abs(grid)))
-
-
-def test_tanh_prox_guards():
-    c = TanhIntegratorController()
-    with pytest.raises(ValueError):
-        controller_prox(c, 1.0, 0.0)
-    with pytest.raises(ValueError):
-        controller_prox(c, 1.0, -0.5)
 
 
 def test_tanh_conjugate_is_box_indicator():
@@ -139,32 +93,6 @@ def test_static_gain_requires_positive_gain():
         StaticGainController(0.0)
     with pytest.raises(ValueError):
         StaticGainController(-1.0)
-
-
-def test_static_gain_prox_frozen_value():
-    c = StaticGainController(2.0)
-    # argmin w z^2/2 + (z-v)^2/(2t) = v / (1 + t w)
-    assert controller_prox(c, 6.0, 1.0) == pytest.approx(2.0, abs=EXACT_TOL)
-
-
-def test_static_gain_prox_matches_grid_oracle():
-    rng = np.random.default_rng(13)
-    for _ in range(25):
-        w = rng.uniform(0.1, 4.0)
-        c = StaticGainController(w)
-        v = rng.uniform(-8.0, 8.0)
-        step = rng.uniform(0.05, 3.0)
-        closed = controller_prox(c, v, step)
-        grid = grid_prox(functools.partial(controller_potential, c), v, step)
-        assert closed == pytest.approx(grid, abs=PROX_REL_TOL * (1 + abs(grid)))
-
-
-def test_static_gain_prox_guard():
-    c = StaticGainController(0.5)
-    with pytest.raises(ValueError):
-        controller_prox(c, 1.0, 0.0)
-    with pytest.raises(ValueError):
-        controller_prox(c, 1.0, -0.6)
 
 
 def test_static_gain_conjugate_fenchel_young():
@@ -230,34 +158,6 @@ def test_bank_potentials():
                                atol=EXACT_TOL)
 
 
-def test_bank_prox_matches_per_edge():
-    bank = make_bank()
-    v = np.array([3.0, 8.0, -0.4])
-    expected = [controller_prox(c, vi, 1.0) for c, vi in zip(bank.controllers, v)]
-    np.testing.assert_allclose(bank.prox(v, 1.0), expected, atol=EXACT_TOL)
-
-
-@pytest.mark.parametrize("kinds", ["tanh", "static", "mixed"])
-@pytest.mark.parametrize("step", [1e-8, 0.3, 1.0, 1e4])
-def test_bank_prox_equals_the_scalar_prox_element_by_element(kinds, step):
-    # v at 0, at and just inside +-step, and far from both; 13 values, so the
-    # repeat puts each of them on a tanh and on a static edge of the mixed bank.
-    factors = [0.0, 1.0, -1.0, 0.5, -0.5, 1.5, -1.5, 1e6, -1e6]
-    v = np.array([f * step for f in factors] + [7.25, -7.25, 1e9, -1e9])
-    v = np.concatenate([v, v])
-    makers = {
-        "tanh": lambda k: TanhIntegratorController(),
-        "static": lambda k: StaticGainController(0.5 + k % 3),
-        "mixed": lambda k: (TanhIntegratorController() if k % 2
-                            else StaticGainController(0.5 + k % 3)),
-    }
-    bank = ControllerBank([makers[kinds](k) for k in range(len(v))])
-    got = bank.prox(v, step)
-    expected = np.array([controller_prox(c, vi, step) for c, vi in zip(bank.controllers, v)])
-    np.testing.assert_array_equal(got, expected)
-    np.testing.assert_array_equal(np.signbit(got), np.signbit(expected))
-
-
 def test_bank_effort_bounds():
     bank = make_bank()
     zeta = np.array([0.0, 1.5, -2.0])
@@ -270,7 +170,7 @@ def test_bank_effort_bounds():
 def test_bank_totals_reject_a_wrong_length(length):
     # a length-1 vector would broadcast over every edge; it is refused
     bank = make_bank()
-    calls = (bank.potential_total, lambda v: bank.prox(v, 1.0), bank.effort_bounds)
+    calls = (bank.potential_total, bank.effort_bounds)
     for call in calls:
         for vec in (np.full(length, 0.5), [0.5] * length):
             with pytest.raises(DimensionMismatchError):
