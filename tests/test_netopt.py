@@ -44,7 +44,7 @@ from netpass import (
     stationarity_residual,
     steady_state_residual,
 )
-from netpass.harness import build_system_parts, generate_case_study, synthesis_stage
+from netpass.harness import generate_case_study, synthesis_stage
 from netpass.netopt import _CURVATURE_TOL, SOLVER_TOL, _Pattern
 from oracles import (
     DimensionTooLargeError,
@@ -383,6 +383,60 @@ def test_solve_random_quadratic_instances(anchors, slopes, weight):
     H = np.diag(curvature) + (E * weight) @ E.T
     y_exact = np.linalg.solve(H, curvature * np.array(anchors))
     np.testing.assert_allclose(minimizer.y_star, y_exact, atol=1e-6)
+
+
+# A pattern step solves for the vertices.  With every tanh edge saturated
+# each vertex is its own cluster, so the quotient is the proximal loop's
+# H + rho I itself (H with the static edges' Laplacian).  Its relative
+# backward error ||A y - b|| / (||A|| ||y||) measured at most 4.4e-16 on
+# these systems.
+VERTEX_BACKWARD_TOL = 1e-12
+PENALTIES = (1e-8, 1.0, 1e4, 1e8)
+
+
+@pytest.mark.parametrize("t", PENALTIES)
+@pytest.mark.parametrize("n,seed", [(4, 6), (10, 1), (40, 7)])
+def test_vertex_solve_backward_error_on_case_study_hessians(n, seed, t):
+    _, problem, _, _ = synthesis_stage(generate_case_study(n, seed))
+    saturated = problem.controllers.saturated
+    sign = np.where(saturated, 1.0, 0.0)
+    E = incidence(problem.graph)
+    rng = np.random.default_rng(seed)
+    for _ in range(8):
+        pattern = _Pattern(problem).proximal(t, rng.standard_normal(n))
+        A, b = pattern.hessian, -(pattern.intercept + E @ sign)
+        y, _, _, effort = pattern.step(sign, np.zeros_like(sign))
+        error = np.linalg.norm(A @ y - b) / (np.linalg.norm(A, 2) * np.linalg.norm(y))
+        assert error <= VERTEX_BACKWARD_TOL
+        np.testing.assert_array_equal(effort, sign)
+
+
+@pytest.mark.parametrize("t", PENALTIES)
+@pytest.mark.parametrize("n", [3, 4, 5, 10])
+def test_vertex_solve_on_an_integrator_network_is_the_minimum_norm_solution(n, t):
+    # H = 0, so the all-interior quotient (K_n is one cluster) is singular
+    # without the proximal term.  With it, y is constant and the interior
+    # efforts add to the clipped ones the least-norm correction d with
+    # E d = r - E clip(effort), r the residual b - (H + t I) y: the lifted
+    # vertex system returns the Laplacian system's minimum-norm solution.
+    graph = NetworkGraph.complete(n)
+    problem = build_problem(graph, AgentBank([IntegratorAgent()] * n),
+                            ControllerBank([TanhIntegratorController()] * graph.n_edges))
+    interior = np.zeros(graph.n_edges)
+    assert _Pattern(problem).step(interior, interior) is None
+    E = incidence(graph)
+    rng = np.random.default_rng(n)
+    for _ in range(8):
+        pattern = _Pattern(problem).proximal(t, rng.standard_normal(n))
+        effort = 2.0 * rng.standard_normal(graph.n_edges)
+        y, kkt, _, mu = pattern.step(interior, effort)
+        np.testing.assert_allclose(y, -pattern.intercept.sum() / (n * t), rtol=1e-12)
+        residual = -pattern.intercept - pattern.hessian @ y
+        clipped = np.clip(effort, -1.0, 1.0)
+        least = np.linalg.pinv(E) @ (residual - E @ clipped)
+        scale = np.abs(residual).max() + 1.0
+        assert np.abs(mu - clipped - least).max() <= VERTEX_BACKWARD_TOL * scale
+        assert kkt <= VERTEX_BACKWARD_TOL * scale
 
 
 @contextlib.contextmanager
