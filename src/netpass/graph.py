@@ -25,17 +25,26 @@ def _is_label(value):
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _is_pair(edge):
+    """An edge is a list, tuple or 1-d array of two items."""
+    return (isinstance(edge, (list, tuple)) or np.ndim(edge) == 1) and len(edge) == 2
+
+
 def _edge_pairs(n, edges):
     """The edges as an (m, 2) intp array, checked as whole arrays.
 
-    The first edge with a non-integer label, a label outside 0..n-1, a self
-    loop or a repeat raises, named by the first of those checks it fails.
+    The first edge that is not a pair, has a non-integer label or a label
+    outside 0..n-1, or is a self loop or a repeat raises, named by the first
+    of those checks it fails.
     """
-    edges = list(edges)
-    labelled = len(edges)  # the edges before the first with a non-integer label
-    if not all(issubclass(t, (int, np.integer)) and not issubclass(t, bool)
-               for t in set(map(type, chain.from_iterable(edges)))):
-        labelled = next(k for k, edge in enumerate(edges) if not all(map(_is_label, edge)))
+    edges = edges.tolist() if isinstance(edges, np.ndarray) else list(edges)
+    labelled = len(edges)  # the edges before the first that is not a pair of integer labels
+    # One type and one length per distinct value, not per edge.
+    if not (set(map(type, edges)) <= {list, tuple} and set(map(len, edges)) <= {2} and all(
+            issubclass(t, (int, np.integer)) and not issubclass(t, bool)
+            for t in set(map(type, chain.from_iterable(edges))))):
+        labelled = next((k for k, edge in enumerate(edges)
+                         if not (_is_pair(edge) and all(map(_is_label, edge)))), labelled)
     pairs = np.array(edges[:labelled]).reshape(labelled, 2)  # of objects past int64
     a, b = np.clip(pairs, -1, n).astype(np.int64).T
     low, high = np.minimum(a, b), np.maximum(a, b)
@@ -54,9 +63,11 @@ def _edge_pairs(n, edges):
             raise SelfLoopError(f"edge {k} is a self loop at vertex {head}")
         raise DuplicateEdgeError(f"{name} repeats {min(head, tail), max(head, tail)}")
     if labelled < len(edges):
-        head, tail = edges[labelled]
-        raise VertexIndexError(
-            f"edge {labelled} = ({head!r}, {tail!r}) has a vertex label that is not an integer")
+        edge = edges[labelled]
+        if not _is_pair(edge):
+            raise VertexIndexError(f"edge {labelled} = {edge!r} is not a (head, tail) pair")
+        raise VertexIndexError(f"edge {labelled} = ({edge[0]!r}, {edge[1]!r}) has a vertex "
+                               "label that is not an integer")
     return pairs.astype(np.intp)
 
 

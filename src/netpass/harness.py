@@ -40,14 +40,14 @@ from .errors import (
     NumericalBlowupError,
     ParameterError,
 )
-from .graph import NetworkGraph
+from .graph import NetworkGraph, cluster_labels
 from .netopt import SOLVER_MAX_ITER, SOLVER_STEP, SOLVER_TOL, SolveStatus, build_problem, solve
 from .passivation import component_sums, hybrid_gain, uniform_network_gain, zero_design
 from .sim import HORIZON, MIN_STEP, STEADY_TOL, ClosedLoopSystem, simulate
 
 __all__ = [
     "ScenarioConfig", "VerifyReport", "load_config", "config_from_dict",
-    "generate_case_study", "verify", "emit_report", "cluster_count",
+    "generate_case_study", "verify", "emit_report",
 ]
 
 _GAIN_MODES = ("none", "network_only", "hybrid")
@@ -55,7 +55,6 @@ _GAIN_MODES = ("none", "network_only", "hybrid")
 # design's convexity probe clears it; a healthy floor also bounds how long the
 # closed loop takes to settle.
 _PROBE_MIN = 1e-2
-_CLUSTER_GAP = 1.0
 
 
 # ----------------------------------------------------------------------
@@ -152,11 +151,7 @@ def _graph(spec, path, settings):
     edges = spec.get("edges")
     if not isinstance(edges, list):
         _fail(f"{path}.edges", "must be a list of [head, tail] pairs")
-    for k, e in enumerate(edges):
-        if (not isinstance(e, list)) or len(e) != 2 \
-                or not all(isinstance(v, int) and not isinstance(v, bool) for v in e):
-            _fail(f"{path}.edges[{k}]", "must be a pair of integers")
-    return {"n": n, "edges": [list(e) for e in edges]}
+    return {"n": n, "edges": edges}  # ``_build`` checks the edges and stores the graph's own
 
 
 def _model(kinds, spec, path):
@@ -201,11 +196,12 @@ def _specs(specs, path, kinds, bank):
 
 
 def _build(settings):
-    """The (graph, agent bank, controller bank) of the counted sections; stores null-free specs."""
+    """The (graph, agent bank, controller bank); stores the graph's edges and null-free specs."""
     try:
         graph = NetworkGraph(settings["graph"]["n"], settings["graph"]["edges"])
     except NetpassError as exc:
         _fail("$.graph.edges", str(exc))
+    settings["graph"]["edges"] = np.column_stack((graph.heads, graph.tails)).tolist()
     settings["agents"], agents = _specs(settings["agents"], "$.agents", _AGENT_KINDS, AgentBank)
     settings["controllers"], controllers = _specs(
         settings["controllers"], "$.controllers", _CONTROLLER_KINDS, ControllerBank)
@@ -419,14 +415,6 @@ def round_floats(obj):
     return obj
 
 
-def cluster_count(y, gap=_CLUSTER_GAP):
-    """Number of output clusters after sorting, split at gaps above ``gap``."""
-    y = np.sort(np.asarray(y, dtype=float))
-    if y.size == 0:
-        return 0
-    return int(1 + np.count_nonzero(np.diff(y) > gap))
-
-
 def synthesize_gain(config, graph, agents):
     """The scenario's one design, synthesized on the agents' slopes less the probe floor.
 
@@ -552,7 +540,10 @@ def verify(config: ScenarioConfig, record=False):
 
     if trajectory.converged:
         report.mismatch = float(np.max(np.abs(trajectory.y_ss - minimizer.y_star)))
-        report.clusters = cluster_count(trajectory.y_ss)
+        if minimizer.status is SolveStatus.OPTIMAL:  # the components of the edges at zeta* = 0
+            graph, level = problem.graph, minimizer.zeta_star == 0.0
+            report.clusters = cluster_labels(graph.n_vertices, graph.heads[level],
+                                             graph.tails[level])[1]
 
     if not trajectory.converged:
         report.verdict = "not_converged"

@@ -16,27 +16,26 @@ the agents' steady-state slopes in place of their indices.
 
 ``solve`` minimizes by a primal-dual active-set iteration over the tanh
 edges' sign patterns (a semismooth Newton method), each step one pattern's
-exact cluster point, the last certified by KKT.  A strictly convex problem
-takes one pass of it.  A merely convex one (a semidefinite Hessian, as with
-integrator agents and no gain), and a pass that does not certify, go to a
-proximal-point loop of such passes, each on the problem plus
-rho/2 |y - y_k|^2.  ``stationarity_residual`` measures how far a
-point is from the first-order conditions, freeing a tanh edge within
-``effort_bounds``' default tolerance, and ``steady_state_residual`` the same
-of a closed loop's output.  The free edges' best efforts are the dual of a
-graph total-variation prox, a problem of this module's own kind that the
-active set solves exactly; E is never formed.
+exact cluster point (``_Pattern``), the last certified by KKT, in one
+proximal-point loop of passes on the problem plus rho/2 |y - y_k|^2.  A
+strictly convex problem takes one pass, at rho = 0; a merely convex one (a
+semidefinite Hessian, as with integrator agents and no gain), or a pass that
+does not certify, goes on at rho > 0.  ``stationarity_residual`` measures
+how far a point is from the first-order conditions, freeing a tanh edge
+within ``effort_bounds``' default tolerance, and ``steady_state_residual``
+the same of a closed loop's output.  The free edges' best efforts are the
+dual of a graph total-variation prox, one ``_Pattern`` on the problem's own
+graph that the active set solves exactly; E is never formed.
 """
 
-import copy
 import enum
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .agents import AgentBank, StaticAffineAgent
-from .controllers import ControllerBank, TanhIntegratorController
+from .agents import AgentBank
+from .controllers import ControllerBank
 from .errors import as_vector, check_counts
 from .graph import NetworkGraph, cluster_labels
 from .passivation import GainDesign, coupling_matrix
@@ -167,10 +166,11 @@ def _cholesky(A):
 class _Pattern:
     """One active-set step: a sign pattern's exact point, its certificate and its correction.
 
-    The pattern s gives each tanh edge a sign: +-1 saturated, 0 interior.
-    Its minimizer is constant on each cluster (component of the interior
-    edges): with C the n x k cluster indicator, H the smooth Hessian plus
-    the static edges' Laplacian and b = -(intercept + E s), it is
+    It steps F(y) = 1/2 y^T H y + intercept^T y on a graph whose masked
+    ``tanh`` edges carry the efforts (the others none).  The pattern s gives
+    each tanh edge a sign: +-1 saturated, 0 interior.  Its minimizer is
+    constant on each cluster (component of the interior edges): with C the
+    n x k cluster indicator and b = -(intercept + E s), it is
     y = C (C^T H C)^{-1} C^T b, and the interior efforts mu are the starting
     effort, clipped to [-1, 1], projected onto {E_I mu = b - H y}.  The point
     is certified when C^T H C passes ``_cholesky``, every saturated edge
@@ -181,20 +181,8 @@ class _Pattern:
     one k x k system and one over the vertices interior edges touch.
     """
 
-    def __init__(self, problem):
-        self._graph, self._saturated = problem.graph, problem.controllers.saturated
-        w = problem.controllers.w
-        self.hessian = problem.smooth_hessian()
-        if w.any():
-            self.hessian = self.hessian + problem.graph.weighted_laplacian(w)
-        self.intercept = problem.agents.intercept
-
-    def proximal(self, rho, center):
-        """The step on the problem plus rho/2 |y - center|^2: H + rho I, intercept - rho center."""
-        shifted = copy.copy(self)
-        shifted.hessian = self.hessian + rho * np.eye(center.size)
-        shifted.intercept = self.intercept - rho * center
-        return shifted
+    def __init__(self, graph, tanh, hessian, intercept):
+        self._graph, self.tanh, self.hessian, self.intercept = graph, tanh, hessian, intercept
 
     def kkt(self, y, effort):
         """The first-order residual |H y + intercept + E effort| of y under the edge efforts ``effort``."""
@@ -212,7 +200,7 @@ class _Pattern:
         point is certified.
         """
         graph, H = self._graph, self.hessian
-        interior = self._saturated & (sign == 0.0)
+        interior = self.tanh & (sign == 0.0)
         b = -(self.intercept + graph.scatter(sign))
         labels, k = cluster_labels(graph.n_vertices, graph.heads[interior], graph.tails[interior])
         quotient = np.bincount((labels[:, None] * k + labels).ravel(), H.ravel(),
@@ -285,19 +273,20 @@ def solve(problem: RegularizedProblem, step=SOLVER_STEP, max_iter=SOLVER_MAX_ITE
     tol : float
         The certificate's bound on the KKT norm.
 
-    Each pass is one ``_active_set`` run.  With a positive convexity probe
-    the minimizer is unique, and one pass on the problem itself, from every
-    tanh edge interior, looks for its sign pattern.  A probe in
-    [``_CURVATURE_TOL``, 0], or a pass that does not certify, starts a
-    proximal-point loop (Rockafellar 1976) at y_0, the agents' anchors: pass
-    k minimizes F(y) + rho/2 |y - y_k|^2, strongly convex for any rho > 0,
+    One loop of ``_active_set`` passes on H = the smooth Hessian plus the
+    static edges' Laplacian L_w, formed once: a proximal-point loop
+    (Rockafellar 1976) from y_0 = the agents' anchors, where pass k
+    minimizes F(y) + rho/2 |y - y_k|^2 (H + rho I, intercept - rho y_k),
     warm-started from pass k - 1's pattern and efforts, and its certified
-    point is y_{k+1}.  rho starts at max(1, max diag(H + L_w)) and shrinks
-    by ``_PROX_SHRINK`` per pass; a pass that does not certify runs again
-    from every tanh edge interior with rho grown back by that factor.  The
-    loop ends when y_{k+1} meets the problem's own first-order conditions to
-    ``tol``: with the pass's efforts, |H y + intercept + E effort|, the
-    pass's KKT norm less rho (y_{k+1} - y_k).
+    point is y_{k+1}.  The first rho is 0 under a positive convexity probe
+    (the minimizer is unique, and the pass, from every tanh edge interior,
+    looks for its sign pattern) and max(1, max diag(H)) under a probe in
+    [``_CURVATURE_TOL``, 0].  rho shrinks by ``_PROX_SHRINK`` per pass; a
+    pass that does not certify runs again from every tanh edge interior
+    with rho grown back by that factor, or from 0 to the first positive rho.
+    The loop ends when y_{k+1} meets the problem's own first-order
+    conditions to ``tol``: with the pass's efforts, |H y + intercept +
+    E effort|, the pass's KKT norm less rho (y_{k+1} - y_k).
 
     A certified point ends the run ``OPTIMAL``: ``iterations`` counts the
     patterns tried over all passes and ``polished_at`` names the last,
@@ -319,22 +308,24 @@ def solve(problem: RegularizedProblem, step=SOLVER_STEP, max_iter=SOLVER_MAX_ITE
     y, kkt, patterns = problem.agents.anchors.astype(float), math.inf, 0
     if problem.convexity_probe() < _CURVATURE_TOL:
         return result(y, kkt, 0, SolveStatus.NONCONVEX_DETECTED)
-    pattern, interior = _Pattern(problem), np.zeros(graph.n_edges)
-    if problem.convexity_probe() > 0.0:
-        last, certified, patterns = _active_set(pattern, interior, interior, max_iter, tol)
-        if certified:
-            return result(*last[:2], patterns, SolveStatus.OPTIMAL, patterns)
-
-    rho, sign, effort = max(1.0, float(pattern.hessian.diagonal().max())), interior, interior
+    hessian, w = problem.smooth_hessian(), problem.controllers.w
+    if w.any():
+        hessian = hessian + graph.weighted_laplacian(w)
+    exact = _Pattern(graph, problem.controllers.saturated, hessian, problem.agents.intercept)
+    top = max(1.0, float(hessian.diagonal().max()))
+    rho, sign = (0.0 if problem.convexity_probe() > 0.0 else top), np.zeros(graph.n_edges)
+    effort = interior = sign
     while patterns < max_iter:
-        last, certified, tried = _active_set(pattern.proximal(rho, y), sign, effort,
-                                             max_iter - patterns, tol)
+        pattern = exact if not rho else _Pattern(graph, exact.tanh, hessian + rho * np.eye(y.size),
+                                                 exact.intercept - rho * y)
+        last, certified, tried = _active_set(pattern, sign, effort, max_iter - patterns, tol)
         patterns += tried
         if not certified:
-            rho, sign, effort = rho / _PROX_SHRINK, interior, interior
+            rho, sign, effort = rho / _PROX_SHRINK or top, interior, interior
             continue
-        y, _, sign, effort = last
-        kkt = pattern.kkt(y, effort)
+        y, kkt, sign, effort = last
+        if rho:
+            kkt = exact.kkt(y, effort)
         if kkt < tol:
             return result(y, kkt, patterns, SolveStatus.OPTIMAL, patterns)
         rho *= _PROX_SHRINK
@@ -358,10 +349,11 @@ def stationarity_residual(problem: RegularizedProblem, y):
     the free edges, the minimum over s_F in [-1, 1]^F of ||g + E_F s_F|| is
     ||r*||, r* = argmin_r 1/2 ||r - g||^2 + sum_{e in F} |r_head - r_tail|,
     and s_F = -nu for that graph total-variation prox's tanh efforts nu
-    (r* = g - E_F nu).  The prox is the problem of agents y = u + g_i (H = I)
-    on F's tanh edges, solved exactly by ``_active_set``.  The norm is the
-    one the selection attains: the minimum once certified, as on every
-    problem measured, else an upper bound from the last efforts, clipped.
+    (r* = g - E_F nu): a ``_Pattern`` with H = I and intercept -g on the
+    problem's own graph, F its tanh edges, that ``_active_set`` solves
+    exactly.  The norm is the one the selection attains: the minimum once
+    certified, as on every problem measured, else an upper bound from the
+    last efforts, clipped.
     """
     graph = problem.graph
     y = as_vector(y, graph.n_vertices, "y")
@@ -372,14 +364,10 @@ def stationarity_residual(problem: RegularizedProblem, y):
     free = upper - lower > 1e-15
     if np.any(free):
         fixed_part = gradient + graph.scatter(selection)  # a free edge's selection is 0 so far
-        tv = NetworkGraph(graph.n_vertices, zip(graph.heads[free].tolist(),
-                                                graph.tails[free].tolist()))
-        prox = build_problem(tv, AgentBank([StaticAffineAgent(1.0, c) for c in fixed_part]),
-                             ControllerBank([TanhIntegratorController()] * tv.n_edges))
-        interior = np.zeros(tv.n_edges)
-        efforts = _active_set(_Pattern(prox), interior, interior,
-                              SOLVER_MAX_ITER, SOLVER_TOL)[0][3]
-        selection[free] = -np.clip(efforts, -1.0, 1.0)
+        prox = _Pattern(graph, free, np.eye(graph.n_vertices), -fixed_part)
+        interior = np.zeros(graph.n_edges)
+        efforts = _active_set(prox, interior, interior, SOLVER_MAX_ITER, SOLVER_TOL)[0][3]
+        selection[free] = -np.clip(efforts[free], -1.0, 1.0)
     return float(np.linalg.norm(gradient + graph.scatter(selection))), selection
 
 

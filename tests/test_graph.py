@@ -117,7 +117,10 @@ def per_edge_verdict(n, edges):
     label, a label in 0..n-1, no self loop, no repeat of an earlier edge.
     """
     seen = set()
-    for k, (head, tail) in enumerate(edges):
+    for k, edge in enumerate(edges):
+        if not isinstance(edge, (list, tuple)) or len(edge) != 2:
+            return VertexIndexError, f"edge {k} = {edge!r} is not a (head, tail) pair"
+        head, tail = edge
         if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
                    for v in (head, tail)):
             return VertexIndexError, (f"edge {k} = ({head!r}, {tail!r}) has a vertex label "
@@ -155,6 +158,25 @@ def test_edge_checks_name_the_first_offending_edge_as_a_per_edge_loop(n, edges):
     assert type(excinfo.value) is error and str(excinfo.value) == message
 
 
+EDGES = st.one_of(st.tuples(LABELS, LABELS), st.lists(LABELS, min_size=2, max_size=2),
+                  st.lists(LABELS, max_size=3), LABELS)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 5), st.lists(EDGES, max_size=12))
+def test_a_non_pair_edge_is_named_in_the_first_offending_edge_order(n, edges):
+    # Edges of any length, or bare labels, mixed with pairs: the first
+    # offending edge is named, and nothing but a netpass error escapes.
+    verdict = per_edge_verdict(n, edges)
+    if verdict is None:
+        assert NetworkGraph(n, edges).edges == tuple((int(h), int(t)) for h, t in edges)
+        return
+    error, message = verdict
+    with pytest.raises(error) as excinfo:
+        NetworkGraph(n, edges)
+    assert type(excinfo.value) is error and str(excinfo.value) == message
+
+
 @pytest.mark.parametrize("edges,error,message", [
     (((0, 1), (1, 0), (2, 2)), DuplicateEdgeError, "edge 1 = (1, 0) repeats (0, 1)"),
     (((0, 1), (2, 2), (1, 0)), SelfLoopError, "edge 1 is a self loop at vertex 2"),
@@ -164,6 +186,13 @@ def test_edge_checks_name_the_first_offending_edge_as_a_per_edge_loop(n, edges):
      "edge 1 = (0.5, 1) has a vertex label that is not an integer"),
     (((0, 2**70), (0, 0)), VertexIndexError,
      f"edge 0 = (0, {2**70}) references a vertex outside 0..2"),
+    ([[0, 1, 2]], VertexIndexError, "edge 0 = [0, 1, 2] is not a (head, tail) pair"),
+    ([5], VertexIndexError, "edge 0 = 5 is not a (head, tail) pair"),
+    ([[0]], VertexIndexError, "edge 0 = [0] is not a (head, tail) pair"),
+    ([[0, 1], [1, 2, 0], [0, 0]], VertexIndexError,
+     "edge 1 = [1, 2, 0] is not a (head, tail) pair"),
+    ([(0, 1), np.array([[1], [2]])], VertexIndexError,
+     "edge 1 = array([[1],\n       [2]]) is not a (head, tail) pair"),
 ])
 def test_the_first_offending_edge_is_named_whatever_follows_it(edges, error, message):
     with pytest.raises(error) as excinfo:
@@ -175,6 +204,8 @@ def test_numpy_integer_labels_accepted():
     g = NetworkGraph(np.int64(3), ((np.int32(0), np.int64(2)),))
     assert g.n_vertices == 3 and g.edges == ((0, 2),)
     assert type(g.n_vertices) is int and type(g.edges[0][1]) is int
+    # so are array rows, mixed with other pairs
+    assert NetworkGraph(3, [np.array([0, 2]), (1, 2), [0, 1]]).edges == ((0, 2), (1, 2), (0, 1))
 
 
 def test_connected_components_ordering():

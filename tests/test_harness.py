@@ -27,7 +27,6 @@ from netpass import (
     ScenarioConfig,
     SolveStatus,
     Trajectory,
-    cluster_count,
     config_from_dict,
     emit_report,
     generate_case_study,
@@ -236,7 +235,10 @@ def test_schema_rejects_bad_graph():
     bad = consensus_dict(graph={"n": 2, "edges": [[0, 0]]})
     assert schema_error_path(bad) == "$.graph.edges"
     bad = consensus_dict(graph={"n": 2, "edges": [[0, 1.5]]})
-    assert schema_error_path(bad) == "$.graph.edges[0]"
+    assert schema_error_path(bad) == "$.graph.edges"
+    with pytest.raises(ConfigSchemaError) as excinfo:
+        config_from_dict(bad)
+    assert "edge 0 = (0, 1.5)" in str(excinfo.value)
     assert schema_error_path(consensus_dict(graph=None)) == "$.graph"
 
 
@@ -263,6 +265,7 @@ def test_schema_counts_the_models_before_building_the_graph(tmp_path, capsys):
     ({"graph": [2, [[0, 1]]]}, "$.graph"),
     ({"graph": {"edges": [[0, 1]]}}, "$.graph.n"),
     ({"graph": {"n": 2, "edges": 5}}, "$.graph.edges"),
+    ({"graph": {"n": 2, "edges": [[0, 1, 2]]}}, "$.graph.edges"),
     ({"agents": {"kind": "integrator"}}, "$.agents"),
     ({"agents": [1, {"kind": "integrator"}]}, "$.agents[0]"),
     ({"self_regulating": [0.5]}, "$.self_regulating"),
@@ -271,8 +274,8 @@ def test_schema_counts_the_models_before_building_the_graph(tmp_path, capsys):
     ({"sim": {"dt": 1e-306}}, "$.sim.dt"),
     # without a dt, the default step's floor bounds the step count
     ({"sim": {"t_max": 1e308}}, "$.sim.t_max"),
-], ids=["graph-not-object", "graph-n-missing", "edges-not-list", "agents-not-list",
-        "agent-not-object", "vertices-not-integers", "steps-overflow", "steps-overflow-default",
+], ids=["graph-not-object", "graph-n-missing", "edges-not-list", "edge-not-a-pair",
+        "agents-not-list", "agent-not-object", "vertices-not-integers", "steps-overflow", "steps-overflow-default",
         "steps-overflow-default-step"])
 def test_schema_error_exits_3_naming_its_path(overrides, path, tmp_path, capsys):
     data = consensus_dict(**overrides)
@@ -409,6 +412,18 @@ def test_verify_consensus_pair_passes():
     np.testing.assert_allclose(report.sim["y_ss"], [10.25, 10.25], atol=1e-6)
     np.testing.assert_allclose(report.opt["y_star"], [10.25, 10.25], atol=1e-6)
     assert report.clusters == 1
+
+
+@pytest.mark.parametrize("n,seed", [(40, 7)] + [(10, s) for s in range(8)])
+def test_clusters_are_the_distinct_optimal_outputs(n, seed):
+    # The benchmark's dense scenario and its eight sweep ones: a short rate
+    # sum is rescued in hybrid mode, as the benchmark does.
+    data = generate_case_study(n, seed).to_dict()
+    if sum(a["kappa"] for a in data["agents"]) <= 0.0:
+        data.update(gain_mode="hybrid", self_regulating=[0])
+    report = verify(config_from_dict(data))
+    assert report.sim["converged"] and report.opt["status"] == "optimal"
+    assert report.clusters == np.unique(report.opt["y_star"]).size
 
 
 def test_verify_short_pair_infeasible_without_vertex_gains():
@@ -608,13 +623,6 @@ def test_verify_is_deterministic():
     one = verify(config_from_dict(consensus_dict()))
     two = verify(config_from_dict(consensus_dict()))
     assert one.to_dict() == two.to_dict()
-
-
-def test_cluster_count_frozen():
-    assert cluster_count([]) == 0
-    assert cluster_count([4.0]) == 1
-    assert cluster_count([1.0, 1.2, 5.0, 5.3, 9.0]) == 3
-    assert cluster_count([1.0, 1.2, 5.0, 5.3, 9.0], gap=10.0) == 1
 
 
 # ----------------------------------------------------------------------

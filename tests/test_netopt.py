@@ -394,6 +394,14 @@ VERTEX_BACKWARD_TOL = 1e-12
 PENALTIES = (1e-8, 1.0, 1e4, 1e8)
 
 
+def pattern_of(problem, rho=0.0, center=0.0):
+    """``solve``'s pattern step on ``problem`` plus rho/2 |y - center|^2: H + L_w + rho I."""
+    graph = problem.graph
+    hessian = problem.smooth_hessian() + graph.weighted_laplacian(problem.controllers.w)
+    return _Pattern(graph, problem.controllers.saturated, hessian + rho * np.eye(graph.n_vertices),
+                    problem.agents.intercept - rho * center)
+
+
 @pytest.mark.parametrize("t", PENALTIES)
 @pytest.mark.parametrize("n,seed", [(4, 6), (10, 1), (40, 7)])
 def test_vertex_solve_backward_error_on_case_study_hessians(n, seed, t):
@@ -403,7 +411,7 @@ def test_vertex_solve_backward_error_on_case_study_hessians(n, seed, t):
     E = incidence(problem.graph)
     rng = np.random.default_rng(seed)
     for _ in range(8):
-        pattern = _Pattern(problem).proximal(t, rng.standard_normal(n))
+        pattern = pattern_of(problem, t, rng.standard_normal(n))
         A, b = pattern.hessian, -(pattern.intercept + E @ sign)
         y, _, _, effort = pattern.step(sign, np.zeros_like(sign))
         error = np.linalg.norm(A @ y - b) / (np.linalg.norm(A, 2) * np.linalg.norm(y))
@@ -423,11 +431,11 @@ def test_vertex_solve_on_an_integrator_network_is_the_minimum_norm_solution(n, t
     problem = build_problem(graph, AgentBank([IntegratorAgent()] * n),
                             ControllerBank([TanhIntegratorController()] * graph.n_edges))
     interior = np.zeros(graph.n_edges)
-    assert _Pattern(problem).step(interior, interior) is None
+    assert pattern_of(problem).step(interior, interior) is None
     E = incidence(graph)
     rng = np.random.default_rng(n)
     for _ in range(8):
-        pattern = _Pattern(problem).proximal(t, rng.standard_normal(n))
+        pattern = pattern_of(problem, t, rng.standard_normal(n))
         effort = 2.0 * rng.standard_normal(graph.n_edges)
         y, kkt, _, mu = pattern.step(interior, effort)
         np.testing.assert_allclose(y, -pattern.intercept.sum() / (n * t), rtol=1e-12)
@@ -625,7 +633,7 @@ def test_a_polished_point_is_the_minimizer_and_a_wrong_pattern_is_refused(proble
     # Mutations of the certified pattern.  Each of these edges has
     # |zeta*| far above what the certificate allows (tol / probe), so a point
     # that keeps it at 0 or turns its sign cannot be certified.
-    pattern = _Pattern(problem)
+    pattern = pattern_of(problem)
     zeta = got.zeta_star
     saturated = problem.controllers.saturated
     sign = np.where(saturated, np.sign(zeta), 0.0)
@@ -694,6 +702,31 @@ def test_stationarity_residual_zero_at_balanced_consensus():
     problem = build_problem(P2, agents, ControllerBank([TanhIntegratorController()]))
     residual, _ = stationarity_residual(problem, np.array([15.0, 15.0]))
     assert residual == pytest.approx(0.0, abs=1e-12)
+
+
+def test_stationarity_residual_builds_no_model_objects():
+    # The free edges' prox is a pattern on the problem's own graph, with no
+    # graph, bank or problem built for it.
+    _, problem, _, _ = synthesis_stage(generate_case_study(40, 7))
+    graph, y = problem.graph, solve(problem).y_star
+    lower, upper = problem.controllers.effort_bounds(y[graph.heads] - y[graph.tails])
+    assert np.any(lower < upper)  # free edges, so the prox runs
+    built = []
+
+    def counted(cls):
+        init = cls.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(cls.__name__)
+            init(self, *args, **kwargs)
+        return mock.patch.object(cls, "__init__", counting)
+
+    with counted(NetworkGraph), counted(AgentBank), counted(ControllerBank), \
+            counted(netpass.RegularizedProblem):
+        residual, _ = stationarity_residual(problem, y)
+        far, _ = stationarity_residual(problem, y + 1e-3)
+    assert built == []
+    assert residual <= 1e-6 and far > residual
 
 
 @st.composite
