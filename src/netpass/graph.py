@@ -35,9 +35,13 @@ def _edge_pairs(n, edges):
 
     The first edge that is not a pair, has a non-integer label or a label
     outside 0..n-1, or is a self loop or a repeat raises, named by the first
-    of those checks it fails.
+    of those checks it fails; so does an ``edges`` that is not iterable.
     """
-    edges = edges.tolist() if isinstance(edges, np.ndarray) else list(edges)
+    try:
+        edges = list(edges.tolist() if isinstance(edges, np.ndarray) else edges)
+    except TypeError:
+        raise VertexIndexError(
+            f"edges must be a list of (head, tail) pairs, got {edges!r}") from None
     labelled = len(edges)  # the edges before the first that is not a pair of integer labels
     # One type and one length per distinct value, not per edge.
     if not (set(map(type, edges)) <= {list, tuple} and set(map(len, edges)) <= {2} and all(

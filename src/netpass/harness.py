@@ -396,12 +396,10 @@ class VerifyReport:
     opt: dict = None
     mismatch: float = None
     clusters: int = None
-    trajectory: object = field(default=None, repr=False, compare=False)
 
     def to_dict(self):
-        """Every field but the trajectory, floats rounded to 12 digits."""
-        return round_floats({f.name: getattr(self, f.name) for f in fields(self)
-                             if f.name != "trajectory"})
+        """Every field, floats rounded to 12 digits."""
+        return round_floats({f.name: getattr(self, f.name) for f in fields(self)})
 
 
 def round_floats(obj):
@@ -465,22 +463,22 @@ def synthesis_stage(config):
     return design, problem, probe, gain
 
 
-def simulation_stage(config, design, record=False):
+def simulation_stage(config, design, record=None):
     """Second stage: the closed-loop run and the report's ``sim`` payload.
 
     Returns (trajectory, sim payload); after a numerical blowup the
-    trajectory is None and the payload carries the error.  ``record=True``
-    keeps every sample (see ``simulate``); a path streams the trajectory CSV
+    trajectory is None and the payload carries the error.  ``record`` is a
+    path, a ``simulate`` recorder or None.  A path streams the trajectory CSV
     there as the run steps, to a file that replaces any at that path and
-    that a blowup removes.  The payload is the same either way.
+    that a blowup removes; a recorder is passed through.  The payload is the
+    same either way.
     """
     system = ClosedLoopSystem(*config.parts, design)
     stream = isinstance(record, (str, os.PathLike))
     try:
         with open(record, "w") if stream else contextlib.nullcontext() as fh:
-            if stream:  # every controller state starts at 0, so a static edge's eta stays 0
-                record = _csv_rows(fh, system.graph.n_vertices, np.zeros(system.graph.n_edges),
-                                   system.controllers.saturated)
+            if stream:
+                record = _csv_rows(fh, system.graph.n_vertices, system.controllers.saturated)
             trajectory = simulate(system, x0=config.x0, dt=config.dt, t_max=config.t_max,
                                   steady_tol=config.steady_tol, seed=config.seed, record=record)
     except NumericalBlowupError as exc:
@@ -511,12 +509,12 @@ def optimization_stage(config, problem):
     }
 
 
-def verify(config: ScenarioConfig, record=False):
+def verify(config: ScenarioConfig, record=None):
     """Run the three stages and compare simulated and optimized steady states.
 
-    ``record`` is ``simulation_stage``'s: True keeps every sample in
-    ``report.trajectory``, a path streams the trajectory CSV there, and an
-    infeasible design never opens it.  The payloads do not depend on it.
+    ``record`` is ``simulation_stage``'s: a path streams the trajectory CSV
+    there and a recorder gets every sample; an infeasible design runs
+    neither.  The payloads do not depend on it.
     """
     report = VerifyReport(config=config.to_dict(), feasible=False,
                           verdict="infeasible", passed=False)
@@ -534,7 +532,6 @@ def verify(config: ScenarioConfig, record=False):
     if trajectory is None:
         report.verdict = "blowup"
         return report
-    report.trajectory = trajectory
 
     minimizer, report.opt = optimization_stage(config, problem)
 
@@ -567,14 +564,14 @@ def json_text(payload):
     return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def _csv_rows(fh, n, eta0, moving):
+def _csv_rows(fh, n, saturated):
     """Write the header of a CSV of t, x_0.., eta_0.. to ``fh``; return a row writer.
 
     ``write(times, rows)``, a ``simulate`` recorder, formats each value as
-    ``%.12g``; a row holds x, then the eta of each edge that ``moving``
-    marks.  Every other eta is ``eta0``'s throughout, formatted once, here.
+    ``%.12g``; a row holds x, then the eta of each edge that ``saturated``
+    marks.  Every controller state starts at 0, so every other eta is "0".
     """
-    etas = ["%.12g" if move else "%.12g" % v for v, move in zip(eta0.tolist(), moving.tolist())]
+    etas = ["%.12g" if sat else "0" for sat in saturated.tolist()]
     line = ",".join(["%.12g"] * (1 + n) + etas) + "\n"
     header = ["t"] + [f"x_{i}" for i in range(n)] + [f"eta_{e}" for e in range(len(etas))]
     fh.write(",".join(header) + "\n")
@@ -585,37 +582,18 @@ def _csv_rows(fh, n, eta0, moving):
     return write
 
 
-def write_trajectory_csv(trajectory, path):
-    """Write a recorded trajectory as the CSV a streamed run writes (``_csv_rows``).
+def emit_report(report: VerifyReport, json_path=None, pairs_csv=None):
+    """Write the JSON report and the optional pairs CSV; return the report's JSON text.
 
-    Raises ValueError, before opening ``path``, on a trajectory that does not
-    start at t = 0: a run simulated without ``record=True`` holds its final
-    sample alone.
-    """
-    if trajectory.times[0] != 0.0:
-        raise ValueError("the trajectory holds only its final sample; simulate with record=True")
-    x, eta = trajectory.x_states, trajectory.eta_states
-    with open(path, "w") as fh:
-        write = _csv_rows(fh, x.shape[0], eta[:, 0], np.ones(eta.shape[0], dtype=bool))
-        write(trajectory.times, map(np.concatenate, zip(x.T, eta.T)))
-
-
-def emit_report(report: VerifyReport, json_path=None, trajectory_csv=None,
-                pairs_csv=None):
-    """Write the JSON report and optional CSV companions; return the report's JSON text.
-
-    The trajectory CSV needs a report verified with ``record=True``
-    (``write_trajectory_csv``); the CLI streams it from the run instead.
     The pairs CSV lists per-vertex simulated and optimized steady outputs.
-    All floats are written with 12 significant digits so identical runs
-    produce identical bytes.
+    The trajectory CSV is not written here: ``verify`` streams it from the
+    run.  All floats are written with 12 significant digits so identical
+    runs produce identical bytes.
     """
     text = json_text(report.to_dict())
     if json_path is not None:
         with open(json_path, "w") as fh:
             fh.write(text)
-    if trajectory_csv is not None and report.trajectory is not None:
-        write_trajectory_csv(report.trajectory, trajectory_csv)
     if pairs_csv is not None and report.opt:
         # An opt payload exists only after a run, so sim holds y_ss.
         y_ss = report.sim["y_ss"]

@@ -20,9 +20,9 @@ blowup, and comes back from eta0, unchanged, only in the ``Trajectory``.
 
 ``simulate`` integrates z by classic fixed-step fourth-order Runge-Kutta in
 blocks of ``_BLOCK`` samples through one buffer of ``_BLOCK + 1`` rows, and
-hands each block's kept rows, straight from it, to at most one recorder: a
-run keeps every sample only in the ``_Table`` of ``record=True``.  The
-field's arithmetic is written once, in ``_field``, which
+hands each block's kept rows, straight from it, to at most one recorder, the
+only way a run's samples leave it: the ``Trajectory`` holds the final sample
+alone.  The field's arithmetic is written once, in ``_field``, which
 ``ClosedLoopSystem.rate`` and the stepping loop both call on views taken
 once per run: each RK4 stage writes its input into one stage buffer and
 tanh overwrites that buffer's eta half in place, so the buffer itself is
@@ -41,7 +41,7 @@ exactly +-1) the loop is linear, with one equilibrium x* per sign pattern.
 A block that starts there first asks ``_Certificate`` for a proof, from A's
 modes, that RK4's later rows and stage inputs all stay deep with the same
 signs and so settle on x*; when it holds the run ends at that sample,
-converged, with y_ss = x*.  Every row ``simulate`` returns is RK4's own.
+converged, with y_ss = x*.  Every row ``simulate`` hands out is RK4's own.
 """
 
 from collections import deque
@@ -139,10 +139,10 @@ def _aligned_empty(shape):
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled closed-loop run on a uniform time grid; its state arrays are read-only.
+    """A closed-loop run's final sample and outcome; its state arrays are read-only.
 
-    A run not kept by ``record=True`` holds its final sample alone: ``times`` is
-    ``[t_end]`` and the state arrays have one column.  A run that a
+    ``times`` is ``[t_end]`` and the state arrays have one column: the
+    samples before it reach only ``simulate``'s recorder.  A run that a
     ``_Certificate`` ended names its last sample in ``certified_at``; its
     ``y_ss`` is then the certified equilibrium x*, not that sample's x.
     """
@@ -154,19 +154,6 @@ class Trajectory:
     y_ss: np.ndarray  # None unless converged
     residual: float
     certified_at: int = None  # None unless a certificate ended the run
-
-
-class _Table:
-    """The recorder that keeps every sample: ``stepped`` columns of an [x, eta] table, doubled."""
-
-    def __init__(self, stepped, width):
-        self.stepped, self.table, self.count = stepped, np.empty((4096, width)), 0
-
-    def __call__(self, times, rows):
-        start, self.count = self.count, self.count + len(rows)
-        if self.count > len(self.table):  # doubling fits it: a stretch is far shorter
-            self.table = np.concatenate((self.table, np.empty_like(self.table)))
-        self.table[start:self.count, self.stepped] = rows
 
 
 def _default_step(system):
@@ -256,7 +243,7 @@ class _Certificate:
 
 
 def simulate(system: ClosedLoopSystem, x0=None, eta0=None, dt=None, t_max=None,
-             steady_tol=STEADY_TOL, window=_STEADY_WINDOW, seed=0, record=True):
+             steady_tol=STEADY_TOL, window=_STEADY_WINDOW, seed=0, record=None):
     """Integrate the closed loop until steady, blown up, or out of time.
 
     RK4 steps ``z = [x, eta_sat]`` in blocks of ``_BLOCK`` samples from
@@ -270,15 +257,14 @@ def simulate(system: ClosedLoopSystem, x0=None, eta0=None, dt=None, t_max=None,
     here on and settles on the deep loop's equilibrium x*, the run ends at
     this sample, converged, with ``Trajectory.certified_at`` naming it,
     ``y_ss`` = x* and ``residual`` the worst rate at [x*, eta]; so the
-    trajectory's last sample is not y_ss.  Every returned row is RK4's.
+    trajectory's final sample is not y_ss.  Every row handed out is RK4's.
 
     The blocks, and so where the certificate is checked, depend on the loop
     alone.  A recorder gets sample 0, then each block's kept rows before the
-    next block steps (a blowup raises first), as ``recorder(times, rows)``:
+    next block steps (a blowup raises first), as ``record(times, rows)``:
     the samples' ``k * dt`` and a view of their [x, eta_sat] buffer rows,
-    valid for the call.  Recorded or not, the final sample, ``converged``,
-    ``y_ss``, ``residual`` and ``certified_at`` are bitwise the same, and a
-    blowup raises the same message.
+    valid for the call.  Recorded or not, the ``Trajectory`` is bitwise the
+    same, and a blowup raises the same message.
 
     Parameters
     ----------
@@ -286,7 +272,7 @@ def simulate(system: ClosedLoopSystem, x0=None, eta0=None, dt=None, t_max=None,
         Initial conditions, which must be finite.  Missing agent states are
         drawn uniformly from [min anchor - 10, max anchor + 10] with the given
         seed; missing controller states start at zero.  A static edge's eta
-        is never stepped: the ``Trajectory`` holds its eta0 at every sample.
+        is never stepped: the ``Trajectory`` holds its eta0.
     dt, t_max : float or None
         Step size and horizon, whose ratio must be finite.  The default step
         keeps every stable mode in RK4's stability region
@@ -296,10 +282,9 @@ def simulate(system: ClosedLoopSystem, x0=None, eta0=None, dt=None, t_max=None,
         Threshold on the worst state/output rate for steadiness.
     window : int
         Number of consecutive steady samples required before stopping.
-    record : bool or callable
-        ``True`` keeps every sample in a ``_Table``; a callable is the
-        recorder instead.  Otherwise, and then, the ``Trajectory`` holds the
-        final sample alone: ``times == [t_end]`` and one state column each.
+    record : callable or None
+        The recorder, if any.  Either way the ``Trajectory`` holds the final
+        sample alone: ``times == [t_end]`` and one state column each.
 
     Raises
     ------
@@ -327,11 +312,8 @@ def simulate(system: ClosedLoopSystem, x0=None, eta0=None, dt=None, t_max=None,
     # One state per row: row 0 holds the last kept sample, rows 1.. each new one.
     rows = np.empty((_BLOCK + 1, width))
     rows[0, :n], rows[0, n:] = x, eta[sat]
-    # Each stepped state's column in the [x, eta] table; the rows' one consumer.
-    stepped = np.concatenate((np.arange(n), n + np.flatnonzero(sat)))
-    recorder = _Table(stepped, n + m) if record is True else record or None
-    if recorder is not None:
-        recorder(np.zeros(1), rows[:1])
+    if record is not None:
+        record(np.zeros(1), rows[:1])
     # Row 0: the last kept sample's rate; rows 1..: each new sample's rate.
     rates = np.empty((_BLOCK + 1, width))
     xmus = np.empty((_BLOCK + 1, width))
@@ -399,16 +381,15 @@ def simulate(system: ClosedLoopSystem, x0=None, eta0=None, dt=None, t_max=None,
         if bad < block and not converged:
             raise NumericalBlowupError(f"state magnitude exceeded {_BLOWUP_LIMIT:g} "
                                        f"at t = {count * dt:.6g}")
-        if recorder is not None:
-            recorder(np.arange(start, count) * dt, rows[1: 1 + count - start])
+        if record is not None:
+            record(np.arange(start, count) * dt, rows[1: 1 + count - start])
         rows[0], rates[0] = rows[count - start], rates[block]
         steps_left -= block
 
-    table = recorder.table[:count] if record is True else np.empty((1, n + m))
-    table[-1, stepped] = rows[0]
-    table[:, n + np.flatnonzero(~sat)] = eta[~sat]
-    table.setflags(write=False)
-    x_states, eta_states = table[:, :n].T, table[:, n:].T
+    x_states, eta_states = rows[0, :n, None].copy(), eta[:, None].copy()
+    eta_states[sat, 0] = rows[0, n:]  # a static edge's eta stays eta0's
+    x_states.setflags(write=False)
+    eta_states.setflags(write=False)
     certified_at = None
     if y_ss is not None:  # certified: the residual is the worst rate at [x*, eta]
         certified_at, converged = count - 1, True
@@ -416,7 +397,6 @@ def simulate(system: ClosedLoopSystem, x0=None, eta0=None, dt=None, t_max=None,
         system.rate(rows[1], rates[1], xmus[1])
         metrics = system.steady_rate(rates[1:2], xmus[1:2], work)
     elif converged:
-        y_ss = x_states[:, -1].copy()
-    times = np.arange(count - table.shape[0], count) * dt
-    return Trajectory(times, x_states, eta_states, converged, y_ss, float(np.max(metrics)),
-                      certified_at)
+        y_ss = rows[0, :n].copy()
+    return Trajectory(np.array([(count - 1) * dt]), x_states, eta_states, converged, y_ss,
+                      float(np.max(metrics)), certified_at)

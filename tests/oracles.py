@@ -22,12 +22,15 @@ two:
 - the stationarity residual ``bvls_residual``: scipy's bounded-variable least
   squares on the free edges' dense incidence columns, which the package
   computes as a graph total-variation prox instead;
-- the closed loop's signals ``control`` and vector field ``derivative``.
+- the closed loop's signals ``control`` and vector field ``derivative``;
+- a run's samples: ``Samples``, a list-collecting ``simulate`` recorder, and
+  ``trajectory_csv``, the trajectory CSV formatted one value at a time.
 
 The module has no ``test_`` prefix, so pytest imports it only from the test
 modules that use it.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -42,6 +45,7 @@ from netpass import (
     StaticGainController,
     TanhIntegratorController,
     TrafficAgent,
+    simulate,
 )
 
 BRUTE_FORCE_MAX_N = 4
@@ -378,3 +382,54 @@ def derivative(system, x, eta):
     eta_dot = np.zeros(sat.size)
     eta_dot[sat] = z_dot[n:]
     return z_dot[:n], eta_dot
+
+
+# ----------------------------------------------------------------------
+# a run's samples
+# ----------------------------------------------------------------------
+
+
+class Samples:
+    """A ``simulate`` recorder that keeps a copy of every sample it is handed."""
+
+    def __init__(self):
+        self.times, self.rows = [], []
+
+    def __call__(self, times, rows):
+        self.times.append(times.copy())
+        self.rows.append(rows.copy())
+
+    def states(self, n, saturated, eta0=None):
+        """The kept samples' (times, x_states, eta_states), one column per sample.
+
+        The rows hold [x, eta_sat]; a static edge's eta is never stepped, so it
+        is ``eta0``'s (0 when None) at every sample.
+        """
+        rows = np.concatenate(self.rows)
+        eta = np.zeros(saturated.size) if eta0 is None else np.asarray(eta0, dtype=float)
+        eta_states = np.repeat(eta[:, None], len(rows), axis=1)
+        eta_states[saturated] = rows[:, n:].T
+        return np.concatenate(self.times), rows[:, :n].T, eta_states
+
+
+def simulate_recorded(system, **kwargs):
+    """``simulate`` through a ``Samples`` recorder: its run, every sample in the state arrays."""
+    samples = Samples()
+    run = simulate(system, record=samples, **kwargs)
+    times, x_states, eta_states = samples.states(system.graph.n_vertices,
+                                                 system.controllers.saturated, kwargs.get("eta0"))
+    return dataclasses.replace(run, times=times, x_states=x_states, eta_states=eta_states)
+
+
+def trajectory_csv(times, x_states, eta_states, saturated):
+    """The trajectory CSV's text: a header, then t, x and eta, each value as ``%.12g``.
+
+    A static edge's eta is written "0" in every row: every controller state starts at 0.
+    """
+    n, m = x_states.shape[0], eta_states.shape[0]
+    lines = [",".join(["t"] + [f"x_{i}" for i in range(n)] + [f"eta_{e}" for e in range(m)])]
+    for j, t in enumerate(times):
+        cells = ["%.12g" % v for v in (t, *x_states[:, j])]
+        cells += ["%.12g" % eta if sat else "0" for eta, sat in zip(eta_states[:, j], saturated)]
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"

@@ -65,7 +65,7 @@ from netpass.harness import (
     generate_case_study,
     verify,
 )
-from oracles import agent_drift, agent_storage, brute_force, flow_objective, incidence
+from oracles import Samples, agent_drift, agent_storage, brute_force, flow_objective, incidence
 
 
 # ----------------------------------------------------------------------
@@ -393,21 +393,21 @@ def test_criterion_10_certified_runs_never_violate_dissipation():
         data = case_config(n, seed, mode, vsr=(0,)).to_dict()
         data["sim"]["dt"] = 0.02
         config = config_from_dict(data)
-        report = verify(config, record=True)
+        samples = Samples()
+        report = verify(config, record=samples)
         assert report.passed, (n, seed, mode, report.verdict)
-        graph, agents, _ = build_system_parts(config)
-        trajectory = report.trajectory
+        graph, agents, controllers = build_system_parts(config)
+        _, X, eta_states = samples.states(graph.n_vertices, controllers.saturated)
         alpha = np.asarray(report.gain["alpha"])
         beta = np.asarray(report.gain["beta"])
         E = incidence(graph)
 
-        X = trajectory.x_states
         y_ss = np.asarray(report.sim["y_ss"])
         u_ss = agents.steady_input(y_ss)
         regularizer = (E * beta) @ E.T + np.diag(alpha)
         v_ss = u_ss + regularizer @ y_ss
 
-        efforts = np.tanh(trajectory.eta_states)
+        efforts = np.tanh(eta_states)
         outer_input = -E @ efforts
         agent_input = outer_input - regularizer @ X
         x_rate = np.vstack([
@@ -426,9 +426,9 @@ def test_criterion_10_certified_runs_never_violate_dissipation():
         worst_violation = max(worst_violation, violation)
         total_samples += X.shape[1]
         assert violation <= 1e-8, (n, seed, mode, violation)
-    # Every sample of the five runs: a run verified without record=True holds
-    # its final sample alone, and the gate would check only that.  A run that
-    # a certificate ends holds no samples of its linear all-deep tail.
+    # Every sample of the five runs, which only a recorder sees: a run's
+    # Trajectory holds its final sample alone.  A run that a certificate
+    # ends has no samples of its linear all-deep tail.
     assert total_samples == 80476
     print(f"criterion 10: 5/5 certified runs dissipative over "
           f"{total_samples} samples, worst violation {worst_violation:.2e}")

@@ -193,6 +193,9 @@ def test_a_non_pair_edge_is_named_in_the_first_offending_edge_order(n, edges):
      "edge 1 = [1, 2, 0] is not a (head, tail) pair"),
     ([(0, 1), np.array([[1], [2]])], VertexIndexError,
      "edge 1 = array([[1],\n       [2]]) is not a (head, tail) pair"),
+    (5, VertexIndexError, "edges must be a list of (head, tail) pairs, got 5"),
+    (None, VertexIndexError, "edges must be a list of (head, tail) pairs, got None"),
+    (2.5, VertexIndexError, "edges must be a list of (head, tail) pairs, got 2.5"),
 ])
 def test_the_first_offending_edge_is_named_whatever_follows_it(edges, error, message):
     with pytest.raises(error) as excinfo:

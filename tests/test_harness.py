@@ -26,7 +26,6 @@ from netpass import (
     NetworkGraph,
     ScenarioConfig,
     SolveStatus,
-    Trajectory,
     config_from_dict,
     emit_report,
     generate_case_study,
@@ -45,8 +44,8 @@ from netpass.harness import (
     optimization_stage,
     synthesis_stage,
     synthesize_certified,
-    write_trajectory_csv,
 )
+from oracles import Samples, trajectory_csv
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -638,29 +637,26 @@ def test_emit_report_round_trips_json(tmp_path):
 
 
 def test_emit_report_csv_shapes(tmp_path):
-    report = verify(config_from_dict(consensus_dict()), record=True)
     traj_path = tmp_path / "trajectory.csv"
     pairs_path = tmp_path / "pairs.csv"
-    emit_report(report, trajectory_csv=traj_path, pairs_csv=pairs_path)
+    report = verify(config_from_dict(consensus_dict()), record=traj_path)
+    emit_report(report, pairs_csv=pairs_path)
     lines = traj_path.read_text().splitlines()
     assert lines[0] == "t,x_0,x_1,eta_0"
-    assert len(lines) == report.trajectory.times.size + 1
+    assert lines[1].startswith("0,") and lines[-1].startswith("%.12g," % report.sim["t_end"])
+    assert {line.count(",") for line in lines} == {3}
     pair_lines = pairs_path.read_text().splitlines()
     assert pair_lines[0] == "vertex,y_ss,y_star"
     assert len(pair_lines) == 3
 
 
-def test_emit_report_refuses_a_trajectory_csv_from_an_unrecorded_run(tmp_path):
-    # An unrecorded run holds its final sample alone: writing it would be a
-    # one-row CSV that looks like a whole trajectory.
-    report = verify(config_from_dict(consensus_dict()))
-    assert report.trajectory.times.size == 1 and report.trajectory.times[0] > 0.0
-    path = tmp_path / "trajectory.csv"
-    with pytest.raises(ValueError, match="record=True"):
-        emit_report(report, trajectory_csv=path)
-    assert not path.exists()
-    recorded = verify(config_from_dict(consensus_dict()), record=True)
-    assert recorded.to_dict() == report.to_dict()
+def write_in_blocks(path, times, x_states, eta_sat, saturated, block=33):
+    """Write a trajectory CSV through the streaming writer, ``block`` samples per call."""
+    rows = np.vstack((x_states, eta_sat)).T
+    with open(path, "w") as fh:
+        write = harness._csv_rows(fh, x_states.shape[0], saturated)
+        for start in range(0, times.size, block):
+            write(times[start:start + block], rows[start:start + block])
 
 
 def test_trajectory_csv_matches_per_value_format(tmp_path):
@@ -670,37 +666,28 @@ def test_trajectory_csv_matches_per_value_format(tmp_path):
     count = 700
     rng = np.random.default_rng(3)
     table = rng.choice(specials, size=(count, 4)) * rng.choice([1.0, -1.0], size=(count, 4))
-    trajectory = Trajectory(times=np.arange(count) * 0.05, x_states=table[:, :2].T,
-                            eta_states=table[:, 2:].T, converged=False, y_ss=None,
-                            residual=1.0)
+    times, saturated = np.arange(count) * 0.05, np.ones(2, dtype=bool)
     path = tmp_path / "trajectory.csv"
-    write_trajectory_csv(trajectory, path)
-    expected = ["t,x_0,x_1,eta_0,eta_1"]
-    for t, row in zip(trajectory.times, table):
-        expected.append(",".join(f"{v:.12g}" for v in (t, *row)))
-    assert path.read_text() == "\n".join(expected) + "\n"
+    write_in_blocks(path, times, table[:, :2].T, table[:, 2:].T, saturated)
+    assert path.read_text() == trajectory_csv(times, table[:, :2].T, table[:, 2:].T, saturated)
 
 
 def test_trajectory_csv_formats_constant_eta_columns_as_each_value(tmp_path):
-    # A recorded trajectory carries no static-edge mask, so every eta column
-    # is formatted per value: constant columns print each value, and a
-    # column that changes only its sign bit prints "0" then "-0".
+    # A tanh edge's eta is formatted per value even where it holds still:
+    # constant columns print each value, and a column that changes only its
+    # sign bit prints "0" then "-0".  A static edge's eta is "0" throughout.
     count = 300
     t = np.arange(count) * 0.1
     sign_flip = np.where(np.arange(count) < count // 2, 0.0, -0.0)
-    trajectory = Trajectory(times=t, x_states=np.vstack((np.sin(t), np.full(count, 2.5))),
-                            eta_states=np.vstack((np.full(count, 1.0 / 3.0), np.full(count, -0.0),
-                                                  sign_flip, np.cos(t))),
-                            converged=False, y_ss=None, residual=1.0)
+    x_states = np.vstack((np.sin(t), np.full(count, 2.5)))
+    eta_states = np.vstack((np.full(count, 1.0 / 3.0), np.zeros(count), np.full(count, -0.0),
+                            sign_flip, np.cos(t)))
+    saturated = np.array([True, False, True, True, True])
     path = tmp_path / "trajectory.csv"
-    write_trajectory_csv(trajectory, path)
-    expected = ["t,x_0,x_1,eta_0,eta_1,eta_2,eta_3"]
-    for j in range(count):
-        values = (t[j], *trajectory.x_states[:, j], *trajectory.eta_states[:, j])
-        expected.append(",".join(f"{v:.12g}" for v in values))
+    write_in_blocks(path, t, x_states, eta_states[saturated], saturated)
     text = path.read_text()
-    assert text == "\n".join(expected) + "\n"
-    assert ",0.333333333333,-0,0," in text and ",0.333333333333,-0,-0," in text
+    assert text == trajectory_csv(t, x_states, eta_states, saturated)
+    assert ",0.333333333333,0,-0,0," in text and ",0.333333333333,0,-0,-0," in text
 
 
 def hybrid_case_study_dict(n, seed):
@@ -719,7 +706,7 @@ def mixed4_dict(**sim):
 
 
 # Mixed agents with two static edges, cut by the horizon within a block; a
-# certified stop; and a run past the recorder's first 4,096 rows.
+# certified stop; and a long run, handed out in 157 blocks.
 @pytest.mark.parametrize("data,samples,certified_at", [
     (mixed4_dict(dt=0.01, t_max=3.0), 301, None),
     (hybrid_case_study_dict(10, 4), 97, 96),
@@ -729,13 +716,16 @@ def test_streamed_trajectory_csv_is_the_recorded_one_byte_for_byte(data, samples
                                                                    tmp_path, capsys):
     scenario = tmp_path / "scenario.json"
     scenario.write_text(json.dumps(data))
-    streamed, recorded_csv = tmp_path / "streamed.csv", tmp_path / "recorded.csv"
+    streamed = tmp_path / "streamed.csv"
     main(["verify", str(scenario), "--out-trajectory", str(streamed)])
-    recorded = verify(load_config(scenario), record=True)
-    write_trajectory_csv(recorded.trajectory, recorded_csv)
+    config, recorder = load_config(scenario), Samples()
+    recorded = verify(config, record=recorder)
     assert json.loads(capsys.readouterr().out) == recorded.to_dict()
-    assert streamed.read_bytes() == recorded_csv.read_bytes()
-    assert recorded.trajectory.times.size == samples
+    graph, _, controllers = config.parts
+    times, x_states, eta_states = recorder.states(graph.n_vertices, controllers.saturated)
+    expected = trajectory_csv(times, x_states, eta_states, controllers.saturated)
+    assert streamed.read_bytes() == expected.encode()
+    assert times.size == samples
     assert recorded.sim["certified_at"] == certified_at
 
 
@@ -782,11 +772,10 @@ def test_streaming_the_trajectory_csv_holds_no_whole_run_table(tmp_path, capsys)
 
 
 def test_emit_report_skips_csvs_without_run_data(tmp_path):
-    report = verify(config_from_dict(mixed_pair_dict()))
     traj_path = tmp_path / "trajectory.csv"
     pairs_path = tmp_path / "pairs.csv"
-    emit_report(report, json_path=tmp_path / "report.json",
-                trajectory_csv=traj_path, pairs_csv=pairs_path)
+    report = verify(config_from_dict(mixed_pair_dict()), record=traj_path)
+    emit_report(report, json_path=tmp_path / "report.json", pairs_csv=pairs_path)
     assert not traj_path.exists()
     assert not pairs_path.exists()
 

@@ -57,6 +57,7 @@ from oracles import (
     controller_bank_output_rate,
     derivative,
     incidence,
+    simulate_recorded,
 )
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -193,8 +194,8 @@ def default_step(system):
     A run that the certificate ends at sample 0 (a stable loop without tanh
     edges) takes no step; ``_default_step`` is then the step.
     """
-    trajectory = simulate(system, x0=np.zeros(system.graph.n_vertices),
-                          steady_tol=np.inf, window=2)
+    trajectory = simulate_recorded(system, x0=np.zeros(system.graph.n_vertices),
+                                   steady_tol=np.inf, window=2)
     if trajectory.certified_at == 0:
         return _default_step(system)
     assert trajectory.times.size == 2
@@ -323,12 +324,12 @@ def test_default_step_settles_the_n40_case_study_in_few_steps():
     system = ClosedLoopSystem(*parts, synthesis_stage(config)[0])
     trajectory = simulate(system, seed=config.seed)
     assert trajectory.converged
-    assert trajectory.times.size - 1 < 16000
+    assert trajectory.times[-1] / _default_step(system) < 16000
     assert steady_state_residual(system, trajectory.y_ss) <= 1e-8
 
 
 def test_simulate_times_uniform_and_state_shapes():
-    trajectory = simulate(consensus_system(), x0=[5.0, 18.0], dt=0.02)
+    trajectory = simulate_recorded(consensus_system(), x0=[5.0, 18.0], dt=0.02)
     steps = np.diff(trajectory.times)
     np.testing.assert_allclose(steps, 0.02, atol=1e-12)
     assert trajectory.x_states.shape[0] == 2
@@ -344,10 +345,10 @@ def test_simulate_short_horizon_reports_not_converged():
 
 def test_simulate_seeded_default_start_is_deterministic():
     system = consensus_system()
-    one = simulate(system, seed=42)
-    two = simulate(system, seed=42)
+    one = simulate_recorded(system, seed=42)
+    two = simulate_recorded(system, seed=42)
     np.testing.assert_array_equal(one.x_states, two.x_states)
-    other = simulate(system, seed=43)
+    other = simulate_recorded(system, seed=43)
     assert not np.array_equal(one.x_states[:, 0], other.x_states[:, 0])
 
 
@@ -386,18 +387,19 @@ def mixed4_system():
 
 
 def mixed4_run():
-    """The mixed4 golden scenario's capped-horizon run."""
+    """The mixed4 golden scenario's capped-horizon run, every sample kept."""
     config = load_config(GOLDEN / "mixed4.json")
     system = mixed4_system()
-    return system, simulate(system, x0=config.x0, dt=config.dt, t_max=config.t_max,
-                            steady_tol=config.steady_tol, seed=config.seed, window=WINDOW)
+    return system, simulate_recorded(system, x0=config.x0, dt=config.dt, t_max=config.t_max,
+                                     steady_tol=config.steady_tol, seed=config.seed,
+                                     window=WINDOW)
 
 
 @pytest.mark.parametrize("run", ["consensus", "mixed4"])
 def test_residual_is_worst_rate_over_last_window(run):
     if run == "consensus":
         system = consensus_system()
-        trajectory = simulate(system, x0=[5.0, 18.0], dt=0.02, window=WINDOW)
+        trajectory = simulate_recorded(system, x0=[5.0, 18.0], dt=0.02, window=WINDOW)
     else:
         system, trajectory = mixed4_run()
         assert not trajectory.converged
@@ -499,10 +501,10 @@ def assert_bitwise(got, want, name):
 def assert_unrecorded_run_matches(system, **kwargs):
     """``simulate`` without a recorder ends on the recorded run's final sample, bit for bit.
 
-    Returns the recorded run, or the message both raise.
+    Returns the recorded run, every sample kept, or the message both raise.
     """
-    recorded = run_or_message(simulate, system, **kwargs)
-    unrecorded = run_or_message(simulate, system, record=False, **kwargs)
+    recorded = run_or_message(simulate_recorded, system, **kwargs)
+    unrecorded = run_or_message(simulate, system, **kwargs)
     if isinstance(recorded, str):
         assert unrecorded == recorded
         return recorded
@@ -617,7 +619,8 @@ def test_buffered_step_converges_at_sample_zero_with_a_one_sample_window():
 @pytest.mark.parametrize("samples", [32, 33, 34, 4096, 4097])
 def test_buffered_step_stops_where_the_plain_loop_does(samples):
     # Every rate counts as steady, so the run stops on its window-th sample:
-    # around the end of the first block, and around the first table growth.
+    # around the end of the first block, and around the plain loop's first
+    # table growth.
     run = assert_same_run(consensus_system(), [5.0, 18.0], dt=0.02, t_max=1000.0,
                           steady_tol=np.inf, window=samples)
     assert run.converged and run.times.size == samples
@@ -673,7 +676,7 @@ def test_a_wrong_sign_deep_edge_is_never_certified(eta0, t_max, steady_tol, conv
     # eta starts deep against a relative output that turns positive, so
     # s * zeta* < 0 at every deep block start: RK4 steps the edge out of the
     # deep region, bit for bit the plain loop.  From -110 it leaves at sample
-    # 4,732, past the 4,096 rows where a recorded table first doubles.
+    # 4,732, past the 4,096 rows where the plain loop's table first doubles.
     run = assert_same_run(consensus_system(), [5.0, 18.0], [eta0], dt=0.02, t_max=t_max,
                           steady_tol=steady_tol)
     assert run.converged == converged and run.certified_at is None
@@ -721,7 +724,7 @@ def test_the_certificate_ends_the_slow_hybrid_case_study():
     config = config_from_dict(data)
     parts = build_system_parts(config)
     system = ClosedLoopSystem(*parts, synthesis_stage(config)[0])
-    trajectory = simulate(system, seed=config.seed)
+    trajectory = simulate_recorded(system, seed=config.seed)
     assert trajectory.converged and trajectory.certified_at == 864
     assert trajectory.times.size == 865
 
@@ -785,9 +788,8 @@ def test_a_certified_stop_is_sound_on_random_deep_starts(case, dt, steps, window
 
 @pytest.mark.parametrize("scenario", ["n10-s2 hybrid", "n10-s3 hybrid", "none_blowup"])
 def test_unrecorded_run_ends_on_the_recorded_final_sample(scenario):
-    # n10-s3 is never certified, and its recorded table doubles at 4096 and
-    # 8192 rows, mid-block, while the unrecorded run steps the same grid of
-    # 32-sample blocks from sample 1.  n10-s2 ends at a certified stop, and
+    # n10-s3 is never certified: 8,969 samples, 281 blocks of 32 from sample
+    # 1, each handed to the recorder.  n10-s2 ends at a certified stop, and
     # none_blowup raises.  Both case studies' rate sums are not positive, so
     # the benchmark runs them in hybrid mode.
     if scenario == "none_blowup":
@@ -835,8 +837,8 @@ def mixed_start(system, static_eta, sat_eta=0.5):
 
 
 def test_mixed_runs_across_two_table_growths_hold_each_static_eta0():
-    # 9,201 samples: the recorded table grows at 4096 and 8192 rows while the
-    # run steps [x, eta_sat] through its small buffer; it matches the plain
+    # 9,201 samples: the plain loop's table grows at 4096 and 8192 rows while
+    # the run steps [x, eta_sat] through its small buffer; it matches the plain
     # loop on [x, eta], and the static rows are eta0 throughout.  Edge 0
     # starts wound deep against its zeta* (about +23), so it stays wrong-signed
     # to the horizon and no block start is certified.
@@ -855,7 +857,7 @@ def test_a_static_edge_state_is_never_stepped_or_checked_for_blowup():
     system = mixed4_system()
     static = ~system.controllers.saturated
     huge = assert_unrecorded_run_matches(system, t_max=2.0, **mixed_start(system, 1e13))
-    zero = simulate(system, t_max=2.0, **mixed_start(system, 0.0))
+    zero = simulate_recorded(system, t_max=2.0, **mixed_start(system, 0.0))
     assert not isinstance(huge, str), huge
     assert (huge.eta_states[static] == 1e13).all()
     assert_bitwise(huge.x_states, zero.x_states, "x_states")
@@ -909,37 +911,33 @@ def test_given_step_skips_the_default_step_norms(monkeypatch):
 
 
 _MEMORY_PROBE = """
-import json, resource, sys
+import json, resource
 from netpass import ClosedLoopSystem, generate_case_study, simulate
 from netpass.harness import build_system_parts, synthesis_stage
-record = sys.argv[1] == "record"
 config = generate_case_study(20, 1)
 parts = build_system_parts(config)
 system = ClosedLoopSystem(*parts, synthesis_stage(config)[0])
-simulate(system, seed=1, t_max=1.0, record=record)
+simulate(system, seed=1, t_max=1.0)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB on Linux
-trajectory = simulate(system, seed=1, dt=0.01, t_max=300.0, steady_tol=0.0, record=record)
+trajectory = simulate(system, seed=1, dt=0.01, t_max=300.0, steady_tol=0.0)
 after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 print(json.dumps({"t_end": float(trajectory.times[-1]), "samples": trajectory.times.size,
                   "growth": (after - before) * 1024,
-                  "states": trajectory.x_states.nbytes + trajectory.eta_states.nbytes}))
+                  "width": system.graph.n_vertices + system.graph.n_edges}))
 """
 
 
-def test_trajectory_memory_stays_near_its_own_size():
-    # Fresh processes, so each peak resident size is its run's own.  The
-    # recorder's doubling buffer may overshoot the trajectory; copying the
-    # state histories out of it would double it.  Without a recorder the
-    # same run keeps a few blocks of rows.
+def test_an_unrecorded_run_holds_no_whole_run_table():
+    # A fresh process, so the peak resident size is the run's own.  Without
+    # a recorder a run keeps its final sample and a few blocks of rows: over
+    # 30,001 samples its peak grows by less than a tenth of the 50 MB that a
+    # whole [x, eta] table of them would take.
     src = str(Path(__file__).resolve().parents[1] / "src")
-    recorded, unrecorded = (json.loads(subprocess.run(
-        [sys.executable, "-c", _MEMORY_PROBE, mode], check=True, capture_output=True,
-        text=True, env=dict(os.environ, PYTHONPATH=src), timeout=300).stdout)
-        for mode in ("record", "final"))
-    assert recorded["samples"] == 30001
-    assert recorded["growth"] <= 1.6 * recorded["states"]
-    assert unrecorded["samples"] == 1 and unrecorded["t_end"] == recorded["t_end"]
-    assert unrecorded["growth"] < 0.1 * recorded["states"]
+    probe = json.loads(subprocess.run(
+        [sys.executable, "-c", _MEMORY_PROBE], check=True, capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src), timeout=300).stdout)
+    assert probe["samples"] == 1 and probe["t_end"] == 30000 * 0.01
+    assert probe["growth"] < 0.1 * 30001 * probe["width"] * 8
 
 
 _FAULT_PROBE = """
@@ -948,9 +946,9 @@ from netpass import ClosedLoopSystem, generate_case_study, simulate
 from netpass.harness import synthesis_stage
 config = generate_case_study(40, 0)
 system = ClosedLoopSystem(*config.parts, synthesis_stage(config)[0])
-simulate(system, record=False)
+simulate(system)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-simulate(system, record=False)
+simulate(system)
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 
@@ -1000,7 +998,7 @@ def test_declared_index_dissipation_along_surplus_run():
     controllers = ControllerBank([TanhIntegratorController()] * 3)
     gain = uniform_network_gain(np.ones(3), K3)
     system = ClosedLoopSystem(K3, agents, controllers, gain)
-    trajectory = simulate(system, seed=5)
+    trajectory = simulate_recorded(system, seed=5)
     assert trajectory.converged
     y_ss = trajectory.y_ss
     u_ss = agents.steady_input(y_ss)

@@ -134,6 +134,6 @@ def test_the_sparse_ring2n_300_run_ends_at_the_minimizer():
     config = ring2n(300)
     report = verify(config)
     system = ClosedLoopSystem(*config.parts, synthesis_stage(config)[0])
-    residual = steady_state_residual(system, report.trajectory.y_ss)
+    residual = steady_state_residual(system, np.asarray(report.sim["y_ss"]))
     assert report.mismatch <= config.mismatch_tol and residual <= 1e-5, (report.mismatch,
                                                                          residual)
