@@ -9,16 +9,16 @@ for every constant steady-state pair (u_ss, y_ss).  A negative ``rho`` means
 the agent is passivity-short and needs network help.
 
 All supported models have affine dynamics and affine steady-state maps, so a
-model is a parameter record that reports its coefficients: drift
-``p*x + q*u + g`` (``drift_coeffs``), steady-state input map
-``slope*y + intercept`` whose integral, the agent's potential, is anchored by
-a constant (``steady_coeffs``), the output where that potential is stationary
-(``anchor``), and the passivity index ``rho``.  ``AgentBank`` holds the
-coefficients as arrays and evaluates the steady-state map and the potentials
-vectorized over all agents.
+model is a parameter record whose class writes its parameter ``rules`` and
+coefficients once (``coeffs``: the passivity index ``rho``, drift
+``p*x + q*u + g``, steady-state input map ``slope*y + intercept`` whose
+integral, the agent's potential, is anchored by a constant, and the output
+where that potential is stationary), over scalars or one kind's columns.
+``AgentBank`` evaluates them kind by kind, then the steady-state map and the
+potentials vectorized over all agents; its base serves the controllers too.
 """
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -27,8 +27,68 @@ from .errors import DimensionMismatchError, ParameterError, as_vector
 __all__ = ["TrafficAgent", "IntegratorAgent", "StaticAffineAgent", "AgentBank"]
 
 
+def _check_rules(columns):
+    """Raise the ParameterError of the first rule broken at the lowest roster position.
+
+    ``columns``: record class -> (roster positions, parameter columns or one record's scalars).
+    """
+    failures = []  # (roster position, rule number, rule, column entry), the first per rule
+    for cls, (positions, params) in columns.items():
+        for r, rule in enumerate(cls.rules(*params)):
+            failures += [(int(positions[j]), r, rule, j) for j in np.flatnonzero(rule[1])[:1]]
+    if failures:
+        position, _, (field, _, template, *values), j = min(failures, key=lambda f: f[:2])
+        message = template.format(*(np.ravel(v)[j].item() for v in values))
+        raise ParameterError(field, message, position)
+
+
+class ModelRecord:
+    """A frozen dataclass of parameters; ``rules`` and ``coeffs`` take them in field order."""
+
+    rules = staticmethod(lambda *params: ())  # (field, failing, template, *values) per rule
+
+    def __post_init__(self):
+        _check_rules({type(self): ((0,), astuple(self))})
+
+
+class ModelBank:
+    """Per model, the read-only arrays ``COEFFICIENTS`` names, filled class by class."""
+
+    COEFFICIENTS = ()  # (attribute, dtype) per value of a class's ``coeffs``
+
+    def __init__(self, models):
+        models, columns = tuple(models), {}
+        for k, model in enumerate(models):
+            positions, rows = columns.setdefault(type(model), ([], []))
+            positions.append(k)
+            rows.append(astuple(model))
+        self._fill(len(models), {cls: (p, list(zip(*rows))) for cls, (p, rows) in columns.items()})
+
+    @classmethod
+    def from_columns(cls, count, columns):
+        """The bank of ``count`` models: record class -> (roster positions, parameter columns)."""
+        bank = cls.__new__(cls)
+        cls._fill(bank, count, columns)
+        return bank
+
+    def _fill(self, count, columns):
+        columns = {cls: (np.asarray(p, dtype=np.intp), [np.asarray(c, dtype=float) for c in params])
+                   for cls, (p, params) in columns.items()}
+        _check_rules(columns)
+        arrays = [np.zeros(count, dtype) for _, dtype in self.COEFFICIENTS]
+        for cls, (positions, params) in columns.items():
+            for array, values in zip(arrays, cls.coeffs(*params), strict=True):
+                array[positions] = values
+        for (name, _), array in zip(self.COEFFICIENTS, arrays):
+            array.setflags(write=False)
+            setattr(self, name, array)
+
+    def __len__(self):
+        return len(getattr(self, self.COEFFICIENTS[0][0]))
+
+
 @dataclass(frozen=True)
-class TrafficAgent:
+class TrafficAgent(ModelRecord):
     """First-order velocity-tracking vehicle model.
 
     dx/dt = kappa * (-x + v0 + v1 * u),   y = x
@@ -43,50 +103,31 @@ class TrafficAgent:
     v0: float
     v1: float
 
-    def __post_init__(self):
-        if self.v1 == 0.0:
-            raise ParameterError("v1", "traffic agent needs v1 != 0")
-        if self.v1 * self.kappa <= 0.0:
-            raise ParameterError(
-                "v1", f"traffic agent needs v1 * kappa > 0, got {self.v1 * self.kappa}")
+    @staticmethod
+    def rules(kappa, v0, v1):
+        return (("v1", v1 == 0.0, "traffic agent needs v1 != 0"),
+                ("v1", v1 * kappa <= 0.0, "traffic agent needs v1 * kappa > 0, got {}",
+                 v1 * kappa))
 
-    @property
-    def rho(self):
-        return self.kappa
-
-    def drift_coeffs(self):
-        return (-self.kappa, self.kappa * self.v1, self.kappa * self.v0)
-
-    def steady_coeffs(self):
-        """(slope, intercept, constant): the potential is (y - v0)**2 / (2 v1)."""
-        return (1.0 / self.v1, -self.v0 / self.v1, self.v0**2 / (2.0 * self.v1))
-
-    def anchor(self):
-        """Output at which the potential is stationary."""
-        return self.v0
+    @staticmethod
+    def coeffs(kappa, v0, v1):
+        # The potential is (y - v0)**2 / (2 v1), squared by libm's pow as Python's ** does.
+        return (kappa, -kappa, kappa * v1, kappa * v0,
+                1.0 / v1, -v0 / v1, np.float_power(v0, 2) / (2.0 * v1), v0)
 
 
 @dataclass(frozen=True)
-class IntegratorAgent:
+class IntegratorAgent(ModelRecord):
     """Pure integrator: dx/dt = u, y = x.  Lossless, index rho = 0."""
 
-    @property
-    def rho(self):
-        return 0.0
-
-    def drift_coeffs(self):
-        return (0.0, 1.0, 0.0)
-
-    def steady_coeffs(self):
+    @staticmethod
+    def coeffs():
         # Any output is an equilibrium under zero input.
-        return (0.0, 0.0, 0.0)
-
-    def anchor(self):
-        return 0.0
+        return 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0
 
 
 @dataclass(frozen=True)
-class StaticAffineAgent:
+class StaticAffineAgent(ModelRecord):
     """First-order lag realizing the affine steady-state map y = a*u + c.
 
     dx/dt = tau * (-x + a * u + c),   y = x
@@ -100,44 +141,29 @@ class StaticAffineAgent:
     tau: float = 1.0
     rho: float = 0.0
 
-    def __post_init__(self):
-        if self.a == 0.0:
-            raise ParameterError("a", "static affine agent needs a != 0")
-        if self.tau <= 0.0:
-            raise ParameterError("tau", f"static affine agent needs tau > 0, got {self.tau}")
+    @staticmethod
+    def rules(a, c, tau, rho):
+        return (("a", a == 0.0, "static affine agent needs a != 0"),
+                ("tau", tau <= 0.0, "static affine agent needs tau > 0, got {}", tau))
 
-    def drift_coeffs(self):
-        return (-self.tau, self.tau * self.a, self.tau * self.c)
-
-    def steady_coeffs(self):
-        """The potential is (y**2 / 2 - c y) / a, zero at y = 0."""
-        return (1.0 / self.a, -self.c / self.a, 0.0)
-
-    def anchor(self):
-        return self.c
+    @staticmethod
+    def coeffs(a, c, tau, rho):
+        # The potential is (y**2 / 2 - c y) / a, zero at y = 0.
+        return rho, -tau, tau * a, tau * c, 1.0 / a, -c / a, 0.0, c
 
 
-class AgentBank:
+class AgentBank(ModelBank):
     """Ordered collection of agents with their coefficients as arrays."""
 
-    def __init__(self, agents):
-        self.agents = tuple(agents)
-        n = len(self.agents)
-        if n == 0:
-            raise DimensionMismatchError("agent bank cannot be empty")
-        self.rho_vector = np.array([a.rho for a in self.agents])
-        # Read-only coefficient arrays: drift p*x + q*u + g, steady-state
-        # input map slope*y + intercept, potential anchored by const.
-        self.p, self.q, self.g = np.array([a.drift_coeffs() for a in self.agents]).T.copy()
-        self.slope, self.intercept, self.const = np.array(
-            [a.steady_coeffs() for a in self.agents]).T.copy()
-        self.anchors = np.array([a.anchor() for a in self.agents])
-        for arr in (self.rho_vector, self.p, self.q, self.g, self.slope,
-                    self.intercept, self.const, self.anchors):
-            arr.setflags(write=False)
+    # rho, drift p*x + q*u + g, steady map slope*y + intercept, potential constant, anchor
+    COEFFICIENTS = [(name, float) for name in (
+        "rho_vector", "p", "q", "g", "slope", "intercept", "const", "anchors")]
 
-    def __len__(self):
-        return len(self.agents)
+    def __init__(self, agents):
+        agents = tuple(agents)
+        if not agents:
+            raise DimensionMismatchError("agent bank cannot be empty")
+        super().__init__(agents)
 
     def steady_input(self, y):
         """Per-agent steady-state input map, vectorized over outputs."""

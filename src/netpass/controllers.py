@@ -16,13 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, as_vector
+from .agents import ModelBank, ModelRecord
+from .errors import as_vector
 
 __all__ = ["TanhIntegratorController", "StaticGainController", "ControllerBank"]
 
 
 @dataclass(frozen=True)
-class TanhIntegratorController:
+class TanhIntegratorController(ModelRecord):
     """Saturated integrating controller: d(eta)/dt = zeta, mu = tanh(eta).
 
     Its steady-state relation is the sign relation (any effort in [-1, 1]
@@ -30,37 +31,31 @@ class TanhIntegratorController:
     potential is the absolute value.
     """
 
+    @staticmethod
+    def coeffs():
+        return True, 0.0
+
 
 @dataclass(frozen=True)
-class StaticGainController:
+class StaticGainController(ModelRecord):
     """Memoryless proportional coupling mu = w * zeta with w > 0."""
 
     w: float
 
-    def __post_init__(self):
-        if self.w <= 0.0:
-            raise ParameterError("w", f"static gain needs w > 0, got {self.w}")
+    @staticmethod
+    def rules(w):
+        return (("w", w <= 0.0, "static gain needs w > 0, got {}", w),)
+
+    @staticmethod
+    def coeffs(w):
+        return False, w
 
 
-class ControllerBank:
+class ControllerBank(ModelBank):
     """Ordered collection of edge controllers with vectorized operations."""
 
-    def __init__(self, controllers):
-        self.controllers = tuple(controllers)
-        # Read-only per-edge saturated-integrator mask and static gain w (0 if saturated).
-        self.saturated = np.array(
-            [isinstance(c, TanhIntegratorController) for c in self.controllers],
-            dtype=bool,
-        )
-        self.w = np.array(
-            [c.w if isinstance(c, StaticGainController) else 0.0 for c in self.controllers],
-            dtype=float,
-        )
-        for arr in (self.saturated, self.w):
-            arr.setflags(write=False)
-
-    def __len__(self):
-        return len(self.controllers)
+    # The per-edge saturated-integrator mask and static gain w (0 if saturated).
+    COEFFICIENTS = (("saturated", bool), ("w", float))
 
     def potential_total(self, zeta):
         zeta = as_vector(zeta, len(self), "zeta")

@@ -71,10 +71,10 @@ class NumericalBlowupError(NetpassError):
 
 
 class ParameterError(NetpassError, ValueError):
-    """A model parameter breaks the model's own rule; ``field`` names it."""
+    """A model parameter breaks its model's rule; ``field`` names it, ``index`` the model."""
 
-    def __init__(self, field, message):
-        self.field = field
+    def __init__(self, field, message, index=0):
+        self.field, self.index = field, index
         super().__init__(message)
 
 

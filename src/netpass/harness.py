@@ -4,7 +4,8 @@ A scenario bundles a graph, agent and controller rosters, a gain mode, and
 simulation/solver settings.  The file format is described once: ``_SETTINGS``
 gives each ``ScenarioConfig`` attribute its section, key, default and rule,
 and ``_AGENT_KINDS``/``_CONTROLLER_KINDS`` give each model kind its class and
-parameters; the model classes check their own parameter rules.
+parameters.  The banks evaluate the classes' parameter rules and coefficient
+formulas over each kind's columns, so validation builds no model record.
 
 ``verify`` runs the whole pipeline: synthesize a gain, certify it, simulate
 the closed loop, solve the matching steady-state optimization, and compare
@@ -88,19 +89,16 @@ class ScenarioConfig:
     parts: tuple = field(repr=False, compare=False)
 
     def to_dict(self):
+        """The stored description in fresh JSON containers, copied to the schema's shapes."""
         data = {section: {} for section in _SECTION_KEYS if section is not None}
         for name, (section, key, _, _) in _SETTINGS.items():
-            (data if section is None else data[section])[key] = _plain(getattr(self, name))
+            value = getattr(self, name)
+            if name == "graph":
+                value = {"n": value["n"], "edges": list(map(list, value["edges"]))}
+            elif isinstance(value, tuple):  # flat spec dicts, or numbers
+                value = list(map(dict, value)) if name in ("agents", "controllers") else list(value)
+            (data if section is None else data[section])[key] = value
         return data
-
-
-def _plain(value):
-    """``value`` as fresh JSON containers: tuples become lists, dicts are copied."""
-    if isinstance(value, dict):
-        return {k: _plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    return value
 
 
 def _fail(path, message):
@@ -154,18 +152,6 @@ def _graph(spec, path, settings):
     return {"n": n, "edges": edges}  # ``_build`` checks the edges and stores the graph's own
 
 
-def _model(kinds, spec, path):
-    """The model a spec describes; a parameter its class rejects fails at ``path``."""
-    params = dict(spec)
-    cls = kinds[params.pop("kind")][0]
-    for key, value in params.items():
-        params[key] = _number(value, f"{path}.{key}")
-    try:
-        return cls(**params)
-    except ParameterError as exc:
-        _fail(f"{path}.{exc.field}", str(exc))
-
-
 def _count(specs, path, count):
     if not isinstance(specs, list):
         _fail(path, "must be a list")
@@ -175,24 +161,45 @@ def _count(specs, path, count):
 
 
 def _specs(specs, path, kinds, bank):
-    """Model specs with their nulls dropped, and the ``bank`` of the models they build."""
-    out, models = [], []
-    for k, spec in enumerate(specs):
-        spec_path = f"{path}[{k}]"
-        if not isinstance(spec, dict):
-            _fail(spec_path, "must be an object")
-        kind = spec.get("kind")
-        if not isinstance(kind, str) or kind not in kinds:
-            _fail(f"{spec_path}.kind", f"unknown kind {kind!r}")
-        _, required, optional = kinds[kind]
-        _check_keys(spec, ("kind",) + required + optional, spec_path)
-        spec = {key: v for key, v in spec.items() if v is not None}
-        for key in required:
-            if key not in spec:
-                _fail(f"{spec_path}.{key}", "missing required field")
-        models.append(_model(kinds, spec, spec_path))
-        out.append(spec)
-    return tuple(out), bank(models)
+    """Model specs with their nulls dropped, and the ``bank`` built from their columns.
+
+    One pass checks shapes and numbers, and the bank the model rules, naming the
+    first faulty spec by its first failing check.  A roster of nothing but a
+    parameterless kind's one spec is compared in C and shares one dict.
+    """
+    for kind, (cls, _, _) in kinds.items():
+        shared = {"kind": kind}
+        if not cls.__match_args__ and specs.count(shared) == len(specs):
+            every = range(len(specs))
+            return (shared,) * len(specs), bank.from_columns(len(specs), {cls: (every, [])})
+    out = []
+    columns = {cls: ([], [[] for _ in cls.__match_args__]) for cls, _, _ in kinds.values()}
+    try:
+        for k, spec in enumerate(specs):
+            if not isinstance(spec, dict):
+                _fail(f"{path}[{k}]", "must be an object")
+            kind = spec.get("kind")
+            if not isinstance(kind, str) or kind not in kinds:
+                _fail(f"{path}[{k}].kind", f"unknown kind {kind!r}")
+            cls, required, optional = kinds[kind]
+            _check_keys(spec, ("kind",) + required + optional, f"{path}[{k}]")
+            spec = {key: v for key, v in spec.items() if v is not None}
+            for key in required:
+                if key not in spec:
+                    _fail(f"{path}[{k}].{key}", "missing required field")
+            numbers = {key: _number(v, f"{path}[{k}].{key}")
+                       for key, v in spec.items() if key != "kind"}
+            positions, params = columns[cls]
+            for name, column in zip(cls.__match_args__, params, strict=True):
+                column.append(numbers[name] if name in numbers else getattr(cls, name))
+            out.append(spec)
+            positions.append(k)
+    finally:  # a rule broken before a spec that failed the pass is named instead
+        try:
+            built = bank.from_columns(len(out), columns)
+        except ParameterError as exc:
+            _fail(f"{path}[{exc.index}].{exc.field}", str(exc))
+    return tuple(out), built
 
 
 def _build(settings):
@@ -233,8 +240,8 @@ def _outputs(value, path, settings):
 
 
 # kind -> (model class, required parameters, optional parameters).  The
-# classes check the parameter rules; a static-affine index is required, so a
-# missing one never silently becomes 0.
+# classes write the parameter rules and an optional one's default; a
+# static-affine index is required, so a missing one never silently becomes 0.
 _AGENT_KINDS = {
     "traffic": (TrafficAgent, ("kappa", "v0", "v1"), ()),
     "integrator": (IntegratorAgent, (), ()),
@@ -249,7 +256,7 @@ _CONTROLLER_KINDS = {
 # rule).  A rule maps (value, path, the settings read so far) to the stored
 # value.  An absent or null key takes the default; a _REQUIRED one fails.
 # The graph and model rules check only shape and counts: ``_build`` then builds
-# the graph and models, so a wrong count fails before anything n-sized exists.
+# the graph and banks, so a wrong count fails before anything n-sized exists.
 _REQUIRED = object()
 _SETTINGS = {
     "graph": (None, "graph", _REQUIRED, _graph),
@@ -281,7 +288,7 @@ def config_from_dict(data):
     """Validate a raw dictionary into a ScenarioConfig.
 
     Raises ConfigSchemaError carrying the dotted path of the first offending
-    field.  The graph and every model are built once, here.
+    field.  The graph and the two banks are built once, here.
     """
     if not isinstance(data, dict):
         _fail("$", "top level must be an object")
@@ -364,10 +371,10 @@ def generate_case_study(n, seed):
     mix = rng.random(n) < 0.5
     v0 = np.where(mix, 20.0, 120.0) + 15.0 * rng.standard_normal(n)
     # The complete graph's edges, oriented low index -> high as in NetworkGraph.complete.
-    edges = [[i, j] for i in range(n) for j in range(i + 1, n)]
+    edges = np.column_stack(np.triu_indices(n, 1)).tolist()
     agents = [{"kind": "traffic", "kappa": float(k), "v0": float(v), "v1": float(0.8 * k)}
               for k, v in zip(kappa, v0)]
-    controllers = [{"kind": "tanh_integrator"} for _ in edges]
+    controllers = [{"kind": "tanh_integrator"}] * len(edges)
     return config_from_dict({
         "graph": {"n": n, "edges": edges},
         "agents": agents,

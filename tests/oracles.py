@@ -14,9 +14,14 @@ two:
 - controllers: scalar drift, output, potential and steady-state effort
   interval of each model, and the controller bank's drift, output, output
   rate and batched potential;
-- the input-side (flow) dual: each model's conjugate potential, the banks'
-  conjugate totals and ``flow_objective``, which the package does not
-  evaluate at all;
+- the input-side (flow) dual: each model's conjugate potential, the
+  conjugate totals of lists of records and ``flow_objective``, which the
+  package does not evaluate at all;
+- scenario model specs: ``check_specs``, the schema's one-spec-at-a-time
+  checker with the records' scalar parameter rules, which the package
+  replaced by one pass and array predicates over each kind's columns;
+  ``spec_coefficients``, each coefficient's scalar formula; and
+  ``spec_records``, the records a roster of specs describes;
 - the regularized problem's batched objective and ``brute_force``, a zooming
   exhaustive grid search for its minimizer on at most 4 vertices;
 - the stationarity residual ``bvls_residual``: scipy's bounded-variable least
@@ -37,6 +42,7 @@ import numpy as np
 from scipy.optimize import lsq_linear
 
 from netpass import (
+    ConfigSchemaError,
     IntegratorAgent,
     Minimizer,
     NetpassError,
@@ -226,25 +232,138 @@ def controller_conjugate_potential(controller, mu):
     raise _unsupported(controller)
 
 
-def agent_bank_conjugate_total(bank, u):
-    """Sum of the agents' conjugate potentials at the input vector u."""
+def agent_conjugate_total(agents, u):
+    """Sum of the agent records' conjugate potentials at the input vector u."""
     return float(sum(agent_conjugate_potential(a, ui)
-                     for a, ui in zip(bank.agents, u, strict=True)))
+                     for a, ui in zip(agents, u, strict=True)))
 
 
-def controller_bank_conjugate_total(bank, mu):
-    """Sum of the edges' conjugate potentials at the effort vector mu."""
+def controller_conjugate_total(controllers, mu):
+    """Sum of the controller records' conjugate potentials at the effort vector mu."""
     return float(sum(controller_conjugate_potential(c, m)
-                     for c, m in zip(bank.controllers, mu, strict=True)))
+                     for c, m in zip(controllers, mu, strict=True)))
 
 
 def flow_objective(agents, controllers, u, mu):
     """Input-side dual objective: conjugate agent costs plus conjugate edge costs.
 
-    Evaluates to ``+inf`` whenever an effort leaves its controller's dual
-    domain or an input is infeasible for its agent.
+    ``agents`` and ``controllers`` are lists of records.  Evaluates to
+    ``+inf`` whenever an effort leaves its controller's dual domain or an
+    input is infeasible for its agent.
     """
-    return agent_bank_conjugate_total(agents, u) + controller_bank_conjugate_total(controllers, mu)
+    return agent_conjugate_total(agents, u) + controller_conjugate_total(controllers, mu)
+
+
+# ----------------------------------------------------------------------
+# scenario model specs
+# ----------------------------------------------------------------------
+
+# kind -> (record class, required parameters, optional parameters), as the schema reads them
+SPEC_KINDS = {
+    "traffic": (TrafficAgent, ("kappa", "v0", "v1"), ()),
+    "integrator": (IntegratorAgent, (), ()),
+    "static_affine": (StaticAffineAgent, ("a", "c", "rho"), ("tau",)),
+    "tanh_integrator": (TanhIntegratorController, (), ()),
+    "static_gain": (StaticGainController, ("w",), ()),
+}
+AGENT_KINDS = ("traffic", "integrator", "static_affine")
+CONTROLLER_KINDS = ("tanh_integrator", "static_gain")
+
+
+def _spec_number(value, path):
+    """A finite float; a bool, a non-number or an integer beyond the float range fails."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigSchemaError(path, f"must be a number, got {type(value).__name__}")
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigSchemaError(path, "must be finite")
+    return number
+
+
+def _broken_rule(kind, params):
+    """(field, message) of the first parameter rule one model breaks, or None."""
+    if kind == "traffic":
+        kappa, v1 = params["kappa"], params["v1"]
+        if v1 == 0.0:
+            return "v1", "traffic agent needs v1 != 0"
+        if v1 * kappa <= 0.0:
+            return "v1", f"traffic agent needs v1 * kappa > 0, got {v1 * kappa}"
+    elif kind == "static_affine":
+        tau = params.get("tau", 1.0)
+        if params["a"] == 0.0:
+            return "a", "static affine agent needs a != 0"
+        if tau <= 0.0:
+            return "tau", f"static affine agent needs tau > 0, got {tau}"
+    elif kind == "static_gain" and params["w"] <= 0.0:
+        return "w", f"static gain needs w > 0, got {params['w']}"
+    return None
+
+
+def check_specs(specs, path, kinds):
+    """A roster's specs with their nulls dropped, checked one spec at a time.
+
+    Raises the ConfigSchemaError of the first faulty spec, named by the first
+    check it fails: an object, a known kind among ``kinds``, known keys, the
+    required keys present and not null, numbers in the spec's key order,
+    then the model's rules.
+    """
+    out = []
+    for k, spec in enumerate(specs):
+        spec_path = f"{path}[{k}]"
+        if not isinstance(spec, dict):
+            raise ConfigSchemaError(spec_path, "must be an object")
+        kind = spec.get("kind")
+        if not isinstance(kind, str) or kind not in kinds:
+            raise ConfigSchemaError(f"{spec_path}.kind", f"unknown kind {kind!r}")
+        _, required, optional = SPEC_KINDS[kind]
+        for key in spec:
+            if key not in ("kind",) + required + optional:
+                raise ConfigSchemaError(f"{spec_path}.{key}", "unknown field")
+        spec = {key: v for key, v in spec.items() if v is not None}
+        for key in required:
+            if key not in spec:
+                raise ConfigSchemaError(f"{spec_path}.{key}", "missing required field")
+        params = {key: _spec_number(v, f"{spec_path}.{key}")
+                  for key, v in spec.items() if key != "kind"}
+        broken = _broken_rule(kind, params)
+        if broken is not None:
+            raise ConfigSchemaError(f"{spec_path}.{broken[0]}", broken[1])
+        out.append(spec)
+    return out
+
+
+def spec_coefficients(spec):
+    """A valid null-free spec's coefficients, one Python float operation at a time.
+
+    An agent's are (rho, p, q, g, slope, intercept, const, anchor); a
+    controller's (saturated, w).
+    """
+    kind = spec["kind"]
+    params = {key: float(v) for key, v in spec.items() if key != "kind"}
+    if kind == "traffic":
+        kappa, v0, v1 = params["kappa"], params["v0"], params["v1"]
+        return (kappa, -kappa, kappa * v1, kappa * v0,
+                1.0 / v1, -v0 / v1, v0**2 / (2.0 * v1), v0)
+    if kind == "integrator":
+        return (0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    if kind == "static_affine":
+        a, c, tau, rho = params["a"], params["c"], params.get("tau", 1.0), params["rho"]
+        return (rho, -tau, tau * a, tau * c, 1.0 / a, -c / a, 0.0, c)
+    if kind == "tanh_integrator":
+        return (True, 0.0)
+    if kind == "static_gain":
+        return (False, params["w"])
+    raise TypeError(f"no reference coefficients for kind {kind!r}")
+
+
+def spec_records(specs):
+    """The records that valid null-free specs describe, their numbers as floats."""
+    return [SPEC_KINDS[spec["kind"]][0](**{key: float(v) for key, v in spec.items()
+                                          if key != "kind"})
+            for spec in specs]
 
 
 # ----------------------------------------------------------------------

@@ -65,7 +65,15 @@ from netpass.harness import (
     generate_case_study,
     verify,
 )
-from oracles import Samples, agent_drift, agent_storage, brute_force, flow_objective, incidence
+from oracles import (
+    Samples,
+    agent_drift,
+    agent_storage,
+    brute_force,
+    flow_objective,
+    incidence,
+    spec_records,
+)
 
 
 # ----------------------------------------------------------------------
@@ -152,13 +160,13 @@ def convexified_traffic_problem(seed):
 
 
 def all_passive_flow_instance(n, seed):
-    """Complete traffic network with unit rates and mixed free-flow speeds."""
+    """Complete traffic network with unit rates and mixed free-flow speeds: graph and records."""
     rng = np.random.default_rng(seed)
     mix = rng.random(n) < 0.5
     v0 = np.where(mix, 20.0, 120.0) + 15.0 * rng.standard_normal(n)
     graph = NetworkGraph.complete(n)
-    agents = AgentBank([TrafficAgent(1.0, float(v), 0.8) for v in v0])
-    controllers = ControllerBank([TanhIntegratorController()] * graph.n_edges)
+    agents = [TrafficAgent(1.0, float(v), 0.8) for v in v0]
+    controllers = [TanhIntegratorController()] * graph.n_edges
     return graph, agents, controllers
 
 
@@ -365,7 +373,7 @@ def test_criterion_09_potential_and_flow_objectives_cancel():
     worst_gap = 0.0
     for n, seed in ((3, 0), (4, 1), (5, 2), (6, 3), (8, 4)):
         graph, agents, controllers = all_passive_flow_instance(n, seed)
-        problem = build_problem(graph, agents, controllers)
+        problem = build_problem(graph, AgentBank(agents), ControllerBank(controllers))
         minimizer = solve(problem)
         residual, efforts = stationarity_residual(problem, minimizer.y_star)
         flows = -incidence(graph) @ efforts
@@ -397,6 +405,7 @@ def test_criterion_10_certified_runs_never_violate_dissipation():
         report = verify(config, record=samples)
         assert report.passed, (n, seed, mode, report.verdict)
         graph, agents, controllers = build_system_parts(config)
+        records = spec_records(config.agents)
         _, X, eta_states = samples.states(graph.n_vertices, controllers.saturated)
         alpha = np.asarray(report.gain["alpha"])
         beta = np.asarray(report.gain["beta"])
@@ -412,11 +421,11 @@ def test_criterion_10_certified_runs_never_violate_dissipation():
         agent_input = outer_input - regularizer @ X
         x_rate = np.vstack([
             agent_drift(agent, X[i], agent_input[i])
-            for i, agent in enumerate(agents.agents)
+            for i, agent in enumerate(records)
         ])
 
         gradients = np.empty_like(X)
-        for i, agent in enumerate(agents.agents):
+        for i, agent in enumerate(records):
             gradients[i] = (agent_storage(agent, X[i] + h, y_ss[i])
                             - agent_storage(agent, X[i] - h, y_ss[i])) / (2.0 * h)
         storage_rate = np.sum(gradients * x_rate, axis=0)

@@ -1,8 +1,8 @@
 """Agent model tests: coefficients, steady maps, potentials, conjugates, storage rates.
 
 The scalar drift, steady map, potential, conjugate potential and storage of
-each model are the reference evaluations of ``oracles``; the models and the bank supply the
-coefficients checked against them.  The central facts checked here:
+each model are the reference evaluations of ``oracles``; the bank supplies the
+coefficients checked against them, a model's own as its one-agent bank holds them.  The central facts checked here:
 - potential' = steady-state input map (finite differences);
 - Fenchel-Young equality K(y) + K*(u) = u*y at u = steady_input(y);
 - the storage functions satisfy the dissipation identity
@@ -27,10 +27,10 @@ from netpass import (
 )
 from oracles import (
     NonConvexDualError,
-    agent_bank_conjugate_total,
     agent_bank_drift,
     agent_bank_potential_batch,
     agent_conjugate_potential,
+    agent_conjugate_total,
     agent_drift,
     agent_potential,
     agent_steady_input,
@@ -43,6 +43,12 @@ FD_TOL = 1e-5
 
 def central_difference(f, y, h=1e-6):
     return (f(y + h) - f(y - h)) / (2.0 * h)
+
+
+def coefficients(agent):
+    """(rho, p, q, g, slope, intercept, const, anchor) of one agent, from its one-agent bank."""
+    bank = AgentBank([agent])
+    return tuple(float(getattr(bank, name)[0]) for name, _ in AgentBank.COEFFICIENTS)
 
 
 # ----------------------------------------------------------------------
@@ -64,7 +70,7 @@ def test_traffic_drift_and_steady_consistency():
     a = TrafficAgent(-1.0, 50.0, -0.8)
     y = 37.5
     assert agent_drift(a, y, agent_steady_input(a, y)) == pytest.approx(0.0, abs=EXACT_TOL)
-    p, q, g = a.drift_coeffs()
+    p, q, g = coefficients(a)[1:4]
     x, u = 12.0, -3.0
     assert p * x + q * u + g == pytest.approx(agent_drift(a, x, u), abs=EXACT_TOL)
 
@@ -111,8 +117,7 @@ def dissipation_gap(agent, curvature, x, u, y_ss, h=1e-3):
     The storages are quadratic, so the central difference of S along the
     flow is exact for any h; a moderate h avoids rounding cancellation.
     """
-    p, q, g = agent.drift_coeffs()
-    slope, intercept, _ = agent.steady_coeffs()
+    _, p, q, g, slope, intercept, _, _ = coefficients(agent)
     u_ss = slope * y_ss + intercept
     x_dot = p * x + q * u + g
     s_dot = (agent_storage(agent, x + h * x_dot, y_ss)
@@ -144,11 +149,11 @@ def test_traffic_storage_positive_definite():
 
 def test_integrator_basics():
     a = IntegratorAgent()
-    assert a.rho == 0.0
+    assert coefficients(a)[0] == 0.0
     assert agent_drift(a, 5.0, 2.5) == 2.5
     assert agent_steady_input(a, 123.0) == 0.0
     assert agent_potential(a, 123.0) == 0.0
-    assert a.anchor() == 0.0
+    assert coefficients(a)[7] == 0.0
 
 
 def test_integrator_conjugate_is_indicator_of_zero():
@@ -210,12 +215,16 @@ def test_static_affine_explicit_index_is_reported():
 # ----------------------------------------------------------------------
 
 
-def make_bank():
-    return AgentBank([
+def make_agents():
+    return [
         TrafficAgent(1.0, 10.0, 0.8),
         IntegratorAgent(),
         StaticAffineAgent(2.0, 3.0, tau=0.5, rho=0.25),
-    ])
+    ]
+
+
+def make_bank():
+    return AgentBank(make_agents())
 
 
 def test_bank_rho_vector_and_anchors():
@@ -229,21 +238,21 @@ def test_bank_drift_matches_per_agent():
     bank = make_bank()
     x = np.array([1.0, 2.0, 3.0])
     u = np.array([0.5, -1.0, 2.0])
-    expected = [agent_drift(a, xi, ui) for a, xi, ui in zip(bank.agents, x, u)]
+    expected = [agent_drift(a, xi, ui) for a, xi, ui in zip(make_agents(), x, u)]
     np.testing.assert_allclose(agent_bank_drift(bank, x, u), expected, atol=EXACT_TOL)
 
 
 def test_bank_steady_input_matches_per_agent():
     bank = make_bank()
     y = np.array([11.0, 4.0, 7.0])
-    expected = [agent_steady_input(a, yi) for a, yi in zip(bank.agents, y)]
+    expected = [agent_steady_input(a, yi) for a, yi in zip(make_agents(), y)]
     np.testing.assert_allclose(bank.steady_input(y), expected, atol=EXACT_TOL)
 
 
 def test_bank_potential_total_matches_per_agent_sum():
     bank = make_bank()
     y = np.array([11.0, 4.0, 7.0])
-    expected = sum(agent_potential(a, yi) for a, yi in zip(bank.agents, y))
+    expected = sum(agent_potential(a, yi) for a, yi in zip(make_agents(), y))
     assert bank.potential_total(y) == pytest.approx(expected, abs=EXACT_TOL)
 
 
@@ -255,11 +264,11 @@ def test_bank_potential_batch_matches_loop():
 
 
 def test_bank_conjugate_total():
-    bank = make_bank()
+    agents = make_agents()
     u = np.array([1.25, 0.0, 2.0])
-    assert agent_bank_conjugate_total(bank, u) == pytest.approx(
+    assert agent_conjugate_total(agents, u) == pytest.approx(
         13.125 + 0.0 + 12.25, abs=EXACT_TOL)
-    assert agent_bank_conjugate_total(bank, np.array([0.0, 0.3, 0.0])) == math.inf
+    assert agent_conjugate_total(agents, np.array([0.0, 0.3, 0.0])) == math.inf
 
 
 def test_bank_rejects_empty():

@@ -19,12 +19,12 @@ from netpass import (
     TanhIntegratorController,
 )
 from oracles import (
-    controller_bank_conjugate_total,
     controller_bank_drift,
     controller_bank_output,
     controller_bank_output_rate,
     controller_bank_potential_batch,
     controller_conjugate_potential,
+    controller_conjugate_total,
     controller_drift,
     controller_output,
     controller_potential,
@@ -114,12 +114,16 @@ def test_static_gain_effort_interval_is_a_point():
 # ----------------------------------------------------------------------
 
 
-def make_bank():
-    return ControllerBank([
+def make_controllers():
+    return [
         TanhIntegratorController(),
         StaticGainController(2.0),
         TanhIntegratorController(),
-    ])
+    ]
+
+
+def make_bank():
+    return ControllerBank(make_controllers())
 
 
 def test_bank_drift_and_output():
@@ -183,7 +187,7 @@ def test_bank_totals_reject_a_wrong_length(length):
 
 @st.composite
 def banks_with_relative_outputs(draw):
-    """A mixed bank, a zero tolerance, and relative outputs on and around it."""
+    """A mixed bank, its records, a zero tolerance, and relative outputs on and around it."""
     zero_tol = draw(st.sampled_from([0.0, 1e-6, 0.5]))
     zeta = st.one_of(
         st.sampled_from([0.0, -0.0, zero_tol, -zero_tol,
@@ -191,25 +195,25 @@ def banks_with_relative_outputs(draw):
         st.floats(-1e3, 1e3))
     edges = draw(st.lists(st.tuples(st.one_of(st.none(), st.floats(0.1, 5.0)), zeta),
                           min_size=1, max_size=12))
-    bank = ControllerBank([TanhIntegratorController() if w is None else StaticGainController(w)
-                           for w, _ in edges])
-    return bank, np.array([z for _, z in edges]), zero_tol
+    controllers = [TanhIntegratorController() if w is None else StaticGainController(w)
+                   for w, _ in edges]
+    return ControllerBank(controllers), controllers, np.array([z for _, z in edges]), zero_tol
 
 
 @settings(max_examples=200, deadline=None)
 @given(banks_with_relative_outputs())
 def test_bank_effort_bounds_equal_the_per_edge_intervals(case):
-    bank, zeta, zero_tol = case
+    bank, controllers, zeta, zero_tol = case
     lower, upper = bank.effort_bounds(zeta, zero_tol)
     expected = np.array([effort_interval(c, z, zero_tol)
-                         for c, z in zip(bank.controllers, zeta)]).reshape(-1, 2)
+                         for c, z in zip(controllers, zeta)]).reshape(-1, 2)
     for got, want in ((lower, expected[:, 0]), (upper, expected[:, 1])):
         np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_bank_conjugate_total():
-    bank = make_bank()
-    assert controller_bank_conjugate_total(bank, np.array([0.5, 4.0, -1.0])) == pytest.approx(
+    controllers = make_controllers()
+    assert controller_conjugate_total(controllers, np.array([0.5, 4.0, -1.0])) == pytest.approx(
         4.0, abs=EXACT_TOL)
-    assert controller_bank_conjugate_total(bank, np.array([1.5, 0.0, 0.0])) == math.inf
+    assert controller_conjugate_total(controllers, np.array([1.5, 0.0, 0.0])) == math.inf

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from netpass import (
     AgentBank,
@@ -38,14 +39,25 @@ import netpass.graph as graph_module
 import netpass.harness as harness
 import netpass.netopt as netopt
 import netpass.passivation as passivation
+from netpass.agents import ModelRecord, TrafficAgent
 from netpass.cli import main
 from netpass.harness import (
     build_system_parts,
+    json_text,
     optimization_stage,
     synthesis_stage,
     synthesize_certified,
 )
-from oracles import Samples, trajectory_csv
+from oracles import (
+    AGENT_KINDS,
+    CONTROLLER_KINDS,
+    SPEC_KINDS,
+    Samples,
+    check_specs,
+    spec_coefficients,
+    spec_records,
+    trajectory_csv,
+)
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -331,25 +343,209 @@ def test_build_system_parts_materializes_banks():
     np.testing.assert_allclose(agents.anchors, [10.0, 10.5])
 
 
-def test_config_builds_its_graph_and_each_model_once(monkeypatch):
-    graphs, models = [], []
+def test_config_builds_its_graph_once_and_no_model_records(monkeypatch):
+    graphs, records, columns = [], [], []
 
     class CountedGraph(NetworkGraph):
         def __init__(self, *args):
             graphs.append(self)
             super().__init__(*args)
 
+    def coeffs(*params):
+        columns.append(params)
+        return coeffs.wrapped(*params)
+
+    coeffs.wrapped = TrafficAgent.coeffs
     monkeypatch.setattr(harness, "NetworkGraph", CountedGraph)
-    for kinds in (harness._AGENT_KINDS, harness._CONTROLLER_KINDS):
-        for kind, (cls, *params) in list(kinds.items()):
-            monkeypatch.setitem(kinds, kind, (counted(cls, models), *params))
+    monkeypatch.setattr(ModelRecord, "__post_init__", records.append)
+    monkeypatch.setattr(TrafficAgent, "coeffs", staticmethod(coeffs))
     # hybrid mode also checks that the graph is connected
     config = config_from_dict(mixed_pair_dict(gain_mode="hybrid", self_regulating=[0]))
     graph, agents, controllers = build_system_parts(config)
-    assert graphs == [graph]
-    assert len(models) == len(agents) + len(controllers) == 3
+    assert graphs == [graph] and records == []
+    # one evaluation of the kind's formulas covers both traffic agents
+    assert [[list(column) for column in params] for params in columns] == [
+        [[1.0, -1.0], [10.0, 12.0], [0.8, -0.8]]]
+    assert len(agents) == 2 and len(controllers) == 1
     assert build_system_parts(config) == (graph, agents, controllers)
-    assert len(graphs) == 1 and len(models) == 3
+    assert len(graphs) == 1 and records == [] and len(columns) == 1
+
+
+# ----------------------------------------------------------------------
+# model specs: one pass and per-kind columns against the per-spec reference
+# ----------------------------------------------------------------------
+
+MAGNITUDES = st.integers(1, 5) | st.floats(0.05, 5.0)
+# glibc's pow squares these two one bit away from a product; a traffic agent's
+# potential constant squares by pow, as Python's ** does, in records and banks alike.
+POW_SQUARES = [127.77255556642626, -87.47232913738864]
+VALUES = st.integers(-150, 150) | st.floats(-150.0, 150.0) | st.sampled_from(POW_SQUARES)
+BAD_NUMBERS = [True, False, "1.5", [1.0], float("nan"), float("inf"), float("-inf"),
+               10**400, -10**400]
+
+
+def shuffled(draw, spec):
+    """``spec`` with its keys in a drawn order, which sets the order numbers are checked in."""
+    return {key: spec[key] for key in draw(st.permutations(list(spec)))}
+
+
+@st.composite
+def agent_specs(draw):
+    """A valid agent spec, integer-valued numbers included; a static-affine tau may be null or absent."""
+    kind = draw(st.sampled_from(AGENT_KINDS))
+    if kind == "traffic":
+        sign = draw(st.sampled_from([-1, 1]))
+        spec = {"kind": kind, "kappa": sign * draw(MAGNITUDES), "v0": draw(VALUES),
+                "v1": sign * draw(MAGNITUDES)}
+    elif kind == "static_affine":
+        spec = {"kind": kind, "a": draw(st.sampled_from([-1, 1])) * draw(MAGNITUDES),
+                "c": draw(VALUES), "rho": draw(VALUES)}
+        tau = draw(st.sampled_from(["absent", None, "given"]))
+        if tau != "absent":
+            spec["tau"] = draw(MAGNITUDES) if tau == "given" else None
+    else:
+        spec = {"kind": kind}
+    return shuffled(draw, spec)
+
+
+@st.composite
+def controller_specs(draw):
+    if draw(st.booleans()):
+        return {"kind": "tanh_integrator"}
+    return {"kind": "static_gain", "w": draw(MAGNITUDES)}
+
+
+# kind -> (field, bad value) pairs, each breaking one of the kind's rules
+RULE_BREAKERS = {
+    "traffic": [("v1", 0), ("v1", 0.0), ("v1", -0.0), ("kappa", 0.0), ("v1", "flip")],
+    "static_affine": [("a", 0), ("a", -0.0), ("tau", 0.0), ("tau", -1.5)],
+    "static_gain": [("w", 0), ("w", -0.0), ("w", -0.5)],
+}
+
+
+@st.composite
+def faulty(draw, specs):
+    """``specs`` with one drawn fault, in a spec it applies to, if any."""
+    fault = draw(st.sampled_from(["rule", "number", "missing", "key", "kind", "object"]))
+    applies = {
+        "object": lambda spec: True,
+        "missing": lambda spec: bool(SPEC_KINDS[spec["kind"]][1]),
+        "number": lambda spec: len(spec) > 1,
+        "rule": lambda spec: spec["kind"] in RULE_BREAKERS,
+    }.get(fault, lambda spec: True)
+    # a spec that an earlier fault left without a known kind takes only an "object" fault
+    candidates = [k for k, spec in enumerate(specs) if fault == "object" or (
+        isinstance(spec, dict) and spec.get("kind") in list(SPEC_KINDS) and applies(spec))]
+    if not candidates:
+        return specs
+    specs = list(specs)
+    k = draw(st.sampled_from(candidates))
+    if fault == "object":
+        specs[k] = draw(st.sampled_from([1, 2.5, "spec", [], None]))
+        return specs
+    spec = dict(specs[k])
+    if fault == "kind":
+        if draw(st.booleans()):
+            del spec["kind"]
+        else:
+            spec["kind"] = draw(st.sampled_from(["hovercraft", 3, None, True, ["traffic"]]))
+    elif fault == "key":
+        spec[draw(st.sampled_from(["speed", "Kappa", "w2"]))] = draw(VALUES | st.none())
+    elif fault == "missing":
+        key = draw(st.sampled_from(SPEC_KINDS[spec["kind"]][1]))
+        if draw(st.booleans()):
+            spec.pop(key, None)
+        else:
+            spec[key] = None
+    elif fault == "number":
+        spec[draw(st.sampled_from([key for key in spec if key != "kind"]))] = draw(
+            st.sampled_from(BAD_NUMBERS))
+    else:
+        key, value = draw(st.sampled_from(RULE_BREAKERS[spec["kind"]]))
+        if value == "flip":
+            value = -spec[key] if isinstance(spec.get(key), (int, float)) else 0
+        spec[key] = value
+    specs[k] = shuffled(draw, spec)
+    return specs
+
+
+@st.composite
+def rosters(draw, max_faults=0):
+    """Agent and controller specs for the complete graph's first edges, with faults drawn in."""
+    agents = draw(st.lists(agent_specs(), min_size=1, max_size=6))
+    n = len(agents)
+    controllers = draw(st.lists(controller_specs(), max_size=n * (n - 1) // 2))
+    for _ in range(draw(st.sampled_from(range(max_faults, -1, -1)))):  # many faults first
+        if controllers and draw(st.booleans()):
+            controllers = draw(faulty(controllers))
+        else:
+            agents = draw(faulty(agents))
+    return agents, controllers
+
+
+def roster_scenario(agents, controllers):
+    edges = np.column_stack(np.triu_indices(len(agents), 1))[:len(controllers)].tolist()
+    return {"graph": {"n": len(agents), "edges": edges},
+            "agents": agents, "controllers": controllers}
+
+
+@settings(max_examples=400, deadline=None)
+@given(rosters(max_faults=3))
+def test_schema_names_the_per_spec_checkers_first_fault(case):
+    agents, controllers = case
+    try:
+        expected = (check_specs(agents, "$.agents", AGENT_KINDS),
+                    check_specs(controllers, "$.controllers", CONTROLLER_KINDS))
+    except ConfigSchemaError as exc:
+        expected = (exc.field_path, str(exc))
+    try:
+        config = config_from_dict(roster_scenario(agents, controllers))
+    except ConfigSchemaError as exc:
+        assert (exc.field_path, str(exc)) == expected
+    else:
+        assert (list(config.agents), list(config.controllers)) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(rosters())
+def test_config_banks_equal_record_banks_and_scalar_formulas_bit_for_bit(case):
+    config = config_from_dict(roster_scenario(*case))
+    _, agents, controllers = config.parts
+    for bank, specs in ((agents, config.agents), (controllers, config.controllers)):
+        from_records = type(bank)(spec_records(specs))
+        scalars = [spec_coefficients(spec) for spec in specs]
+        assert len(bank) == len(from_records) == len(specs)
+        for k, (name, dtype) in enumerate(type(bank).COEFFICIENTS):
+            want = np.array([c[k] for c in scalars], dtype=dtype)
+            for got in (getattr(bank, name), getattr(from_records, name)):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+
+
+def scribble(value):
+    """Change every list and dict inside ``value``, innermost first."""
+    if isinstance(value, dict):
+        for item in value.values():
+            scribble(item)
+        value["scribbled"] = True
+    elif isinstance(value, list):
+        for item in value:
+            scribble(item)
+        value.append("scribbled")
+
+
+def test_to_dict_copies_every_container_and_keeps_given_numbers():
+    data = consensus_dict(self_regulating=[1], sim={"x0": [1.0, 2.5]})
+    data["agents"][0]["kappa"] = 1
+    data["agents"][1] = {"kind": "static_affine", "a": 2, "c": 0.5, "rho": 0.1, "tau": None}
+    for config in (config_from_dict(data), generate_case_study(4, 0)):
+        text = json_text(config.to_dict())
+        scribble(config.to_dict())
+        assert json_text(config.to_dict()) == text
+        assert config_from_dict(config.to_dict()) == config
+    text = json_text(config_from_dict(data).to_dict())
+    assert '"kappa": 1,' in text and '"a": 2,' in text
+    assert config_from_dict(data).to_dict()["agents"][1] == {
+        "kind": "static_affine", "a": 2, "c": 0.5, "rho": 0.1}
 
 
 # ----------------------------------------------------------------------

@@ -59,10 +59,12 @@ P2 = NetworkGraph.path(2)
 K3 = NetworkGraph.complete(3)
 
 
+CONSENSUS_AGENTS = (TrafficAgent(1, 10.0, 0.8), TrafficAgent(1, 10.5, 0.8))
+CONSENSUS_CONTROLLERS = (TanhIntegratorController(),)
+
+
 def consensus_problem():
-    agents = AgentBank([TrafficAgent(1, 10.0, 0.8), TrafficAgent(1, 10.5, 0.8)])
-    controllers = ControllerBank([TanhIntegratorController()])
-    return build_problem(P2, agents, controllers)
+    return build_problem(P2, AgentBank(CONSENSUS_AGENTS), ControllerBank(CONSENSUS_CONTROLLERS))
 
 
 def mixed_sign_problem(beta=2.5):
@@ -823,14 +825,14 @@ def test_an_in_bounds_fit_leaves_scipy_unloaded():
 
 
 def test_flow_objective_zero_at_origin():
-    agents = AgentBank([TrafficAgent(1, 10.0, 0.8), TrafficAgent(1, 10.5, 0.8)])
-    controllers = ControllerBank([TanhIntegratorController()])
+    agents = [TrafficAgent(1, 10.0, 0.8), TrafficAgent(1, 10.5, 0.8)]
+    controllers = [TanhIntegratorController()]
     assert flow_objective(agents, controllers, np.zeros(2), np.zeros(1)) == 0.0
 
 
 def test_flow_objective_infinite_outside_effort_box():
-    agents = AgentBank([TrafficAgent(1, 10.0, 0.8), TrafficAgent(1, 10.5, 0.8)])
-    controllers = ControllerBank([TanhIntegratorController()])
+    agents = [TrafficAgent(1, 10.0, 0.8), TrafficAgent(1, 10.5, 0.8)]
+    controllers = [TanhIntegratorController()]
     assert flow_objective(agents, controllers, np.zeros(2), np.array([2.0])) == np.inf
 
 
@@ -839,7 +841,7 @@ def test_duality_gap_vanishes_at_consensus_optimum():
     minimizer = solve(problem)
     _, selection = stationarity_residual(problem, minimizer.y_star)
     u_star = -incidence(problem.graph) @ selection
-    dual = flow_objective(problem.agents, problem.controllers, u_star, selection)
+    dual = flow_objective(CONSENSUS_AGENTS, CONSENSUS_CONTROLLERS, u_star, selection)
     assert dual == pytest.approx(-0.078125, abs=1e-6)
     assert abs(minimizer.objective_value + dual) <= 1e-6
 
