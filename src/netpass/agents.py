@@ -27,19 +27,27 @@ from .errors import DimensionMismatchError, ParameterError, as_vector
 __all__ = ["TrafficAgent", "IntegratorAgent", "StaticAffineAgent", "AgentBank"]
 
 
+@np.errstate(all="ignore")  # an overflowing rule or coefficient fails, not warns
 def _check_rules(columns):
-    """Raise the ParameterError of the first rule broken at the lowest roster position.
+    """(roster positions, coefficients) per class in ``columns``, unless a rule is broken.
 
-    ``columns``: record class -> (roster positions, parameter columns or one record's scalars).
+    Then raise the ParameterError of the first broken at the lowest roster position.  Last come
+    one rule per parameter i, broken by non-finite coefficients that setting 0..i to 1 makes finite.
     """
-    failures = []  # (roster position, rule number, rule, column entry), the first per rule
+    failures, coefficients = [], []  # failures: (roster position, rule number, rule, column entry)
     for cls, (positions, params) in columns.items():
-        for r, rule in enumerate(cls.rules(*params)):
+        coefficients.append((positions, cls.coeffs(*params)))
+        bad = ~np.isfinite(sum(map(abs, coefficients[-1][1])))
+        overflow = [(name, bad & np.isfinite(sum(map(abs, cls.coeffs(*[1.0] * i, *params[i:])))),
+                     name + " = {} gives a non-finite coefficient", v)
+                    for i, (name, v) in enumerate(zip(cls.__match_args__, params), 1) if bad.any()]
+        for r, rule in enumerate((*cls.rules(*params), *overflow)):
             failures += [(int(positions[j]), r, rule, j) for j in np.flatnonzero(rule[1])[:1]]
     if failures:
         position, _, (field, _, template, *values), j = min(failures, key=lambda f: f[:2])
         message = template.format(*(np.ravel(v)[j].item() for v in values))
         raise ParameterError(field, message, position)
+    return coefficients
 
 
 class ModelRecord:
@@ -48,7 +56,7 @@ class ModelRecord:
     rules = staticmethod(lambda *params: ())  # (field, failing, template, *values) per rule
 
     def __post_init__(self):
-        _check_rules({type(self): ((0,), astuple(self))})
+        _check_rules({type(self): ((0,), np.array(astuple(self), float)[:, None])})
 
 
 class ModelBank:
@@ -74,10 +82,9 @@ class ModelBank:
     def _fill(self, count, columns):
         columns = {cls: (np.asarray(p, dtype=np.intp), [np.asarray(c, dtype=float) for c in params])
                    for cls, (p, params) in columns.items()}
-        _check_rules(columns)
         arrays = [np.zeros(count, dtype) for _, dtype in self.COEFFICIENTS]
-        for cls, (positions, params) in columns.items():
-            for array, values in zip(arrays, cls.coeffs(*params), strict=True):
+        for positions, coefficients in _check_rules(columns):
+            for array, values in zip(arrays, coefficients, strict=True):
                 array[positions] = values
         for (name, _), array in zip(self.COEFFICIENTS, arrays):
             array.setflags(write=False)

@@ -19,7 +19,6 @@ from .errors import (
     NotPassivizableError,
 )
 from .harness import (
-    build_system_parts,
     config_from_dict,
     emit_report,
     generate_case_study,
@@ -33,7 +32,6 @@ from .harness import (
     synthesize_gain,
     verify,
 )
-from .netopt import SolveStatus
 from .passivation import component_sums
 
 __all__ = ["main"]
@@ -76,7 +74,7 @@ def _scenario(args):
 
 def _cmd_check(args):
     config = load_config(args.config)
-    graph, agents, _ = build_system_parts(config)
+    graph, agents, _ = config.parts
     try:
         feasible = synthesize_gain(config, graph, agents).certificate.positive_definite
     except NotPassivizableError:
@@ -93,32 +91,24 @@ def _cmd_check(args):
 
 def _cmd_synthesize(args):
     _, _, probe, gain = synthesis_stage(_scenario(args))
-    # This command names the certificate min_eig and leaves out its tolerance.
-    payload = dict(gain, feasible=gain["positive_definite"],
-                   min_eig=gain["certificate"], convexity_probe=probe)
-    del payload["certificate"], payload["certificate_tol"]
-    _print_json(payload, args.out)
+    _print_json(dict(gain, feasible=gain["positive_definite"], convexity_probe=probe), args.out)
     return EXIT_OK if gain["positive_definite"] else EXIT_INFEASIBLE
 
 
 def _cmd_simulate(args):
     config = _scenario(args)
-    design = synthesis_stage(config)[0]
-    trajectory, sim = simulation_stage(config, design, record=args.out_csv)
-    if trajectory is None:
-        _print_json({"converged": False, "blowup": True, "reason": sim["error"]},
-                    args.out)
-        return EXIT_RUN_FAILED
+    design = synthesize_gain(config, *config.parts[:2])
+    sim = simulation_stage(config, design, record=args.out_csv)[1]
     _print_json(sim, args.out)
-    return EXIT_OK if trajectory.converged else EXIT_RUN_FAILED
+    return EXIT_OK if sim["converged"] else EXIT_RUN_FAILED
 
 
 def _cmd_optimize(args):
     config = _scenario(args)
     _, problem, probe, _ = synthesis_stage(config)
-    minimizer, opt = optimization_stage(config, problem)
+    opt = optimization_stage(config, problem)[1]
     _print_json(dict(opt, convexity_probe=probe), args.out)
-    return EXIT_OK if minimizer.status is SolveStatus.OPTIMAL else EXIT_RUN_FAILED
+    return EXIT_OK if opt["status"] == "optimal" else EXIT_RUN_FAILED
 
 
 def _cmd_verify(args):

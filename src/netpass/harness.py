@@ -508,9 +508,7 @@ def optimization_stage(config, problem):
         "status": minimizer.status.value,
         "iterations": minimizer.iterations,
         "objective": minimizer.objective_value,
-        "primal_residual": minimizer.primal_residual,
         "dual_residual": minimizer.dual_residual,
-        "polished_at": minimizer.polished_at,
         "y_star": minimizer.y_star.tolist(),
         "zeta_star": minimizer.zeta_star.tolist(),
     }

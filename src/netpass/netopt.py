@@ -75,21 +75,14 @@ class SolveStatus(enum.Enum):
 
 @dataclass(frozen=True)
 class Minimizer:
-    """Solver output: candidate minimizer plus convergence diagnostics.
-
-    ``polished_at`` is the active-set pattern whose exact point was
-    certified, the last of ``iterations`` (see ``solve``), or None when no
-    point was.
-    """
+    """Solver output: candidate minimizer plus convergence diagnostics."""
 
     y_star: np.ndarray
     zeta_star: np.ndarray
     objective_value: float
-    primal_residual: float
     dual_residual: float
     iterations: int
     status: SolveStatus
-    polished_at: int = None
 
 
 class RegularizedProblem:
@@ -289,21 +282,19 @@ def solve(problem: RegularizedProblem, step=SOLVER_STEP, max_iter=SOLVER_MAX_ITE
     E effort|, the pass's KKT norm less rho (y_{k+1} - y_k).
 
     A certified point ends the run ``OPTIMAL``: ``iterations`` counts the
-    patterns tried over all passes and ``polished_at`` names the last,
-    ``zeta_star = E^T y_star`` is exactly 0 on interior edges,
-    ``primal_residual`` is 0 and ``dual_residual`` the KKT norm.  The cap
-    ends it ``MAX_ITER`` at the last y_k and its KKT norm, with
-    ``polished_at`` None; before any y_k that is the anchors, with both
-    residuals inf.  A probe below ``_CURVATURE_TOL`` returns
+    patterns tried over all passes, the last of them the certified one,
+    ``zeta_star = E^T y_star`` is exactly 0 on interior edges, and
+    ``dual_residual`` is the KKT norm.  The cap ends it ``MAX_ITER`` at the
+    last y_k and its KKT norm; before any y_k that is the anchors, with the
+    residual inf.  A probe below ``_CURVATURE_TOL`` returns
     ``NONCONVEX_DETECTED`` at once, at the anchors, with 0 iterations and
-    both residuals inf: a KKT point need not be a minimizer there.
+    the residual inf: a KKT point need not be a minimizer there.
     """
     graph = problem.graph
 
-    def result(y, kkt, iterations, status, polished_at=None):  # Minimizer's field order
-        primal = 0.0 if math.isfinite(kkt) else math.inf  # both inf where nothing was solved
-        return Minimizer(y, y[graph.heads] - y[graph.tails], problem.objective(y), primal, kkt,
-                         iterations, status, polished_at)
+    def result(y, kkt, iterations, status):  # Minimizer's field order
+        return Minimizer(y, y[graph.heads] - y[graph.tails], problem.objective(y), kkt,
+                         iterations, status)
 
     y, kkt, patterns = problem.agents.anchors.astype(float), math.inf, 0
     if problem.convexity_probe() < _CURVATURE_TOL:
@@ -327,7 +318,7 @@ def solve(problem: RegularizedProblem, step=SOLVER_STEP, max_iter=SOLVER_MAX_ITE
         if rho:
             kkt = exact.kkt(y, effort)
         if kkt < tol:
-            return result(y, kkt, patterns, SolveStatus.OPTIMAL, patterns)
+            return result(y, kkt, patterns, SolveStatus.OPTIMAL)
         rho *= _PROX_SHRINK
     return result(y, kkt, patterns, SolveStatus.MAX_ITER)
 

@@ -468,7 +468,6 @@ def brute_force(problem, box=None, spacing=1e-3):
         y_star=y_best,
         zeta_star=zeta,
         objective_value=value_best,
-        primal_residual=0.0,
         dual_residual=0.0,
         iterations=levels,
         status=SolveStatus.OPTIMAL,

@@ -27,6 +27,14 @@ import pytest
 
 import netpass
 from netpass.cli import main
+from netpass.errors import NotPassivizableError
+from netpass.harness import (
+    load_config,
+    optimization_stage,
+    round_floats,
+    simulation_stage,
+    synthesis_stage,
+)
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 EXPECTED = GOLDEN / "expected"
@@ -121,6 +129,27 @@ def test_check_synthesize_and_verify_agree_on_feasibility(scenario, tmp_path):
     assert (check_code == 1) == infeasible
     assert (synth_code == 1) == infeasible
     assert (json.loads(verify_out)["verdict"] == "infeasible") == infeasible
+
+
+@pytest.mark.parametrize("scenario", sorted(GOLDEN.glob("*.json")), ids=lambda p: p.stem)
+def test_each_gain_command_prints_its_stage_payload(scenario, tmp_path):
+    # synthesize adds feasible and the probe to the gain payload, optimize
+    # the probe to the opt payload; simulate prints the sim payload as built.
+    printed = {command: json.loads(run_case([command, str(scenario)], tmp_path)[1])
+               for command in ("synthesize", "simulate", "optimize")}
+    config = load_config(scenario)
+    try:
+        design, problem, probe, gain = synthesis_stage(config)
+    except NotPassivizableError as exc:
+        assert all(p == {"feasible": False, "reason": str(exc)} for p in printed.values())
+        return
+    synthesized, optimized = printed["synthesize"], printed["optimize"]
+    assert synthesized.pop("feasible") is gain["positive_definite"]
+    probe = round_floats(probe)
+    assert synthesized.pop("convexity_probe") == optimized.pop("convexity_probe") == probe
+    assert synthesized == round_floats(gain)
+    assert printed["simulate"] == round_floats(simulation_stage(config, design)[1])
+    assert optimized == round_floats(optimization_stage(config, problem)[1])
 
 
 # Runs every golden case in an interpreter where importing scipy fails, and

@@ -25,6 +25,7 @@ from netpass import (
     ConfigSchemaError,
     ControllerBank,
     NetworkGraph,
+    ParameterError,
     ScenarioConfig,
     SolveStatus,
     config_from_dict,
@@ -159,6 +160,25 @@ def test_schema_rejects_zero_and_mismatched_slope():
     for w in (0.0, -0.5):
         bad = consensus_dict(controllers=[{"kind": "static_gain", "w": w}])
         assert schema_error_path(bad) == "$.controllers[0].w"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("spec, field", [
+    ({"kind": "traffic", "kappa": 1.0, "v0": 1e200, "v1": 0.5}, "v0"),
+    ({"kind": "static_affine", "a": 1e-310, "c": 0.0, "rho": 0.0}, "a"),
+], ids=["traffic-potential-constant", "static_affine-slope"])
+def test_schema_and_records_refuse_parameters_whose_coefficients_overflow(spec, field):
+    # v0**2 / (2 v1) and 1 / a leave the float range: a schema error naming
+    # the parameter, with no numpy warning on the way
+    bad = consensus_dict()
+    bad["agents"][1] = spec
+    with pytest.raises(ConfigSchemaError) as excinfo:
+        config_from_dict(bad)
+    assert excinfo.value.field_path == f"$.agents[1].{field}"
+    assert str(excinfo.value).endswith("gives a non-finite coefficient")
+    with pytest.raises(ParameterError) as excinfo:
+        spec_records([spec])
+    assert excinfo.value.field == field
 
 
 def test_schema_requires_the_declared_static_affine_index():
@@ -931,7 +951,8 @@ def test_a_blown_up_simulate_leaves_no_trajectory_csv(tmp_path, capsys):
     path = tmp_path / "trajectory.csv"
     path.write_text("an earlier run's file\n")
     assert main(["simulate", str(scenario), "--out-csv", str(path)]) == 2
-    assert json.loads(capsys.readouterr().out)["blowup"] is True
+    assert json.loads(capsys.readouterr().out) == {
+        "converged": False, "error": "state magnitude exceeded 1e+12 at t = 50.5"}
     assert not path.exists()
 
 
@@ -1189,7 +1210,8 @@ def test_cli_prints_strict_json(tmp_path, capsys):
         raise ValueError(f"{constant} is not JSON")
 
     payload = json.loads(capsys.readouterr().out, parse_constant=reject)
-    assert payload["primal_residual"] is None and payload["dual_residual"] is None
+    assert (payload["status"], payload["iterations"]) == ("nonconvex_detected", 0)
+    assert payload["dual_residual"] is None
     assert harness.round_floats([math.inf, -math.inf, math.nan, 0.5]) == [None, None, None, 0.5]
     with pytest.raises(ValueError):
         harness.json_text({"x": math.inf})
