@@ -9,8 +9,8 @@ import numpy as np
 __all__ = [
     "NetpassError", "SelfLoopError", "DuplicateEdgeError", "VertexIndexError",
     "DisconnectedGraphError", "DimensionMismatchError", "NotPassivizableError",
-    "CertificateError", "EmptySelfRegulatingSetError", "NumericalBlowupError",
-    "ParameterError", "ConfigError", "ConfigParseError", "ConfigSchemaError",
+    "NumericalBlowupError", "ParameterError", "ConfigError", "ConfigParseError",
+    "ConfigSchemaError",
 ]
 
 
@@ -55,15 +55,7 @@ def check_counts(graph, agents, controllers):
 
 
 class NotPassivizableError(NetpassError):
-    """No network-only gain can render the interconnection passive."""
-
-
-class CertificateError(NetpassError):
-    """A synthesized gain failed its own positive-definiteness check."""
-
-
-class EmptySelfRegulatingSetError(NetpassError):
-    """Hybrid synthesis needs at least one vertex allowed to self-regulate."""
+    """No certified gain design exists: a non-positive index sum, or a failed certificate."""
 
 
 class NumericalBlowupError(NetpassError):

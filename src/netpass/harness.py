@@ -223,10 +223,11 @@ def _gain_mode(value, path, settings):
 
 def _vertices(value, path, settings):
     n = settings["graph"]["n"]
-    if not isinstance(value, list) or not all(
-            isinstance(v, int) and not isinstance(v, bool) for v in value):
+    if not isinstance(value, list):
         _fail(path, "must be a list of integers")
     for k, v in enumerate(value):
+        if isinstance(v, bool) or not isinstance(v, int):
+            _fail(f"{path}[{k}]", f"must be an integer, got {type(v).__name__}")
         if not 0 <= v < n:
             _fail(f"{path}[{k}]", f"vertex {v} outside 0..{n - 1}")
     return tuple(value)
@@ -236,7 +237,7 @@ def _outputs(value, path, settings):
     n = settings["graph"]["n"]
     if not isinstance(value, list) or len(value) != n:
         _fail(path, f"must be a list of {n} finite numbers")
-    return tuple(_number(v, path) for v in value)
+    return tuple(_number(v, f"{path}[{k}]") for k, v in enumerate(value))
 
 
 # kind -> (model class, required parameters, optional parameters).  The

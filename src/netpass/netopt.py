@@ -259,7 +259,7 @@ def solve(problem: RegularizedProblem, step=SOLVER_STEP, max_iter=SOLVER_MAX_ITE
     ----------
     step : float
         Accepted and ignored: the active set takes no step size.  It stays
-        for callers written for the splitting solver it replaced.
+        because ``perfbench/`` passes it, until ROADMAP items 13 and 20 land.
     max_iter : int
         Cap on the patterns tried over all passes; hitting it yields status
         ``MAX_ITER``.

@@ -32,14 +32,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (
-    CertificateError,
-    DisconnectedGraphError,
-    EmptySelfRegulatingSetError,
-    NotPassivizableError,
-    VertexIndexError,
-    as_vector,
-)
+from .errors import DisconnectedGraphError, NotPassivizableError, VertexIndexError, as_vector
 from .graph import NetworkGraph
 
 __all__ = [
@@ -82,7 +75,7 @@ class GainDesign:
 
     def __post_init__(self):
         for name in ("alpha", "beta"):
-            arr = np.asarray(getattr(self, name), dtype=float)
+            arr = np.array(getattr(self, name), dtype=float)  # the design's own copy
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -114,11 +107,6 @@ def component_sums(rho, graph: NetworkGraph):
     """(vertices, exactly rounded index sum) of each connected component."""
     rho = as_vector(rho, graph.n_vertices, "rho")
     return [(comp, math.fsum(rho[comp])) for comp in graph.connected_components()]
-
-
-def _short_component(rho, graph):
-    """(vertices, exact index sum) of the first component whose sum is not positive."""
-    return next(((c, s) for c, s in component_sums(rho, graph) if s <= 0.0), None)
 
 
 def edge_gain_threshold(rho, graph: NetworkGraph):
@@ -155,21 +143,18 @@ def uniform_network_gain(rho, graph: NetworkGraph, epsilon=None):
     Raises
     ------
     NotPassivizableError
-        If some component's index sum is not positive.
-    CertificateError
-        If the synthesized design unexpectedly fails its own check.
+        If some component's index sum is not positive, or if the synthesized
+        design fails its own check (a margin too small or too large for the
+        certificate's tolerance): either way there is no certified design.
     """
     rho = as_vector(rho, graph.n_vertices, "rho")
     if epsilon is not None and epsilon <= 0.0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    short = _short_component(rho, graph)
-    if short is not None:
-        raise NotPassivizableError(
-            f"component {short[0]} has index sum {short[1]}; "
-            "edge gains cannot passivate it"
-        )
     per_edge_threshold = np.zeros(graph.n_edges)
-    for comp in graph.connected_components():
+    for comp, total in component_sums(rho, graph):
+        if total <= 0.0:
+            raise NotPassivizableError(
+                f"component {comp} has index sum {total}; edge gains cannot passivate it")
         sub, edge_ids = graph.subgraph(comp)
         per_edge_threshold[edge_ids] = edge_gain_threshold(rho[comp], sub)
     threshold = float(per_edge_threshold.max(initial=0.0))
@@ -179,9 +164,8 @@ def uniform_network_gain(rho, graph: NetworkGraph, epsilon=None):
     alpha = np.zeros(graph.n_vertices)
     certificate = check_design(rho, alpha, beta, graph)
     if not certificate.positive_definite:
-        raise CertificateError(
-            f"synthesized design is not positive definite (min eig {certificate.min_eig})"
-        )
+        raise NotPassivizableError(
+            f"synthesized design is not positive definite (min eig {certificate.min_eig})")
     return GainDesign(alpha, beta, float(epsilon), threshold, certificate)
 
 
@@ -191,30 +175,24 @@ def hybrid_gain(rho, graph: NetworkGraph, self_regulating, epsilon=None):
     When the index sum is already positive no vertex gain is needed and the
     design reduces to the network-only one.  Otherwise the lowest-index
     vertex allowed to self-regulate receives ``1 - sum(rho)``, lifting the
-    corrected index sum to 1, after which ``uniform_network_gain`` on the
-    corrected indices picks, and certifies, the edge gains; its certificate
-    is the design's, since diag((rho + alpha) + 0) = diag(rho + alpha).
-
-    Raises
-    ------
-    EmptySelfRegulatingSetError
-        If the index sum is not positive and no vertex may self-regulate.
+    corrected index sum to 1.  ``uniform_network_gain`` on the corrected
+    indices then picks, and certifies, the edge gains, or raises
+    NotPassivizableError when no vertex was lifted; its certificate is the
+    design's, since diag((rho + alpha) + 0) = diag(rho + alpha).  A vertex
+    label is an integer (a bool is not one) in 0..n-1, as an edge's is.
     """
     rho = as_vector(rho, graph.n_vertices, "rho")
     if not graph.is_connected():
         raise DisconnectedGraphError("hybrid synthesis needs a connected graph")
-    self_regulating = sorted(int(i) for i in self_regulating)
     for i in self_regulating:
-        if not 0 <= i < graph.n_vertices:
-            raise VertexIndexError(f"self-regulating vertex {i} outside 0..{graph.n_vertices - 1}")
+        if (isinstance(i, bool) or not isinstance(i, (int, np.integer))
+                or not 0 <= i < graph.n_vertices):
+            raise VertexIndexError(
+                f"self-regulating vertex {i!r} is not an integer in 0..{graph.n_vertices - 1}")
     alpha = np.zeros(graph.n_vertices)
-    short = _short_component(rho, graph)
-    if short is not None:
-        if not self_regulating:
-            raise EmptySelfRegulatingSetError(
-                "index sum is not positive and no vertex may self-regulate"
-            )
-        alpha[self_regulating[0]] = 1.0 - short[1]
+    total = math.fsum(rho)
+    if total <= 0.0 and len(self_regulating) > 0:
+        alpha[min(self_regulating)] = 1.0 - total
     return replace(uniform_network_gain(rho + alpha, graph, epsilon), alpha=alpha)
 
 

@@ -192,7 +192,7 @@ def test_schema_rejects_integers_too_large_for_a_float(tmp_path, capsys):
     bad = consensus_dict()
     bad["agents"][0]["v0"] = huge
     assert schema_error_path(bad) == "$.agents[0].v0"
-    assert schema_error_path(consensus_dict(sim={"x0": [1.0, huge]})) == "$.sim.x0"
+    assert schema_error_path(consensus_dict(sim={"x0": [1.0, huge]})) == "$.sim.x0[1]"
     for name, data in (("v0", bad), ("x0", consensus_dict(sim={"x0": [huge, 1.0]}))):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(data))
@@ -299,7 +299,7 @@ def test_schema_counts_the_models_before_building_the_graph(tmp_path, capsys):
     ({"graph": {"n": 2, "edges": [[0, 1, 2]]}}, "$.graph.edges"),
     ({"agents": {"kind": "integrator"}}, "$.agents"),
     ({"agents": [1, {"kind": "integrator"}]}, "$.agents[0]"),
-    ({"self_regulating": [0.5]}, "$.self_regulating"),
+    ({"self_regulating": [0.5]}, "$.self_regulating[0]"),
     # t_max / dt overflows to inf: no step count exists, over a given or the default horizon
     ({"sim": {"dt": 1e-300, "t_max": 1e10}}, "$.sim.dt"),
     ({"sim": {"dt": 1e-306}}, "$.sim.dt"),
@@ -328,8 +328,11 @@ def test_schema_rejects_bad_numbers_and_types():
         consensus_dict(sim={"seed": 1.5})) == "$.sim.seed"
     assert schema_error_path(
         consensus_dict(sim={"x0": [1.0]})) == "$.sim.x0"
-    for x0 in ([float("nan"), 1.0], [1.0, float("inf")]):
-        assert schema_error_path(consensus_dict(sim={"x0": x0})) == "$.sim.x0"
+    for x0, k in (([float("nan"), 1.0], 0), ([1.0, float("inf")], 1)):
+        assert schema_error_path(consensus_dict(sim={"x0": x0})) == f"$.sim.x0[{k}]"
+    assert schema_error_path(consensus_dict(sim={"x0": "1.0"})) == "$.sim.x0"
+    assert schema_error_path(consensus_dict(self_regulating=[0, True])) == "$.self_regulating[1]"
+    assert schema_error_path(consensus_dict(self_regulating=0)) == "$.self_regulating"
     for falsy in (False, 0, [], ""):
         assert schema_error_path(consensus_dict(sim=falsy)) == "$.sim"
         assert schema_error_path(consensus_dict(solver=falsy)) == "$.solver"
@@ -1080,6 +1083,34 @@ def test_cli_synthesize_reports_design(consensus_file, capsys):
     assert payload["mode"] == "network_only"
     assert payload["alpha"] == [0.0, 0.0]
     assert payload["convexity_probe"] > 0.0
+
+
+def test_an_uncertifiable_design_is_infeasible_in_every_command(tmp_path, monkeypatch, capsys):
+    # At margin 1e294 the consensus pair's certificate has min eig 0.0, at its
+    # tolerance: no command may reach the solver or the integrator with it.
+    def unreachable(*args, **kwargs):
+        raise AssertionError("an uncertified design reached a later stage")
+
+    monkeypatch.setattr(harness, "solve", unreachable)
+    monkeypatch.setattr(harness, "simulate", unreachable)
+    path = tmp_path / "huge-margin.json"
+    path.write_text(json.dumps(consensus_dict(epsilon=1e294)))
+    for command in ("check", "synthesize", "simulate", "optimize"):
+        assert main([command, str(path)]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["feasible"] is False
+        if command != "check":  # check prints the indices, not a reason
+            assert payload["reason"] == "synthesized design is not positive definite (min eig 0.0)"
+    assert main(["verify", str(path)]) == 1
+    assert json.loads(capsys.readouterr().out)["verdict"] == "infeasible"
+
+
+def test_cli_synthesize_infeasible_under_the_certificate_tolerance(tmp_path, capsys):
+    # the n=10 seed-1 case study at margin 1e-14: min eig 1.5e-14, under its tolerance
+    path = tmp_path / "n10-s1.json"
+    path.write_text(json.dumps(generate_case_study(10, 1).to_dict()))
+    assert main(["synthesize", str(path), "--epsilon", "1e-14"]) == 1
+    assert "not positive definite" in json.loads(capsys.readouterr().out)["reason"]
 
 
 def test_cli_synthesize_infeasible_and_hybrid_override(mixed_file, capsys):

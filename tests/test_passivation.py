@@ -13,7 +13,9 @@ Frozen values derived by hand:
   52/9).
 """
 
+import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,12 +23,13 @@ from hypothesis import given, settings, strategies as st
 
 from netpass import (
     DisconnectedGraphError,
-    EmptySelfRegulatingSetError,
+    GainDesign,
     NetworkGraph,
     NotPassivizableError,
     VertexIndexError,
     check_design,
     component_sums,
+    config_from_dict,
     coupling_matrix,
     edge_gain_threshold,
     generate_case_study,
@@ -232,12 +235,52 @@ def test_hybrid_gain_skips_vertex_gain_when_feasible():
 
 
 def test_hybrid_gain_guards():
-    with pytest.raises(EmptySelfRegulatingSetError):
+    with pytest.raises(NotPassivizableError):  # nothing to lift: the network-only error
         hybrid_gain(np.array([-1.0, -1.0, -1.0]), K3, [])
     with pytest.raises(VertexIndexError):
         hybrid_gain(np.array([-1.0, -1.0, -1.0]), K3, [3])
     with pytest.raises(DisconnectedGraphError):
         hybrid_gain(np.array([1.0, 1.0]), NetworkGraph(2, ()), [0])
+
+
+def test_hybrid_gain_refuses_a_label_that_is_not_an_integer():
+    for label in (1.7, True):  # int() would read either one as vertex 1 and lift it
+        with pytest.raises(VertexIndexError):
+            hybrid_gain(np.array([-1.0, -1.0, -1.0]), K3, [label])
+    d = hybrid_gain(np.array([-1.0, -1.0, -1.0]), K3, [np.int64(1)])
+    np.testing.assert_allclose(d.alpha, [0.0, 4.0, 0.0], atol=EXACT_TOL)
+
+
+def uncertifiable_scenarios():
+    """(graph, indices, margin) whose network design fails its certificate.
+
+    The consensus pair at margin 1e294 has min eig 0.0; the n=10 seed-1 case
+    study at 1e-14 has min eig 1.5e-14, under the n * eps * ||X||_inf tolerance.
+    """
+    golden = json.loads((Path(__file__).parent / "golden" / "consensus.json").read_text())
+    for config, epsilon in ((config_from_dict(golden), 1e294),
+                            (generate_case_study(10, 1), 1e-14)):
+        graph, agents, _ = config.parts
+        yield graph, agents.slope, epsilon
+
+
+def test_an_uncertifiable_design_is_not_passivizable():
+    for graph, rho, epsilon in uncertifiable_scenarios():
+        assert component_sums(rho, graph)[0][1] > 0.0
+        for synthesize in (lambda: uniform_network_gain(rho, graph, epsilon),
+                           lambda: hybrid_gain(rho, graph, [0], epsilon)):
+            with pytest.raises(NotPassivizableError, match="not positive definite"):
+                synthesize()
+
+
+def test_gain_design_owns_its_gains():
+    alpha, beta = np.zeros(2), np.ones(1)
+    d = GainDesign(alpha, beta, 0.1, 0.0, check_design(np.ones(2), alpha, beta, P2))
+    alpha[0] = beta[0] = 5.0  # the caller's arrays stay writable ...
+    assert d.alpha.tolist() == [0.0, 0.0] and d.beta.tolist() == [1.0]
+    for gains in (d.alpha, d.beta):  # ... and the design's stay read-only
+        with pytest.raises(ValueError, match="read-only"):
+            gains[0] = 2.0
 
 
 def feasible(rho, graph):
