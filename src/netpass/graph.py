@@ -157,11 +157,15 @@ class NetworkGraph:
         return len(self._components) == 1
 
     def subgraph(self, vertices):
-        """Induced subgraph on ``vertices`` (reindexed 0..k-1) plus the kept edge ids."""
-        if list(vertices) == list(range(self.n_vertices)):
+        """Induced subgraph on distinct ``vertices`` (reindexed 0..k-1) plus the kept edge ids."""
+        vertices, n, first = list(vertices), self.n_vertices, {}
+        for k, v in enumerate(vertices):
+            if not (_is_label(v) and 0 <= v < n) or first.setdefault(v, k) != k:
+                raise VertexIndexError(f"subgraph entry {k} = {v!r}: no new vertex in 0..{n - 1}")
+        if vertices == list(range(n)):
             return self, list(range(self.n_edges))
-        index = np.full(self.n_vertices, -1)
-        index[list(vertices)] = np.arange(len(vertices))
+        index = np.full(n, -1)
+        index[vertices] = np.arange(len(vertices))
         pairs = np.column_stack((index[self.heads], index[self.tails]))
         kept = np.flatnonzero((pairs >= 0).all(axis=1))
         return NetworkGraph(len(vertices), pairs[kept]), kept.tolist()

@@ -1,11 +1,11 @@
 """Scenario configuration, end-to-end verification, and report emission.
 
 A scenario bundles a graph, agent and controller rosters, a gain mode, and
-simulation/solver settings.  The file format is described once: ``_SETTINGS``
-gives each ``ScenarioConfig`` attribute its section, key, default and rule,
-and ``_AGENT_KINDS``/``_CONTROLLER_KINDS`` give each model kind its class and
-parameters.  The banks evaluate the classes' parameter rules and coefficient
-formulas over each kind's columns, so validation builds no model record.
+simulation/solver settings.  The file format is described once: each
+``ScenarioConfig`` field carries its section, key, default and rule, and
+``_AGENT_KINDS``/``_CONTROLLER_KINDS`` give each model kind its class and
+optional parameters.  The banks evaluate the classes' parameter rules and
+coefficient formulas over each kind's columns: validation builds no record.
 
 ``verify`` runs the whole pipeline: synthesize a gain, certify it, simulate
 the closed loop, solve the matching steady-state optimization, and compare
@@ -52,6 +52,7 @@ __all__ = [
 ]
 
 _GAIN_MODES = ("none", "network_only", "hybrid")
+_REQUIRED = object()  # the default of a setting that the file must give
 # Gains are synthesized on the agents' slopes less this floor, so a certified
 # design's convexity probe clears it; a healthy floor also bounds how long the
 # closed loop takes to settle.
@@ -61,44 +62,6 @@ _PROBE_MIN = 1e-2
 # ----------------------------------------------------------------------
 # configuration schema
 # ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ScenarioConfig:
-    """Validated scenario description, storable as JSON; ``_SETTINGS`` describes it.
-
-    ``parts`` holds the (graph, agent bank, controller bank) that validation
-    built; it is not part of the stored description.
-    """
-
-    graph: dict
-    agents: tuple
-    controllers: tuple
-    gain_mode: str
-    self_regulating: tuple
-    epsilon: float
-    dt: float
-    t_max: float
-    steady_tol: float
-    x0: tuple
-    seed: int
-    solver_step: float
-    solver_max_iter: int
-    solver_tol: float
-    mismatch_tol: float
-    parts: tuple = field(repr=False, compare=False)
-
-    def to_dict(self):
-        """The stored description in fresh JSON containers, copied to the schema's shapes."""
-        data = {section: {} for section in _SECTION_KEYS if section is not None}
-        for name, (section, key, _, _) in _SETTINGS.items():
-            value = getattr(self, name)
-            if name == "graph":
-                value = {"n": value["n"], "edges": list(map(list, value["edges"]))}
-            elif isinstance(value, tuple):  # flat spec dicts, or numbers
-                value = list(map(dict, value)) if name in ("agents", "controllers") else list(value)
-            (data if section is None else data[section])[key] = value
-        return data
 
 
 def _fail(path, message):
@@ -160,6 +123,89 @@ def _count(specs, path, count):
     return specs
 
 
+def _gain_mode(value, path, settings):
+    if value not in _GAIN_MODES:
+        _fail(path, f"must be one of {_GAIN_MODES}, got {value!r}")
+    return value
+
+
+def _vertices(value, path, settings):
+    n = settings["graph"]["n"]
+    if not isinstance(value, list):
+        _fail(path, "must be a list of integers")
+    for k, v in enumerate(value):
+        if isinstance(v, bool) or not isinstance(v, int):
+            _fail(f"{path}[{k}]", f"must be an integer, got {type(v).__name__}")
+        if not 0 <= v < n:
+            _fail(f"{path}[{k}]", f"vertex {v} outside 0..{n - 1}")
+    return tuple(value)
+
+
+def _outputs(value, path, settings):
+    n = settings["graph"]["n"]
+    if not isinstance(value, list) or len(value) != n:
+        _fail(path, f"must be a list of {n} finite numbers")
+    return tuple(_number(v, f"{path}[{k}]") for k, v in enumerate(value))
+
+
+def _setting(section, key, default, rule):
+    """A ScenarioConfig field's schema: where the file holds it, its default and rule."""
+    return field(metadata={"schema": (section, key, default, rule)})
+
+
+@dataclass(frozen=True)
+class ScenarioConfig:
+    """Validated scenario description, storable as JSON; each field declares its schema.
+
+    A field's ``_setting`` gives its file section (None at top level), key,
+    default and rule, which maps (value, path, the settings read so far) to the
+    stored value; an absent or null key takes the default, a _REQUIRED one fails.
+    The graph and model rules check only shapes and counts, so a wrong count
+    fails before ``_build`` builds anything n-sized.  ``parts`` holds the (graph,
+    agent bank, controller bank) that validation built, outside the description.
+    """
+
+    graph: dict = _setting(None, "graph", _REQUIRED, _graph)
+    agents: tuple = _setting(None, "agents", _REQUIRED,
+                             lambda v, path, s: _count(v, path, s["graph"]["n"]))
+    controllers: tuple = _setting(None, "controllers", _REQUIRED,
+                                  lambda v, path, s: _count(v, path, len(s["graph"]["edges"])))
+    gain_mode: str = _setting(None, "gain_mode", "network_only", _gain_mode)
+    self_regulating: tuple = _setting(None, "self_regulating", (), _vertices)
+    epsilon: float = _setting(None, "epsilon", None, _positive)
+    dt: float = _setting("sim", "dt", None, _positive)
+    t_max: float = _setting("sim", "t_max", None, _positive)
+    steady_tol: float = _setting("sim", "steady_tol", STEADY_TOL, _positive)
+    x0: tuple = _setting("sim", "x0", None, _outputs)
+    seed: int = _setting("sim", "seed", 0, lambda v, path, _: _integer(v, path, 0))
+    solver_step: float = _setting("solver", "step", SOLVER_STEP, _positive)
+    solver_max_iter: int = _setting("solver", "max_iter", SOLVER_MAX_ITER,
+                                    lambda v, path, _: _integer(v, path, 1))
+    solver_tol: float = _setting("solver", "tol", SOLVER_TOL, _positive)
+    mismatch_tol: float = _setting(None, "mismatch_tol", 1e-2, _positive)
+    parts: tuple = field(repr=False, compare=False)
+
+    def to_dict(self):
+        """The stored description in fresh JSON containers, copied to the schema's shapes."""
+        data = {section: {} for section in _SECTION_KEYS if section is not None}
+        for name, (section, key, _, _) in _SETTINGS.items():
+            value = getattr(self, name)
+            if name == "graph":
+                value = {"n": value["n"], "edges": list(map(list, value["edges"]))}
+            elif isinstance(value, tuple):  # flat spec dicts, or numbers
+                value = list(map(dict, value)) if name in ("agents", "controllers") else list(value)
+            (data if section is None else data[section])[key] = value
+        return data
+
+
+# ScenarioConfig attribute -> (section, key, default, rule), in field order.
+_SETTINGS = {f.name: f.metadata["schema"] for f in fields(ScenarioConfig) if f.metadata}
+# section -> the keys it may hold; the top level also holds the sections.
+_SECTION_KEYS = {section: {k for s, k, _, _ in _SETTINGS.values() if s == section}
+                 for section, _, _, _ in _SETTINGS.values()}
+_SECTION_KEYS[None] |= _SECTION_KEYS.keys() - {None}
+
+
 def _specs(specs, path, kinds, bank):
     """Model specs with their nulls dropped, and the ``bank`` built from their columns.
 
@@ -167,13 +213,13 @@ def _specs(specs, path, kinds, bank):
     first faulty spec by its first failing check.  A roster of nothing but a
     parameterless kind's one spec is compared in C and shares one dict.
     """
-    for kind, (cls, _, _) in kinds.items():
+    for kind, (cls, _) in kinds.items():
         shared = {"kind": kind}
         if not cls.__match_args__ and specs.count(shared) == len(specs):
             every = range(len(specs))
             return (shared,) * len(specs), bank.from_columns(len(specs), {cls: (every, [])})
     out = []
-    columns = {cls: ([], [[] for _ in cls.__match_args__]) for cls, _, _ in kinds.values()}
+    columns = {cls: ([], [[] for _ in cls.__match_args__]) for cls, _ in kinds.values()}
     try:
         for k, spec in enumerate(specs):
             if not isinstance(spec, dict):
@@ -181,11 +227,11 @@ def _specs(specs, path, kinds, bank):
             kind = spec.get("kind")
             if not isinstance(kind, str) or kind not in kinds:
                 _fail(f"{path}[{k}].kind", f"unknown kind {kind!r}")
-            cls, required, optional = kinds[kind]
-            _check_keys(spec, ("kind",) + required + optional, f"{path}[{k}]")
+            cls, optional = kinds[kind]
+            _check_keys(spec, ("kind",) + cls.__match_args__, f"{path}[{k}]")
             spec = {key: v for key, v in spec.items() if v is not None}
-            for key in required:
-                if key not in spec:
+            for key in cls.__match_args__:
+                if key not in spec and key not in optional:
                     _fail(f"{path}[{k}].{key}", "missing required field")
             numbers = {key: _number(v, f"{path}[{k}].{key}")
                        for key, v in spec.items() if key != "kind"}
@@ -215,74 +261,18 @@ def _build(settings):
     return graph, agents, controllers
 
 
-def _gain_mode(value, path, settings):
-    if value not in _GAIN_MODES:
-        _fail(path, f"must be one of {_GAIN_MODES}, got {value!r}")
-    return value
-
-
-def _vertices(value, path, settings):
-    n = settings["graph"]["n"]
-    if not isinstance(value, list):
-        _fail(path, "must be a list of integers")
-    for k, v in enumerate(value):
-        if isinstance(v, bool) or not isinstance(v, int):
-            _fail(f"{path}[{k}]", f"must be an integer, got {type(v).__name__}")
-        if not 0 <= v < n:
-            _fail(f"{path}[{k}]", f"vertex {v} outside 0..{n - 1}")
-    return tuple(value)
-
-
-def _outputs(value, path, settings):
-    n = settings["graph"]["n"]
-    if not isinstance(value, list) or len(value) != n:
-        _fail(path, f"must be a list of {n} finite numbers")
-    return tuple(_number(v, f"{path}[{k}]") for k, v in enumerate(value))
-
-
-# kind -> (model class, required parameters, optional parameters).  The
-# classes write the parameter rules and an optional one's default; a
-# static-affine index is required, so a missing one never silently becomes 0.
+# kind -> (model class, its optional parameters).  The class's fields name the
+# parameters and an optional one's default, and its rules check them; the rest
+# are required, so a missing static-affine index never silently becomes 0.
 _AGENT_KINDS = {
-    "traffic": (TrafficAgent, ("kappa", "v0", "v1"), ()),
-    "integrator": (IntegratorAgent, (), ()),
-    "static_affine": (StaticAffineAgent, ("a", "c", "rho"), ("tau",)),
+    "traffic": (TrafficAgent, ()),
+    "integrator": (IntegratorAgent, ()),
+    "static_affine": (StaticAffineAgent, ("tau",)),
 }
 _CONTROLLER_KINDS = {
-    "tanh_integrator": (TanhIntegratorController, (), ()),
-    "static_gain": (StaticGainController, ("w",), ()),
+    "tanh_integrator": (TanhIntegratorController, ()),
+    "static_gain": (StaticGainController, ()),
 }
-
-# ScenarioConfig attribute -> (file section, None at top level; key; default;
-# rule).  A rule maps (value, path, the settings read so far) to the stored
-# value.  An absent or null key takes the default; a _REQUIRED one fails.
-# The graph and model rules check only shape and counts: ``_build`` then builds
-# the graph and banks, so a wrong count fails before anything n-sized exists.
-_REQUIRED = object()
-_SETTINGS = {
-    "graph": (None, "graph", _REQUIRED, _graph),
-    "agents": (None, "agents", _REQUIRED,
-               lambda value, path, s: _count(value, path, s["graph"]["n"])),
-    "controllers": (None, "controllers", _REQUIRED,
-                    lambda value, path, s: _count(value, path, len(s["graph"]["edges"]))),
-    "gain_mode": (None, "gain_mode", "network_only", _gain_mode),
-    "self_regulating": (None, "self_regulating", (), _vertices),
-    "epsilon": (None, "epsilon", None, _positive),
-    "dt": ("sim", "dt", None, _positive),
-    "t_max": ("sim", "t_max", None, _positive),
-    "steady_tol": ("sim", "steady_tol", STEADY_TOL, _positive),
-    "x0": ("sim", "x0", None, _outputs),
-    "seed": ("sim", "seed", 0, lambda value, path, _: _integer(value, path, 0)),
-    "solver_step": ("solver", "step", SOLVER_STEP, _positive),
-    "solver_max_iter": ("solver", "max_iter", SOLVER_MAX_ITER,
-                        lambda value, path, _: _integer(value, path, 1)),
-    "solver_tol": ("solver", "tol", SOLVER_TOL, _positive),
-    "mismatch_tol": (None, "mismatch_tol", 1e-2, _positive),
-}
-# section -> the keys it may hold; the top level also holds the sections.
-_SECTION_KEYS = {section: {k for s, k, _, _ in _SETTINGS.values() if s == section}
-                 for section, _, _, _ in _SETTINGS.values()}
-_SECTION_KEYS[None] |= _SECTION_KEYS.keys() - {None}
 
 
 def config_from_dict(data):

@@ -148,8 +148,8 @@ def uniform_network_gain(rho, graph: NetworkGraph, epsilon=None):
         certificate's tolerance): either way there is no certified design.
     """
     rho = as_vector(rho, graph.n_vertices, "rho")
-    if epsilon is not None and epsilon <= 0.0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if epsilon is not None and not 0.0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     per_edge_threshold = np.zeros(graph.n_edges)
     for comp, total in component_sums(rho, graph):
         if total <= 0.0:

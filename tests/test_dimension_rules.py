@@ -5,11 +5,27 @@ and ``check_counts`` refuses banks without one agent per vertex and one
 controller per edge; every entry point calls them.  This guard parses every
 module under ``src/netpass`` but ``errors.py`` and fails on any other
 ``raise DimensionMismatchError`` than the agent bank's refusal of an empty
-bank, which no length rule covers.
+bank, which no length rule covers.  The controller count is refused by
+``ClosedLoopSystem`` and ``build_problem`` alike.
 """
 
 import ast
 from pathlib import Path
+
+import numpy as np
+import pytest
+
+from netpass import (
+    AgentBank,
+    ClosedLoopSystem,
+    ControllerBank,
+    DimensionMismatchError,
+    IntegratorAgent,
+    NetworkGraph,
+    TanhIntegratorController,
+    build_problem,
+    zero_design,
+)
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "netpass"
 
@@ -52,3 +68,15 @@ def test_only_errors_writes_the_dimension_rules():
     assert modules
     assert [r for path in modules for r in dimension_raises(path.read_text(), path.name)] \
         == OWN_RAISES
+
+
+@pytest.mark.parametrize("count", [2, 4])
+def test_a_controller_count_off_by_one_is_refused(count):
+    graph = NetworkGraph.complete(3)
+    agents = AgentBank([IntegratorAgent()] * 3)
+    controllers = ControllerBank([TanhIntegratorController()] * count)
+    message = f"{count} controllers for 3 edges"
+    with pytest.raises(DimensionMismatchError, match=message):
+        ClosedLoopSystem(graph, agents, controllers, zero_design(np.ones(3), graph))
+    with pytest.raises(DimensionMismatchError, match=message):
+        build_problem(graph, agents, controllers)

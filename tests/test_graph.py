@@ -110,6 +110,19 @@ def test_non_integer_vertex_labels_rejected(n, edges, message):
     assert str(excinfo.value) == message
 
 
+@pytest.mark.parametrize("vertices,message", [
+    ([-1, 0], "subgraph entry 0 = -1: no new vertex in 0..2"),
+    ([0, 0], "subgraph entry 1 = 0: no new vertex in 0..2"),
+    ([True, 2], "subgraph entry 0 = True: no new vertex in 0..2"),
+    ([5], "subgraph entry 0 = 5: no new vertex in 0..2"),
+    ([0.0, 1], "subgraph entry 0 = 0.0: no new vertex in 0..2"),
+])
+def test_subgraph_refuses_a_vertex_list_it_cannot_index(vertices, message):
+    with pytest.raises(VertexIndexError) as excinfo:
+        NetworkGraph.complete(3).subgraph(vertices)
+    assert str(excinfo.value) == message
+
+
 def per_edge_verdict(n, edges):
     """The first offending edge's (error class, message), by a loop over the edges; or None.
 

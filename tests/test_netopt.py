@@ -365,6 +365,21 @@ def test_solve_max_iter_status():
     np.testing.assert_array_equal(got.y_star, full.y_star)
 
 
+@pytest.mark.xfail(raises=AssertionError, strict=True,
+                   reason="the absolute KKT tolerance is below the rounding level of H y")
+def test_solve_certifies_a_badly_scaled_three_vertex_problem():
+    # Today the second pattern's point, (950009.36, 950009.36, -39.0), keeps
+    # every sign, but its KKT norm is 2.1e-4, the rounding level of H y here
+    # (||H||_inf ||y||_inf eps ~ 4.2e-4), far above the tolerance 1e-8; so no
+    # pass certifies and the proximal loop cycles until the budget runs out.
+    graph = NetworkGraph(3, ((0, 1), (1, 2)))
+    agents = AgentBank([StaticAffineAgent(a=1e5, c=1e6, rho=1e-5)] * 2
+                       + [StaticAffineAgent(a=1.0, c=-40.0, rho=1.0)])
+    controllers = ControllerBank([StaticGainController(1e6), TanhIntegratorController()])
+    minimizer = solve(build_problem(graph, agents, controllers), max_iter=200)
+    assert minimizer.status is SolveStatus.OPTIMAL, (minimizer.status, minimizer.dual_residual)
+
+
 @settings(max_examples=20, deadline=None)
 @given(
     anchors=st.lists(st.floats(-20.0, 20.0), min_size=2, max_size=4),

@@ -212,6 +212,12 @@ def test_uniform_gain_rejects_infeasible_component():
 def test_uniform_gain_rejects_bad_epsilon():
     with pytest.raises(ValueError):
         uniform_network_gain(np.array([3.0, -1.0]), P2, epsilon=0.0)
+    # a non-finite margin is refused before any eigensolve sees it
+    for epsilon in (np.nan, np.inf):
+        for synthesize in (lambda: uniform_network_gain(np.ones(3), K3, epsilon),
+                           lambda: hybrid_gain(np.ones(3), K3, [0], epsilon)):
+            with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+                synthesize()
 
 
 def test_hybrid_gain_frozen_design():
