@@ -22,7 +22,7 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, ParameterError, as_vector
+from .errors import ParameterError, as_vector
 
 __all__ = ["TrafficAgent", "IntegratorAgent", "StaticAffineAgent", "AgentBank"]
 
@@ -165,12 +165,6 @@ class AgentBank(ModelBank):
     # rho, drift p*x + q*u + g, steady map slope*y + intercept, potential constant, anchor
     COEFFICIENTS = [(name, float) for name in (
         "rho_vector", "p", "q", "g", "slope", "intercept", "const", "anchors")]
-
-    def __init__(self, agents):
-        agents = tuple(agents)
-        if not agents:
-            raise DimensionMismatchError("agent bank cannot be empty")
-        super().__init__(agents)
 
     def steady_input(self, y):
         """Per-agent steady-state input map, vectorized over outputs."""

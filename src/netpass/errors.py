@@ -1,7 +1,8 @@
-"""Exception types shared across the package, and its two dimension rules.
+"""Exception types shared across the package, and its input rules.
 
-Every entry point checks a per-vertex or per-edge vector with ``as_vector``,
-so a length-1 one cannot broadcast, and its banks' counts with ``check_counts``.
+Entry points check a per-vertex or per-edge vector with ``as_vector``: one
+finite entry each, so a length-1 one cannot broadcast and no NaN or inf passes.
+``check_counts`` is the only roster-size rule, ``is_integer`` the one label test.
 """
 
 import numpy as np
@@ -38,11 +39,18 @@ class DimensionMismatchError(NetpassError):
     """Vector or component counts do not agree with the graph."""
 
 
+def is_integer(value):
+    """An int or numpy integer, which a bool is not: a vertex label, count or seed."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def as_vector(values, length, name):
-    """``values`` as a float vector, refused unless it has ``length`` entries."""
+    """``values`` as a float vector, refused unless it has ``length`` finite entries."""
     arr = np.asarray(values, dtype=float)
     if arr.shape != (length,):
         raise DimensionMismatchError(f"{name} has shape {arr.shape}, expected ({length},)")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} must be finite")
     return arr
 
 

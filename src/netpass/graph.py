@@ -15,14 +15,9 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import DuplicateEdgeError, SelfLoopError, VertexIndexError
+from .errors import DuplicateEdgeError, SelfLoopError, VertexIndexError, is_integer
 
 __all__ = ["NetworkGraph"]
-
-
-def _is_label(value):
-    """A vertex label or count is an integer, and a bool is not one."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _is_pair(edge):
@@ -43,12 +38,12 @@ def _edge_pairs(n, edges):
         raise VertexIndexError(
             f"edges must be a list of (head, tail) pairs, got {edges!r}") from None
     labelled = len(edges)  # the edges before the first that is not a pair of integer labels
-    # One type and one length per distinct value, not per edge.
+    # One type and one length per distinct value, not per edge; ``is_integer`` by label type.
     if not (set(map(type, edges)) <= {list, tuple} and set(map(len, edges)) <= {2} and all(
             issubclass(t, (int, np.integer)) and not issubclass(t, bool)
             for t in set(map(type, chain.from_iterable(edges))))):
         labelled = next((k for k, edge in enumerate(edges)
-                         if not (_is_pair(edge) and all(map(_is_label, edge)))), labelled)
+                         if not (_is_pair(edge) and all(map(is_integer, edge)))), labelled)
     pairs = np.array(edges[:labelled]).reshape(labelled, 2)  # of objects past int64
     a, b = np.clip(pairs, -1, n).astype(np.int64).T
     low, high = np.minimum(a, b), np.maximum(a, b)
@@ -94,7 +89,7 @@ class NetworkGraph:
     """
 
     def __init__(self, n_vertices, edges):
-        if not _is_label(n_vertices) or n_vertices < 1:
+        if not is_integer(n_vertices) or n_vertices < 1:
             raise VertexIndexError(f"n_vertices must be a positive integer, got {n_vertices!r}")
         n = int(n_vertices)
         pairs = _edge_pairs(n, edges)
@@ -160,7 +155,7 @@ class NetworkGraph:
         """Induced subgraph on distinct ``vertices`` (reindexed 0..k-1) plus the kept edge ids."""
         vertices, n, first = list(vertices), self.n_vertices, {}
         for k, v in enumerate(vertices):
-            if not (_is_label(v) and 0 <= v < n) or first.setdefault(v, k) != k:
+            if not (is_integer(v) and 0 <= v < n) or first.setdefault(v, k) != k:
                 raise VertexIndexError(f"subgraph entry {k} = {v!r}: no new vertex in 0..{n - 1}")
         if vertices == list(range(n)):
             return self, list(range(self.n_edges))

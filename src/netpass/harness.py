@@ -40,6 +40,7 @@ from .errors import (
     NotPassivizableError,
     NumericalBlowupError,
     ParameterError,
+    is_integer,
 )
 from .graph import NetworkGraph, cluster_labels
 from .netopt import SOLVER_MAX_ITER, SOLVER_STEP, SOLVER_TOL, SolveStatus, build_problem, solve
@@ -95,11 +96,11 @@ def _positive(value, path, settings):
 
 
 def _integer(value, path, minimum):
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not is_integer(value):
         _fail(path, f"must be an integer, got {type(value).__name__}")
     if value < minimum:
         _fail(path, f"must be at least {minimum}, got {value}")
-    return value
+    return int(value)
 
 
 def _graph(spec, path, settings):
@@ -134,11 +135,11 @@ def _vertices(value, path, settings):
     if not isinstance(value, list):
         _fail(path, "must be a list of integers")
     for k, v in enumerate(value):
-        if isinstance(v, bool) or not isinstance(v, int):
+        if not is_integer(v):
             _fail(f"{path}[{k}]", f"must be an integer, got {type(v).__name__}")
         if not 0 <= v < n:
             _fail(f"{path}[{k}]", f"vertex {v} outside 0..{n - 1}")
-    return tuple(value)
+    return tuple(map(int, value))
 
 
 def _outputs(value, path, settings):
@@ -355,8 +356,10 @@ def generate_case_study(n, seed):
     times the rate, and every edge carries a saturated integrating
     controller.
     """
-    if n < 2:
-        raise ValueError("case study needs at least 2 agents")
+    if not (is_integer(n) and n >= 2):
+        raise ValueError(f"case study needs at least 2 agents, got n = {n!r}")
+    if not (is_integer(seed) and seed >= 0):
+        raise ValueError(f"case study needs a non-negative integer seed, got {seed!r}")
     rng = np.random.default_rng(seed)
     kappa = np.where(rng.random(n) < 1.0 / 3.0, -1.0, 1.0)
     mix = rng.random(n) < 0.5

@@ -264,7 +264,7 @@ def solve(problem: RegularizedProblem, step=SOLVER_STEP, max_iter=SOLVER_MAX_ITE
         Cap on the patterns tried over all passes; hitting it yields status
         ``MAX_ITER``.
     tol : float
-        The certificate's bound on the KKT norm.
+        The certificate's bound on the KKT norm, positive and finite.
 
     One loop of ``_active_set`` passes on H = the smooth Hessian plus the
     static edges' Laplacian L_w, formed once: a proximal-point loop
@@ -290,6 +290,8 @@ def solve(problem: RegularizedProblem, step=SOLVER_STEP, max_iter=SOLVER_MAX_ITE
     ``NONCONVEX_DETECTED`` at once, at the anchors, with 0 iterations and
     the residual inf: a KKT point need not be a minimizer there.
     """
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     graph = problem.graph
 
     def result(y, kkt, iterations, status):  # Minimizer's field order

@@ -32,7 +32,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DisconnectedGraphError, NotPassivizableError, VertexIndexError, as_vector
+from .errors import (DisconnectedGraphError, NotPassivizableError, VertexIndexError, as_vector,
+                     is_integer)
 from .graph import NetworkGraph
 
 __all__ = [
@@ -185,8 +186,7 @@ def hybrid_gain(rho, graph: NetworkGraph, self_regulating, epsilon=None):
     if not graph.is_connected():
         raise DisconnectedGraphError("hybrid synthesis needs a connected graph")
     for i in self_regulating:
-        if (isinstance(i, bool) or not isinstance(i, (int, np.integer))
-                or not 0 <= i < graph.n_vertices):
+        if not (is_integer(i) and 0 <= i < graph.n_vertices):
             raise VertexIndexError(
                 f"self-regulating vertex {i!r} is not an integer in 0..{graph.n_vertices - 1}")
     alpha = np.zeros(graph.n_vertices)
@@ -201,7 +201,7 @@ def check_design(rho, alpha, beta, graph: NetworkGraph):
 
     The tolerance n * eps * ||X||_inf is the scale of ``eigvalsh``'s error.
     """
-    X = coupling_matrix(rho, alpha, beta, graph)
+    X = coupling_matrix(as_vector(rho, graph.n_vertices, "rho"), alpha, beta, graph)
     min_eig = float(np.linalg.eigvalsh(X)[0])
     tol = X.shape[0] * np.finfo(float).eps * float(np.linalg.norm(X, np.inf))
     return Certificate(min_eig, tol, bool(min_eig > tol))

@@ -274,8 +274,8 @@ def simulate(system: ClosedLoopSystem, x0=None, eta0=None, dt=None, t_max=None,
         seed; missing controller states start at zero.  A static edge's eta
         is never stepped: the ``Trajectory`` holds its eta0.
     dt, t_max : float or None
-        Step size and horizon, whose ratio must be finite.  The default step
-        keeps every stable mode in RK4's stability region
+        Step size and horizon, positive, with dt and t_max / dt finite.  The
+        default step keeps every stable mode in RK4's stability region
         (``_default_step``); the default horizon is ``HORIZON`` time units
         with early exit once steady.
     steady_tol : float
@@ -295,8 +295,8 @@ def simulate(system: ClosedLoopSystem, x0=None, eta0=None, dt=None, t_max=None,
     n, m, sat = system.graph.n_vertices, system.graph.n_edges, system.controllers.saturated
     dt = _default_step(system) if dt is None else dt
     t_max = HORIZON if t_max is None else t_max
-    if dt <= 0.0 or t_max <= 0.0 or window < 1:
-        raise ValueError("dt, t_max and window must be positive")
+    if not 0.0 < dt < np.inf or t_max <= 0.0 or window < 1:
+        raise ValueError("dt, t_max and window must be positive, and dt finite")
     if not np.isfinite(t_max / dt):
         raise ValueError(f"t_max / dt must be finite, got {t_max:g} / {dt:g}")
     if x0 is None:
@@ -304,9 +304,6 @@ def simulate(system: ClosedLoopSystem, x0=None, eta0=None, dt=None, t_max=None,
         x0 = np.random.default_rng(seed).uniform(anchors.min() - 10.0, anchors.max() + 10.0, n)
     x = as_vector(x0, n, "x0")
     eta = as_vector(np.zeros(m) if eta0 is None else eta0, m, "eta0")
-    for name, value in (("x0", x), ("eta0", eta)):
-        if not np.isfinite(value).all():
-            raise ValueError(f"{name} must be finite")
 
     certificate, y_ss, width = None, None, system.operator.shape[1]
     # One state per row: row 0 holds the last kept sample, rows 1.. each new one.

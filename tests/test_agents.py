@@ -20,10 +20,15 @@ from hypothesis import given, settings, strategies as st
 
 from netpass import (
     AgentBank,
+    ClosedLoopSystem,
+    ControllerBank,
     DimensionMismatchError,
     IntegratorAgent,
+    NetworkGraph,
     StaticAffineAgent,
     TrafficAgent,
+    build_problem,
+    zero_design,
 )
 from oracles import (
     NonConvexDualError,
@@ -271,9 +276,18 @@ def test_bank_conjugate_total():
     assert agent_conjugate_total(agents, np.array([0.0, 0.3, 0.0])) == math.inf
 
 
-def test_bank_rejects_empty():
-    with pytest.raises(DimensionMismatchError):
-        AgentBank([])
+def test_an_empty_bank_is_refused_by_every_use():
+    # the roster size is check_counts' rule alone: both constructors build the same empty bank
+    built, filled = AgentBank([]), AgentBank.from_columns(0, {})
+    assert len(built) == len(filled) == 0
+    for name, _ in AgentBank.COEFFICIENTS:
+        np.testing.assert_array_equal(getattr(built, name), getattr(filled, name))
+    graph = NetworkGraph(1, [])
+    for bank in (built, filled):
+        with pytest.raises(DimensionMismatchError, match="0 agents for 1 vertices"):
+            ClosedLoopSystem(graph, bank, ControllerBank([]), zero_design(np.ones(1), graph))
+        with pytest.raises(DimensionMismatchError, match="0 agents for 1 vertices"):
+            build_problem(graph, bank, ControllerBank([]))
 
 
 @pytest.mark.parametrize("length", [1, 4])

@@ -613,6 +613,24 @@ def test_case_study_rejects_tiny_networks():
         generate_case_study(1, 0)
 
 
+@pytest.mark.parametrize("n,seed,message", [
+    (2.0, 0, "at least 2 agents"),  # numpy's TypeError
+    (3, 1.5, "integer seed"),  # numpy's TypeError
+    (3, True, "integer seed"),  # ran seed 1
+    (3, -1, "integer seed"),
+])
+def test_case_study_refuses_a_count_or_seed_that_is_not_an_integer(n, seed, message):
+    with pytest.raises(ValueError, match=message):
+        generate_case_study(n, seed)
+
+
+def test_case_study_reads_numpy_integers_as_ints():
+    # is_integer accepts them, and the stored scenario holds plain ints for JSON
+    config = generate_case_study(np.int64(3), np.int64(1))
+    assert config == generate_case_study(3, 1)
+    assert type(config.graph["n"]) is int and type(config.seed) is int
+
+
 # ----------------------------------------------------------------------
 # verification pipeline
 # ----------------------------------------------------------------------

@@ -45,6 +45,7 @@ from netpass import (
     steady_state_residual,
 )
 from netpass.harness import generate_case_study, synthesis_stage
+import netpass.netopt as netopt
 from netpass.netopt import _CURVATURE_TOL, SOLVER_TOL, _Pattern
 from oracles import (
     DimensionTooLargeError,
@@ -251,6 +252,15 @@ def test_outputs_of_the_wrong_length_are_refused(length):
             evaluate(y)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_outputs_are_refused(bad):
+    problem = mixed_sign_problem()
+    y = np.array([20.0, bad, 20.0])
+    for evaluate in (problem.objective, lambda v: stationarity_residual(problem, v)):
+        with pytest.raises(ValueError, match="^y must be finite$"):
+            evaluate(y)
+
+
 def test_regularization_never_lowers_objective():
     plain = mixed_sign_problem(beta=0.0)
     gained = mixed_sign_problem(beta=3.0)
@@ -363,6 +373,21 @@ def test_solve_max_iter_status():
     got = solve(problem, max_iter=8)
     assert (got.iterations, got.status) == (8, SolveStatus.OPTIMAL)
     np.testing.assert_array_equal(got.y_star, full.y_star)
+
+
+@pytest.mark.parametrize("tol", [np.nan, 0.0, -1.0, np.inf])
+def test_solve_refuses_a_tolerance_that_is_not_positive_and_finite(tol):
+    # a NaN, zero or negative bound spent the whole pattern budget; inf certified anything
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        solve(consensus_problem(), tol=tol)
+
+
+def test_an_unfactorable_quotient_ends_the_active_set_without_a_step():
+    # no interior edge: every vertex is its own cluster, so C^T H C is H, indefinite here
+    pattern = _Pattern(P2, np.array([False]), np.diag([1.0, -1.0]), np.zeros(2))
+    assert pattern.step(np.zeros(1), np.zeros(1)) is None
+    assert netopt._active_set(pattern, np.zeros(1), np.zeros(1), 10, SOLVER_TOL) \
+        == (None, False, 1)
 
 
 @pytest.mark.xfail(raises=AssertionError, strict=True,

@@ -220,6 +220,28 @@ def test_uniform_gain_rejects_bad_epsilon():
                 synthesize()
 
 
+NON_FINITE_CALLS = {  # (vector named, call on the bad vector v and a fine alpha, beta)
+    "edge_gain_threshold": ("rho", lambda v, a, b: edge_gain_threshold(v, P2)),
+    "check_design": ("rho", lambda v, a, b: check_design(v, a, b, P2)),
+    "zero_design": ("rho", lambda v, a, b: zero_design(v, P2)),
+    "uniform_network_gain": ("rho", lambda v, a, b: uniform_network_gain(v, P2)),
+    "hybrid_gain": ("rho", lambda v, a, b: hybrid_gain(v, P2, [0])),
+    "component_sums": ("rho", lambda v, a, b: component_sums(v, P2)),
+    "coupling_matrix-c": ("c", lambda v, a, b: coupling_matrix(v, a, b, P2)),
+    "coupling_matrix-alpha": ("alpha", lambda v, a, b: coupling_matrix(a, v, b, P2)),
+    "coupling_matrix-beta": ("beta", lambda v, a, b: coupling_matrix(a, a, v[:1], P2)),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("call", NON_FINITE_CALLS)
+def test_a_non_finite_index_or_gain_is_refused(call, bad):
+    # a NaN fails every comparison: the threshold read indices (nan, 1) as "not short"
+    name, run = NON_FINITE_CALLS[call]
+    with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+        run(np.array([bad, 1.0]), np.zeros(2), np.ones(1))
+
+
 def test_hybrid_gain_frozen_design():
     d = hybrid_gain(np.array([-1.0, -1.0, -1.0]), K3, [0, 1, 2])
     np.testing.assert_allclose(d.alpha, [4.0, 0.0, 0.0], atol=EXACT_TOL)

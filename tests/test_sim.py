@@ -369,6 +369,8 @@ def test_simulate_rejects_bad_shapes_and_steps():
         simulate(system, eta0=[1.0, 2.0])
     with pytest.raises(ValueError):
         simulate(system, dt=-0.1)
+    with pytest.raises(ValueError):  # it took no step and ended at t = 0 * inf = nan
+        simulate(system, dt=np.inf, t_max=5.0)
     with pytest.raises(ValueError):
         simulate(system, dt=0.1, t_max=0.0)
     with pytest.raises(ValueError):
