@@ -17,8 +17,11 @@ the incidence rows sum to zero, ``1^T X 1 = sum(rho + alpha)`` regardless of
 non-positive, which is what makes the positive-sum condition both necessary
 and sufficient.  Index sums are exactly rounded (``math.fsum``), so an exact
 zero never passes as a rounding residue.  The hybrid design lifts one
-vertex's index until the sum is positive and runs the network-only synthesis
-on the lifted indices.
+vertex's index until the indices average 1 and runs the network-only
+synthesis on the lifted indices.  Q(c)'s smallest eigenvalue is at most its
+Rayleigh quotient at 1/sqrt(n), the mean of c + alpha.  On the slopes that
+eigenvalue is the convexity probe, the loop's slowest rate, so a lift to a
+sum of 1 would cap it near 1/n.
 
 The edge-gain threshold is exact.  On the Laplacian's modes L = V diag(lam) V^T,
 with V1, lam1 the non-zero ones, diag(rho) + beta L is positive definite
@@ -175,12 +178,15 @@ def hybrid_gain(rho, graph: NetworkGraph, self_regulating, epsilon=None):
 
     When the index sum is already positive no vertex gain is needed and the
     design reduces to the network-only one.  Otherwise the lowest-index
-    vertex allowed to self-regulate receives ``1 - sum(rho)``, lifting the
-    corrected index sum to 1.  ``uniform_network_gain`` on the corrected
-    indices then picks, and certifies, the edge gains, or raises
-    NotPassivizableError when no vertex was lifted; its certificate is the
-    design's, since diag((rho + alpha) + 0) = diag(rho + alpha).  A vertex
-    label is an integer (a bool is not one) in 0..n-1, as an edge's is.
+    vertex allowed to self-regulate receives ``n - sum(rho)``, lifting the
+    corrected indices to a mean of 1.  That mean bounds the coupling
+    matrix's smallest eigenvalue, the convexity probe, whatever the edge
+    gains, so a lift to a sum of 1 would cap the probe near 1/n.  Then
+    ``uniform_network_gain`` on the corrected indices picks, and certifies,
+    the edge gains, or raises NotPassivizableError when no vertex was
+    lifted; its certificate is the design's, since diag((rho + alpha) + 0)
+    = diag(rho + alpha).  A vertex label is an integer (a bool is not one)
+    in 0..n-1, as an edge's is.
     """
     rho = as_vector(rho, graph.n_vertices, "rho")
     if not graph.is_connected():
@@ -192,7 +198,7 @@ def hybrid_gain(rho, graph: NetworkGraph, self_regulating, epsilon=None):
     alpha = np.zeros(graph.n_vertices)
     total = math.fsum(rho)
     if total <= 0.0 and len(self_regulating) > 0:
-        alpha[min(self_regulating)] = 1.0 - total
+        alpha[min(self_regulating)] = graph.n_vertices - total
     return replace(uniform_network_gain(rho + alpha, graph, epsilon), alpha=alpha)
 
 

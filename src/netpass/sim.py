@@ -279,7 +279,9 @@ def simulate(system: ClosedLoopSystem, x0=None, eta0=None, dt=None, t_max=None,
         (``_default_step``); the default horizon is ``HORIZON`` time units
         with early exit once steady.
     steady_tol : float
-        Threshold on the worst state/output rate for steadiness.
+        Threshold on the worst state/output rate for steadiness, in
+        [0, inf]: 0 runs the whole horizon (no rate is below it), and inf
+        stops at the first full window.
     window : int
         Number of consecutive steady samples required before stopping.
     record : callable or None
@@ -299,6 +301,9 @@ def simulate(system: ClosedLoopSystem, x0=None, eta0=None, dt=None, t_max=None,
         raise ValueError("dt, t_max and window must be positive, and dt finite")
     if not np.isfinite(t_max / dt):
         raise ValueError(f"t_max / dt must be finite, got {t_max:g} / {dt:g}")
+    # no rate is below NaN or a negative tolerance: the run would spend its whole horizon
+    if not steady_tol >= 0.0:
+        raise ValueError(f"steady_tol must be in [0, inf], got {steady_tol}")
     if x0 is None:
         anchors = system.agents.anchors
         x0 = np.random.default_rng(seed).uniform(anchors.min() - 10.0, anchors.max() + 10.0, n)

@@ -676,8 +676,8 @@ def test_verify_short_pair_passes_in_hybrid_mode():
     assert report.passed and report.verdict == "pass"
     assert report.gain["mode"] == "hybrid"
     # the slopes (1.25, -1.25) less the floor sum to -0.02, and vertex 0
-    # lifts that sum to 1, so the probe clears the floor
-    assert report.gain["alpha"][0] == pytest.approx(1.02, rel=1e-12)
+    # lifts their mean to 1 (alpha = 2 + 0.02), so the probe clears the floor
+    assert report.gain["alpha"][0] == pytest.approx(2.02, rel=1e-12)
     assert report.convexity_probe > 1e-2
 
 
@@ -765,15 +765,15 @@ def static_affine_k3_hybrid(a, rho):
 
 @pytest.mark.parametrize("a", [(-1.0 / 1.995, 200.0, 200.0), (-0.75, -0.75, -0.76)],
                          ids=["mean_under_the_floor", "all_short"])
-def test_hybrid_synthesis_lifts_the_shifted_slopes_to_one(a):
+def test_hybrid_synthesis_lifts_the_shifted_slopes_to_a_mean_of_one(a):
     # hybrid mode always certifies the slopes less the 1e-2 floor: vertex 0
-    # lifts their sum to 1, and the probe clears the floor in one synthesis
+    # lifts their mean to 1, and the probe clears the floor in one synthesis
     config = static_affine_k3_hybrid(a, (0.0, -0.5, -0.5))
     parts = build_system_parts(config)
     design, problem, probe, escalations = synthesize_certified(config, *parts)
     assert escalations == 0 and design.certificate.positive_definite
     shifted = parts[1].slope - 1e-2
-    assert design.alpha[0] == pytest.approx(1.0 - math.fsum(shifted), rel=1e-12)
+    assert design.alpha[0] == pytest.approx(3.0 - math.fsum(shifted), rel=1e-12)
     assert probe > 1e-2
     assert solve(problem).status is SolveStatus.OPTIMAL
 

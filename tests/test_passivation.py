@@ -6,11 +6,18 @@ Frozen values derived by hand:
   X = [[5.1, -2.1], [-2.1, 1.1]] has det 1.2; at gain 1.0 det is exactly -1.
 - rho = (3, -1) and (5, -1) on two 2-paths: det 4 beta - 5 on the second, so
   the component thresholds are 3/2 and 5/4.
-- rho = (-1,-1,-1) on the triangle, hybrid: vertex 0 gets alpha = 4.  On the
-  corrected indices (3,-1,-1) the Schur complement on the consensus
-  direction is diag(9, 1) in the basis (2,-1,-1)/sqrt(6), (0,1,-1)/sqrt(2);
-  with lambda = 3 on both, the threshold is 9/3 = 3 (the paper's bound is
-  52/9).
+- rho = (3,-1,-1) on the triangle sums to 1, so hybrid lifts no vertex.  The
+  Schur complement on the consensus direction is diag(9, 1) in the basis
+  (2,-1,-1)/sqrt(6), (0,1,-1)/sqrt(2); with lambda = 3 on both, the
+  threshold is 9/3 = 3 (the paper's bound is 52/9).
+- rho = (-1,-1,-1) on the triangle, hybrid: vertex 0 gets alpha = n - sum =
+  3 + 3 = 6, so the corrected indices (5,-1,-1) average 1.  In the same
+  basis b = V1^T rho = (12/sqrt(6), 0), so b b^T / sum = diag(8, 0), and
+  V1^T diag(rho) V1 = diag(3, -1): the Schur complement is diag(5, 1) / 3
+  and the threshold is 5/3.  The paper's bound is 42/9 = 14/3: with
+  M = (3/3) diag(25, 1, 1) - diag(5, -1, -1) = diag(20, 2, 2), E^T M E on
+  the edges (0,1), (0,2), (1,2) is [[22, 20, -2], [20, 22, 2], [-2, 2, 4]],
+  whose top eigenvalue is 42 on (1, 1, 0).
 """
 
 import json
@@ -56,10 +63,11 @@ def test_threshold_zero_for_homogeneous_surplus():
 
 
 def test_threshold_frozen_hybrid_corrected_indices():
-    assert edge_gain_threshold(np.array([3.0, -1.0, -1.0]), K3) == pytest.approx(
-        3.0, abs=1e-10)
-    assert paper_edge_gain_bound(np.array([3.0, -1.0, -1.0]), K3) == pytest.approx(
-        52.0 / 9.0, abs=1e-10)
+    for rho, threshold, paper_bound in (((3.0, -1.0, -1.0), 3.0, 52.0 / 9.0),
+                                        ((5.0, -1.0, -1.0), 5.0 / 3.0, 14.0 / 3.0)):
+        assert edge_gain_threshold(np.array(rho), K3) == pytest.approx(threshold, abs=1e-10)
+        assert paper_edge_gain_bound(np.array(rho), K3) == pytest.approx(
+            paper_bound, abs=1e-10)
 
 
 @st.composite
@@ -244,8 +252,8 @@ def test_a_non_finite_index_or_gain_is_refused(call, bad):
 
 def test_hybrid_gain_frozen_design():
     d = hybrid_gain(np.array([-1.0, -1.0, -1.0]), K3, [0, 1, 2])
-    np.testing.assert_allclose(d.alpha, [4.0, 0.0, 0.0], atol=EXACT_TOL)
-    assert d.threshold == pytest.approx(3.0, abs=1e-10)
+    np.testing.assert_allclose(d.alpha, [6.0, 0.0, 0.0], atol=EXACT_TOL)
+    assert d.threshold == pytest.approx(5.0 / 3.0, abs=1e-10)
     assert d.certificate.min_eig > 0.0
     X = coupling_matrix(np.array([-1.0, -1.0, -1.0]), d.alpha, d.beta, K3)
     assert np.linalg.eigvalsh(X)[0] == pytest.approx(d.certificate.min_eig, abs=EIG_TOL)
@@ -253,7 +261,7 @@ def test_hybrid_gain_frozen_design():
 
 def test_hybrid_gain_picks_smallest_allowed_vertex():
     d = hybrid_gain(np.array([-1.0, -1.0, -1.0]), K3, [2, 1])
-    np.testing.assert_allclose(d.alpha, [0.0, 4.0, 0.0], atol=EXACT_TOL)
+    np.testing.assert_allclose(d.alpha, [0.0, 6.0, 0.0], atol=EXACT_TOL)
 
 
 def test_hybrid_gain_skips_vertex_gain_when_feasible():
@@ -276,7 +284,7 @@ def test_hybrid_gain_refuses_a_label_that_is_not_an_integer():
         with pytest.raises(VertexIndexError):
             hybrid_gain(np.array([-1.0, -1.0, -1.0]), K3, [label])
     d = hybrid_gain(np.array([-1.0, -1.0, -1.0]), K3, [np.int64(1)])
-    np.testing.assert_allclose(d.alpha, [0.0, 4.0, 0.0], atol=EXACT_TOL)
+    np.testing.assert_allclose(d.alpha, [0.0, 6.0, 0.0], atol=EXACT_TOL)
 
 
 def uncertifiable_scenarios():

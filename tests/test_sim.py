@@ -375,6 +375,10 @@ def test_simulate_rejects_bad_shapes_and_steps():
         simulate(system, dt=0.1, t_max=0.0)
     with pytest.raises(ValueError):
         simulate(system, dt=0.1, window=0)
+    # no rate is below NaN or a negative tolerance: the run would spend its whole horizon
+    for steady_tol in (np.nan, -1.0):
+        with pytest.raises(ValueError, match="steady_tol must be in"):
+            simulate(system, steady_tol=steady_tol)
     # a step count t_max / dt beyond the float range, over a given or the default horizon
     for dt, t_max in ((1e-300, 1e10), (1e-306, None)):
         with pytest.raises(ValueError, match="t_max / dt must be finite"):
@@ -719,16 +723,16 @@ def test_the_certificate_never_fires_where_it_does_not_apply(case):
 
 def test_the_certificate_ends_the_slow_hybrid_case_study():
     # n=10, seed 2 has a negative rate sum; the benchmark rescues it in hybrid
-    # mode.  Its slow tail is all-deep, and certified at sample 864 of the
-    # 12,830 that the steady window took.
+    # mode.  Its slow tail is all-deep, and certified at sample 192 of the
+    # 2,349 that the steady window took.
     data = generate_case_study(10, 2).to_dict()
     data.update(gain_mode="hybrid", self_regulating=[0])
     config = config_from_dict(data)
     parts = build_system_parts(config)
     system = ClosedLoopSystem(*parts, synthesis_stage(config)[0])
     trajectory = simulate_recorded(system, seed=config.seed)
-    assert trajectory.converged and trajectory.certified_at == 864
-    assert trajectory.times.size == 865
+    assert trajectory.converged and trajectory.certified_at == 192
+    assert trajectory.times.size == 193
 
 
 def test_a_non_finite_state_is_a_blowup():
@@ -790,7 +794,7 @@ def test_a_certified_stop_is_sound_on_random_deep_starts(case, dt, steps, window
 
 @pytest.mark.parametrize("scenario", ["n10-s2 hybrid", "n10-s3 hybrid", "none_blowup"])
 def test_unrecorded_run_ends_on_the_recorded_final_sample(scenario):
-    # n10-s3 is never certified: 8,969 samples, 281 blocks of 32 from sample
+    # n10-s3 is never certified: 1,245 samples, 39 blocks of 32 from sample
     # 1, each handed to the recorder.  n10-s2 ends at a certified stop, and
     # none_blowup raises.  Both case studies' rate sums are not positive, so
     # the benchmark runs them in hybrid mode.
@@ -807,7 +811,7 @@ def test_unrecorded_run_ends_on_the_recorded_final_sample(scenario):
         assert run.startswith("state magnitude exceeded 1e+12 at t = ")
     else:
         assert (run.times.size, run.certified_at) == {
-            "n10-s2 hybrid": (865, 864), "n10-s3 hybrid": (8969, None)}[scenario]
+            "n10-s2 hybrid": (193, 192), "n10-s3 hybrid": (1245, None)}[scenario]
 
 
 # ----------------------------------------------------------------------

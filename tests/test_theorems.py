@@ -162,3 +162,16 @@ def test_the_five_vertex_hybrid_run_ends_at_the_minimizer():
     })
     report = verify(config)
     assert report.verdict == "pass", (report.verdict, report.mismatch, report.sim["t_end"])
+
+
+@pytest.mark.xfail(raises=AssertionError, strict=True,
+                   reason="the steady-state detector stops on a wound-up saturated edge")
+def test_the_n10_seed_11_hybrid_case_study_ends_at_the_minimizer():
+    # Vertex 0 lifts the shifted indices to a mean of 1.  Today verify stops
+    # at t = 245.1 with mismatch 0.505: edge 41 ends wound at eta = -46.4
+    # against its own zeta (+0.415), where zeta* = 0.  Continued with
+    # steady_tol 0, the run reaches y* within 5e-13.
+    data = generate_case_study(10, 11).to_dict()
+    data.update(gain_mode="hybrid", self_regulating=[0])
+    report = verify(config_from_dict(data))
+    assert report.verdict == "pass", (report.verdict, report.mismatch, report.sim["t_end"])
